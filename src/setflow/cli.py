@@ -19,7 +19,7 @@ from .dynamics import (
     lipschitz_estimate,
     osl_check,
     relax_to,
-    relaxation_closed_form,
+    relaxation_values,
     subtangent_feasible,
 )
 from .errors import (
@@ -32,7 +32,6 @@ from .errors import (
 from .hukuhara import (
     SetCurve,
     classify_curve,
-    difference_quotients,
     quotient_gap,
     second_type_differential,
 )
@@ -40,6 +39,7 @@ from .sampling import random_cone_sample, random_rectangle
 from .support import (
     ConvexPolygon,
     DirectionGrid,
+    SupportDelta,
     SupportSample,
     hausdorff_exact,
     hausdorff_grid,
@@ -75,13 +75,25 @@ def cmd_integrate(args) -> int:
     except ConfigError as exc:
         _error(exc.code, str(exc))
         return 2
-    grid = cfg.grid
-    sigma0 = support_of_polygon(cfg.initial, grid)
+    sigma0 = support_of_polygon(cfg.initial, cfg.grid)
     try:
         traj = integrate(field, sigma0, cfg.T, cfg.h, cfg.method, cfg.policy)
     except SetflowError as exc:
         _error("integration", str(exc))
         return 3
+    try:
+        _write_integrate_outputs(cfg, field, traj)
+    except OSError as exc:
+        _error("filesystem", str(exc))
+        return 4
+    if not traj.completed:
+        _error("integration", traj.failure or "trajectory truncated")
+        return 3
+    return 0
+
+
+def _write_integrate_outputs(cfg, field: RhsField, traj) -> None:
+    grid = cfg.grid
     out = cfg.output
     traj_path = out.get("trajectory", "trajectory.csv")
     formats.write_trajectory_csv(traj, traj_path)
@@ -97,76 +109,55 @@ def cmd_integrate(args) -> int:
             vals, grid.angles, out["support"], title=f"{field.name}: support values"
         )
         print(f"wrote {out['support']}")
-    if not traj.completed:
-        _error("integration", traj.failure or "trajectory truncated")
-        return 3
-    return 0
 
 
 def _example_one(k: int, outdir: Path, grid: DirectionGrid, h: float, method: str):
     a0 = ConvexPolygon.box(*EXAMPLE_RECTS[k])
     q = ConvexPolygon.box(*EXAMPLE_TARGET)
-    target = support_of_polygon(q, grid)
-    field = relax_to(target)
-    sigma0 = support_of_polygon(a0, grid)
-    traj = integrate(field, sigma0, 4.0, h, method=method)
-    closed = np.array(
-        [relaxation_closed_form(a0, q, t, grid).values for t in traj.times]
-    )
+    field = relax_to(support_of_polygon(q, grid))
+    traj = integrate(field, support_of_polygon(a0, grid), 4.0, h, method=method)
+    closed = relaxation_values(a0, q, traj.times, grid)
     max_err = float(np.max(np.abs(traj.states - closed)))
     formats.write_trajectory_csv(traj, outdir / f"curve{k}_trajectory.csv")
 
     frames = _frame_indices(traj.times, FRAME_SPACING)
-    frame_curve = SetCurve(
-        traj.times[frames], tuple(traj.sample(i) for i in frames)
-    )
-    whole, steps = classify_curve(frame_curve)
+    curve = SetCurve(traj.times[frames], tuple(traj.sample(i) for i in frames))
+    whole, steps = classify_curve(curve)
 
     with open(outdir / f"curve{k}_classification.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["step", "t", "class", "quotient_gap"])
         for j, cls in enumerate(steps, start=1):
-            gap = quotient_gap(frame_curve, j)
-            w.writerow([j, "%.17g" % frame_curve.times[j], str(cls), "%.17g" % gap])
+            gap = quotient_gap(curve, j)
+            w.writerow([j, "%.17g" % curve.times[j], str(cls), "%.17g" % gap])
 
-    interior = range(1, len(frame_curve) - 1)
-    deltas = []
-    for j in interior:
-        fwd, bwd = difference_quotients(frame_curve, j)
-        deltas.append(0.5 * (fwd + bwd))
-    inner_times = frame_curve.times[1:-1]
+    # derivative estimate at each interior frame: the mean of its two quotients
+    deltas = 0.5 * (curve.quotients[1:] + curve.quotients[:-1])
+    inner_times = curve.times[1:-1]
     formats.write_values_csv(inner_times, deltas, outdir / f"curve{k}_frechet_delta.csv")
-
+    in_cone = is_in_cone(deltas, grid).ok
     hukuhara_rows = [
-        (t, d) for t, d in zip(inner_times, deltas) if is_in_cone(d.values, grid)
+        (t, SupportSample(grid, d)) for t, d, ok in zip(inner_times, deltas, in_cone) if ok
     ]
-    if hukuhara_rows:
-        formats.write_values_csv(
-            [t for t, _ in hukuhara_rows],
-            [d for _, d in hukuhara_rows],
-            outdir / f"curve{k}_hukuhara_differentials.csv",
-        )
-    second_rows = []
-    for t, d in zip(inner_times, deltas):
-        s = second_type_differential(d)
-        if s is not None:
-            second_rows.append((t, s))
-    if second_rows:
-        formats.write_values_csv(
-            [t for t, _ in second_rows],
-            [s for _, s in second_rows],
-            outdir / f"curve{k}_second_type_differentials.csv",
-        )
+    second_rows = [
+        (t, s)
+        for t, d in zip(inner_times, deltas)
+        if (s := second_type_differential(SupportDelta(grid, d))) is not None
+    ]
+    for kind, rows in (("hukuhara", hukuhara_rows), ("second_type", second_rows)):
+        if rows:
+            times, sets = zip(*rows)
+            formats.write_values_csv(
+                times, sets, outdir / f"curve{k}_{kind}_differentials.csv"
+            )
 
-    set_frames = [
-        (frame_curve.times[j], reconstruct_polygon(frame_curve.samples[j]))
-        for j in range(len(frame_curve))
-    ]
     svg.polygon_filmstrip(
-        set_frames, outdir / f"curve{k}_sets.svg", title=f"curve {k}: states"
+        [(t, reconstruct_polygon(s)) for t, s in zip(curve.times, curve.samples)],
+        outdir / f"curve{k}_sets.svg",
+        title=f"curve {k}: states",
     )
     svg.support_profiles(
-        [(frame_curve.times[j], frame_curve.samples[j]) for j in range(len(frame_curve))],
+        list(zip(curve.times, curve.samples)),
         grid.angles,
         outdir / f"curve{k}_support.svg",
         title=f"curve {k}: support values",
@@ -177,9 +168,7 @@ def _example_one(k: int, outdir: Path, grid: DirectionGrid, h: float, method: st
         outdir / f"curve{k}_delta_support.svg",
         title=f"curve {k}: derivative values",
     )
-    diff_frames = [(t, reconstruct_polygon(SupportSample(grid, d.values)))
-                   for t, d in hukuhara_rows]
-    diff_frames += [(t, reconstruct_polygon(s)) for t, s in second_rows]
+    diff_frames = [(t, reconstruct_polygon(s)) for t, s in hukuhara_rows + second_rows]
     if diff_frames:
         svg.polygon_filmstrip(
             diff_frames,
@@ -190,14 +179,16 @@ def _example_one(k: int, outdir: Path, grid: DirectionGrid, h: float, method: st
 
 
 def cmd_example(args) -> int:
+    try:
+        grid = DirectionGrid(formats.parse_grid_n(args.grid_n))
+        if not (math.isfinite(args.h) and args.h > 0):
+            raise ConfigError("bad_value", f"h must be positive and finite, got {args.h}")
+    except ConfigError as exc:
+        _error(exc.code, str(exc))
+        return 2
     outdir = Path(args.outdir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        _error("filesystem", str(exc))
-        return 4
-    grid = DirectionGrid(args.grid_n)
-    try:
         results = {
             k: _example_one(k, outdir, grid, args.h, args.method)
             for k in (1, 2, 3)
@@ -319,12 +310,17 @@ def cmd_check(args) -> int:
     except ConfigError as exc:
         _error(exc.code, str(exc))
         return 2
+    except OSError as exc:
+        _error("filesystem", str(exc))
+        return 4
 
 
 def cmd_hausdorff(args) -> int:
     try:
         a = formats.load_set(args.set_a)
         b = formats.load_set(args.set_b)
+        if args.n < 3:
+            raise ConfigError("bad_value", f"--n must be at least 3, got {args.n}")
     except ConfigError as exc:
         _error(exc.code, str(exc))
         return 2

@@ -20,15 +20,22 @@ from .support import (
     DirectionGrid,
     SupportDelta,
     _require_same_grid,
-    default_geom_tol,
+    default_tol,
     hausdorff_onesided,
     point_to_polygon,
     project_point,
 )
 
 
-def _default_ext_tol(values) -> float:
-    return 1e-9 * max(1.0, float(np.max(np.abs(values))))
+def _sup_norm(vals: np.ndarray, tol_ext: float | None) -> tuple[float | None, float]:
+    """(||vals||, tolerance), the norm None when it vanishes within the tolerance.
+
+    tol_ext defaults to the scale-aware default_tol.
+    """
+    if tol_ext is None:
+        tol_ext = default_tol(vals)
+    norm = float(np.max(np.abs(vals)))
+    return (None if norm <= tol_ext else norm), tol_ext
 
 
 @dataclass(frozen=True)
@@ -69,10 +76,8 @@ class DiscreteMeasure:
 def extremal_sets(f, tol_ext: float | None = None) -> ExtremalSets:
     """Indices attaining the sup-norm of f from above and below."""
     vals = np.asarray(getattr(f, "values", f), dtype=float)
-    if tol_ext is None:
-        tol_ext = _default_ext_tol(vals)
-    norm = float(np.max(np.abs(vals)))
-    if norm <= tol_ext:
+    norm, tol_ext = _sup_norm(vals, tol_ext)
+    if norm is None:
         full = tuple(range(len(vals)))
         return ExtremalSets(full, full)
     pos = tuple(int(i) for i in np.flatnonzero(vals >= norm - tol_ext))
@@ -87,11 +92,10 @@ def semi_inner(f: SupportDelta, g: SupportDelta, tol_ext: float | None = None) -
     finite; for g == 0 it is 0 by the full-grid convention.
     """
     _require_same_grid(f, g)
-    gvals = g.values
-    gnorm = float(np.max(np.abs(gvals)))
-    es = extremal_sets(g, tol_ext)
-    if gnorm <= (_default_ext_tol(gvals) if tol_ext is None else tol_ext):
+    gnorm, _ = _sup_norm(g.values, tol_ext)
+    if gnorm is None:
         return 0.0
+    es = extremal_sets(g, tol_ext)
     fvals = f.values
     mpos = float(np.min(fvals[list(es.positive)])) if es.positive else math.inf
     mneg = float(np.min(-fvals[list(es.negative)])) if es.negative else math.inf
@@ -109,9 +113,8 @@ def dual_representatives(
     Every returned measure mu has total variation ||g|| and pairs with g to
     ||g||^2.  The minimum of mu(f) over the list equals semi_inner(f, g).
     """
-    gvals = g.values
-    gnorm = float(np.max(np.abs(gvals)))
-    if gnorm <= (_default_ext_tol(gvals) if tol_ext is None else tol_ext):
+    gnorm, _ = _sup_norm(g.values, tol_ext)
+    if gnorm is None:
         raise ZeroFunction("the zero function has no normalized representatives")
     es = extremal_sets(g, tol_ext)
     reps = [DiscreteMeasure(((i, gnorm),)) for i in es.positive]
@@ -133,7 +136,7 @@ def hausdorff_realizing_directions(
     sigma_A - sigma_B.
     """
     if tol is None:
-        tol = default_geom_tol(np.vstack([a.vertices, b.vertices]))
+        tol = default_tol(np.append(a.vertices, b.vertices))
     d_ab = hausdorff_onesided(a, b)
     d_ba = hausdorff_onesided(b, a)
     if d_ab <= tol:

@@ -20,20 +20,23 @@ from .errors import (
     DegenerateDistance,
     DegenerateField,
     EmptyIntersection,
-    GridMismatch,
     NonFiniteValue,
 )
 from .hukuhara import SetCurve
 from .sampling import perturb_in_ball, random_cone_sample
 from .support import (
+    _FLAT_REL,
+    _TIME_SNAP_REL,
     ConvexPolygon,
     DirectionGrid,
     SupportDelta,
     SupportSample,
+    _grid_values,
+    _require_same_grid,
+    _scale,
     cone_margins,
     cone_residual,
-    default_cone_tol,
-    default_geom_tol,
+    default_tol,
     farthest_realizer,
     hausdorff_onesided,
     regularize,
@@ -58,16 +61,10 @@ class RhsField:
     lipschitz: float | None = None
 
     def eval(self, t: float, values: np.ndarray) -> np.ndarray:
-        out = np.asarray(self.fn(t, values), dtype=float)
-        if out.shape != (self.grid.n,):
-            raise GridMismatch(
-                f"field '{self.name}' returned shape {out.shape}, expected {(self.grid.n,)}"
-            )
-        return out
+        return _grid_values(self.fn(t, values), self.grid)
 
     def __call__(self, t: float, sigma: SupportSample) -> SupportDelta:
-        if sigma.grid.n != self.grid.n:
-            raise GridMismatch(f"grids of size {sigma.grid.n} and {self.grid.n}")
+        _require_same_grid(sigma, self)
         return SupportDelta(self.grid, self.eval(t, sigma.values))
 
 
@@ -99,21 +96,20 @@ def expansion_field(grid: DirectionGrid, rate: float, name: str = "expand") -> R
 
 @dataclass(frozen=True)
 class GrowthFunction:
-    """Comparison growth bound omega(t, s); class membership is declared only."""
+    """Comparison growth bound omega(t, s)."""
 
     fn: Callable[[float, float], float]
-    declared_class: str = "Unchecked"
 
     def __call__(self, t: float, s: float) -> float:
         return float(self.fn(t, s))
 
 
 def linear_growth(rate: float) -> GrowthFunction:
-    return GrowthFunction(lambda t, s: rate * s, declared_class="U1")
+    return GrowthFunction(lambda t, s: rate * s)
 
 
 def zero_growth() -> GrowthFunction:
-    return GrowthFunction(lambda t, s: 0.0, declared_class="Unchecked")
+    return GrowthFunction(lambda t, s: 0.0)
 
 
 @dataclass(frozen=True)
@@ -143,16 +139,14 @@ def subtangent_feasible(
     a = cone_margins(vvals, grid)
     b = cone_margins(sigma.values, grid)
     if tol is None:
-        tol = default_cone_tol(vvals)
-    flat = 1e-12 * max(1.0, float(np.max(np.abs(sigma.values))))
-    lam_min, lam_max = 0.0, math.inf
-    for ai, bi in zip(a, b):
-        if bi > flat:
-            lam_min = max(lam_min, (-tol - ai) / bi)
-        elif bi < -flat:
-            lam_max = min(lam_max, (-tol - ai) / bi)
-        elif ai < -tol:
-            return SubtangentResult(False, math.nan, math.nan)
+        tol = default_tol(vvals)
+    flat = _FLAT_REL * _scale(sigma.values)
+    up, down = b > flat, b < -flat
+    if np.any(a[~(up | down)] < -tol):
+        return SubtangentResult(False, math.nan, math.nan)
+    # NaN bounds are skipped; max(0.0, .) also turns a -0.0 bound into 0.0
+    lam_min = max(0.0, float(np.fmax.reduce((-tol - a[up]) / b[up], initial=0.0)))
+    lam_max = float(np.fmin.reduce((-tol - a[down]) / b[down], initial=math.inf))
     if lam_min > lam_max:
         return SubtangentResult(False, math.nan, math.nan)
     return SubtangentResult(True, lam_min, lam_max)
@@ -236,7 +230,7 @@ def osl_check(
     satisfied when at least one applicable case holds.
     """
     if tol is None:
-        tol = default_geom_tol(np.vstack([a.vertices, b.vertices]))
+        tol = default_tol(np.append(a.vertices, b.vertices))
     d_ab = hausdorff_onesided(a, b)
     d_ba = hausdorff_onesided(b, a)
     dh = max(d_ab, d_ba)
@@ -286,16 +280,9 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.times)
 
-    @property
-    def step_sizes(self) -> np.ndarray:
-        return np.diff(self.times)
-
     def sample(self, k: int) -> SupportSample:
         state = self.states[k]
-        bound = self.threshold
-        if bound is None:
-            bound = 10.0 * default_cone_tol(state)
-        return SupportSample(self.grid, state, tol=bound)
+        return SupportSample(self.grid, state, tol=_drift_limit(state, self.threshold))
 
     @property
     def final(self) -> SupportSample:
@@ -305,6 +292,11 @@ class Trajectory:
         return SetCurve(
             self.times, tuple(self.sample(k) for k in range(len(self)))
         )
+
+
+def _drift_limit(state: np.ndarray, threshold: float | None) -> float:
+    """Cone residual a stored state may carry: threshold, else 10x default_tol."""
+    return 10.0 * default_tol(state) if threshold is None else threshold
 
 
 def _euler_step(f: RhsField, t: float, y: np.ndarray, h: float) -> np.ndarray:
@@ -346,12 +338,11 @@ def integrate(
         raise ValueError("T and h must be positive")
     step = _euler_step if method == "euler" else _rk4_step
     grid = f.grid
-    if sigma0.grid.n != grid.n:
-        raise GridMismatch(f"grids of size {sigma0.grid.n} and {grid.n}")
+    _require_same_grid(sigma0, f)
 
-    n_full = int(math.floor(T / h + 1e-9))
+    n_full = int(math.floor(T / h + _TIME_SNAP_REL))
     times = [k * h for k in range(n_full + 1)]
-    if T - times[-1] > 1e-9 * max(1.0, T):
+    if T - times[-1] > _TIME_SNAP_REL * max(1.0, T):
         times.append(T)
     else:
         times[-1] = T
@@ -372,10 +363,7 @@ def integrate(
             )
         res = cone_residual(y_new, grid)
         did_reg = False
-        if threshold is None:
-            limit = 10.0 * default_cone_tol(y_new)
-        else:
-            limit = threshold
+        limit = _drift_limit(y_new, threshold)
         if policy == "always" or (policy == "on_violation" and res > limit):
             try:
                 y_new = regularize(y_new, grid).values.copy()
@@ -403,28 +391,37 @@ def integrate(
     )
 
 
-def relaxation_closed_form(
-    a0: ConvexPolygon, q: ConvexPolygon, t: float, grid: DirectionGrid
-) -> SupportSample:
-    """Exact state of the relaxation field at time t >= 0.
+def relaxation_values(
+    a0: ConvexPolygon, q: ConvexPolygon, times, grid: DirectionGrid
+) -> np.ndarray:
+    """Exact states of the relaxation field at times t >= 0, one row per time.
 
     The solution is the Minkowski combination exp(-t)*A0 + (1 - exp(-t))*Q,
     so its support values are the same convex combination of the endpoint
     samples.
     """
-    if t < 0:
+    ts = np.asarray(times, dtype=float)
+    if np.any(ts < 0):
         raise ValueError("t must be nonnegative")
-    w = math.exp(-t)
-    sa = support_of_polygon(a0, grid)
-    sq = support_of_polygon(q, grid)
-    return SupportSample(grid, w * sa.values + (1.0 - w) * sq.values)
+    w = np.array([math.exp(-t) for t in ts])[:, None]
+    sa = support_of_polygon(a0, grid).values
+    sq = support_of_polygon(q, grid).values
+    return w * sa + (1.0 - w) * sq
+
+
+def relaxation_closed_form(
+    a0: ConvexPolygon, q: ConvexPolygon, t: float, grid: DirectionGrid
+) -> SupportSample:
+    """Exact state of the relaxation field at time t >= 0."""
+    return SupportSample(grid, relaxation_values(a0, q, [t], grid)[0])
 
 
 def relaxation_curve(
     a0: ConvexPolygon, q: ConvexPolygon, times, grid: DirectionGrid
 ) -> SetCurve:
     ts = np.asarray(times, dtype=float)
-    return SetCurve(ts, tuple(relaxation_closed_form(a0, q, t, grid) for t in ts))
+    values = relaxation_values(a0, q, ts, grid)
+    return SetCurve(ts, tuple(SupportSample(grid, v) for v in values))
 
 
 def lipschitz_estimate(

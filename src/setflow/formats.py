@@ -1,4 +1,4 @@
-"""File formats: JSON set exchange, CSV trajectories/curves, scenario configs."""
+"""File formats: JSON set exchange, CSV trajectories and value tables, scenarios."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .duality import DiscreteMeasure
 from .dynamics import (
     METHODS,
     POLICIES,
@@ -22,14 +21,12 @@ from .dynamics import (
     relax_to,
     zero_growth,
 )
-from .errors import ConfigError
-from .hukuhara import SetCurve
+from .errors import ConfigError, GridMismatch
 from .sampling import DEFAULT_SEED
 from .support import (
     ConvexPolygon,
     DirectionGrid,
     SupportDelta,
-    SupportSample,
     support_of_polygon,
 )
 
@@ -76,31 +73,6 @@ def load_set(path) -> ConvexPolygon:
     return parse_set(obj)
 
 
-def parse_support_sample(obj) -> SupportSample:
-    """Build a sample from {"n": int, "values": [..]}; the grid is implied by n."""
-    if not isinstance(obj, dict) or "n" not in obj or "values" not in obj:
-        raise ConfigError("bad_sample", "sample descriptor needs 'n' and 'values'")
-    n = int(obj["n"])
-    values = np.asarray(obj["values"], dtype=float)
-    if values.shape != (n,):
-        raise ConfigError("bad_sample", f"expected {n} values, got {values.shape}")
-    return SupportSample(DirectionGrid(n), values)
-
-
-def sample_payload(s: SupportSample) -> dict:
-    return {"n": s.grid.n, "values": [float(v) for v in s.values]}
-
-
-def parse_measure(obj) -> DiscreteMeasure:
-    if not isinstance(obj, dict) or "atoms" not in obj:
-        raise ConfigError("bad_measure", "measure descriptor needs 'atoms'")
-    return DiscreteMeasure(tuple((int(i), float(w)) for i, w in obj["atoms"]))
-
-
-def measure_payload(m: DiscreteMeasure) -> dict:
-    return {"atoms": [[i, w] for i, w in m.atoms]}
-
-
 # ------------------------------------------------------------------- CSV output
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
@@ -114,27 +86,6 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
                 [_fmt(traj.times[k]), _fmt(traj.residuals[k]), int(traj.regularized[k])]
                 + [_fmt(v) for v in traj.states[k]]
             )
-
-
-def write_curve_csv(curve: SetCurve, path) -> None:
-    """One row per time: t, v0..v{n-1}."""
-    n = curve.grid.n
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t"] + [f"v{i}" for i in range(n)])
-        for t, s in zip(curve.times, curve.samples):
-            w.writerow([_fmt(t)] + [_fmt(v) for v in s.values])
-
-
-def read_curve_csv(path) -> SetCurve:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header, body = rows[0], rows[1:]
-    n = len(header) - 1
-    grid = DirectionGrid(n)
-    times = [float(r[0]) for r in body]
-    samples = tuple(SupportSample(grid, np.asarray(r[1:], dtype=float)) for r in body)
-    return SetCurve(np.asarray(times), samples)
 
 
 def write_values_csv(times, rows, path) -> None:
@@ -178,6 +129,18 @@ def _require(obj: dict, key: str):
     return obj[key]
 
 
+def parse_grid_n(value) -> int:
+    """Grid size of a scenario or the demo: even (antipodes are used) and >= 4."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError) as exc:
+        message = f"grid_n must be an integer, got {value!r}"
+        raise ConfigError("bad_value", message) from exc
+    if n < 4 or n % 2 != 0:
+        raise ConfigError("bad_value", f"grid_n must be even and >= 4, got {n}")
+    return n
+
+
 def load_scenario(path) -> ScenarioConfig:
     try:
         with open(path) as fh:
@@ -189,9 +152,7 @@ def load_scenario(path) -> ScenarioConfig:
     if not isinstance(obj, dict):
         raise ConfigError("bad_json", "config root must be an object")
 
-    grid_n = int(_require(obj, "grid_n"))
-    if grid_n < 3 or grid_n % 2 != 0:
-        raise ConfigError("bad_value", f"grid_n must be even and >= 4, got {grid_n}")
+    grid_n = parse_grid_n(_require(obj, "grid_n"))
     T = float(_require(obj, "T"))
     h = float(_require(obj, "h"))
     if T <= 0:
@@ -209,6 +170,12 @@ def load_scenario(path) -> ScenarioConfig:
         raise ConfigError("bad_value", "rhs needs a 'kind'")
     initial = parse_set(obj["initial"]) if "initial" in obj else None
     seed = int(obj["seed"]) if "seed" in obj else None
+    output = obj.get("output", {})
+    if not isinstance(output, dict):
+        raise ConfigError("bad_value", "output must be an object")
+    samples = int(obj.get("samples", 200))
+    if samples < 1:
+        raise ConfigError("bad_value", f"samples must be at least 1, got {samples}")
     cfg = ScenarioConfig(
         grid_n=grid_n,
         T=T,
@@ -217,9 +184,9 @@ def load_scenario(path) -> ScenarioConfig:
         policy=policy,
         rhs=rhs,
         initial=initial,
-        output=obj.get("output", {}),
+        output=output,
         seed=seed,
-        samples=int(obj.get("samples", 200)),
+        samples=samples,
         r=float(obj.get("r", 1.0)),
         omega=obj.get("omega", {"kind": "linear", "rate": 1.0}),
     )
@@ -238,12 +205,10 @@ def build_field(cfg: ScenarioConfig) -> RhsField:
         target = parse_set(cfg.rhs["target"])
         return relax_to(support_of_polygon(target, grid))
     if kind == "constant":
-        vals = np.asarray(cfg.rhs.get("delta", []), dtype=float)
-        if vals.shape != (grid.n,):
-            raise ConfigError(
-                "bad_value", f"constant rhs needs {grid.n} delta values"
-            )
-        return constant_field(SupportDelta(grid, vals))
+        try:
+            return constant_field(SupportDelta(grid, cfg.rhs.get("delta", [])))
+        except GridMismatch as exc:
+            raise ConfigError("bad_value", f"constant rhs delta: {exc}") from exc
     if kind == "expand":
         return expansion_field(grid, float(cfg.rhs.get("rate", 1.0)))
     raise ConfigError("bad_value", f"unknown rhs kind {kind!r}")
@@ -262,7 +227,11 @@ def resolve_seed(cfg: ScenarioConfig) -> int:
     """Config seed, overridden by SETFLOW_SEED, defaulting to a fixed constant."""
     env = os.environ.get("SETFLOW_SEED")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError as exc:
+            message = f"SETFLOW_SEED must be an integer, got {env!r}"
+            raise ConfigError("bad_value", message) from exc
     if cfg.seed is not None:
         return cfg.seed
     return DEFAULT_SEED

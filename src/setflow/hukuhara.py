@@ -11,13 +11,19 @@ the two classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .errors import GridMismatch
-from .support import SupportDelta, SupportSample, is_in_cone
+from .errors import NotInCone
+from .support import (
+    SupportDelta,
+    SupportSample,
+    _cone_limit,
+    _require_same_grid,
+    cone_margins,
+)
 
 
 class HukuharaClass(Enum):
@@ -32,10 +38,16 @@ class HukuharaClass(Enum):
 
 @dataclass(frozen=True)
 class SetCurve:
-    """Sampled curve of convex sets: strictly increasing times, one sample each."""
+    """Sampled curve of convex sets: strictly increasing times, one sample each.
+
+    values stacks the samples, one row each; row j of quotients is the
+    difference quotient of step j, from sample j to sample j + 1.
+    """
 
     times: np.ndarray
     samples: tuple[SupportSample, ...]
+    values: np.ndarray = field(init=False, repr=False, compare=False)
+    quotients: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -46,12 +58,13 @@ class SetCurve:
             raise ValueError("a curve needs at least two samples")
         if np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly increasing")
-        n = samples[0].grid.n
         for s in samples[1:]:
-            if s.grid.n != n:
-                raise GridMismatch("all samples must share one grid")
-        times.setflags(write=False)
-        object.__setattr__(self, "times", times)
+            _require_same_grid(samples[0], s)
+        values = np.stack([s.values for s in samples])
+        quotients = np.diff(values, axis=0) / np.diff(times)[:, None]
+        for name, arr in (("times", times), ("values", values), ("quotients", quotients)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "samples", samples)
 
     @property
@@ -70,12 +83,18 @@ def hukuhara_difference(
     The only candidate is the componentwise difference (uniqueness of C in
     B + C = A); it is accepted exactly when it passes the cone test.
     """
-    if a.grid.n != b.grid.n:
-        raise GridMismatch(f"grids of size {a.grid.n} and {b.grid.n}")
-    c = a.values - b.values
-    if not is_in_cone(c, a.grid, tol):
+    _require_same_grid(a, b)
+    try:
+        return SupportSample(a.grid, a.values - b.values, tol=tol)
+    except NotInCone:
         return None
-    return SupportSample(a.grid, c, tol=tol)
+
+
+def _quotients_around(c: SetCurve, k: int) -> np.ndarray:
+    """Backward and forward quotients (two rows) at interior index k."""
+    if not 0 < k < len(c) - 1:
+        raise IndexError(f"index {k} is not interior to the curve")
+    return c.quotients[k - 1 : k + 1]
 
 
 def difference_quotients(c: SetCurve, k: int) -> tuple[SupportDelta, SupportDelta]:
@@ -84,11 +103,7 @@ def difference_quotients(c: SetCurve, k: int) -> tuple[SupportDelta, SupportDelt
     Always well-defined as deltas, even when the corresponding Hukuhara
     differences do not exist.
     """
-    if not 0 < k < len(c) - 1:
-        raise IndexError(f"index {k} is not interior to the curve")
-    t = c.times
-    fwd = (c.samples[k + 1].values - c.samples[k].values) / (t[k + 1] - t[k])
-    bwd = (c.samples[k].values - c.samples[k - 1].values) / (t[k] - t[k - 1])
+    bwd, fwd = _quotients_around(c, k)
     return SupportDelta(c.grid, fwd), SupportDelta(c.grid, bwd)
 
 
@@ -98,22 +113,33 @@ def quotient_gap(c: SetCurve, k: int) -> float:
     return (fwd - bwd).norm_inf
 
 
+_CLASSES = {
+    (True, True): HukuharaClass.BOTH,
+    (True, False): HukuharaClass.FIRST_TYPE,
+    (False, True): HukuharaClass.SECOND_TYPE,
+    (False, False): HukuharaClass.NEITHER,
+}
+
+
+def _step_types(grid, quotients: np.ndarray, tol: float | None):
+    """Per interior step: (first type, second type) as two boolean arrays.
+
+    Step j lies between quotients j and j + 1.  It is first-type when both
+    quotients are in the cone and second-type when both negated quotients
+    are; the margins of -q are exactly -margins(q), so one margin pass over
+    the stack decides both, each quotient tested once.
+    """
+    m = cone_margins(quotients, grid)
+    limit = _cone_limit(quotients, tol)
+    grows = ~np.any(m < -limit, axis=-1)
+    shrinks = ~np.any(m > limit, axis=-1)
+    return grows[:-1] & grows[1:], shrinks[:-1] & shrinks[1:]
+
+
 def classify_step(c: SetCurve, k: int, tol: float | None = None) -> HukuharaClass:
     """Differentiability type at interior index k from the one-sided quotients."""
-    fwd, bwd = difference_quotients(c, k)
-    first = bool(is_in_cone(fwd.values, c.grid, tol)) and bool(
-        is_in_cone(bwd.values, c.grid, tol)
-    )
-    second = bool(is_in_cone(-fwd.values, c.grid, tol)) and bool(
-        is_in_cone(-bwd.values, c.grid, tol)
-    )
-    if first and second:
-        return HukuharaClass.BOTH
-    if first:
-        return HukuharaClass.FIRST_TYPE
-    if second:
-        return HukuharaClass.SECOND_TYPE
-    return HukuharaClass.NEITHER
+    first, second = _step_types(c.grid, _quotients_around(c, k), tol)
+    return _CLASSES[bool(first[0]), bool(second[0])]
 
 
 def classify_curve(
@@ -123,18 +149,9 @@ def classify_curve(
 
     Boundary indices have only one-sided information and are excluded.
     """
-    steps = [classify_step(c, k, tol) for k in range(1, len(c) - 1)]
-    first = all(s in (HukuharaClass.FIRST_TYPE, HukuharaClass.BOTH) for s in steps)
-    second = all(s in (HukuharaClass.SECOND_TYPE, HukuharaClass.BOTH) for s in steps)
-    if first and second:
-        whole = HukuharaClass.BOTH
-    elif first:
-        whole = HukuharaClass.FIRST_TYPE
-    elif second:
-        whole = HukuharaClass.SECOND_TYPE
-    else:
-        whole = HukuharaClass.NEITHER
-    return whole, steps
+    first, second = _step_types(c.grid, c.quotients, tol)
+    steps = [_CLASSES[f, s] for f, s in zip(first.tolist(), second.tolist())]
+    return _CLASSES[bool(first.all()), bool(second.all())], steps
 
 
 def time_reverse(c: SetCurve) -> SetCurve:
@@ -153,7 +170,7 @@ def second_type_differential(delta: SupportDelta) -> SupportSample | None:
     grid = delta.grid
     if not grid.is_even:
         raise ValueError("second-type differentials need an even grid")
-    neg = -delta.values
-    if not is_in_cone(neg, grid):
+    try:
+        return SupportSample(grid, np.roll(-delta.values, -(grid.n // 2)))
+    except NotInCone:
         return None
-    return SupportSample(grid, np.roll(neg, -(grid.n // 2)))

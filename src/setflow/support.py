@@ -24,20 +24,25 @@ from .errors import (
     NotInCone,
 )
 
+# Relative tolerances, each scaled by max(1, |x|_inf) where it is used.
+# default_tol: every cone, extremal-set and geometric comparison.
 TOL_REL = 1e-9
-
-# margins below this (relative) level are treated as plain rounding noise
+# regularize: margins this close to zero are rounding noise (keeps it idempotent).
 _ULP_REL = 1e-13
+# subtangent_feasible and halfplane_intersection: values this small count as zero.
+_FLAT_REL = 1e-12
+# integrate: a time grid this close to T (relative to max(1, T)) is snapped onto T.
+_TIME_SNAP_REL = 1e-9
 
 
-def default_cone_tol(values) -> float:
-    """Scale-aware tolerance for the three-term cone condition."""
-    return TOL_REL * max(1.0, float(np.max(np.abs(values))))
+def _scale(x):
+    """max(1, |x|_inf) of each vector along the last axis, ignoring NaN."""
+    return np.fmax(1.0, np.max(np.abs(x), axis=-1))
 
 
-def default_geom_tol(points) -> float:
-    """Scale-aware tolerance for coordinate comparisons."""
-    return TOL_REL * max(1.0, float(np.max(np.abs(points))))
+def default_tol(x):
+    """TOL_REL * max(1, |x|_inf), one per vector of a stack (flatten point sets)."""
+    return TOL_REL * _scale(x)
 
 
 @dataclass(frozen=True)
@@ -89,17 +94,30 @@ class DirectionGrid:
         return k, abs(err)
 
 
+def _grid_values(values, grid: DirectionGrid, stacked: bool = False) -> np.ndarray:
+    """values as floats with grid.n entries: shape (n,), or (..., n) if stacked."""
+    s = np.asarray(values, dtype=float)
+    if s.shape[-1:] != (grid.n,) or (s.ndim > 1 and not stacked):
+        raise GridMismatch(f"expected {grid.n} values, got shape {s.shape}")
+    return s
+
+
+def _require_same_grid(a, b):
+    if a.grid.n != b.grid.n:
+        raise GridMismatch(f"grids of size {a.grid.n} and {b.grid.n}")
+
+
 def cone_margins(values, grid: DirectionGrid) -> np.ndarray:
     """Cyclic three-term margins m_i = s_{i-1} + s_{i+1} - 2 cos(delta) s_i.
 
     A vector is a support sample of some nonempty convex compact set exactly
     when every margin is nonnegative; margin i measures the length (times
-    sin delta) of the contact segment on supporting line i.
+    sin delta) of the contact segment on supporting line i.  Accepts one
+    vector of shape (n,) or a stack of shape (..., n), one vector per row.
     """
-    s = np.asarray(values, dtype=float)
-    if s.shape != (grid.n,):
-        raise GridMismatch(f"expected {grid.n} values, got shape {s.shape}")
-    return np.roll(s, 1) + np.roll(s, -1) - grid.two_cos_delta * s
+    s = _grid_values(values, grid, stacked=True)
+    ring = np.concatenate([s[..., -1:], s, s[..., :1]], axis=-1)
+    return ring[..., :-2] + ring[..., 2:] - grid.two_cos_delta * s
 
 
 def cone_residual(values, grid: DirectionGrid) -> float:
@@ -109,22 +127,30 @@ def cone_residual(values, grid: DirectionGrid) -> float:
 
 @dataclass(frozen=True)
 class ConeCheck:
-    ok: bool
-    first_violation: int | None
+    """Verdict of is_in_cone; arrays over the leading axes for a stack (-1: passes)."""
+
+    ok: bool | np.ndarray
+    first_violation: int | None | np.ndarray
 
     def __bool__(self) -> bool:
-        return self.ok
+        return bool(self.ok)
+
+
+def _cone_limit(values, tol) -> np.ndarray:
+    """tol, or default_tol per vector when None, shaped to broadcast over margins."""
+    return np.asarray(default_tol(values) if tol is None else tol)[..., None]
 
 
 def is_in_cone(values, grid: DirectionGrid, tol: float | None = None) -> ConeCheck:
-    """Test the discrete cone condition; report the smallest violating index."""
-    m = cone_margins(values, grid)
-    if tol is None:
-        tol = default_cone_tol(values)
-    bad = np.flatnonzero(m < -tol)
-    if bad.size:
-        return ConeCheck(False, int(bad[0]))
-    return ConeCheck(True, None)
+    """Test the discrete cone condition; report the smallest violating index.
+
+    Accepts one vector or a stack (..., n); a stack is tested row by row.
+    """
+    bad = cone_margins(values, grid) < -_cone_limit(values, tol)
+    ok = ~bad.any(axis=-1)
+    if bad.ndim > 1:
+        return ConeCheck(ok, np.where(ok, -1, bad.argmax(axis=-1)))
+    return ConeCheck(True, None) if ok else ConeCheck(False, int(bad.argmax()))
 
 
 def _convex_hull(points: np.ndarray, tol: float) -> np.ndarray:
@@ -149,8 +175,7 @@ def _convex_hull(points: np.ndarray, tol: float) -> np.ndarray:
     pts = np.array(kept)
     if len(pts) == 1:
         return pts
-    scale = max(1.0, float(np.max(np.abs(pts))))
-    eps = tol * scale
+    eps = tol * _scale(pts.ravel())
 
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
@@ -188,7 +213,7 @@ class ConvexPolygon:
             raise ValueError("a polygon needs at least one vertex")
         if not np.all(np.isfinite(pts)):
             raise ValueError("polygon vertices must be finite")
-        hull = _convex_hull(pts, default_geom_tol(pts))
+        hull = _convex_hull(pts, default_tol(pts.ravel()))
         hull.setflags(write=False)
         object.__setattr__(self, "vertices", hull)
 
@@ -219,7 +244,7 @@ class ConvexPolygon:
     def contains(self, x, tol: float | None = None) -> bool:
         x = np.asarray(x, dtype=float)
         if tol is None:
-            tol = default_geom_tol(np.vstack([self.vertices, x.reshape(1, 2)]))
+            tol = default_tol(np.append(self.vertices, x))
         v = self.vertices
         if len(v) == 1:
             return bool(np.max(np.abs(x - v[0])) <= tol)
@@ -247,17 +272,12 @@ class SupportSample:
     tol: InitVar[float | None] = None
 
     def __post_init__(self, tol):
-        vals = np.array(self.values, dtype=float)
-        if vals.shape != (self.grid.n,):
-            raise GridMismatch(
-                f"expected {self.grid.n} values, got shape {vals.shape}"
-            )
-        if tol is None:
-            tol = default_cone_tol(vals)
+        vals = _grid_values(self.values, self.grid).copy()
         m = cone_margins(vals, self.grid)
-        i = int(np.argmin(m))
-        if m[i] < -tol:
-            raise NotInCone(i, float(m[i]), tol)
+        limit = _cone_limit(vals, tol)
+        if np.any(m < -limit):
+            i = int(np.nanargmin(m))
+            raise NotInCone(i, float(m[i]), float(limit[0]))
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -289,11 +309,7 @@ class SupportDelta:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
-        if vals.shape != (self.grid.n,):
-            raise GridMismatch(
-                f"expected {self.grid.n} values, got shape {vals.shape}"
-            )
+        vals = _grid_values(self.values, self.grid).copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -316,11 +332,6 @@ class SupportDelta:
         return SupportDelta(self.grid, float(lam) * self.values)
 
     __rmul__ = __mul__
-
-
-def _require_same_grid(a, b):
-    if a.grid.n != b.grid.n:
-        raise GridMismatch(f"grids of size {a.grid.n} and {b.grid.n}")
 
 
 def support_of_polygon(p: ConvexPolygon, grid: DirectionGrid) -> SupportSample:
@@ -354,9 +365,7 @@ def halfplane_intersection(values, grid: DirectionGrid) -> ConvexPolygon:
     clips a bounding box against every halfplane and raises EmptyIntersection
     when nothing survives.
     """
-    s = np.asarray(values, dtype=float)
-    if s.shape != (grid.n,):
-        raise GridMismatch(f"expected {grid.n} values, got shape {s.shape}")
+    s = _grid_values(values, grid)
     top = max(float(s.max()), 0.0)
     r0 = top / math.cos(grid.delta / 2.0) + 1.0
     poly = [
@@ -365,7 +374,7 @@ def halfplane_intersection(values, grid: DirectionGrid) -> ConvexPolygon:
         np.array([r0, r0]),
         np.array([-r0, r0]),
     ]
-    eps = 1e-12 * max(1.0, float(np.max(np.abs(s))), r0)
+    eps = _FLAT_REL * max(_scale(s), r0)
     for u, si in zip(grid.directions, s):
         if not poly:
             break
@@ -393,10 +402,8 @@ def regularize(values, grid: DirectionGrid) -> SupportSample:
     Vectors already in the cone (up to rounding noise) pass through
     unchanged, which makes the map idempotent.
     """
-    s = np.asarray(values, dtype=float)
-    if s.shape != (grid.n,):
-        raise GridMismatch(f"expected {grid.n} values, got shape {s.shape}")
-    noise = _ULP_REL * max(1.0, float(np.max(np.abs(s))))
+    s = _grid_values(values, grid)
+    noise = _ULP_REL * _scale(s)
     if float(cone_margins(s, grid).min()) >= -noise:
         return SupportSample(grid, s)
     return support_of_polygon(halfplane_intersection(s, grid), grid)
@@ -500,7 +507,7 @@ def farthest_realizer(
     Ties between vertices break toward the smallest index.
     """
     if tol is None:
-        tol = default_geom_tol(np.vstack([p.vertices, q.vertices]))
+        tol = default_tol(np.append(p.vertices, q.vertices))
     dists = [point_to_polygon(v, q) for v in p.vertices]
     k = int(np.argmax(dists))
     if dists[k] <= tol:

@@ -191,3 +191,68 @@ def test_hausdorff_parse_failure(tmp_path):
     bad.write_text("[1,2")
     good = write_json(tmp_path / "g.json", {"box": [[0, 1], [0, 1]]})
     assert main(["hausdorff", str(bad), good]) == 2
+
+
+# ------------------------------------------------------------- exit-code contract
+
+def _box_file(tmp_path):
+    return write_json(tmp_path / "a.json", {"box": [[0, 1], [0, 1]]})
+
+
+CONTRACT_CASES = {
+    # name: (argv built from the scenario factory and tmp_path, env, exit code)
+    "seed_not_an_integer": (
+        lambda scen, tmp: ["check", "lipschitz", scen()], {"SETFLOW_SEED": "abc"}, 2
+    ),
+    "hausdorff_grid_too_small": (
+        lambda scen, tmp: ["hausdorff", _box_file(tmp), _box_file(tmp), "--n", "2"], {}, 2
+    ),
+    "example_grid_too_small": (
+        lambda scen, tmp: ["example", str(tmp / "out"), "--grid-n", "2"], {}, 2
+    ),
+    "example_grid_odd": (
+        lambda scen, tmp: ["example", str(tmp / "out"), "--grid-n", "63"], {}, 2
+    ),
+    "example_step_not_positive": (
+        lambda scen, tmp: ["example", str(tmp / "out"), "--h", "0"], {}, 2
+    ),
+    "output_not_an_object": (lambda scen, tmp: ["integrate", scen(output="x")], {}, 2),
+    "samples_negative": (
+        lambda scen, tmp: ["check", "subtangent", scen(samples=-5)], {}, 2
+    ),
+    "trajectory_unwritable": (
+        lambda scen, tmp: [
+            "integrate", scen(output={"trajectory": str(tmp / "missing" / "t.csv")})
+        ],
+        {},
+        4,
+    ),
+    "witnesses_unwritable": (
+        lambda scen, tmp: [
+            "check",
+            "osl",
+            scen(
+                rhs={"kind": "expand", "rate": 1.0},
+                omega={"kind": "zero"},
+                output={"witnesses": str(tmp / "missing" / "w.csv")},
+            ),
+        ],
+        {},
+        4,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
+def test_bad_input_exit_code_and_one_json_line(
+    case, scenario, tmp_path, capsys, monkeypatch
+):
+    build, env, code = CONTRACT_CASES[case]
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    argv = build(scenario, tmp_path)
+    capsys.readouterr()
+    assert main(argv) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert "error" in json.loads(lines[0])

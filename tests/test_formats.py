@@ -1,7 +1,6 @@
 import json
 import xml.etree.ElementTree as ET
 
-import numpy as np
 import pytest
 
 import setflow as sf
@@ -25,31 +24,6 @@ def test_box_shorthand():
 def test_bad_set_rejected():
     with pytest.raises(sf.ConfigError):
         formats.parse_set({"circle": 1})
-
-
-def test_sample_payload_roundtrip():
-    s = sf.support_of_polygon(Q, G64)
-    back = formats.parse_support_sample(formats.sample_payload(s))
-    assert back.grid.n == 64
-    assert np.allclose(back.values, s.values)
-
-
-def test_measure_payload_roundtrip():
-    m = sf.DiscreteMeasure(((3, 1.5), (10, -0.5)))
-    back = formats.parse_measure(formats.measure_payload(m))
-    assert back.atoms == m.atoms
-
-
-def test_curve_csv_roundtrip(tmp_path):
-    curve = sf.relaxation_curve(
-        sf.ConvexPolygon.box((2, 3), (1, 2)), Q, np.linspace(0, 2, 5), G64
-    )
-    path = tmp_path / "curve.csv"
-    formats.write_curve_csv(curve, path)
-    back = formats.read_curve_csv(path)
-    assert np.array_equal(back.times, curve.times)
-    for a, b in zip(back.samples, curve.samples):
-        assert np.array_equal(a.values, b.values)
 
 
 def test_trajectory_csv_layout(tmp_path):
