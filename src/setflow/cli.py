@@ -54,6 +54,7 @@ EXAMPLE_RECTS = {
     3: ((-1.5, 3.5), (-0.5, 0.0)),
 }
 EXAMPLE_TARGET = ((-1.0, 1.0), (-1.0, 1.0))
+EXAMPLE_T = 4.0
 FRAME_SPACING = 0.25
 
 
@@ -115,7 +116,7 @@ def _example_one(k: int, outdir: Path, grid: DirectionGrid, h: float, method: st
     a0 = ConvexPolygon.box(*EXAMPLE_RECTS[k])
     q = ConvexPolygon.box(*EXAMPLE_TARGET)
     field = relax_to(support_of_polygon(q, grid))
-    traj = integrate(field, support_of_polygon(a0, grid), 4.0, h, method=method)
+    traj = integrate(field, support_of_polygon(a0, grid), EXAMPLE_T, h, method=method)
     closed = relaxation_values(a0, q, traj.times, grid)
     max_err = float(np.max(np.abs(traj.states - closed)))
     formats.write_trajectory_csv(traj, outdir / f"curve{k}_trajectory.csv")
@@ -181,8 +182,7 @@ def _example_one(k: int, outdir: Path, grid: DirectionGrid, h: float, method: st
 def cmd_example(args) -> int:
     try:
         grid = DirectionGrid(formats.parse_grid_n(args.grid_n))
-        if not (math.isfinite(args.h) and args.h > 0):
-            raise ConfigError("bad_value", f"h must be positive and finite, got {args.h}")
+        formats._check_steps(EXAMPLE_T, formats._number(args.h, "h", positive=True))
     except ConfigError as exc:
         _error(exc.code, str(exc))
         return 2

@@ -19,11 +19,10 @@ from .support import (
     ConvexPolygon,
     DirectionGrid,
     SupportDelta,
+    _nearest_points,
     _require_same_grid,
     default_tol,
     hausdorff_onesided,
-    point_to_polygon,
-    project_point,
 )
 
 
@@ -137,7 +136,8 @@ def hausdorff_realizing_directions(
     """
     if tol is None:
         tol = default_tol(np.append(a.vertices, b.vertices))
-    d_ab = hausdorff_onesided(a, b)
+    dist, near = _nearest_points(a.vertices, b)
+    d_ab = float(np.max(dist))
     d_ba = hausdorff_onesided(b, a)
     if d_ab <= tol:
         raise Contained("A is contained in B; no realizing direction")
@@ -145,10 +145,5 @@ def hausdorff_realizing_directions(
         raise AsymmetricDistance(
             "dist(A, B) < dist_H(A, B); swap the arguments to characterize E^N"
         )
-    indices = set()
-    for v in a.vertices:
-        if point_to_polygon(v, b) >= d_ab - tol:
-            w = project_point(v, b)
-            k, _ = grid.nearest_index(v - w)
-            indices.add(k)
-    return tuple(sorted(indices))
+    far = np.flatnonzero(dist >= d_ab - tol)
+    return tuple(sorted({grid.nearest_index(a.vertices[k] - near[k])[0] for k in far}))

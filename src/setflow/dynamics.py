@@ -31,14 +31,14 @@ from .support import (
     DirectionGrid,
     SupportDelta,
     SupportSample,
+    _farthest,
     _grid_values,
+    _nearest_points,
     _require_same_grid,
     _scale,
     cone_margins,
     cone_residual,
     default_tol,
-    farthest_realizer,
-    hausdorff_onesided,
     regularize,
     support_of_polygon,
 )
@@ -206,10 +206,7 @@ class OslReport:
 
     @property
     def witness(self) -> OslCase | None:
-        for c in self.cases:
-            if not c.satisfied:
-                return c
-        return None
+        return next((c for c in self.cases if not c.satisfied), None)
 
 
 def osl_check(
@@ -231,30 +228,22 @@ def osl_check(
     """
     if tol is None:
         tol = default_tol(np.append(a.vertices, b.vertices))
-    d_ab = hausdorff_onesided(a, b)
-    d_ba = hausdorff_onesided(b, a)
-    dh = max(d_ab, d_ba)
+    sets = (a, b)
+    nearest = [_nearest_points(sets[i].vertices, sets[1 - i]) for i in (0, 1)]
+    dh = max(float(np.max(dist)) for dist, _ in nearest)
     if dh <= tol:
         raise DegenerateDistance("sets coincide within tolerance")
-    grid = f.grid
-    fa = f.eval(t, support_of_polygon(a, grid).values)
-    fb = f.eval(t, support_of_polygon(b, grid).values)
+    fvals = [f.eval(t, support_of_polygon(s, f.grid).values) for s in sets]
     bound = omega(t, dh)
     cases = []
-    if d_ab >= dh - tol:
-        pa, pb = farthest_realizer(a, b, tol)
-        idx, err = grid.nearest_index(pa - pb)
-        lhs = float(fa[idx] - fb[idx])
-        cases.append(
-            OslCase("forward", pa, pb, idx, err, lhs, bound, lhs <= bound + tol)
-        )
-    if d_ba >= dh - tol:
-        qb, qa = farthest_realizer(b, a, tol)
-        idx, err = grid.nearest_index(qb - qa)
-        lhs = float(fb[idx] - fa[idx])
-        cases.append(
-            OslCase("reverse", qa, qb, idx, err, lhs, bound, lhs <= bound + tol)
-        )
+    for i, order in enumerate(("forward", "reverse")):
+        dist, near = nearest[i]
+        if float(np.max(dist)) >= dh - tol:
+            far, proj = _farthest(sets[i], dist, near, tol)
+            idx, err = f.grid.nearest_index(far - proj)
+            lhs = float(fvals[i][idx] - fvals[1 - i][idx])
+            pa, pb = (far, proj) if i == 0 else (proj, far)
+            cases.append(OslCase(order, pa, pb, idx, err, lhs, bound, lhs <= bound + tol))
     return OslReport(any(c.satisfied for c in cases), dh, tuple(cases))
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -31,6 +32,9 @@ from .support import (
 )
 
 FLOAT_FMT = "%.17g"
+# Most steps, ceil(T / h), and SVG frames, T / frame_spacing, a scenario or the
+# demo may ask for: integrate stores every state, so this bounds time and memory.
+MAX_STEPS = 1_000_000
 
 
 def _fmt(x: float) -> str:
@@ -129,13 +133,35 @@ def _require(obj: dict, key: str):
     return obj[key]
 
 
+def _integer(value, name: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError("bad_value", f"{name} must be an integer, got {value!r}") from exc
+
+
+def _number(value, name: str, positive: bool = False) -> float:
+    """value as a finite float, and > 0 when positive."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("bad_value", f"{name} must be a number, got {value!r}") from exc
+    if not math.isfinite(x) or (positive and x <= 0):
+        rule = "positive and finite" if positive else "finite"
+        raise ConfigError("bad_value", f"{name} must be {rule}, got {value!r}")
+    return x
+
+
+def _check_steps(T: float, h: float, name: str = "h") -> None:
+    """Reject a grid on [0, T] with spacing h of more than MAX_STEPS steps, ceil(T/h)."""
+    if T / h > MAX_STEPS:
+        message = f"T/{name} = {T / h:.6g} exceeds MAX_STEPS = {MAX_STEPS}"
+        raise ConfigError("bad_value", message)
+
+
 def parse_grid_n(value) -> int:
     """Grid size of a scenario or the demo: even (antipodes are used) and >= 4."""
-    try:
-        n = int(value)
-    except (TypeError, ValueError) as exc:
-        message = f"grid_n must be an integer, got {value!r}"
-        raise ConfigError("bad_value", message) from exc
+    n = _integer(value, "grid_n")
     if n < 4 or n % 2 != 0:
         raise ConfigError("bad_value", f"grid_n must be even and >= 4, got {n}")
     return n
@@ -153,12 +179,9 @@ def load_scenario(path) -> ScenarioConfig:
         raise ConfigError("bad_json", "config root must be an object")
 
     grid_n = parse_grid_n(_require(obj, "grid_n"))
-    T = float(_require(obj, "T"))
-    h = float(_require(obj, "h"))
-    if T <= 0:
-        raise ConfigError("bad_value", f"T must be positive, got {T}")
-    if h <= 0:
-        raise ConfigError("bad_value", f"h must be positive, got {h}")
+    T = _number(_require(obj, "T"), "T", positive=True)
+    h = _number(_require(obj, "h"), "h", positive=True)
+    _check_steps(T, h)
     method = str(obj.get("method", "rk4"))
     if method not in METHODS:
         raise ConfigError("bad_value", f"method must be one of {METHODS}")
@@ -169,11 +192,15 @@ def load_scenario(path) -> ScenarioConfig:
     if not isinstance(rhs, dict) or "kind" not in rhs:
         raise ConfigError("bad_value", "rhs needs a 'kind'")
     initial = parse_set(obj["initial"]) if "initial" in obj else None
-    seed = int(obj["seed"]) if "seed" in obj else None
+    seed = _integer(obj["seed"], "seed") if "seed" in obj else None
     output = obj.get("output", {})
     if not isinstance(output, dict):
         raise ConfigError("bad_value", "output must be an object")
-    samples = int(obj.get("samples", 200))
+    if "frame_spacing" in output:
+        spacing = _number(output["frame_spacing"], "output.frame_spacing", positive=True)
+        _check_steps(T, spacing, "output.frame_spacing")
+        output = dict(output, frame_spacing=spacing)
+    samples = _integer(obj.get("samples", 200), "samples")
     if samples < 1:
         raise ConfigError("bad_value", f"samples must be at least 1, got {samples}")
     cfg = ScenarioConfig(
@@ -187,7 +214,7 @@ def load_scenario(path) -> ScenarioConfig:
         output=output,
         seed=seed,
         samples=samples,
-        r=float(obj.get("r", 1.0)),
+        r=_number(obj.get("r", 1.0), "r", positive=True),
         omega=obj.get("omega", {"kind": "linear", "rate": 1.0}),
     )
     build_field(cfg)  # validate the rhs descriptor eagerly
@@ -206,18 +233,23 @@ def build_field(cfg: ScenarioConfig) -> RhsField:
         return relax_to(support_of_polygon(target, grid))
     if kind == "constant":
         try:
-            return constant_field(SupportDelta(grid, cfg.rhs.get("delta", [])))
-        except GridMismatch as exc:
+            delta = SupportDelta(grid, cfg.rhs.get("delta", []))
+        except (GridMismatch, TypeError, ValueError) as exc:
             raise ConfigError("bad_value", f"constant rhs delta: {exc}") from exc
+        if not np.all(np.isfinite(delta.values)):
+            raise ConfigError("bad_value", "constant rhs delta must be finite")
+        return constant_field(delta)
     if kind == "expand":
-        return expansion_field(grid, float(cfg.rhs.get("rate", 1.0)))
+        return expansion_field(grid, _number(cfg.rhs.get("rate", 1.0), "rhs.rate"))
     raise ConfigError("bad_value", f"unknown rhs kind {kind!r}")
 
 
 def build_omega(cfg: ScenarioConfig) -> GrowthFunction:
+    if not isinstance(cfg.omega, dict):
+        raise ConfigError("bad_value", "omega must be an object")
     kind = cfg.omega.get("kind", "linear")
     if kind == "linear":
-        return linear_growth(float(cfg.omega.get("rate", 1.0)))
+        return linear_growth(_number(cfg.omega.get("rate", 1.0), "omega.rate"))
     if kind == "zero":
         return zero_growth()
     raise ConfigError("bad_value", f"unknown omega kind {kind!r}")

@@ -165,14 +165,8 @@ def _convex_hull(points: np.ndarray, tol: float) -> np.ndarray:
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     keys = np.round(pts / tol).astype(np.int64)
     order = np.lexsort((keys[:, 1], keys[:, 0]))
-    kept = [pts[order[0]]]
-    last_key = tuple(keys[order[0]])
-    for j in order[1:]:
-        kj = tuple(keys[j])
-        if kj != last_key:
-            kept.append(pts[j])
-            last_key = kj
-    pts = np.array(kept)
+    keys = keys[order]
+    pts = pts[order][np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)]]
     if len(pts) == 1:
         return pts
     eps = tol * _scale(pts.ravel())
@@ -249,12 +243,8 @@ class ConvexPolygon:
         if len(v) == 1:
             return bool(np.max(np.abs(x - v[0])) <= tol)
         if len(v) == 2:
-            return float(np.hypot(*(x - _segment_nearest(x, v[0], v[1])))) <= tol
-        e = np.roll(v, -1, axis=0) - v
-        r = x - v
-        crosses = e[:, 0] * r[:, 1] - e[:, 1] * r[:, 0]
-        scale = max(1.0, self.radius, float(np.max(np.abs(x))))
-        return bool(np.all(crosses >= -tol * scale))
+            return point_to_polygon(x, self) <= tol
+        return bool(_inside(x.reshape(1, 2), self, tol)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -447,41 +437,70 @@ def hausdorff_grid(a: SupportSample, b: SupportSample) -> float:
     return float(np.max(np.abs(a.values - b.values)))
 
 
-def _segment_nearest(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d = b - a
-    denom = float(d @ d)
-    if denom == 0.0:
-        return a
-    t = float((x - a) @ d) / denom
-    t = min(1.0, max(0.0, t))
-    return a + t * d
+# Point-edge pairs per block of the nearest-point kernel; bounds its memory.
+_BLOCK_PAIRS = 1 << 16
+
+
+def _inside(x: np.ndarray, p: ConvexPolygon, tol=None) -> np.ndarray:
+    """Rows of x (K, 2) on the inner side of every edge of p (>= 3 vertices), up to
+    tol * max(1, radius, |row|_inf); tol defaults to default_tol(vertices, row)."""
+    v = p.vertices
+    if tol is None:
+        tol = default_tol(np.column_stack([np.full(len(x), np.max(np.abs(v))), x]))
+    limit = -tol * np.maximum(max(1.0, p.radius), np.max(np.abs(x), axis=1))
+    e = np.roll(v, -1, axis=0) - v
+    crosses = e[:, 0] * (x[:, 1, None] - v[:, 1]) - e[:, 1] * (x[:, 0, None] - v[:, 0])
+    return np.all(crosses >= limit[:, None], axis=1)
+
+
+def _nearest_points(x, p: ConvexPolygon) -> tuple[np.ndarray, np.ndarray]:
+    """Distances from the rows of x (K, 2) to p, and the nearest points of p.
+
+    A row inside p (>= 3 vertices) is its own nearest point; any other is
+    clamped onto each edge (one segment if p has 2 vertices) and the first
+    edge of least distance wins.  Rows go through in blocks of at most
+    _BLOCK_PAIRS point-edge pairs, so memory does not grow with K * len(p).
+    """
+    x = np.asarray(x, dtype=float).reshape(-1, 2)
+    v = p.vertices
+    if len(v) == 1:
+        near = np.broadcast_to(v[0], x.shape).copy()
+    else:
+        near = x.copy()
+        a = v if len(v) >= 3 else v[:1]
+        d = np.roll(v, -1, axis=0)[: len(a)] - a
+        dd = np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]  # > 0 on hull edges
+        step = max(1, _BLOCK_PAIRS // len(v))
+        for i in range(0, len(x), step):
+            blk = near[i : i + step]  # a view: rows are projected in place
+            out = ~_inside(blk, p) if len(v) >= 3 else np.ones(len(blk), dtype=bool)
+            r = blk[out, None, :] - a
+            t = np.matmul(r[..., None, :], d[:, :, None])[..., 0, 0] / dd
+            t = np.where(t > 0.0, t, 0.0)  # max(0, t), then min(1, t); NaN -> 0
+            cand = a + np.where(t < 1.0, t, 1.0)[..., None] * d
+            gap = blk[out, None, :] - cand
+            best = np.argmin(np.hypot(gap[..., 0], gap[..., 1]), axis=1)
+            blk[out] = cand[np.arange(len(best)), best]
+    gap = x - near
+    return np.hypot(gap[:, 0], gap[:, 1]), near
+
+
+def _farthest(p: ConvexPolygon, dist: np.ndarray, near: np.ndarray, tol: float):
+    """(a*, b*) from the distances of p's vertices: smallest index on ties."""
+    k = int(np.argmax(dist))
+    if dist[k] <= tol:
+        raise Contained("dist(P, Q) vanishes; no realizing direction")
+    return p.vertices[k].copy(), near[k]
 
 
 def project_point(x, p: ConvexPolygon) -> np.ndarray:
     """Nearest point of p to x (the metric projection; 1-Lipschitz in x)."""
-    x = np.asarray(x, dtype=float)
-    v = p.vertices
-    if len(v) == 1:
-        return v[0].copy()
-    if len(v) >= 3 and p.contains(x):
-        return x.copy()
-    best = None
-    best_d = math.inf
-    m = len(v)
-    edges = range(1) if m == 2 else range(m)
-    for j in edges:
-        cand = _segment_nearest(x, v[j], v[(j + 1) % m])
-        d = float(np.hypot(*(x - cand)))
-        if d < best_d:
-            best_d = d
-            best = cand
-    return best
+    return _nearest_points(x, p)[1][0]
 
 
 def point_to_polygon(x, p: ConvexPolygon) -> float:
     """Euclidean distance from x to the polygon."""
-    x = np.asarray(x, dtype=float)
-    return float(np.hypot(*(x - project_point(x, p))))
+    return float(_nearest_points(x, p)[0][0])
 
 
 def hausdorff_onesided(p: ConvexPolygon, q: ConvexPolygon) -> float:
@@ -490,7 +509,7 @@ def hausdorff_onesided(p: ConvexPolygon, q: ConvexPolygon) -> float:
     Valid because x -> dist(x, Q) is convex, so its maximum over a polytope
     is attained at a vertex.
     """
-    return max(point_to_polygon(v, q) for v in p.vertices)
+    return float(np.max(_nearest_points(p.vertices, q)[0]))
 
 
 def hausdorff_exact(p: ConvexPolygon, q: ConvexPolygon) -> float:
@@ -508,9 +527,4 @@ def farthest_realizer(
     """
     if tol is None:
         tol = default_tol(np.append(p.vertices, q.vertices))
-    dists = [point_to_polygon(v, q) for v in p.vertices]
-    k = int(np.argmax(dists))
-    if dists[k] <= tol:
-        raise Contained("dist(P, Q) vanishes; no realizing direction")
-    a = p.vertices[k].copy()
-    return a, project_point(a, q)
+    return _farthest(p, *_nearest_points(p.vertices, q), tol)

@@ -1,4 +1,5 @@
 import json
+import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -199,6 +200,10 @@ def _box_file(tmp_path):
     return write_json(tmp_path / "a.json", {"box": [[0, 1], [0, 1]]})
 
 
+def _frames(tmp_path, spacing):
+    return {"trajectory": str(tmp_path / "t.csv"), "frame_spacing": spacing}
+
+
 CONTRACT_CASES = {
     # name: (argv built from the scenario factory and tmp_path, env, exit code)
     "seed_not_an_integer": (
@@ -226,6 +231,55 @@ CONTRACT_CASES = {
         ],
         {},
         4,
+    ),
+    "T_nan": (lambda scen, tmp: ["integrate", scen(T=math.nan)], {}, 2),
+    "T_not_a_number": (lambda scen, tmp: ["integrate", scen(T="abc")], {}, 2),
+    "T_null": (lambda scen, tmp: ["integrate", scen(T=None)], {}, 2),
+    "T_infinite": (lambda scen, tmp: ["integrate", scen(T=math.inf)], {}, 2),
+    "step_count_over_limit": (lambda scen, tmp: ["integrate", scen(T=1e300, h=0.1)], {}, 2),
+    "example_step_count_over_limit": (
+        lambda scen, tmp: ["example", str(tmp / "out"), "--h", "1e-300"], {}, 2
+    ),
+    "expand_rate_not_a_number": (
+        lambda scen, tmp: ["integrate", scen(rhs={"kind": "expand", "rate": "x"})], {}, 2
+    ),
+    "expand_rate_nan": (
+        lambda scen, tmp: ["integrate", scen(rhs={"kind": "expand", "rate": math.nan})],
+        {},
+        2,
+    ),
+    "constant_delta_not_numbers": (
+        lambda scen, tmp: ["integrate", scen(rhs={"kind": "constant", "delta": ["x"] * 64})],
+        {},
+        2,
+    ),
+    "constant_delta_nan": (
+        lambda scen, tmp: [
+            "integrate", scen(rhs={"kind": "constant", "delta": [math.nan] * 64})
+        ],
+        {},
+        2,
+    ),
+    "config_seed_not_an_integer": (
+        lambda scen, tmp: ["check", "lipschitz", scen(seed="abc")], {}, 2
+    ),
+    "samples_not_an_integer": (
+        lambda scen, tmp: ["check", "subtangent", scen(samples="x")], {}, 2
+    ),
+    "r_not_a_number": (lambda scen, tmp: ["check", "horizon", scen(r="x")], {}, 2),
+    "r_negative": (lambda scen, tmp: ["check", "horizon", scen(r=-1)], {}, 2),
+    "omega_not_an_object": (lambda scen, tmp: ["check", "osl", scen(omega=5)], {}, 2),
+    "omega_rate_not_a_number": (
+        lambda scen, tmp: ["check", "osl", scen(omega={"kind": "linear", "rate": "x"})],
+        {},
+        2,
+    ),
+    "frame_spacing_not_a_number": (
+        lambda scen, tmp: ["integrate", scen(output=_frames(tmp, "x"))], {}, 2
+    ),
+    "frame_spacing_zero": (lambda scen, tmp: ["integrate", scen(output=_frames(tmp, 0))], {}, 2),
+    "frame_spacing_too_fine": (
+        lambda scen, tmp: ["integrate", scen(output=_frames(tmp, 1e-300))], {}, 2
     ),
     "witnesses_unwritable": (
         lambda scen, tmp: [

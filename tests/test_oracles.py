@@ -2,12 +2,15 @@
 
 The references below are the earlier implementations, kept verbatim in
 spirit: the np.roll margin formula, the per-step classifier with four
-separate cone tests, and the per-index subtangent loop.  The kernels keep
-the same floating-point operations in the same order, so the comparisons
-are exact, not approximate.
+separate cone tests, the per-index subtangent loop, and the per-vertex
+point-to-polygon loops behind the Hausdorff distances, the realizing
+directions and the one-sided Lipschitz check.  The kernels keep the same
+floating-point operations in the same order, so the comparisons are exact,
+not approximate.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,8 +19,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import setflow as sf
-from setflow import HukuharaClass
+from setflow import HukuharaClass, OslCase, OslReport, support
 from setflow.cli import EXAMPLE_RECTS, EXAMPLE_TARGET
+from setflow.support import default_tol
 
 TOL_REL = 1e-9
 
@@ -168,3 +172,348 @@ def test_subtangent_matches_loop_on_flat_margin_violation():
     ref = reference_subtangent(v, sigma)
     assert ref[0] is False
     assert_same_interval(sf.subtangent_feasible(v, sigma), ref)
+
+
+# ------------------------------------------------------- nearest points on polygons
+
+def reference_segment_nearest(x, a, b):
+    d = b - a
+    denom = float(d @ d)
+    if denom == 0.0:
+        return a
+    t = float((x - a) @ d) / denom
+    t = min(1.0, max(0.0, t))
+    return a + t * d
+
+
+def reference_convex_hull(points, tol):
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    keys = np.round(pts / tol).astype(np.int64)
+    order = np.lexsort((keys[:, 1], keys[:, 0]))
+    kept = [pts[order[0]]]
+    last_key = tuple(keys[order[0]])
+    for j in order[1:]:
+        kj = tuple(keys[j])
+        if kj != last_key:
+            kept.append(pts[j])
+            last_key = kj
+    pts = np.array(kept)
+    if len(pts) == 1:
+        return pts
+    eps = tol * max(1.0, float(np.max(np.abs(pts))))
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower = []
+    for p in pts:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= eps:
+            lower.pop()
+        lower.append(p)
+    upper = []
+    for p in pts[::-1]:
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= eps:
+            upper.pop()
+        upper.append(p)
+    hull = lower[:-1] + upper[:-1]
+    if len(hull) < 2:
+        return np.array([pts[0], pts[-1]])
+    return np.array(hull)
+
+
+def reference_contains(p, x, tol=None) -> bool:
+    x = np.asarray(x, dtype=float)
+    if tol is None:
+        tol = default_tol(np.append(p.vertices, x))
+    v = p.vertices
+    if len(v) == 1:
+        return bool(np.max(np.abs(x - v[0])) <= tol)
+    if len(v) == 2:
+        return float(np.hypot(*(x - reference_segment_nearest(x, v[0], v[1])))) <= tol
+    e = np.roll(v, -1, axis=0) - v
+    r = x - v
+    crosses = e[:, 0] * r[:, 1] - e[:, 1] * r[:, 0]
+    scale = max(1.0, p.radius, float(np.max(np.abs(x))))
+    return bool(np.all(crosses >= -tol * scale))
+
+
+def reference_project_point(x, p):
+    x = np.asarray(x, dtype=float)
+    v = p.vertices
+    if len(v) == 1:
+        return v[0].copy()
+    if len(v) >= 3 and reference_contains(p, x):
+        return x.copy()
+    best = None
+    best_d = math.inf
+    m = len(v)
+    edges = range(1) if m == 2 else range(m)
+    for j in edges:
+        cand = reference_segment_nearest(x, v[j], v[(j + 1) % m])
+        d = float(np.hypot(*(x - cand)))
+        if d < best_d:
+            best_d = d
+            best = cand
+    return best
+
+
+def reference_point_to_polygon(x, p) -> float:
+    x = np.asarray(x, dtype=float)
+    return float(np.hypot(*(x - reference_project_point(x, p))))
+
+
+def reference_hausdorff_onesided(p, q) -> float:
+    return max(reference_point_to_polygon(v, q) for v in p.vertices)
+
+
+def reference_farthest_realizer(p, q, tol=None):
+    if tol is None:
+        tol = default_tol(np.append(p.vertices, q.vertices))
+    dists = [reference_point_to_polygon(v, q) for v in p.vertices]
+    k = int(np.argmax(dists))
+    if dists[k] <= tol:
+        raise sf.Contained("dist(P, Q) vanishes; no realizing direction")
+    a = p.vertices[k].copy()
+    return a, reference_project_point(a, q)
+
+
+def reference_realizing_directions(a, b, grid, tol=None):
+    if tol is None:
+        tol = default_tol(np.append(a.vertices, b.vertices))
+    d_ab = reference_hausdorff_onesided(a, b)
+    d_ba = reference_hausdorff_onesided(b, a)
+    if d_ab <= tol:
+        raise sf.Contained("A is contained in B; no realizing direction")
+    if d_ab < max(d_ab, d_ba) - tol:
+        raise sf.AsymmetricDistance("swap the arguments")
+    indices = set()
+    for v in a.vertices:
+        if reference_point_to_polygon(v, b) >= d_ab - tol:
+            w = reference_project_point(v, b)
+            k, _ = grid.nearest_index(v - w)
+            indices.add(k)
+    return tuple(sorted(indices))
+
+
+def reference_osl_check(f, a, b, t, omega, tol=None):
+    if tol is None:
+        tol = default_tol(np.append(a.vertices, b.vertices))
+    d_ab = reference_hausdorff_onesided(a, b)
+    d_ba = reference_hausdorff_onesided(b, a)
+    dh = max(d_ab, d_ba)
+    if dh <= tol:
+        raise sf.DegenerateDistance("sets coincide within tolerance")
+    grid = f.grid
+    fa = f.eval(t, sf.support_of_polygon(a, grid).values)
+    fb = f.eval(t, sf.support_of_polygon(b, grid).values)
+    bound = omega(t, dh)
+    cases = []
+    if d_ab >= dh - tol:
+        pa, pb = reference_farthest_realizer(a, b, tol)
+        idx, err = grid.nearest_index(pa - pb)
+        lhs = float(fa[idx] - fb[idx])
+        cases.append(OslCase("forward", pa, pb, idx, err, lhs, bound, lhs <= bound + tol))
+    if d_ba >= dh - tol:
+        qb, qa = reference_farthest_realizer(b, a, tol)
+        idx, err = grid.nearest_index(qb - qa)
+        lhs = float(fb[idx] - fa[idx])
+        cases.append(OslCase("reverse", qa, qb, idx, err, lhs, bound, lhs <= bound + tol))
+    return OslReport(any(c.satisfied for c in cases), dh, tuple(cases))
+
+
+def outcome(fn, *args):
+    """fn(*args), or the class of the setflow error it raised."""
+    try:
+        return fn(*args)
+    except sf.SetflowError as exc:
+        return type(exc)
+
+
+def same_bits(x, y) -> bool:
+    return bits(x).tobytes() == bits(y).tobytes()
+
+
+coords = st.floats(-1.0, 1.0, allow_subnormal=False)
+points = st.tuples(coords, coords)
+
+
+@st.composite
+def scaled_polygons(draw, scale=None):
+    """A polygon with 1, 2 or >= 3 vertices at a coordinate scale 1e-3 .. 1e3."""
+    if scale is None:
+        scale = 10.0 ** draw(st.integers(-3, 3))
+    kind = draw(st.sampled_from(["point", "segment", "polygon"]))
+    count = {"point": 1, "segment": 2, "polygon": draw(st.integers(3, 9))}[kind]
+    pts = scale * np.array(draw(st.lists(points, min_size=count, max_size=count)))
+    return sf.ConvexPolygon.from_points(pts), scale
+
+
+@st.composite
+def probes(draw, p, scale):
+    """Query points inside, outside, and within a hair of the boundary of p."""
+    v = p.vertices
+    where = draw(st.sampled_from(["inside", "outside", "boundary", "vertex"]))
+    if where == "inside":
+        w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=len(v), max_size=len(v))))
+        x = (w / w.sum()) @ v if w.sum() > 0 else v[0]
+    elif where == "outside":
+        x = 3.0 * scale * np.array(draw(points))
+    else:
+        j = draw(st.integers(0, len(v) - 1))
+        s = 0.0 if where == "vertex" else draw(st.floats(0.0, 1.0))
+        x = v[j] + s * (v[(j + 1) % len(v)] - v[j])
+    hair = scale * 10.0 ** draw(st.integers(-16, -6))
+    return x + hair * np.array(draw(points))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_projection_matches_vertex_loop_bit_for_bit(data):
+    p, scale = data.draw(scaled_polygons())
+    xs = np.array([data.draw(probes(p, scale)) for _ in range(data.draw(st.integers(1, 6)))])
+    dist, near = support._nearest_points(xs, p)
+    for x, dk, nk in zip(xs, dist, near):
+        ref = reference_project_point(x, p)
+        assert same_bits(nk, ref)
+        assert same_bits(sf.project_point(x, p), ref)
+        assert same_bits(dk, reference_point_to_polygon(x, p))
+        assert same_bits(sf.point_to_polygon(x, p), reference_point_to_polygon(x, p))
+        assert p.contains(x) == reference_contains(p, x)
+        assert p.contains(x, 0.0) == reference_contains(p, x, 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_projection_blocks_do_not_change_results(data):
+    p, scale = data.draw(scaled_polygons())
+    xs = np.array([data.draw(probes(p, scale)) for _ in range(data.draw(st.integers(1, 12)))])
+    whole = support._nearest_points(xs, p)
+    with mock.patch.object(support, "_BLOCK_PAIRS", data.draw(st.integers(1, 7))):
+        blocked = support._nearest_points(xs, p)
+    assert same_bits(blocked[0], whole[0]) and same_bits(blocked[1], whole[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_hull_matches_point_loop_bit_for_bit(data):
+    scale = 10.0 ** data.draw(st.integers(-3, 3))
+    pts = scale * np.array(data.draw(st.lists(points, min_size=1, max_size=12)))
+    # near-duplicates within the dedup tolerance, exact repeats and a collinear run
+    hair = scale * 10.0 ** data.draw(st.integers(-16, -8))
+    pts = np.concatenate([pts, pts[:3] + hair * np.array(data.draw(points)), pts[-2:]])
+    pts = np.concatenate([pts, pts[0] + np.outer(np.linspace(0.0, 1.0, 4), pts[-1] - pts[0])])
+    ref = reference_convex_hull(pts, default_tol(pts.ravel()))
+    assert same_bits(sf.ConvexPolygon.from_points(pts).vertices, ref)
+
+
+def test_projection_clamps_like_max_then_min():
+    # t < 0 clamps to +0.0 as max(0.0, t) did, so a - 0.0 * d keeps the -0.0 of a
+    seg = sf.ConvexPolygon.from_points([[-1.0, -0.0], [1.0, -2.0]])
+    x = np.array([-3.0, 0.0])
+    assert same_bits(sf.project_point(x, seg), reference_project_point(x, seg))
+    assert bits(sf.project_point(x, seg))[1] == bits(-0.0)
+
+
+def test_inside_rule_scales_with_vertices_and_point():
+    # 5e-4 below the long edge: inside at default_tol(vertices, x) * max(1, radius, |x|)
+    tri = sf.ConvexPolygon.from_points([[0.0, 0.0], [1000.0, 0.0], [0.0, 1.0]])
+    x = np.array([0.5, -5e-7])
+    assert tri.contains(x) and reference_contains(tri, x)
+    assert same_bits(sf.project_point(x, tri), x)
+    assert not tri.contains(x, 1e-9)
+
+
+@st.composite
+def polygon_pairs(draw):
+    """Two polygons at one scale: unrelated, one inside the other, shifted, or equal."""
+    p, scale = draw(scaled_polygons())
+    relation = draw(st.sampled_from(["unrelated", "shrunk", "shifted", "equal"]))
+    if relation == "unrelated":
+        q, _ = draw(scaled_polygons(scale))
+    elif relation == "shrunk":
+        c = p.vertices.mean(axis=0)
+        q = sf.ConvexPolygon.from_points(c + draw(st.floats(0.0, 0.9)) * (p.vertices - c))
+    elif relation == "shifted":
+        q = sf.ConvexPolygon.from_points(p.vertices + scale * 0.1 * np.array(draw(points)))
+    else:
+        q = p
+    return (p, q) if draw(st.booleans()) else (q, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polygon_pairs())
+def test_distances_and_realizers_match_vertex_loops(pair):
+    p, q = pair
+    assert same_bits(sf.hausdorff_onesided(p, q), reference_hausdorff_onesided(p, q))
+    assert same_bits(
+        sf.hausdorff_exact(p, q),
+        max(reference_hausdorff_onesided(p, q), reference_hausdorff_onesided(q, p)),
+    )
+    got = outcome(sf.farthest_realizer, p, q)
+    ref = outcome(reference_farthest_realizer, p, q)
+    if isinstance(ref, type):
+        assert got is ref is sf.Contained
+    else:
+        assert same_bits(got[0], ref[0]) and same_bits(got[1], ref[1])
+    for n in (8, 64):
+        grid = sf.DirectionGrid(n)
+        got = outcome(sf.hausdorff_realizing_directions, p, q, grid)
+        assert got == outcome(reference_realizing_directions, p, q, grid)
+
+
+def assert_same_report(got, ref):
+    if isinstance(ref, type):
+        assert got is ref
+        return
+    assert got.satisfied == ref.satisfied
+    assert same_bits(got.hausdorff, ref.hausdorff)
+    assert len(got.cases) == len(ref.cases)
+    for c, r in zip(got.cases, ref.cases):
+        assert (c.order, c.direction_index, c.satisfied) == (r.order, r.direction_index, r.satisfied)
+        for name in ("a", "b", "snap_error", "lhs", "bound"):
+            assert same_bits(getattr(c, name), getattr(r, name))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    polygon_pairs(),
+    st.sampled_from([8, 64]),
+    st.sampled_from(["expand", "relax_to"]),
+    st.sampled_from([None, 0.0, 1e-3]),
+    st.floats(0.0, 2.0),
+)
+def test_osl_check_matches_two_branch_reference(pair, n, kind, tol, t):
+    a, b = pair
+    grid = sf.DirectionGrid(n)
+    if kind == "expand":
+        field = sf.expansion_field(grid, 2.0)
+    else:
+        field = sf.relax_to(sf.support_of_polygon(sf.ConvexPolygon.box((-1, 1), (0, 2)), grid))
+    for omega in (sf.zero_growth(), sf.linear_growth(1.0)):
+        got = outcome(sf.osl_check, field, a, b, t, omega, tol)
+        assert_same_report(got, outcome(reference_osl_check, field, a, b, t, omega, tol))
+
+
+def test_osl_check_reaches_every_outcome():
+    """Both orders, a contained realizer, asymmetric and degenerate pairs all occur."""
+    grid = sf.DirectionGrid(16)
+    field = sf.expansion_field(grid, 2.0)
+    omega = sf.zero_growth()
+    square = sf.ConvexPolygon.box((-1, 1), (-1, 1))
+    shifted = sf.ConvexPolygon.box((0, 2), (-1, 1))
+    report = sf.osl_check(field, square, shifted, 0.5, omega)
+    assert [c.order for c in report.cases] == ["forward", "reverse"]
+    assert_same_report(report, reference_osl_check(field, square, shifted, 0.5, omega))
+    for a, b, tol, error in (
+        (square, square, None, sf.DegenerateDistance),
+        # dist(A, B) = 0.8 tol attains dist_H = 1.5 tol within tol, yet vanishes
+        (sf.ConvexPolygon.box((0, 1), (0, 1.0008)), sf.ConvexPolygon.box((0, 1), (-0.0015, 1)),
+         1e-3, sf.Contained),
+    ):
+        assert outcome(sf.osl_check, field, a, b, 0.0, omega, tol) is error
+        assert outcome(reference_osl_check, field, a, b, 0.0, omega, tol) is error
+    corner = sf.ConvexPolygon.box((0.5, 1.5), (0.5, 1.5))
+    big = sf.ConvexPolygon.box((-3, 3), (-3, 3))
+    for a, b, error in ((corner, square, sf.AsymmetricDistance), (square, big, sf.Contained)):
+        assert outcome(sf.hausdorff_realizing_directions, a, b, grid) is error
+        assert outcome(reference_realizing_directions, a, b, grid) is error

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -278,6 +279,23 @@ def test_hausdorff_exact_values():
     # frozen from a dense boundary-sampling oracle
     assert sf.hausdorff_exact(A1, Q) == pytest.approx(math.sqrt(13), abs=1e-12)
     assert sf.hausdorff_exact(A2, Q) == pytest.approx(math.sqrt(8.5), abs=1e-12)
+
+
+def test_hausdorff_exact_memory_is_bounded():
+    # 4096 x 4096 vertex-edge pairs: an unblocked broadcast would peak near 300 MB
+    grid = sf.DirectionGrid(4096)
+    u = grid.directions
+    ellipse = sf.SupportSample(grid, np.sqrt((2.0 * u[:, 0]) ** 2 + (1.5 * u[:, 1]) ** 2))
+    p = sf.reconstruct_polygon(ellipse)
+    assert len(p) == 4096
+    tracemalloc.start()
+    try:
+        d = sf.hausdorff_exact(p, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d == 0.0
+    assert peak < 64 * 2**20
 
 
 def test_grid_below_exact_and_scales():
