@@ -63,8 +63,17 @@ def _error(code: str, message: str) -> None:
 
 
 def _frame_indices(times: np.ndarray, spacing: float) -> list[int]:
+    """Sorted distinct indices of the stored times nearest to 0, spacing, 2 spacing, ...
+
+    times is increasing, so the nearest one is the first at or after the
+    wanted time or the one before it; the lower index wins a tie.  The
+    picks are then non-decreasing, so equal ones are neighbours.
+    """
     wanted = np.arange(0.0, times[-1] + spacing / 2, spacing)
-    return sorted({int(np.argmin(np.abs(times - t))) for t in wanted})
+    hi = np.minimum(np.searchsorted(times, wanted), len(times) - 1)
+    lo = np.maximum(hi - 1, 0)
+    near = np.where(np.abs(times[lo] - wanted) <= np.abs(times[hi] - wanted), lo, hi)
+    return near[np.r_[True, near[1:] != near[:-1]]].tolist()
 
 
 def cmd_integrate(args) -> int:

@@ -12,6 +12,7 @@ of the Hausdorff distance between the sets.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -21,6 +22,7 @@ from .errors import (
     EmptyIntersection,
     GridMismatch,
     NegativeScalar,
+    NonFiniteValue,
     NotInCone,
 )
 
@@ -29,7 +31,9 @@ from .errors import (
 TOL_REL = 1e-9
 # regularize: margins this close to zero are rounding noise (keeps it idempotent).
 _ULP_REL = 1e-13
-# subtangent_feasible and halfplane_intersection: values this small count as zero.
+# subtangent_feasible: margins this small count as zero.  halfplane_intersection
+# and regularize: how far every line moves out (relative to max(1, |s|_inf, r0))
+# when rounding leaves the exact intersection of a point or segment empty.
 _FLAT_REL = 1e-12
 # integrate: a time grid this close to T (relative to max(1, T)) is snapped onto T.
 _TIME_SNAP_REL = 1e-9
@@ -244,7 +248,7 @@ class ConvexPolygon:
             return bool(np.max(np.abs(x - v[0])) <= tol)
         if len(v) == 2:
             return point_to_polygon(x, self) <= tol
-        return bool(_inside(x.reshape(1, 2), self, tol)[0])
+        return bool(_inside(x.reshape(1, 2), v, _edge_frame(v), tol)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,55 +352,118 @@ def reconstruct_polygon(s: SupportSample) -> ConvexPolygon:
     return ConvexPolygon.from_points(np.column_stack([x, y]))
 
 
+def _finite_values(values, grid: DirectionGrid) -> np.ndarray:
+    """_grid_values for a raw vector whose entries must all be finite."""
+    s = _grid_values(values, grid)
+    if not np.all(np.isfinite(s)):
+        raise NonFiniteValue("halfplane values must be finite")
+    return s
+
+
+def _deque_pass(s: np.ndarray, grid: DirectionGrid) -> tuple[np.ndarray, np.ndarray]:
+    """One pass of the sorted-angle deque algorithm over <u_i, x> <= s_i.
+
+    A vertex is outside a line when it lies strictly beyond it.  Lines
+    through one point (every grid line between two edges of a polygon's
+    support) leave that test to rounding, and a rounding pop must not drop a
+    line the intersection needs.  So the front is tested only once the new
+    line j is more than pi past it (no exact front pop exists before), and a
+    front pop that would leave j and the next line pi or more apart proves
+    the intersection empty instead.
+    """
+    n = grid.n
+    cs, sn = grid.directions.T.tolist()
+    sv = s.tolist()
+
+    def vertex(i, j):
+        if 2 * ((j - i) % n) >= n:
+            raise EmptyIntersection("halfplane intersection is empty")
+        det = cs[i] * sn[j] - sn[i] * cs[j]
+        return (
+            (sv[i] * sn[j] - sv[j] * sn[i]) / det,
+            (sv[j] * cs[i] - sv[i] * cs[j]) / det,
+        )
+
+    def outside(v, j):
+        return cs[j] * v[0] + sn[j] * v[1] > sv[j]
+
+    lines: deque[int] = deque()
+    verts: deque[tuple[float, float]] = deque()  # verts[k] joins lines[k], lines[k + 1]
+    for j in range(n):
+        while verts and outside(verts[-1], j):
+            lines.pop()
+            verts.pop()
+        while verts and 2 * (j - lines[0]) > n and outside(verts[0], j):
+            if 2 * ((lines[1] - j) % n) >= n:
+                raise EmptyIntersection("halfplane intersection is empty")
+            lines.popleft()
+            verts.popleft()
+        if lines:
+            verts.append(vertex(lines[-1], j))
+        lines.append(j)
+    while len(verts) >= 2 and outside(verts[-1], lines[0]):
+        lines.pop()
+        verts.pop()
+    while len(verts) >= 2 and outside(verts[0], lines[-1]):
+        lines.popleft()
+        verts.popleft()
+    if len(lines) < 3:
+        raise EmptyIntersection("halfplane intersection is empty")
+    verts.append(vertex(lines[-1], lines[0]))
+    return np.array(lines), np.array(verts)
+
+
+def _active_lines(s: np.ndarray, grid: DirectionGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Active lines of the halfplanes <u_i, x> <= s_i in CCW order, and the vertices.
+
+    The sorted-angle deque algorithm for halfplane intersection (de Berg et
+    al., Computational Geometry, 3rd ed.); the grid angles are already
+    sorted, so a pass costs O(n).  vertices[k] is where lines[k] meets
+    lines[k + 1], cyclically.  A pass finds the intersection empty when two
+    consecutive kept lines span an angle of pi or more, or fewer than 3 lines
+    survive.  Rounding can do that to a point or a segment, so an empty first
+    pass is repeated with every line moved out by _FLAT_REL * max(1, |s|_inf,
+    r0), r0 bounding the radius of the intersection; EmptyIntersection if
+    that is empty too.
+    """
+    try:
+        return _deque_pass(s, grid)
+    except EmptyIntersection:
+        r0 = max(float(s.max()), 0.0) / math.cos(grid.delta / 2.0) + 1.0
+        return _deque_pass(s + _FLAT_REL * max(float(_scale(s)), r0), grid)
+
+
 def halfplane_intersection(values, grid: DirectionGrid) -> ConvexPolygon:
     """Intersection of the halfplanes <u_i, x> <= values_i for a raw vector.
 
-    Unlike reconstruct_polygon this does not assume the cone condition; it
-    clips a bounding box against every halfplane and raises EmptyIntersection
-    when nothing survives.
+    Unlike reconstruct_polygon this does not assume the cone condition: the
+    polygon has the vertices between consecutive active lines, found in O(n)
+    by the sorted-angle deque algorithm.  Raises EmptyIntersection when the
+    intersection is empty and NonFiniteValue for a non-finite entry.
     """
-    s = _grid_values(values, grid)
-    top = max(float(s.max()), 0.0)
-    r0 = top / math.cos(grid.delta / 2.0) + 1.0
-    poly = [
-        np.array([-r0, -r0]),
-        np.array([r0, -r0]),
-        np.array([r0, r0]),
-        np.array([-r0, r0]),
-    ]
-    eps = _FLAT_REL * max(_scale(s), r0)
-    for u, si in zip(grid.directions, s):
-        if not poly:
-            break
-        dist = [si - float(u @ p) for p in poly]
-        clipped = []
-        m = len(poly)
-        for j in range(m):
-            k = (j + 1) % m
-            dj, dk = dist[j], dist[k]
-            if dj >= -eps:
-                clipped.append(poly[j])
-            if (dj > eps and dk < -eps) or (dj < -eps and dk > eps):
-                t = dj / (dj - dk)
-                clipped.append(poly[j] + t * (poly[k] - poly[j]))
-        poly = clipped
-    if not poly:
-        raise EmptyIntersection("halfplane intersection is empty")
-    return ConvexPolygon.from_points(np.array(poly))
+    return ConvexPolygon(_active_lines(_finite_values(values, grid), grid)[1])
 
 
 def regularize(values, grid: DirectionGrid) -> SupportSample:
     """Largest support sample pointwise below a raw value vector.
 
-    Computed as the support of the halfplane intersection of the vector.
-    Vectors already in the cone (up to rounding noise) pass through
-    unchanged, which makes the map idempotent.
+    The support of the halfplane intersection of the vector, read in O(n):
+    direction i takes its value from the vertex whose normal cone holds u_i,
+    an active line from the larger of its two vertices.  Vectors already in
+    the cone (up to rounding noise) pass through unchanged, which makes the
+    map idempotent.  Raises NonFiniteValue for a non-finite entry.
     """
-    s = _grid_values(values, grid)
+    s = _finite_values(values, grid)
     noise = _ULP_REL * _scale(s)
     if float(cone_margins(s, grid).min()) >= -noise:
         return SupportSample(grid, s)
-    return support_of_polygon(halfplane_intersection(s, grid), grid)
+    lines, verts = _active_lines(s, grid)
+    i = np.arange(grid.n)
+    k = np.searchsorted(lines, i, side="right") - 1  # -1: past the last line
+    u = grid.directions
+    vals = u[:, 0] * verts[k, 0] + u[:, 1] * verts[k, 1]
+    prev = u[:, 0] * verts[k - 1, 0] + u[:, 1] * verts[k - 1, 1]
+    return SupportSample(grid, np.where(lines[k] == i, np.maximum(vals, prev), vals))
 
 
 def minkowski_add(a: SupportSample, b: SupportSample) -> SupportSample:
@@ -441,14 +508,20 @@ def hausdorff_grid(a: SupportSample, b: SupportSample) -> float:
 _BLOCK_PAIRS = 1 << 16
 
 
-def _inside(x: np.ndarray, p: ConvexPolygon, tol=None) -> np.ndarray:
-    """Rows of x (K, 2) on the inner side of every edge of p (>= 3 vertices), up to
-    tol * max(1, radius, |row|_inf); tol defaults to default_tol(vertices, row)."""
-    v = p.vertices
+def _edge_frame(v: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Edge vectors of the CCW vertices v, max |coordinate| and max(1, radius)."""
+    radius = float(np.max(np.hypot(v[:, 0], v[:, 1])))
+    return np.roll(v, -1, axis=0) - v, np.max(np.abs(v)), max(1.0, radius)
+
+
+def _inside(x: np.ndarray, v: np.ndarray, frame, tol=None) -> np.ndarray:
+    """Rows of x (K, 2) on the inner side of every edge of the CCW vertices v
+    (>= 3), up to tol * max(1, radius, |row|_inf); frame is _edge_frame(v) and
+    tol defaults to default_tol(vertices, row)."""
+    e, vmax, rad = frame
     if tol is None:
-        tol = default_tol(np.column_stack([np.full(len(x), np.max(np.abs(v))), x]))
-    limit = -tol * np.maximum(max(1.0, p.radius), np.max(np.abs(x), axis=1))
-    e = np.roll(v, -1, axis=0) - v
+        tol = default_tol(np.column_stack([np.full(len(x), vmax), x]))
+    limit = -tol * np.maximum(rad, np.max(np.abs(x), axis=1))
     crosses = e[:, 0] * (x[:, 1, None] - v[:, 1]) - e[:, 1] * (x[:, 0, None] - v[:, 0])
     return np.all(crosses >= limit[:, None], axis=1)
 
@@ -467,13 +540,14 @@ def _nearest_points(x, p: ConvexPolygon) -> tuple[np.ndarray, np.ndarray]:
         near = np.broadcast_to(v[0], x.shape).copy()
     else:
         near = x.copy()
+        frame = _edge_frame(v)
         a = v if len(v) >= 3 else v[:1]
-        d = np.roll(v, -1, axis=0)[: len(a)] - a
+        d = frame[0][: len(a)]
         dd = np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]  # > 0 on hull edges
         step = max(1, _BLOCK_PAIRS // len(v))
         for i in range(0, len(x), step):
             blk = near[i : i + step]  # a view: rows are projected in place
-            out = ~_inside(blk, p) if len(v) >= 3 else np.ones(len(blk), dtype=bool)
+            out = ~_inside(blk, v, frame) if len(v) >= 3 else np.ones(len(blk), dtype=bool)
             r = blk[out, None, :] - a
             t = np.matmul(r[..., None, :], d[:, :, None])[..., 0, 0] / dd
             t = np.where(t > 0.0, t, 0.0)  # max(0, t), then min(1, t); NaN -> 0

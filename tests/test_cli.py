@@ -1,12 +1,13 @@
 import json
 import math
+import time
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 import setflow as sf
-from setflow.cli import main
+from setflow.cli import _frame_indices, main
 
 
 def write_json(path, obj):
@@ -72,6 +73,16 @@ def test_integrate_svg_outputs(scenario, tmp_path):
     n_poly = len(film.findall(".//{http://www.w3.org/2000/svg}polygon"))
     n_lines = len(supp.findall(".//{http://www.w3.org/2000/svg}polyline"))
     assert n_poly == n_lines == 5  # frames at 0, .25, .5, .75, 1
+
+
+def test_frame_choice_is_fast_at_the_step_limit():
+    # MAX_STEPS stored times, one frame per step: the per-frame scan it
+    # replaced took 1.4 s at 40,000 times and grew quadratically
+    times = np.arange(1_000_001) * 1e-6
+    start = time.perf_counter()
+    frames = _frame_indices(times, 1e-6)
+    assert time.perf_counter() - start < 1.0
+    assert frames == list(range(1_000_001))
 
 
 def test_integrate_malformed_config(tmp_path, capsys):

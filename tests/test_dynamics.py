@@ -159,6 +159,9 @@ def test_non_finite_field_raises():
     f = sf.RhsField(G64, bad, name="bad")
     with pytest.raises(sf.NonFiniteValue):
         sf.integrate(f, SQ, T=1.0, h=0.1)
+    # the state check comes first, before any repair can see the value
+    with pytest.raises(sf.NonFiniteValue, match="non-finite state at t = 0.1"):
+        sf.integrate(f, SQ, T=1.0, h=0.1, policy="always")
 
 
 def test_residuals_stay_tiny_with_on_violation_policy():

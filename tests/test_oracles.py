@@ -4,9 +4,12 @@ The references below are the earlier implementations, kept verbatim in
 spirit: the np.roll margin formula, the per-step classifier with four
 separate cone tests, the per-index subtangent loop, and the per-vertex
 point-to-polygon loops behind the Hausdorff distances, the realizing
-directions and the one-sided Lipschitz check.  The kernels keep the same
+directions and the one-sided Lipschitz check, and the per-frame argmin
+scan that picked trajectory frames.  The kernels keep the same
 floating-point operations in the same order, so the comparisons are exact,
-not approximate.
+not approximate.  The one exception is regularize: its reference is the
+pairwise-vertex brute force (the clipping loop it replaced was not maximal),
+computed in long double and compared within a fixed tolerance.
 """
 
 import math
@@ -20,7 +23,7 @@ from hypothesis.extra import numpy as hnp
 
 import setflow as sf
 from setflow import HukuharaClass, OslCase, OslReport, support
-from setflow.cli import EXAMPLE_RECTS, EXAMPLE_TARGET
+from setflow.cli import EXAMPLE_RECTS, EXAMPLE_TARGET, _frame_indices
 from setflow.support import default_tol
 
 TOL_REL = 1e-9
@@ -517,3 +520,121 @@ def test_osl_check_reaches_every_outcome():
     for a, b, error in ((corner, square, sf.AsymmetricDistance), (square, big, sf.Contained)):
         assert outcome(sf.hausdorff_realizing_directions, a, b, grid) is error
         assert outcome(reference_realizing_directions, a, b, grid) is error
+
+
+# -------------------------------------------------------------------- regularize
+
+def reference_regularize(s, grid):
+    """Support of the halfplane intersection of s by brute force, None if empty.
+
+    The pairwise-vertex candidates of test_regularize_matches_vertex_candidate_oracle:
+    every intersection of two non-parallel grid lines that satisfies all n
+    halfplanes, in long double with a slack of 64 of its ulps times
+    max(1, |s|_inf).
+    """
+    ld = np.longdouble
+    u = grid.directions.astype(ld)
+    s = np.asarray(s, dtype=ld)
+    i, j = np.triu_indices(grid.n, 1)
+    det = u[i, 0] * u[j, 1] - u[i, 1] * u[j, 0]
+    keep = np.abs(det) > 1e-12
+    i, j, det = i[keep], j[keep], det[keep]
+    x = (s[i] * u[j, 1] - s[j] * u[i, 1]) / det
+    y = (s[j] * u[i, 0] - s[i] * u[j, 0]) / det
+    heights = u[:, :1] * x + u[:, 1:] * y  # (n, candidates)
+    slack = 64 * np.finfo(ld).eps * max(ld(1), np.max(np.abs(s)))
+    feasible = np.all(heights <= s[:, None] + slack, axis=0)
+    if not feasible.any():
+        return None
+    return heights[:, feasible].max(axis=1).astype(float)
+
+
+@st.composite
+def raw_vectors(draw):
+    """Supports of a point, segment, triangle or ellipse on n = 3..48 directions,
+    at scale 1e-3..1e3, plus noise of 1e-9..1e-1 of the scale on all or some entries."""
+    grid = sf.DirectionGrid(draw(st.integers(3, 48)))
+    u = grid.directions
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    pts = scale * np.array(draw(st.lists(points, min_size=3, max_size=3)))
+    kind = draw(st.sampled_from(["point", "segment", "triangle", "ellipse"]))
+    if kind == "ellipse":
+        axes = scale * np.array(draw(st.tuples(st.floats(0.1, 1.0), st.floats(0.1, 1.0))))
+        base = np.hypot(axes[0] * u[:, 0], axes[1] * u[:, 1]) + u @ pts[0]
+    else:
+        count = {"point": 1, "segment": 2, "triangle": 3}[kind]
+        base = (u @ pts[:count].T).max(axis=1)
+    noise = scale * 10.0 ** draw(st.floats(-9.0, -1.0))
+    bump = draw(hnp.arrays(np.float64, grid.n, elements=st.floats(-1.0, 1.0)))
+    # noise on some entries only keeps the others' lines exactly concurrent
+    hit = draw(hnp.arrays(np.bool_, grid.n)) if draw(st.booleans()) else True
+    return grid, base + noise * bump * hit
+
+
+@settings(max_examples=400)
+@given(raw_vectors())
+def test_regularize_matches_pairwise_vertex_brute_force(case):
+    grid, s = case
+    scale = max(1.0, float(np.max(np.abs(s))))
+    ref = reference_regularize(s, grid)
+    shift = 100 * support._FLAT_REL * scale
+    stable = (reference_regularize(s + shift, grid) is None) == (
+        reference_regularize(s - shift, grid) is None
+    )
+    try:
+        r = sf.regularize(s, grid).values
+    except sf.EmptyIntersection:
+        assert ref is None or not stable
+        return
+    assert ref is not None or not stable
+    if float(sf.cone_margins(s, grid).min()) >= -support._ULP_REL * scale:
+        assert np.array_equal(r, s)  # in the cone up to rounding: passed through
+    elif stable:  # within 100 _FLAT_REL of empty, sets of zero width tilt freely
+        assert np.max(np.abs(r - ref)) <= 1e-12 * scale
+    assert np.array_equal(sf.regularize(r, grid).values, r)
+    assert np.all(r <= s + default_tol(s))
+    assert sf.is_in_cone(r, grid)
+
+
+def test_regularize_keeps_a_short_edge():
+    # line 2 lies 8.2e-6 beyond the corner of lines 1 and 3, so the
+    # intersection is a quadrilateral with edges near 1e-5 long; the hull
+    # behind the clipping loop kept only two of its vertices and returned
+    # 9.1e-6 below the largest sample at direction 4
+    grid = sf.DirectionGrid(5)
+    s = np.array([0.30229192, -0.48999837, -0.60507879, 0.11603402, 0.67683414])
+    r = sf.regularize(s, grid).values
+    expected = s.copy()
+    expected[2] = (s[1] + s[3]) / grid.two_cos_delta
+    assert np.max(np.abs(r - reference_regularize(s, grid))) <= 1e-15
+    assert np.max(np.abs(r - expected)) <= 1e-15
+
+
+# ------------------------------------------------------------------ frame choice
+
+def reference_frame_indices(times, spacing):
+    wanted = np.arange(0.0, times[-1] + spacing / 2, spacing)
+    return sorted({int(np.argmin(np.abs(times - t))) for t in wanted})
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(1, 400),
+    st.floats(1e-3, 10.0),
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 7.3]),
+)
+def test_frame_indices_match_argmin_scan(steps, h, last, ratio):
+    """Time grids as integrate builds them, with an uneven last step; spacings
+    at whole and half multiples of h put wanted times exactly between two."""
+    times = np.arange(steps + 1) * h
+    if last > 0.0:
+        times = np.append(times, times[-1] + last * h)
+    spacing = ratio * h
+    assert _frame_indices(times, spacing) == reference_frame_indices(times, spacing)
+
+
+def test_frame_indices_tie_takes_the_lower_index():
+    times = np.array([0.0, 0.5, 1.0])
+    assert _frame_indices(times, 0.25) == reference_frame_indices(times, 0.25) == [0, 1, 2]
+    assert _frame_indices(np.array([0.0]), 0.1) == [0]

@@ -195,6 +195,17 @@ def test_regularize_empty_intersection():
         sf.regularize(s, G64)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("fn", [sf.regularize, sf.halfplane_intersection])
+def test_regularize_rejects_non_finite(fn, bad):
+    # +inf made every tolerance infinite, so the vector passed the cone test
+    # unchanged; NaN ended in a misleading EmptyIntersection
+    s = sup(Q).values.copy()
+    s[5] = bad
+    with pytest.raises(sf.NonFiniteValue):
+        fn(s, G64)
+
+
 # ----------------------------------------------------------------------- algebra
 
 def test_minkowski_unit_squares():
