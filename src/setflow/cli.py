@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -134,12 +133,15 @@ def _example_one(k: int, outdir: Path, grid: DirectionGrid, h: float, method: st
     curve = SetCurve(traj.times[frames], tuple(traj.sample(i) for i in frames))
     whole, steps = classify_curve(curve)
 
-    with open(outdir / f"curve{k}_classification.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "t", "class", "quotient_gap"])
-        for j, cls in enumerate(steps, start=1):
-            gap = quotient_gap(curve, j)
-            w.writerow([j, "%.17g" % curve.times[j], str(cls), "%.17g" % gap])
+    formats._write_table(
+        outdir / f"curve{k}_classification.csv",
+        ["step", "t", "class", "quotient_gap"],
+        ["%d", formats.FLOAT_FMT, "%s", formats.FLOAT_FMT],
+        (
+            (j, curve.times[j], cls, quotient_gap(curve, j))
+            for j, cls in enumerate(steps, start=1)
+        ),
+    )
 
     # derivative estimate at each interior frame: the mean of its two quotients
     deltas = 0.5 * (curve.quotients[1:] + curve.quotients[:-1])
@@ -260,14 +262,16 @@ def _check_osl(cfg, field: RhsField, rng) -> int:
             violated += 1
             w = rep.witness
             rows.append(
-                [t, w.a[0], w.a[1], w.b[0], w.b[1], w.direction_index, w.lhs, w.bound]
+                (t, w.a[0], w.a[1], w.b[0], w.b[1], w.direction_index, w.lhs, w.bound)
             )
     print(f"osl: {checked - violated}/{checked} pairs satisfied")
     if rows and "witnesses" in cfg.output:
-        with open(cfg.output["witnesses"], "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "ax", "ay", "bx", "by", "direction_index", "lhs", "bound"])
-            w.writerows(rows)
+        formats._write_table(
+            cfg.output["witnesses"],
+            ["t", "ax", "ay", "bx", "by", "direction_index", "lhs", "bound"],
+            [formats.FLOAT_FMT] * 5 + ["%d"] + [formats.FLOAT_FMT] * 2,
+            rows,
+        )
         print(f"wrote {cfg.output['witnesses']}")
     if violated:
         first = rows[0]

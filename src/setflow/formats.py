@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -35,10 +34,6 @@ FLOAT_FMT = "%.17g"
 # Most steps, ceil(T / h), and SVG frames, T / frame_spacing, a scenario or the
 # demo may ask for: integrate stores every state, so this bounds time and memory.
 MAX_STEPS = 1_000_000
-
-
-def _fmt(x: float) -> str:
-    return FLOAT_FMT % float(x)
 
 
 # ---------------------------------------------------------------- JSON payloads
@@ -79,28 +74,43 @@ def load_set(path) -> ConvexPolygon:
 
 # ------------------------------------------------------------------- CSV output
 
+def _write_table(path, header, specs, rows) -> None:
+    """Stream a CSV table: the header, then each row tuple printed with the %-specs.
+
+    csv's default dialect less the quoting no field needs (FLOAT_FMT prints no
+    comma or quote): comma-separated, CRLF line ends.  Lines are written as
+    they are formatted, so the text of the whole table is never in memory.
+    """
+    line = ",".join(specs) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(line % row for row in rows)
+
+
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """One row per stored step: t, residual, regularized, v0..v{n-1}."""
     n = traj.grid.n
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "residual", "regularized"] + [f"v{i}" for i in range(n)])
-        for k in range(len(traj)):
-            w.writerow(
-                [_fmt(traj.times[k]), _fmt(traj.residuals[k]), int(traj.regularized[k])]
-                + [_fmt(v) for v in traj.states[k]]
-            )
+    steps = zip(
+        traj.times.tolist(), traj.residuals.tolist(), traj.regularized.tolist(), traj.states
+    )
+    _write_table(
+        path,
+        ["t", "residual", "regularized"] + [f"v{i}" for i in range(n)],
+        [FLOAT_FMT, FLOAT_FMT, "%d"] + [FLOAT_FMT] * n,
+        ((t, r, g, *v.tolist()) for t, r, g, v in steps),
+    )
 
 
 def write_values_csv(times, rows, path) -> None:
-    """Generic t, v0..v{n-1} table for deltas and differentials."""
+    """Generic t, v0..v{n-1} table for deltas and differentials, rows of one length."""
     rows = [np.asarray(getattr(r, "values", r), dtype=float) for r in rows]
     n = len(rows[0]) if rows else 0
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t"] + [f"v{i}" for i in range(n)])
-        for t, r in zip(times, rows):
-            w.writerow([_fmt(t)] + [_fmt(v) for v in r])
+    _write_table(
+        path,
+        ["t"] + [f"v{i}" for i in range(n)],
+        [FLOAT_FMT] * (n + 1),
+        ((float(t), *r.tolist()) for t, r in zip(times, rows)),
+    )
 
 
 # -------------------------------------------------------------- scenario config

@@ -374,43 +374,46 @@ def _deque_pass(s: np.ndarray, grid: DirectionGrid) -> tuple[np.ndarray, np.ndar
     n = grid.n
     cs, sn = grid.directions.T.tolist()
     sv = s.tolist()
-
-    def vertex(i, j):
-        if 2 * ((j - i) % n) >= n:
-            raise EmptyIntersection("halfplane intersection is empty")
-        det = cs[i] * sn[j] - sn[i] * cs[j]
-        return (
-            (sv[i] * sn[j] - sv[j] * sn[i]) / det,
-            (sv[j] * cs[i] - sv[i] * cs[j]) / det,
-        )
-
-    def outside(v, j):
-        return cs[j] * v[0] + sn[j] * v[1] > sv[j]
-
     lines: deque[int] = deque()
-    verts: deque[tuple[float, float]] = deque()  # verts[k] joins lines[k], lines[k + 1]
+    vx: deque[float] = deque()  # vertex k, (vx[k], vy[k]), joins lines[k] and lines[k + 1]
+    vy: deque[float] = deque()
     for j in range(n):
-        while verts and outside(verts[-1], j):
+        c, d, e = cs[j], sn[j], sv[j]
+        while vx and c * vx[-1] + d * vy[-1] > e:
             lines.pop()
-            verts.pop()
-        while verts and 2 * (j - lines[0]) > n and outside(verts[0], j):
+            vx.pop()
+            vy.pop()
+        while vx and 2 * (j - lines[0]) > n and c * vx[0] + d * vy[0] > e:
             if 2 * ((lines[1] - j) % n) >= n:
                 raise EmptyIntersection("halfplane intersection is empty")
             lines.popleft()
-            verts.popleft()
+            vx.popleft()
+            vy.popleft()
         if lines:
-            verts.append(vertex(lines[-1], j))
+            i = lines[-1]
+            if 2 * ((j - i) % n) >= n:
+                raise EmptyIntersection("halfplane intersection is empty")
+            det = cs[i] * d - sn[i] * c
+            vx.append((sv[i] * d - e * sn[i]) / det)
+            vy.append((e * cs[i] - sv[i] * c) / det)
         lines.append(j)
-    while len(verts) >= 2 and outside(verts[-1], lines[0]):
+    i = lines[0]
+    while len(vx) >= 2 and cs[i] * vx[-1] + sn[i] * vy[-1] > sv[i]:
         lines.pop()
-        verts.pop()
-    while len(verts) >= 2 and outside(verts[0], lines[-1]):
+        vx.pop()
+        vy.pop()
+    j = lines[-1]
+    while len(vx) >= 2 and cs[j] * vx[0] + sn[j] * vy[0] > sv[j]:
         lines.popleft()
-        verts.popleft()
-    if len(lines) < 3:
+        vx.popleft()
+        vy.popleft()
+    i, j = lines[-1], lines[0]
+    if len(lines) < 3 or 2 * ((j - i) % n) >= n:
         raise EmptyIntersection("halfplane intersection is empty")
-    verts.append(vertex(lines[-1], lines[0]))
-    return np.array(lines), np.array(verts)
+    det = cs[i] * sn[j] - sn[i] * cs[j]
+    vx.append((sv[i] * sn[j] - sv[j] * sn[i]) / det)
+    vy.append((sv[j] * cs[i] - sv[i] * cs[j]) / det)
+    return np.array(lines), np.column_stack((vx, vy))
 
 
 def _active_lines(s: np.ndarray, grid: DirectionGrid) -> tuple[np.ndarray, np.ndarray]:

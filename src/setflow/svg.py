@@ -102,12 +102,11 @@ def support_profiles(frames, angles, path, title: str = "") -> None:
             f'<line x1="{x0}" y1="{yz:.1f}" x2="{x0 + plot_w}" y2="{yz:.1f}" '
             f'stroke="#eeeeee"/>'
         )
+    xs = x0 + np.asarray(angles, dtype=float) / amax * plot_w
+    pattern = " ".join(["%.2f,%.2f"] * len(xs))
     for i, (t, vals) in enumerate(frames):
-        coords = " ".join(
-            f"{x0 + a / amax * plot_w:.2f},"
-            f"{y0 + plot_h - (v - vmin) / (vmax - vmin) * plot_h:.2f}"
-            for a, v in zip(angles, vals)
-        )
+        ys = y0 + plot_h - (vals - vmin) / (vmax - vmin) * plot_h
+        coords = pattern % tuple(np.column_stack((xs, ys)).ravel().tolist())
         parts.append(
             f'<polyline points="{coords}" fill="none" '
             f'stroke="{_color(i, len(frames))}" stroke-width="1.2"/>'

@@ -163,6 +163,29 @@ def test_check_osl_violation(scenario, tmp_path, capsys):
     assert "osl witness" in capsys.readouterr().out
 
 
+def test_osl_witness_csv_prints_17_significant_digits(scenario, tmp_path, capsys):
+    wit = tmp_path / "wit.csv"
+    path = scenario(
+        rhs={"kind": "expand", "rate": 1.0},
+        omega={"kind": "zero"},
+        output={"witnesses": str(wit)},
+    )
+    assert main(["check", "osl", path]) == 1
+    assert capsys.readouterr().out == (
+        "osl: 0/40 pairs satisfied\n"
+        f"wrote {wit}\n"
+        "osl witness: a=(-1.759,-0.3823) b=(-0.7084,1.436) index=43 lhs=2.09908 bound=0\n"
+    )
+    header, *rows = wit.read_bytes().decode().split("\r\n")[:-1]
+    assert header == "t,ax,ay,bx,by,direction_index,lhs,bound"
+    assert len(rows) == 40
+    for row in rows:
+        fields = row.split(",")
+        assert fields[5] == str(int(fields[5]))
+        for field in fields[:5] + fields[6:]:
+            assert field == "%.17g" % float(field)
+
+
 def test_check_lipschitz(scenario, capsys):
     assert main(["check", "lipschitz", scenario()]) == 0
     assert "lipschitz estimate: 1" in capsys.readouterr().out

@@ -4,15 +4,20 @@ The references below are the earlier implementations, kept verbatim in
 spirit: the np.roll margin formula, the per-step classifier with four
 separate cone tests, the per-index subtangent loop, and the per-vertex
 point-to-polygon loops behind the Hausdorff distances, the realizing
-directions and the one-sided Lipschitz check, and the per-frame argmin
-scan that picked trajectory frames.  The kernels keep the same
-floating-point operations in the same order, so the comparisons are exact,
-not approximate.  The one exception is regularize: its reference is the
+directions and the one-sided Lipschitz check, the per-frame argmin scan
+that picked trajectory frames, the deque pass with its vertex and outside
+helpers, the csv.writer table writers and the point-at-a-time support
+profile loop.  The kernels keep the same floating-point operations in the
+same order, so the comparisons are exact, not approximate (for the writers,
+byte for byte).  The one exception is regularize: its reference is the
 pairwise-vertex brute force (the clipping loop it replaced was not maximal),
 computed in long double and compared within a fixed tolerance.
 """
 
+import csv
 import math
+import tracemalloc
+from collections import deque
 from unittest import mock
 
 import numpy as np
@@ -22,7 +27,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import setflow as sf
-from setflow import HukuharaClass, OslCase, OslReport, support
+from setflow import HukuharaClass, OslCase, OslReport, formats, support, svg
 from setflow.cli import EXAMPLE_RECTS, EXAMPLE_TARGET, _frame_indices
 from setflow.support import default_tol
 
@@ -596,6 +601,96 @@ def test_regularize_matches_pairwise_vertex_brute_force(case):
     assert sf.is_in_cone(r, grid)
 
 
+def reference_deque_pass(s, grid):
+    """The deque pass with its vertex and outside helpers, one vertex tuple per entry."""
+    n = grid.n
+    cs, sn = grid.directions.T.tolist()
+    sv = s.tolist()
+
+    def vertex(i, j):
+        if 2 * ((j - i) % n) >= n:
+            raise sf.EmptyIntersection("halfplane intersection is empty")
+        det = cs[i] * sn[j] - sn[i] * cs[j]
+        return (
+            (sv[i] * sn[j] - sv[j] * sn[i]) / det,
+            (sv[j] * cs[i] - sv[i] * cs[j]) / det,
+        )
+
+    def outside(v, j):
+        return cs[j] * v[0] + sn[j] * v[1] > sv[j]
+
+    lines = deque()
+    verts = deque()
+    for j in range(n):
+        while verts and outside(verts[-1], j):
+            lines.pop()
+            verts.pop()
+        while verts and 2 * (j - lines[0]) > n and outside(verts[0], j):
+            if 2 * ((lines[1] - j) % n) >= n:
+                raise sf.EmptyIntersection("halfplane intersection is empty")
+            lines.popleft()
+            verts.popleft()
+        if lines:
+            verts.append(vertex(lines[-1], j))
+        lines.append(j)
+    while len(verts) >= 2 and outside(verts[-1], lines[0]):
+        lines.pop()
+        verts.pop()
+    while len(verts) >= 2 and outside(verts[0], lines[-1]):
+        lines.popleft()
+        verts.popleft()
+    if len(lines) < 3:
+        raise sf.EmptyIntersection("halfplane intersection is empty")
+    verts.append(vertex(lines[-1], lines[0]))
+    return np.array(lines), np.array(verts)
+
+
+def assert_same_pass(s, grid):
+    got = outcome(support._deque_pass, s, grid)
+    ref = outcome(reference_deque_pass, s, grid)
+    if got is sf.EmptyIntersection or ref is sf.EmptyIntersection:
+        assert got is ref
+        return
+    assert np.array_equal(got[0], ref[0])
+    assert got[1].shape == ref[1].shape and same_bits(got[1], ref[1])
+
+
+@settings(max_examples=400)
+@given(raw_vectors())
+def test_deque_pass_matches_helper_version_bit_for_bit(case):
+    grid, s = case
+    assert_same_pass(s, grid)
+    # the retry pass of an empty first pass moves every line out
+    assert_same_pass(s + 1e-12 * max(1.0, float(np.max(np.abs(s)))), grid)
+
+
+def test_deque_pass_keeps_the_lines_through_a_point():
+    # the support of a point on 8 directions: all lines pass through it, and
+    # rounding puts the front vertex beyond the antipodal line 4; the front
+    # guard leaves that pair untested, where a test would pop line 0 and
+    # find the point empty
+    grid = sf.DirectionGrid(8)
+    s = np.array([
+        0.012884276560085143, 0.015729019236871172, 0.009359915767525378,
+        -0.0024920994157670035, -0.012884276560085142, -0.015729019236871172,
+        -0.00935991576752538, 0.002492099415767001,
+    ])
+    lines, verts = support._deque_pass(s, grid)
+    assert lines.tolist() == [0, 1, 2, 4, 5, 6, 7]
+    assert_same_pass(s, grid)
+
+
+@pytest.mark.parametrize("n", [256, 1024, 4096])
+def test_deque_pass_matches_helper_version_on_noisy_ellipses(n):
+    grid = sf.DirectionGrid(n)
+    u = grid.directions
+    rng = np.random.default_rng(n)
+    for noise in (1e-9, 1e-6, 1e-3):
+        axes = rng.uniform(0.1, 2.0, 2)
+        s = np.hypot(axes[0] * u[:, 0], axes[1] * u[:, 1]) + u @ rng.normal(size=2)
+        assert_same_pass(s + noise * rng.uniform(-1.0, 1.0, n), grid)
+
+
 def test_regularize_keeps_a_short_edge():
     # line 2 lies 8.2e-6 beyond the corner of lines 1 and 3, so the
     # intersection is a quadrilateral with edges near 1e-5 long; the hull
@@ -638,3 +733,178 @@ def test_frame_indices_tie_takes_the_lower_index():
     times = np.array([0.0, 0.5, 1.0])
     assert _frame_indices(times, 0.25) == reference_frame_indices(times, 0.25) == [0, 1, 2]
     assert _frame_indices(np.array([0.0]), 0.1) == [0]
+
+
+# --------------------------------------------------------------- table writers
+
+def reference_fmt(x) -> str:
+    return "%.17g" % float(x)
+
+
+def reference_write_trajectory_csv(traj, path):
+    n = traj.grid.n
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t", "residual", "regularized"] + [f"v{i}" for i in range(n)])
+        for k in range(len(traj)):
+            w.writerow(
+                [reference_fmt(traj.times[k]), reference_fmt(traj.residuals[k]),
+                 int(traj.regularized[k])]
+                + [reference_fmt(v) for v in traj.states[k]]
+            )
+
+
+def reference_write_values_csv(times, rows, path):
+    rows = [np.asarray(getattr(r, "values", r), dtype=float) for r in rows]
+    n = len(rows[0]) if rows else 0
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t"] + [f"v{i}" for i in range(n)])
+        for t, r in zip(times, rows):
+            w.writerow([reference_fmt(t)] + [reference_fmt(v) for v in r])
+
+
+def reference_support_profiles(frames, angles, path, title=""):
+    frames = [(t, np.asarray(getattr(v, "values", v), dtype=float)) for t, v in frames]
+    width, height = 560, 340
+    margin = svg.MARGIN
+    plot_w, plot_h = width - 2 * margin - 40, height - 2 * margin - 20
+    x0, y0 = margin + 40, margin + 10
+    vmin = min(float(v.min()) for _, v in frames)
+    vmax = max(float(v.max()) for _, v in frames)
+    if vmax - vmin < 1e-12:
+        vmax = vmin + 1.0
+    amax = float(angles[-1])
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<rect x="{x0}" y="{y0}" width="{plot_w}" height="{plot_h}" '
+        f'fill="none" stroke="#cccccc"/>',
+    ]
+    if title:
+        parts.append(
+            f'<text x="{width / 2:.1f}" y="16" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="12">{title}</text>'
+        )
+    if vmin < 0 < vmax:
+        yz = y0 + plot_h - (0 - vmin) / (vmax - vmin) * plot_h
+        parts.append(
+            f'<line x1="{x0}" y1="{yz:.1f}" x2="{x0 + plot_w}" y2="{yz:.1f}" '
+            f'stroke="#eeeeee"/>'
+        )
+    for i, (t, vals) in enumerate(frames):
+        coords = " ".join(
+            f"{x0 + a / amax * plot_w:.2f},"
+            f"{y0 + plot_h - (v - vmin) / (vmax - vmin) * plot_h:.2f}"
+            for a, v in zip(angles, vals)
+        )
+        parts.append(
+            f'<polyline points="{coords}" fill="none" '
+            f'stroke="{svg._color(i, len(frames))}" stroke-width="1.2"/>'
+        )
+    parts.append(
+        f'<text x="{x0 + plot_w / 2:.1f}" y="{height - 6}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="10">direction angle</text>'
+    )
+    parts.append("</svg>")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(parts))
+
+
+SPECIAL_FLOATS = [
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+    1.5e-310, 1e300, -1e300, 0.1, 1 / 3, 2.0**53 + 2, -123456.789,
+]
+csv_floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(width=64))
+
+
+def as_time_values(times, kind):
+    """Times as the numpy scalars of an array, or as Python floats."""
+    return list(times) if kind == "numpy" else times.tolist()
+
+
+def as_rows(values, kind):
+    if kind == "array" or values.shape[1] < 3:
+        return list(values)
+    grid = sf.DirectionGrid(values.shape[1])
+    if kind == "sample":  # an infinite tolerance admits any vector
+        return [sf.SupportSample(grid, v, tol=math.inf) for v in values]
+    return [sf.SupportDelta(grid, v) for v in values]
+
+
+@settings(max_examples=150)
+@given(st.data(), st.integers(3, 64), st.integers(1, 5))
+def test_trajectory_csv_matches_csv_writer_byte_for_byte(tmp_path_factory, data, n, m):
+    traj = sf.Trajectory(
+        sf.DirectionGrid(n),
+        data.draw(hnp.arrays(np.float64, m, elements=csv_floats)),
+        data.draw(hnp.arrays(np.float64, (m, n), elements=csv_floats)),
+        data.draw(hnp.arrays(np.float64, m, elements=csv_floats)),
+        data.draw(hnp.arrays(np.bool_, m)),
+        "euler",
+        "never",
+    )
+    out = tmp_path_factory.mktemp("traj")
+    formats.write_trajectory_csv(traj, out / "new.csv")
+    reference_write_trajectory_csv(traj, out / "ref.csv")
+    assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
+
+
+@settings(max_examples=200)
+@given(
+    st.data(),
+    st.integers(1, 64),
+    st.integers(0, 5),
+    st.sampled_from(["numpy", "float"]),
+    st.sampled_from(["array", "sample", "delta"]),
+)
+def test_values_csv_matches_csv_writer_byte_for_byte(tmp_path_factory, data, n, m, tkind, rkind):
+    times = data.draw(hnp.arrays(np.float64, m, elements=csv_floats))
+    values = data.draw(hnp.arrays(np.float64, (m, n), elements=csv_floats))
+    out = tmp_path_factory.mktemp("values")
+    for write, name in ((formats.write_values_csv, "new"), (reference_write_values_csv, "ref")):
+        write(as_time_values(times, tkind), as_rows(values, rkind), out / f"{name}.csv")
+    assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
+
+
+@settings(max_examples=150)
+@given(
+    st.data(),
+    st.integers(3, 64),
+    st.integers(1, 5),
+    st.sampled_from(["array", "sample", "delta"]),
+)
+def test_support_profiles_match_point_loop(tmp_path_factory, data, n, m, kind):
+    grid = sf.DirectionGrid(n)
+    times = np.arange(m) * 0.25
+    values = data.draw(hnp.arrays(np.float64, (m, n), elements=csv_floats))
+    frames = list(zip(times, as_rows(values, kind)))
+    out = tmp_path_factory.mktemp("svg")
+    with np.errstate(all="ignore"):
+        svg.support_profiles(frames, grid.angles, out / "new.svg", title="t")
+        reference_support_profiles(frames, grid.angles, out / "ref.svg", title="t")
+    assert (out / "new.svg").read_bytes() == (out / "ref.svg").read_bytes()
+
+
+def test_trajectory_csv_streams_its_rows(tmp_path):
+    """2,001 x 1,024 floats are about 45 MB of text; the writer holds a few rows."""
+    m, n = 2001, 1024
+    rng = np.random.default_rng(5)
+    traj = sf.Trajectory(
+        sf.DirectionGrid(n),
+        np.linspace(0.0, 20.0, m),
+        rng.normal(size=(m, n)),
+        rng.uniform(0.0, 1e-9, m),
+        rng.random(m) < 0.5,
+        "euler",
+        "never",
+    )
+    tracemalloc.start()
+    try:
+        formats.write_trajectory_csv(traj, tmp_path / "big.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "big.csv").stat().st_size > 40_000_000
+    assert peak < 2_000_000
