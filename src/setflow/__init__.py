@@ -28,6 +28,7 @@ from .dynamics import (
     existence_horizon,
     expansion_field,
     integrate,
+    integrate_stack,
     linear_growth,
     lipschitz_estimate,
     osl_check,
@@ -86,11 +87,9 @@ from .support import (
     point_to_polygon,
     project_point,
     reconstruct_polygon,
-    reflect_sample,
     regularize,
     scale,
     support_of_polygon,
-    width_profile,
 )
 
 __version__ = "0.1.0"

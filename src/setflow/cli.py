@@ -6,6 +6,8 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import dataclass
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +15,11 @@ import numpy as np
 from . import formats, svg
 from .dynamics import (
     RhsField,
+    Trajectory,
+    _drift_limit,
     existence_horizon,
     integrate,
+    integrate_stack,
     lipschitz_estimate,
     osl_check,
     relax_to,
@@ -29,6 +34,7 @@ from .errors import (
     SetflowError,
 )
 from .hukuhara import (
+    HukuharaClass,
     SetCurve,
     classify_curve,
     quotient_gap,
@@ -80,6 +86,7 @@ def cmd_integrate(args) -> int:
         cfg = formats.load_scenario(args.config)
         if cfg.initial is None:
             raise ConfigError("missing_key", "integrate needs an 'initial' set")
+        formats._check_storage(cfg.T, cfg.h, cfg.grid_n)
         field = formats.build_field(cfg)
     except ConfigError as exc:
         _error(exc.code, str(exc))
@@ -120,97 +127,95 @@ def _write_integrate_outputs(cfg, field: RhsField, traj) -> None:
         print(f"wrote {out['support']}")
 
 
-def _example_one(k: int, outdir: Path, grid: DirectionGrid, h: float, method: str):
-    a0 = ConvexPolygon.box(*EXAMPLE_RECTS[k])
+@dataclass(frozen=True)
+class ExampleCurve:
+    """A demo curve: trajectory, closed-form error, the frames classified as a curve, and per
+    interior frame the derivative (mean of its two quotients) and its (t, set) differentials."""
+
+    traj: Trajectory
+    max_err: float
+    curve: SetCurve
+    whole: HukuharaClass
+    steps: list[HukuharaClass]
+    deltas: np.ndarray
+    differentials: dict[str, list[tuple[float, SupportSample]]]
+
+
+def _example_curves(grid: DirectionGrid, h: float, method: str) -> list[ExampleCurve]:
+    """The three demo curves, integrated together as one stack."""
     q = ConvexPolygon.box(*EXAMPLE_TARGET)
+    starts = [ConvexPolygon.box(*rect) for rect in EXAMPLE_RECTS.values()]
     field = relax_to(support_of_polygon(q, grid))
-    traj = integrate(field, support_of_polygon(a0, grid), EXAMPLE_T, h, method=method)
-    closed = relaxation_values(a0, q, traj.times, grid)
-    max_err = float(np.max(np.abs(traj.states - closed)))
-    formats.write_trajectory_csv(traj, outdir / f"curve{k}_trajectory.csv")
+    sigmas = [support_of_polygon(a0, grid) for a0 in starts]
+    results = []
+    for a0, traj in zip(starts, integrate_stack(field, sigmas, EXAMPLE_T, h, method)):
+        err = float(np.max(np.abs(traj.states - relaxation_values(a0, q, traj.times, grid))))
+        frames = _frame_indices(traj.times, FRAME_SPACING)
+        states = traj.states[frames]
+        curve = SetCurve(grid, traj.times[frames], states, _drift_limit(states, traj.threshold))
+        deltas = 0.5 * (curve.quotients[1:] + curve.quotients[:-1])
+        inner = curve.times[1:-1]
+        first = [SupportSample(grid, d) if ok else None
+                 for d, ok in zip(deltas, is_in_cone(deltas, grid).ok)]
+        second = [second_type_differential(SupportDelta(grid, d)) for d in deltas]
+        diffs = {
+            kind: [(t, s) for t, s in zip(inner, sets) if s is not None]
+            for kind, sets in (("hukuhara", first), ("second_type", second))
+        }
+        results.append(ExampleCurve(traj, err, curve, *classify_curve(curve), deltas, diffs))
+    return results
 
-    frames = _frame_indices(traj.times, FRAME_SPACING)
-    curve = SetCurve(traj.times[frames], tuple(traj.sample(i) for i in frames))
-    whole, steps = classify_curve(curve)
 
+def _write_example(k: int, ex: ExampleCurve, outdir: Path) -> None:
+    curve, inner = ex.curve, ex.curve.times[1:-1]
+    formats.write_trajectory_csv(ex.traj, outdir / f"curve{k}_trajectory.csv")
     formats._write_table(
         outdir / f"curve{k}_classification.csv",
         ["step", "t", "class", "quotient_gap"],
         ["%d", formats.FLOAT_FMT, "%s", formats.FLOAT_FMT],
-        (
-            (j, curve.times[j], cls, quotient_gap(curve, j))
-            for j, cls in enumerate(steps, start=1)
-        ),
+        ((j, t, c, quotient_gap(curve, j)) for j, t, c in zip(count(1), inner, ex.steps)),
     )
-
-    # derivative estimate at each interior frame: the mean of its two quotients
-    deltas = 0.5 * (curve.quotients[1:] + curve.quotients[:-1])
-    inner_times = curve.times[1:-1]
-    formats.write_values_csv(inner_times, deltas, outdir / f"curve{k}_frechet_delta.csv")
-    in_cone = is_in_cone(deltas, grid).ok
-    hukuhara_rows = [
-        (t, SupportSample(grid, d)) for t, d, ok in zip(inner_times, deltas, in_cone) if ok
-    ]
-    second_rows = [
-        (t, s)
-        for t, d in zip(inner_times, deltas)
-        if (s := second_type_differential(SupportDelta(grid, d))) is not None
-    ]
-    for kind, rows in (("hukuhara", hukuhara_rows), ("second_type", second_rows)):
+    formats.write_values_csv(inner, ex.deltas, outdir / f"curve{k}_frechet_delta.csv")
+    for kind, rows in ex.differentials.items():
         if rows:
-            times, sets = zip(*rows)
-            formats.write_values_csv(
-                times, sets, outdir / f"curve{k}_{kind}_differentials.csv"
-            )
-
-    svg.polygon_filmstrip(
-        [(t, reconstruct_polygon(s)) for t, s in zip(curve.times, curve.samples)],
-        outdir / f"curve{k}_sets.svg",
-        title=f"curve {k}: states",
-    )
-    svg.support_profiles(
-        list(zip(curve.times, curve.samples)),
-        grid.angles,
-        outdir / f"curve{k}_support.svg",
-        title=f"curve {k}: support values",
-    )
-    svg.support_profiles(
-        list(zip(inner_times, deltas)),
-        grid.angles,
-        outdir / f"curve{k}_delta_support.svg",
-        title=f"curve {k}: derivative values",
-    )
-    diff_frames = [(t, reconstruct_polygon(s)) for t, s in hukuhara_rows + second_rows]
-    if diff_frames:
-        svg.polygon_filmstrip(
-            diff_frames,
-            outdir / f"curve{k}_differentials.svg",
-            title=f"curve {k}: differentials",
-        )
-    return whole, max_err
+            formats.write_values_csv(*zip(*rows), outdir / f"curve{k}_{kind}_differentials.csv")
+    films = {
+        "sets": ("states", list(zip(curve.times, curve.samples))),
+        "differentials": ("differentials", sum(ex.differentials.values(), [])),
+    }
+    profiles = {
+        "support": ("support values", list(zip(curve.times, curve.values))),
+        "delta_support": ("derivative values", list(zip(inner, ex.deltas))),
+    }
+    for name, (what, frames) in films.items():
+        if frames:
+            polys = [(t, reconstruct_polygon(s)) for t, s in frames]
+            svg.polygon_filmstrip(polys, outdir / f"curve{k}_{name}.svg", f"curve {k}: {what}")
+    for name, (what, frames) in profiles.items():
+        path = outdir / f"curve{k}_{name}.svg"
+        svg.support_profiles(frames, curve.grid.angles, path, f"curve {k}: {what}")
 
 
 def cmd_example(args) -> int:
     try:
-        grid = DirectionGrid(formats.parse_grid_n(args.grid_n))
-        formats._check_steps(EXAMPLE_T, formats._number(args.h, "h", positive=True))
+        n, h = formats.parse_grid_n(args.grid_n), formats._number(args.h, "h", positive=True)
+        formats._check_storage(EXAMPLE_T, h, n, len(EXAMPLE_RECTS))
     except ConfigError as exc:
         _error(exc.code, str(exc))
         return 2
     outdir = Path(args.outdir)
+    results = _example_curves(DirectionGrid(n), h, args.method)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        results = {
-            k: _example_one(k, outdir, grid, args.h, args.method)
-            for k in (1, 2, 3)
-        }
+        for k, ex in zip(EXAMPLE_RECTS, results):
+            _write_example(k, ex, outdir)
     except OSError as exc:
         _error("filesystem", str(exc))
         return 4
-    for k, (whole, _) in results.items():
-        print(f"curve {k}: {whole}")
-    for k, (_, err) in results.items():
-        print(f"curve {k} max |numeric - closed form| = {err:.3e}")
+    for k, ex in zip(EXAMPLE_RECTS, results):
+        print(f"curve {k}: {ex.whole}")
+    for k, ex in zip(EXAMPLE_RECTS, results):
+        print(f"curve {k} max |numeric - closed form| = {ex.max_err:.3e}")
     return 0
 
 
@@ -332,8 +337,8 @@ def cmd_hausdorff(args) -> int:
     try:
         a = formats.load_set(args.set_a)
         b = formats.load_set(args.set_b)
-        if args.n < 3:
-            raise ConfigError("bad_value", f"--n must be at least 3, got {args.n}")
+        if not 3 <= args.n <= formats.MAX_GRID_N:
+            raise ConfigError("bad_value", f"--n must be 3..{formats.MAX_GRID_N}, got {args.n}")
     except ConfigError as exc:
         _error(exc.code, str(exc))
         return 2

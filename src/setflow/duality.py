@@ -26,17 +26,6 @@ from .support import (
 )
 
 
-def _sup_norm(vals: np.ndarray, tol_ext: float | None) -> tuple[float | None, float]:
-    """(||vals||, tolerance), the norm None when it vanishes within the tolerance.
-
-    tol_ext defaults to the scale-aware default_tol.
-    """
-    if tol_ext is None:
-        tol_ext = default_tol(vals)
-    norm = float(np.max(np.abs(vals)))
-    return (None if norm <= tol_ext else norm), tol_ext
-
-
 @dataclass(frozen=True)
 class ExtremalSets:
     """Grid indices where a delta attains +||f|| (positive) or -||f|| (negative).
@@ -62,26 +51,28 @@ class DiscreteMeasure:
             self, "atoms", tuple((int(i), float(w)) for i, w in self.atoms)
         )
 
-    @property
-    def total_variation(self) -> float:
-        return sum(abs(w) for _, w in self.atoms)
-
     def __call__(self, f) -> float:
         """Pairing mu(f); accepts a delta/sample or a raw value vector."""
         vals = np.asarray(getattr(f, "values", f), dtype=float)
         return float(sum(w * vals[i] for i, w in self.atoms))
 
 
+def _extremal(vals: np.ndarray, tol_ext: float | None):
+    """(||vals||, indices within tol_ext of +||vals||, and of -||vals||); tol_ext defaults
+    to default_tol.  A norm within tol_ext of zero is None, with the whole grid twice."""
+    if tol_ext is None:
+        tol_ext = default_tol(vals)
+    norm = float(np.max(np.abs(vals)))
+    if norm <= tol_ext:
+        full = np.arange(len(vals))
+        return None, full, full
+    return norm, np.flatnonzero(vals >= norm - tol_ext), np.flatnonzero(vals <= -norm + tol_ext)
+
+
 def extremal_sets(f, tol_ext: float | None = None) -> ExtremalSets:
     """Indices attaining the sup-norm of f from above and below."""
-    vals = np.asarray(getattr(f, "values", f), dtype=float)
-    norm, tol_ext = _sup_norm(vals, tol_ext)
-    if norm is None:
-        full = tuple(range(len(vals)))
-        return ExtremalSets(full, full)
-    pos = tuple(int(i) for i in np.flatnonzero(vals >= norm - tol_ext))
-    neg = tuple(int(i) for i in np.flatnonzero(vals <= -norm + tol_ext))
-    return ExtremalSets(pos, neg)
+    _, pos, neg = _extremal(np.asarray(getattr(f, "values", f), dtype=float), tol_ext)
+    return ExtremalSets(tuple(pos.tolist()), tuple(neg.tolist()))
 
 
 def semi_inner(f: SupportDelta, g: SupportDelta, tol_ext: float | None = None) -> float:
@@ -91,13 +82,12 @@ def semi_inner(f: SupportDelta, g: SupportDelta, tol_ext: float | None = None) -
     finite; for g == 0 it is 0 by the full-grid convention.
     """
     _require_same_grid(f, g)
-    gnorm, _ = _sup_norm(g.values, tol_ext)
+    gnorm, pos, neg = _extremal(g.values, tol_ext)
     if gnorm is None:
         return 0.0
-    es = extremal_sets(g, tol_ext)
     fvals = f.values
-    mpos = float(np.min(fvals[list(es.positive)])) if es.positive else math.inf
-    mneg = float(np.min(-fvals[list(es.negative)])) if es.negative else math.inf
+    mpos = float(np.min(fvals[pos])) if len(pos) else math.inf
+    mneg = float(np.min(-fvals[neg])) if len(neg) else math.inf
     m = min(mpos, mneg)
     if not math.isfinite(m):
         raise RuntimeError("both extremal sets empty for a nonzero function")
@@ -112,12 +102,11 @@ def dual_representatives(
     Every returned measure mu has total variation ||g|| and pairs with g to
     ||g||^2.  The minimum of mu(f) over the list equals semi_inner(f, g).
     """
-    gnorm, _ = _sup_norm(g.values, tol_ext)
+    gnorm, pos, neg = _extremal(g.values, tol_ext)
     if gnorm is None:
         raise ZeroFunction("the zero function has no normalized representatives")
-    es = extremal_sets(g, tol_ext)
-    reps = [DiscreteMeasure(((i, gnorm),)) for i in es.positive]
-    reps += [DiscreteMeasure(((i, -gnorm),)) for i in es.negative]
+    reps = [DiscreteMeasure(((i, gnorm),)) for i in pos.tolist()]
+    reps += [DiscreteMeasure(((i, -gnorm),)) for i in neg.tolist()]
     return reps
 
 

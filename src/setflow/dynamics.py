@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -51,8 +51,10 @@ POLICIES = ("never", "on_violation", "always")
 class RhsField:
     """Right-hand side f(t, sigma) -> delta, evaluated on raw value vectors.
 
-    fn must be reentrant and deterministic; lipschitz is an optional declared
-    constant used only for reporting.
+    fn gets one vector (n,) or a stack (B, n) and must act row by row; a
+    result of shape (n,) is broadcast over the stack.  fn must be reentrant
+    and deterministic; lipschitz is an optional declared constant used only
+    for reporting.
     """
 
     grid: DirectionGrid
@@ -61,7 +63,9 @@ class RhsField:
     lipschitz: float | None = None
 
     def eval(self, t: float, values: np.ndarray) -> np.ndarray:
-        return _grid_values(self.fn(t, values), self.grid)
+        out = _grid_values(self.fn(t, values), self.grid, stacked=values.ndim > 1)
+        # an (n,) result is copied to each row: arithmetic on a broadcast view is slow
+        return out if out.shape == values.shape else np.broadcast_to(out, values.shape).copy()
 
     def __call__(self, t: float, sigma: SupportSample) -> SupportDelta:
         _require_same_grid(sigma, self)
@@ -120,9 +124,6 @@ class SubtangentResult:
     lam_min: float
     lam_max: float
 
-    def contains(self, lam: float) -> bool:
-        return self.feasible and self.lam_min <= lam <= self.lam_max
-
 
 def subtangent_feasible(
     v, sigma: SupportSample, tol: float | None = None
@@ -175,10 +176,12 @@ def existence_horizon(
         s = perturb_in_ball(sigma0, r, rng)
         if s is not None:
             states.append(s.values)
+    stack = np.array(states)
     c = 0.0
     for t in np.linspace(0.0, T, time_samples):
-        for y in states:
-            c = max(c, float(np.max(np.abs(f.eval(float(t), y)))))
+        # the max over each state's |f|, skipping NaN rows like max(c, nan) does
+        peaks = np.max(np.abs(f.eval(float(t), stack)), axis=-1)
+        c = float(np.fmax.reduce(peaks, initial=c))
     if c == 0.0:
         raise DegenerateField(T)
     return c, min(T, r / c)
@@ -278,13 +281,13 @@ class Trajectory:
         return self.sample(len(self) - 1)
 
     def curve(self) -> SetCurve:
-        return SetCurve(
-            self.times, tuple(self.sample(k) for k in range(len(self)))
-        )
+        """The stored states as a curve, checked once at the drift limit of each."""
+        tol = _drift_limit(self.states, self.threshold)
+        return SetCurve(self.grid, self.times, self.states, tol=tol)
 
 
-def _drift_limit(state: np.ndarray, threshold: float | None) -> float:
-    """Cone residual a stored state may carry: threshold, else 10x default_tol."""
+def _drift_limit(state: np.ndarray, threshold: float | None):
+    """Cone residual a state (each row of a stack) may keep: threshold, else 10x default_tol."""
     return 10.0 * default_tol(state) if threshold is None else threshold
 
 
@@ -300,25 +303,21 @@ def _rk4_step(f: RhsField, t: float, y: np.ndarray, h: float) -> np.ndarray:
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def integrate(
-    f: RhsField,
-    sigma0: SupportSample,
-    T: float,
-    h: float,
-    method: str = "rk4",
-    policy: str = "on_violation",
-    threshold: float | None = None,
-) -> Trajectory:
-    """Fixed-step explicit integration of the support-value vector.
+def integrate_stack(
+    f: RhsField, sigmas: Sequence[SupportSample], T: float, h: float, method: str = "rk4",
+    policy: str = "on_violation", threshold: float | None = None,
+) -> tuple[Trajectory, ...]:
+    """Fixed-step explicit integration of a stack of initial samples, one trajectory each.
 
-    The final time is hit exactly by shortening the last step.  After every
-    step the cone residual is recorded and the drift-repair policy applied:
-    "never" keeps the raw state, "on_violation" regularizes when the
+    The rows share one time grid (its last step is shortened to hit T) and
+    step together as one (B, n) array into preallocated storage.  Each step
+    records every row's cone residual and applies the drift-repair policy
+    per row: "never" keeps the raw state, "on_violation" regularizes when the
     residual exceeds the threshold (default 10x the scale-aware cone
-    tolerance), "always" regularizes unconditionally.  An empty halfplane
-    intersection during repair truncates the trajectory with a diagnostic;
-    non-finite field output raises NonFiniteValue.
-    """
+    tolerance), "always" always does.  A row whose repair finds the halfplane
+    intersection empty leaves the stack alone: its trajectory ends at its last
+    kept state, completed False, with the failure.  Non-finite states raise
+    NonFiniteValue."""
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
     if policy not in POLICIES:
@@ -327,7 +326,8 @@ def integrate(
         raise ValueError("T and h must be positive")
     step = _euler_step if method == "euler" else _rk4_step
     grid = f.grid
-    _require_same_grid(sigma0, f)
+    for sigma in sigmas:
+        _require_same_grid(sigma, f)
 
     n_full = int(math.floor(T / h + _TIME_SNAP_REL))
     times = [k * h for k in range(n_full + 1)]
@@ -336,48 +336,52 @@ def integrate(
     else:
         times[-1] = T
 
-    y = sigma0.values.copy()
-    ts = [0.0]
-    states = [y.copy()]
-    residuals = [cone_residual(y, grid)]
-    regularized = [False]
-    completed = True
-    failure = None
+    y = np.array([sigma.values for sigma in sigmas])
+    shape = (len(y), len(times))
+    states, residuals = np.empty(shape + (grid.n,)), np.empty(shape)
+    regularized = np.zeros(shape, dtype=bool)
+    states[:, 0], residuals[:, 0] = y, cone_residual(y, grid)
+    ends = [len(times)] * len(y)  # stored states per row
+    failures: list[str | None] = [None] * len(y)
+    live = np.arange(len(y))  # rows still in the stack, in the order of y
     for k in range(1, len(times)):
         t_prev, t_next = times[k - 1], times[k]
-        y_new = step(f, t_prev, y, t_next - t_prev)
-        if not np.all(np.isfinite(y_new)):
-            raise NonFiniteValue(
-                f"non-finite state at t = {t_next} under field '{f.name}'"
-            )
-        res = cone_residual(y_new, grid)
-        did_reg = False
-        limit = _drift_limit(y_new, threshold)
-        if policy == "always" or (policy == "on_violation" and res > limit):
-            try:
-                y_new = regularize(y_new, grid).values.copy()
-                did_reg = True
-            except EmptyIntersection:
-                completed = False
-                failure = f"empty halfplane intersection at t = {t_next}"
-                break
-        ts.append(t_next)
-        states.append(y_new.copy())
-        residuals.append(res)
-        regularized.append(did_reg)
-        y = y_new
-    return Trajectory(
-        grid,
-        np.asarray(ts),
-        np.asarray(states),
-        np.asarray(residuals),
-        np.asarray(regularized, dtype=bool),
-        method,
-        policy,
-        threshold,
-        completed,
-        failure,
+        y = step(f, t_prev, y, t_next - t_prev)
+        if not np.isfinite(y).all():
+            raise NonFiniteValue(f"non-finite state at t = {t_next} under field '{f.name}'")
+        res = cone_residual(y, grid)
+        if policy == "on_violation":
+            fix = res > _drift_limit(y, threshold)
+        else:
+            fix = np.full(len(y), policy == "always")
+        if fix.any():
+            for i in np.flatnonzero(fix):
+                try:
+                    y[i] = regularize(y[i], grid).values
+                except EmptyIntersection:
+                    ends[live[i]] = k
+                    failures[live[i]] = f"empty halfplane intersection at t = {t_next}"
+            if k in ends:
+                keep = np.array([ends[b] > k for b in live])
+                y, res, fix, live = y[keep], res[keep], fix[keep], live[keep]
+                if not len(live):
+                    break
+        rows = live if len(live) < len(ends) else slice(None)
+        states[rows, k], residuals[rows, k], regularized[rows, k] = y, res, fix
+    return tuple(
+        Trajectory(grid, np.array(times[:end], dtype=float), states[b, :end],
+                   residuals[b, :end], regularized[b, :end], method, policy, threshold,
+                   end == len(times), failures[b])
+        for b, end in enumerate(ends)
     )
+
+
+def integrate(
+    f: RhsField, sigma0: SupportSample, T: float, h: float, method: str = "rk4",
+    policy: str = "on_violation", threshold: float | None = None,
+) -> Trajectory:
+    """integrate_stack of the one initial sample sigma0."""
+    return integrate_stack(f, [sigma0], T, h, method, policy, threshold)[0]
 
 
 def relaxation_values(
@@ -408,9 +412,7 @@ def relaxation_closed_form(
 def relaxation_curve(
     a0: ConvexPolygon, q: ConvexPolygon, times, grid: DirectionGrid
 ) -> SetCurve:
-    ts = np.asarray(times, dtype=float)
-    values = relaxation_values(a0, q, ts, grid)
-    return SetCurve(ts, tuple(SupportSample(grid, v) for v in values))
+    return SetCurve(grid, times, relaxation_values(a0, q, times, grid))
 
 
 def lipschitz_estimate(

@@ -34,6 +34,10 @@ FLOAT_FMT = "%.17g"
 # Most steps, ceil(T / h), and SVG frames, T / frame_spacing, a scenario or the
 # demo may ask for: integrate stores every state, so this bounds time and memory.
 MAX_STEPS = 1_000_000
+# Largest grid_n of a scenario, example --grid-n and hausdorff --n, and most floats
+# integrate may allocate up front, (ceil(T / h) + 1) * grid_n * curves (256 MiB).
+MAX_GRID_N = 65_536
+MAX_STORED_FLOATS = 1 << 25
 
 
 # ---------------------------------------------------------------- JSON payloads
@@ -55,10 +59,6 @@ def parse_set(obj) -> ConvexPolygon:
         except (ValueError, TypeError) as exc:
             raise ConfigError("bad_set", f"bad box descriptor {box!r}: {exc}") from exc
     raise ConfigError("bad_set", "set descriptor needs 'vertices' or 'box'")
-
-
-def set_payload(p: ConvexPolygon) -> dict:
-    return {"vertices": [[float(x), float(y)] for x, y in p.vertices]}
 
 
 def load_set(path) -> ConvexPolygon:
@@ -169,11 +169,19 @@ def _check_steps(T: float, h: float, name: str = "h") -> None:
         raise ConfigError("bad_value", message)
 
 
+def _check_storage(T: float, h: float, grid_n: int, curves: int = 1) -> None:
+    """_check_steps, then reject storing (ceil(T/h) + 1) * grid_n * curves > MAX_STORED_FLOATS."""
+    _check_steps(T, h)
+    if (stored := (math.ceil(T / h) + 1) * grid_n * curves) > MAX_STORED_FLOATS:
+        message = f"a run storing {stored} floats exceeds MAX_STORED_FLOATS = {MAX_STORED_FLOATS}"
+        raise ConfigError("bad_value", message)
+
+
 def parse_grid_n(value) -> int:
-    """Grid size of a scenario or the demo: even (antipodes are used) and >= 4."""
+    """Grid size of a scenario or the demo: even (antipodes are used), 4..MAX_GRID_N."""
     n = _integer(value, "grid_n")
-    if n < 4 or n % 2 != 0:
-        raise ConfigError("bad_value", f"grid_n must be even and >= 4, got {n}")
+    if not 4 <= n <= MAX_GRID_N or n % 2 != 0:
+        raise ConfigError("bad_value", f"grid_n must be even and in [4, {MAX_GRID_N}], got {n}")
     return n
 
 
@@ -206,6 +214,9 @@ def load_scenario(path) -> ScenarioConfig:
     output = obj.get("output", {})
     if not isinstance(output, dict):
         raise ConfigError("bad_value", "output must be an object")
+    for key in ("trajectory", "filmstrip", "support", "witnesses"):
+        if key in output and not isinstance(output[key], str):
+            raise ConfigError("bad_value", f"output.{key} must be a path string")
     if "frame_spacing" in output:
         spacing = _number(output["frame_spacing"], "output.frame_spacing", positive=True)
         _check_steps(T, spacing, "output.frame_spacing")

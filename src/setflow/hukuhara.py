@@ -11,16 +11,20 @@ the two classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
 from .errors import NotInCone
 from .support import (
+    DirectionGrid,
     SupportDelta,
     SupportSample,
     _cone_limit,
+    _grid_values,
+    _require_in_cone,
     _require_same_grid,
     cone_margins,
 )
@@ -36,43 +40,45 @@ class HukuharaClass(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SetCurve:
-    """Sampled curve of convex sets: strictly increasing times, one sample each.
+    """Sampled curve of convex sets: strictly increasing times, one support vector each.
 
-    values stacks the samples, one row each; row j of quotients is the
-    difference quotient of step j, from sample j to sample j + 1.
+    The rows of values pass one stacked cone test at tol (a scalar or one per
+    row; default_tol per row when None), kept per row as limits; samples are
+    built from them on first use, without a second test.  Row j of quotients
+    is the difference quotient from sample j to sample j + 1.
     """
 
+    grid: DirectionGrid
     times: np.ndarray
-    samples: tuple[SupportSample, ...]
-    values: np.ndarray = field(init=False, repr=False, compare=False)
-    quotients: np.ndarray = field(init=False, repr=False, compare=False)
+    values: np.ndarray
+    tol: InitVar[float | np.ndarray | None] = None
+    limits: np.ndarray = field(init=False, repr=False)
+    quotients: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        samples = tuple(self.samples)
-        if times.ndim != 1 or len(times) != len(samples):
-            raise ValueError("times and samples must have matching lengths")
-        if len(samples) < 2:
+    def __post_init__(self, tol):
+        times = np.array(self.times, dtype=float)
+        values = np.array(_grid_values(self.values, self.grid, stacked=True))
+        if times.ndim != 1 or values.shape[:-1] != times.shape:
+            raise ValueError("times and values must have matching lengths")
+        if len(times) < 2:
             raise ValueError("a curve needs at least two samples")
         if np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly increasing")
-        for s in samples[1:]:
-            _require_same_grid(samples[0], s)
-        values = np.stack([s.values for s in samples])
+        limits = np.broadcast_to(_require_in_cone(values, self.grid, tol), times.shape).copy()
         quotients = np.diff(values, axis=0) / np.diff(times)[:, None]
-        for name, arr in (("times", times), ("values", values), ("quotients", quotients)):
+        arrays = {"times": times, "values": values, "limits": limits, "quotients": quotients}
+        for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "samples", samples)
 
-    @property
-    def grid(self):
-        return self.samples[0].grid
+    @cached_property
+    def samples(self) -> tuple[SupportSample, ...]:
+        return tuple(SupportSample._checked(self.grid, v) for v in self.values)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.times)
 
 
 def hukuhara_difference(
@@ -155,8 +161,8 @@ def classify_curve(
 
 
 def time_reverse(c: SetCurve) -> SetCurve:
-    """The curve t -> A(-t): times negated and reversed, samples reversed."""
-    return SetCurve(-c.times[::-1], c.samples[::-1])
+    """The curve t -> A(-t): times negated and reversed, rows reversed."""
+    return SetCurve(c.grid, -c.times[::-1], c.values[::-1], tol=c.limits[::-1])
 
 
 def second_type_differential(delta: SupportDelta) -> SupportSample | None:

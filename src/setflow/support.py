@@ -79,12 +79,6 @@ class DirectionGrid:
     def is_even(self) -> bool:
         return self.n % 2 == 0
 
-    def antipode(self, i: int) -> int:
-        """Index of the opposite direction (even grids only)."""
-        if not self.is_even:
-            raise ValueError("antipodal reflection needs an even grid")
-        return (i + self.n // 2) % self.n
-
     def nearest_index(self, v) -> tuple[int, float]:
         """Grid index closest to the direction of v, plus the angular snap error."""
         v = np.asarray(v, dtype=float)
@@ -124,9 +118,10 @@ def cone_margins(values, grid: DirectionGrid) -> np.ndarray:
     return ring[..., :-2] + ring[..., 2:] - grid.two_cos_delta * s
 
 
-def cone_residual(values, grid: DirectionGrid) -> float:
-    """Worst violation of the cone condition (0.0 if the vector is in the cone)."""
-    return max(0.0, -float(cone_margins(values, grid).min()))
+def cone_residual(values, grid: DirectionGrid):
+    """Worst violation of the cone condition (0.0 if in the cone), one per row of a stack."""
+    worst = -cone_margins(values, grid).min(axis=-1)
+    return np.where(worst > 0.0, worst, 0.0)[()]  # max(0.0, worst): NaN and -0.0 give 0.0
 
 
 @dataclass(frozen=True)
@@ -155,6 +150,19 @@ def is_in_cone(values, grid: DirectionGrid, tol: float | None = None) -> ConeChe
     if bad.ndim > 1:
         return ConeCheck(ok, np.where(ok, -1, bad.argmax(axis=-1)))
     return ConeCheck(True, None) if ok else ConeCheck(False, int(bad.argmax()))
+
+
+def _require_in_cone(values, grid: DirectionGrid, tol) -> np.ndarray:
+    """The cone limit of each row (one for a scalar tol); NotInCone at the first failing row."""
+    m = cone_margins(values, grid)
+    limit = _cone_limit(values, tol)
+    bad = m < -limit
+    if bad.any():
+        k = int(bad.any(axis=-1).argmax()) if bad.ndim > 1 else 0
+        m, limit = m.reshape(-1, grid.n)[k], limit.reshape(-1)[k % limit.size]
+        i = int(np.nanargmin(m))
+        raise NotInCone(i, float(m[i]), float(limit))
+    return limit[..., 0]
 
 
 def _convex_hull(points: np.ndarray, tol: float) -> np.ndarray:
@@ -234,11 +242,6 @@ class ConvexPolygon:
     def __len__(self) -> int:
         return len(self.vertices)
 
-    @property
-    def radius(self) -> float:
-        """Largest vertex norm."""
-        return float(np.max(np.hypot(self.vertices[:, 0], self.vertices[:, 1])))
-
     def contains(self, x, tol: float | None = None) -> bool:
         x = np.asarray(x, dtype=float)
         if tol is None:
@@ -267,20 +270,21 @@ class SupportSample:
 
     def __post_init__(self, tol):
         vals = _grid_values(self.values, self.grid).copy()
-        m = cone_margins(vals, self.grid)
-        limit = _cone_limit(vals, tol)
-        if np.any(m < -limit):
-            i = int(np.nanargmin(m))
-            raise NotInCone(i, float(m[i]), float(limit[0]))
+        _require_in_cone(vals, self.grid, tol)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+    @classmethod
+    def _checked(cls, grid: DirectionGrid, values: np.ndarray) -> "SupportSample":
+        """A sample of a read-only vector that already passed the cone test."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "grid", grid)
+        object.__setattr__(s, "values", values)
+        return s
 
     @property
     def norm_inf(self) -> float:
         return float(np.max(np.abs(self.values)))
-
-    def as_delta(self) -> "SupportDelta":
-        return SupportDelta(self.grid, self.values.copy())
 
     def __add__(self, other: "SupportSample") -> "SupportSample":
         return minkowski_add(self, other)
@@ -483,22 +487,6 @@ def scale(a: SupportSample, lam: float) -> SupportSample:
             "negative scaling leaves the support cone; use SupportDelta arithmetic"
         )
     return SupportSample(a.grid, lam * a.values)
-
-
-def reflect_sample(s: SupportSample) -> SupportSample:
-    """Support sample of the point reflection -A (even grids only)."""
-    n = s.grid.n
-    if not s.grid.is_even:
-        raise ValueError("point reflection needs an even grid")
-    return SupportSample(s.grid, np.roll(s.values, -(n // 2)))
-
-
-def width_profile(s: SupportSample) -> np.ndarray:
-    """Directional widths w_i = s_i + s_{i + n/2} (even grids only)."""
-    n = s.grid.n
-    if not s.grid.is_even:
-        raise ValueError("widths need an even grid")
-    return s.values + np.roll(s.values, -(n // 2))
 
 
 def hausdorff_grid(a: SupportSample, b: SupportSample) -> float:

@@ -136,8 +136,8 @@ def test_criterion_07_time_reversal():
     for _ in range(100):
         length = int(rng.integers(4, 9))
         times = np.cumsum(rng.uniform(0.1, 1.0, length))
-        samples = tuple(sf.random_cone_sample(GRID, rng) for _ in range(length))
-        curve = sf.SetCurve(times, samples)
+        samples = [sf.random_cone_sample(GRID, rng).values for _ in range(length)]
+        curve = sf.SetCurve(GRID, times, samples)
         rev = sf.time_reverse(curve)
         m = length - 1
         for k in range(1, m):
@@ -178,7 +178,7 @@ def test_criterion_09_subtangent_feasibility():
     for _ in range(1000):
         sigma = sf.random_cone_sample(GRID, rng)
         res = sf.subtangent_feasible(RELAX(0.0, sigma), sigma)
-        ok = ok and res.feasible and res.contains(1.0)
+        ok = ok and res.feasible and res.lam_min <= 1.0 <= res.lam_max
     report(9, "relaxation field subtangent with lambda = 1 at 1000 cone points", ok)
 
 

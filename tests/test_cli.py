@@ -315,6 +315,52 @@ CONTRACT_CASES = {
     "frame_spacing_too_fine": (
         lambda scen, tmp: ["integrate", scen(output=_frames(tmp, 1e-300))], {}, 2
     ),
+    "trajectory_path_a_descriptor": (
+        lambda scen, tmp: ["integrate", scen(output={"trajectory": 7})], {}, 2
+    ),
+    "trajectory_path_stdout": (
+        lambda scen, tmp: ["integrate", scen(output={"trajectory": 1})], {}, 2
+    ),
+    "filmstrip_path_not_a_string": (
+        lambda scen, tmp: ["integrate", scen(output={**_frames(tmp, 0.5), "filmstrip": 1})],
+        {},
+        2,
+    ),
+    "support_path_not_a_string": (
+        lambda scen, tmp: ["integrate", scen(output={**_frames(tmp, 0.5), "support": ["s"]})],
+        {},
+        2,
+    ),
+    "witnesses_path_not_a_string": (
+        lambda scen, tmp: [
+            "check",
+            "osl",
+            scen(rhs={"kind": "expand", "rate": 1.0}, omega={"kind": "zero"},
+                 output={"witnesses": 7}),
+        ],
+        {},
+        2,
+    ),
+    # memory-heavy at the parent: these exhaust memory instead of exiting 2
+    "grid_n_over_limit": (lambda scen, tmp: ["integrate", scen(grid_n=400_000_000)], {}, 2),
+    "example_grid_over_limit": (
+        lambda scen, tmp: ["example", str(tmp / "out"), "--grid-n", "400000000"], {}, 2
+    ),
+    "hausdorff_grid_over_limit": (
+        lambda scen, tmp: [
+            "hausdorff", _box_file(tmp), _box_file(tmp), "--n", "400000001"
+        ],
+        {},
+        2,
+    ),
+    "stored_floats_over_limit": (
+        lambda scen, tmp: ["integrate", scen(grid_n=65_536, T=100.0, h=1e-3)], {}, 2
+    ),
+    "example_stored_floats_over_limit": (
+        lambda scen, tmp: ["example", str(tmp / "out"), "--grid-n", "65536", "--h", "1e-4"],
+        {},
+        2,
+    ),
     "witnesses_unwritable": (
         lambda scen, tmp: [
             "check",

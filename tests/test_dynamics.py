@@ -25,11 +25,11 @@ def test_relaxation_field_always_feasible_lambda_one():
     for _ in range(50):
         sigma = sf.random_cone_sample(G64, rng)
         res = sf.subtangent_feasible(RELAX(0.0, sigma), sigma)
-        assert res.feasible and res.contains(1.0)
+        assert res.feasible and res.lam_min <= 1.0 <= res.lam_max
 
 
 def test_cone_element_feasible_at_zero():
-    v = sup(sf.ConvexPolygon.box((0, 1), (0, 2))).as_delta()
+    v = sf.SupportDelta(G64, sup(sf.ConvexPolygon.box((0, 1), (0, 2))).values)
     res = sf.subtangent_feasible(v, sup(A1))
     assert res.feasible and res.lam_min == 0.0
 

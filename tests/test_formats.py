@@ -10,12 +10,6 @@ G64 = sf.DirectionGrid(64)
 Q = sf.ConvexPolygon.box((-1, 1), (-1, 1))
 
 
-def test_set_payload_roundtrip():
-    p = sf.ConvexPolygon.from_points([[0, 0], [2, 0], [1, 3]])
-    back = formats.parse_set(formats.set_payload(p))
-    assert sf.hausdorff_exact(p, back) < 1e-12
-
-
 def test_box_shorthand():
     p = formats.parse_set({"box": [[2, 3], [1, 2]]})
     assert sf.hausdorff_exact(p, sf.ConvexPolygon.box((2, 3), (1, 2))) < 1e-12

@@ -1,8 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
 import setflow as sf
-from setflow import HukuharaClass
+from setflow import HukuharaClass, support
 
 G64 = sf.DirectionGrid(64)
 Q = sf.ConvexPolygon.box((-1, 1), (-1, 1))
@@ -69,15 +71,50 @@ def test_affine_curve_quotients_exact():
     base = sup(RECTS[1])
     growth = sup(Q)
     times = np.linspace(0.0, 2.0, 5)
-    samples = tuple(
-        sf.SupportSample(G64, base.values + t * growth.values) for t in times
-    )
-    curve = sf.SetCurve(times, samples)
+    curve = sf.SetCurve(G64, times, [base.values + t * growth.values for t in times])
     for k in range(1, 4):
         fwd, bwd = sf.difference_quotients(curve, k)
         assert np.max(np.abs(fwd.values - growth.values)) < 1e-12
         assert np.max(np.abs(bwd.values - growth.values)) < 1e-12
         assert sf.quotient_gap(curve, k) < 1e-12
+
+
+def test_curve_rejects_one_out_of_cone_row():
+    good = sup(Q).values
+    bad = box((0, 1), (0, 2)).values.copy()
+    bad[5] -= 0.5
+    with pytest.raises(sf.NotInCone) as stacked:
+        sf.SetCurve(G64, [0.0, 1.0, 2.0], [good, bad, good])
+    with pytest.raises(sf.NotInCone) as single:
+        sf.SupportSample(G64, bad)
+    got, want = stacked.value, single.value
+    assert (got.index, got.margin, got.tol) == (want.index, want.margin, want.tol)
+    # a looser tolerance for that row alone lets it through
+    tol = np.array([1e-9, 1.0, 1e-9])
+    assert np.array_equal(sf.SetCurve(G64, [0.0, 1.0, 2.0], [good, bad, good], tol).limits, tol)
+
+
+def test_reversal_keeps_each_row_tolerance():
+    # the middle row is 5e-9 outside the cone: accepted at 1e-8, not at default_tol
+    good = sup(Q).values
+    loose = good.copy()
+    loose[7] -= 5e-9  # the margins around it were zero: u_6..u_8 meet one corner
+    curve = sf.SetCurve(G64, [0.0, 1.0, 2.0], [good, loose, good], np.array([1e-9, 1e-8, 1e-9]))
+    back = sf.time_reverse(curve)
+    assert np.array_equal(back.values, curve.values[::-1])
+    assert np.array_equal(back.limits, curve.limits[::-1])
+    with pytest.raises(sf.NotInCone):
+        sf.SetCurve(G64, [0.0, 1.0, 2.0], [good, loose, good])
+
+
+def test_curve_samples_are_its_rows_without_a_second_cone_test():
+    curve = relax_curve(RECTS[1], np.linspace(0, 4, 17))
+    with mock.patch.object(support, "_require_in_cone", side_effect=AssertionError):
+        samples = curve.samples
+    assert len(samples) == len(curve)
+    for s, row in zip(samples, curve.values):
+        assert np.array_equal(s.values, row) and not s.values.flags.writeable
+    assert curve.samples is samples
 
 
 def test_relaxation_quotients_approach_derivative():
@@ -90,7 +127,7 @@ def test_relaxation_quotients_approach_derivative():
 
 
 def test_constant_curve_zero_quotients():
-    curve = sf.SetCurve([0.0, 1.0, 2.0], (sup(Q), sup(Q), sup(Q)))
+    curve = sf.SetCurve(G64, [0.0, 1.0, 2.0], [sup(Q).values] * 3)
     fwd, bwd = sf.difference_quotients(curve, 1)
     assert np.all(fwd.values == 0.0) and np.all(bwd.values == 0.0)
     assert sf.classify_step(curve, 1) is HukuharaClass.BOTH
@@ -123,8 +160,8 @@ def test_relaxation_classification(which, expected):
 
 def _random_curve(rng, length=7):
     times = np.cumsum(rng.uniform(0.1, 1.0, length))
-    samples = tuple(sf.random_cone_sample(G64, rng) for _ in range(length))
-    return sf.SetCurve(times, samples)
+    samples = [sf.random_cone_sample(G64, rng).values for _ in range(length)]
+    return sf.SetCurve(G64, times, samples)
 
 
 def test_double_reverse_is_identity():
@@ -164,30 +201,32 @@ def test_reversed_forward_quotient_negates_backward():
 
 
 def test_constant_curve_reversal_stays_both():
-    curve = sf.SetCurve([0.0, 1.0, 2.0], (sup(Q), sup(Q), sup(Q)))
+    curve = sf.SetCurve(G64, [0.0, 1.0, 2.0], [sup(Q).values] * 3)
     assert sf.classify_step(curve, 1) is HukuharaClass.BOTH
     assert sf.classify_step(sf.time_reverse(curve), 1) is HukuharaClass.BOTH
 
 
 # ----------------------------------------------------------- width monotonicity
 
+def widths_of(curve):
+    """Directional widths s_i + s_{i + n/2} of every sample, one row each."""
+    return curve.values + np.roll(curve.values, -(G64.n // 2), axis=1)
+
+
 def test_first_type_widths_grow():
     base = sup(RECTS[1])
     growth = sup(Q)
     times = np.linspace(0.0, 2.0, 6)
-    curve = sf.SetCurve(
-        times,
-        tuple(sf.SupportSample(G64, base.values + t * growth.values) for t in times),
-    )
+    curve = sf.SetCurve(G64, times, [base.values + t * growth.values for t in times])
     whole, _ = sf.classify_curve(curve)
     assert whole is HukuharaClass.FIRST_TYPE
-    widths = np.array([sf.width_profile(s) for s in curve.samples])
+    widths = widths_of(curve)
     assert np.all(np.diff(widths, axis=0) >= -1e-12)
 
 
 def test_second_type_widths_shrink():
     curve = relax_curve(RECTS[2], np.linspace(0, 4, 9))
-    widths = np.array([sf.width_profile(s) for s in curve.samples])
+    widths = widths_of(curve)
     assert np.all(np.diff(widths, axis=0) <= 1e-12)
 
 

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import setflow as sf
-from setflow import HukuharaClass, OslCase, OslReport, formats, support, svg
+from setflow import HukuharaClass, OslCase, OslReport, dynamics, formats, support, svg
 from setflow.cli import EXAMPLE_RECTS, EXAMPLE_TARGET, _frame_indices
 from setflow.support import default_tol
 
@@ -241,7 +241,8 @@ def reference_contains(p, x, tol=None) -> bool:
     e = np.roll(v, -1, axis=0) - v
     r = x - v
     crosses = e[:, 0] * r[:, 1] - e[:, 1] * r[:, 0]
-    scale = max(1.0, p.radius, float(np.max(np.abs(x))))
+    radius = float(np.max(np.hypot(v[:, 0], v[:, 1])))
+    scale = max(1.0, radius, float(np.max(np.abs(x))))
     return bool(np.all(crosses >= -tol * scale))
 
 
@@ -908,3 +909,291 @@ def test_trajectory_csv_streams_its_rows(tmp_path):
         tracemalloc.stop()
     assert (tmp_path / "big.csv").stat().st_size > 40_000_000
     assert peak < 2_000_000
+
+
+# ------------------------------------------------------ stacked integration
+
+def caught(fn, *args):
+    """fn(*args), or the setflow error it raised."""
+    try:
+        return fn(*args)
+    except sf.SetflowError as exc:
+        return exc
+
+
+def reference_integrate(f, sigma0, T, h, method="rk4", policy="on_violation", threshold=None):
+    """The single-set loop with list storage that integrate_stack replaced."""
+    step = dynamics._euler_step if method == "euler" else dynamics._rk4_step
+    grid = f.grid
+    n_full = int(math.floor(T / h + 1e-9))
+    times = [k * h for k in range(n_full + 1)]
+    if T - times[-1] > 1e-9 * max(1.0, T):
+        times.append(T)
+    else:
+        times[-1] = T
+
+    def residual(y):
+        return max(0.0, -float(sf.cone_margins(y, grid).min()))
+
+    y = sigma0.values.copy()
+    ts, states, residuals, regularized = [0.0], [y.copy()], [residual(y)], [False]
+    completed, failure = True, None
+    for k in range(1, len(times)):
+        t_prev, t_next = times[k - 1], times[k]
+        y_new = step(f, t_prev, y, t_next - t_prev)
+        if not np.all(np.isfinite(y_new)):
+            raise sf.NonFiniteValue(f"non-finite state at t = {t_next} under field '{f.name}'")
+        res = residual(y_new)
+        did_reg = False
+        limit = 10.0 * default_tol(y_new) if threshold is None else threshold
+        if policy == "always" or (policy == "on_violation" and res > limit):
+            try:
+                y_new = sf.regularize(y_new, grid).values.copy()
+                did_reg = True
+            except sf.EmptyIntersection:
+                completed = False
+                failure = f"empty halfplane intersection at t = {t_next}"
+                break
+        ts.append(t_next)
+        states.append(y_new.copy())
+        residuals.append(res)
+        regularized.append(did_reg)
+        y = y_new
+    return sf.Trajectory(
+        grid, np.asarray(ts), np.asarray(states), np.asarray(residuals),
+        np.asarray(regularized, dtype=bool), method, policy, threshold, completed, failure,
+    )
+
+
+def reference_curve(traj):
+    """The per-sample curve: one validated SupportSample per stored state."""
+    return [traj.sample(k) for k in range(len(traj))]
+
+
+def assert_same_trajectory(got, ref):
+    for name in ("times", "states", "residuals"):
+        assert np.array_equal(bits(getattr(got, name)), bits(getattr(ref, name))), name
+    assert np.array_equal(got.regularized, ref.regularized)
+    assert got.regularized.dtype == bool and got.times.dtype == np.float64
+    assert (got.completed, got.failure) == (ref.completed, ref.failure)
+    assert (got.method, got.policy, got.threshold) == (ref.method, ref.policy, ref.threshold)
+
+
+@st.composite
+def stack_cases(draw):
+    """A field, 1-4 initial sets of mixed sizes, a method, a policy and a time grid.
+
+    The "shrink" field subtracts the same amount from every support value:
+    it leaves the cone on every step, and a set smaller than what it has
+    eroded so far empties, so small rows truncate while large ones finish.
+    """
+    n = draw(st.sampled_from([8, 16, 33, 64]))
+    grid = sf.DirectionGrid(n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["relax_to", "expand", "constant", "shrink", "dent"]))
+    if kind == "relax_to":
+        field = sf.relax_to(sf.random_cone_sample(grid, rng))
+    elif kind == "expand":
+        field = sf.expansion_field(grid, draw(st.floats(-2.0, 2.0)))
+    elif kind == "constant":
+        field = sf.constant_field(sf.SupportDelta(grid, rng.normal(size=n)))
+    elif kind == "shrink":
+        field = sf.constant_field(sf.SupportDelta(grid, np.full(n, -draw(st.floats(0.5, 3.0)))))
+    else:
+        dent = np.zeros(n)
+        dent[rng.integers(n)] = -draw(st.floats(0.1, 2.0))
+        field = sf.constant_field(sf.SupportDelta(grid, dent), name="dent")
+    sizes = draw(st.lists(st.sampled_from([0.0]) | st.floats(0.05, 3.0), min_size=1, max_size=4))
+    # size 0: the point at the origin, whose margins are all exactly zero
+    origin = sf.SupportSample(grid, np.zeros(n))
+    sigmas = [sf.random_cone_sample(grid, rng, radius=r) if r else origin for r in sizes]
+    h = draw(st.floats(0.01, 0.3))
+    T = h * draw(st.floats(0.5, 30.0))
+    method = draw(st.sampled_from(["euler", "rk4"]))
+    policy = draw(st.sampled_from(["never", "on_violation", "always"]))
+    threshold = draw(st.sampled_from([None, None, 0.0, 1e-6]))
+    return field, sigmas, T, h, method, policy, threshold
+
+
+@settings(max_examples=300)
+@given(stack_cases())
+def test_stacked_integration_matches_per_set_loop_bit_for_bit(case):
+    field, sigmas, T, h, method, policy, threshold = case
+    args = (T, h, method, policy, threshold)
+    refs = [caught(reference_integrate, field, s, *args) for s in sigmas]
+    got = caught(sf.integrate_stack, field, sigmas, *args)
+    if any(isinstance(r, sf.NonFiniteValue) for r in refs):
+        # a row that goes non-finite while it is still in the stack stops all
+        assert isinstance(got, sf.NonFiniteValue)
+        return
+    assert len(got) == len(sigmas)
+    for traj, ref, sigma in zip(got, refs, sigmas):
+        assert_same_trajectory(traj, ref)
+        assert_same_trajectory(sf.integrate(field, sigma, *args), ref)
+
+
+def test_a_truncating_row_stops_alone():
+    grid = sf.DirectionGrid(64)
+    shrink = sf.constant_field(sf.SupportDelta(grid, np.full(64, -1.0)))
+    small, large = (sf.support_of_polygon(sf.ConvexPolygon.box((-r, r), (-r, r)), grid)
+                    for r in (0.2, 3.0))
+    for method in ("euler", "rk4"):
+        got = sf.integrate_stack(shrink, [small, large, small], 1.0, 0.05, method)
+        for traj, sigma in zip(got, (small, large, small)):
+            assert_same_trajectory(traj, reference_integrate(shrink, sigma, 1.0, 0.05, method))
+        assert [t.completed for t in got] == [False, True, False]
+        assert got[0].failure.startswith("empty halfplane intersection at t = ")
+        assert len(got[0]) < len(got[1]) == 21
+
+
+def test_a_dropped_row_cannot_raise_non_finite():
+    """The field is NaN on a row with a negative width, as a raw state past
+    emptiness has; a truncated row must not be stepped again."""
+    grid = sf.DirectionGrid(16)
+
+    def fn(t, y):
+        widths = y + np.roll(y, -8, axis=-1)
+        return np.where(widths.min(axis=-1, keepdims=True) < -1e-9, np.nan, -np.ones_like(y))
+
+    field = sf.RhsField(grid, fn, name="nan_on_negative_width")
+    small, large = (sf.support_of_polygon(sf.ConvexPolygon.box((-r, r), (-r, r)), grid)
+                    for r in (0.45, 9.0))
+    small_traj, large_traj = sf.integrate_stack(field, [small, large], 1.0, 0.1, "euler")
+    assert not small_traj.completed and large_traj.completed
+    with pytest.raises(sf.NonFiniteValue):
+        reference_integrate(field, small, 1.0, 0.1, "euler", "never")
+
+
+def test_drift_limit_is_per_row():
+    """Row 0 (scale 1) starts 2e-8 outside the cone, above its own limit
+    10 * default_tol = 1e-8 but below the 7.1e-8 of row 1 (scale 7.1)."""
+    grid = sf.DirectionGrid(16)
+    square = sf.support_of_polygon(sf.ConvexPolygon.box((-0.5, 0.5), (-0.5, 0.5)), grid).values
+    dented = square.copy()
+    dented[3] -= 2e-8  # its neighbours' margins were zero: u_2..u_4 meet one corner
+    assert 1e-8 < sf.cone_residual(dented, grid) < 5e-8
+    rows = [sf.SupportSample(grid, dented, tol=1e-7), sf.SupportSample(grid, 10.0 * square)]
+    zero = sf.constant_field(sf.SupportDelta(grid, np.zeros(16)))
+    got = sf.integrate_stack(zero, rows, 0.2, 0.1, "euler")
+    for traj, sigma in zip(got, rows):
+        assert_same_trajectory(traj, reference_integrate(zero, sigma, 0.2, 0.1, "euler"))
+    assert got[0].regularized[1] and not got[1].regularized.any()
+
+
+def test_residual_of_the_origin_is_positive_zero():
+    grid = sf.DirectionGrid(8)
+    assert bits(sf.cone_residual(np.zeros(8), grid)) == bits(0.0)
+    assert np.array_equal(bits(sf.cone_residual(np.zeros((2, 8)), grid)), bits([0.0, 0.0]))
+
+
+def test_constant_field_broadcasts_over_a_stack():
+    grid = sf.DirectionGrid(16)
+    delta = np.linspace(-1.0, 1.0, 16)
+    field = sf.constant_field(sf.SupportDelta(grid, delta))
+    out = field.eval(0.0, np.zeros((3, 16)))
+    assert out.shape == (3, 16) and np.array_equal(out, np.tile(delta, (3, 1)))
+    assert field.eval(0.0, np.zeros(16)).shape == (16,)
+    with pytest.raises(sf.GridMismatch):
+        sf.RhsField(grid, lambda t, y: np.zeros(15)).eval(0.0, np.zeros((2, 16)))
+
+
+@settings(max_examples=200)
+@given(stack_cases())
+def test_curve_matches_per_sample_validation(case):
+    """One stacked cone test at each state's drift limit accepts and rejects
+    exactly what the per-state SupportSample constructions did, and reports
+    the same violation."""
+    field, sigmas, T, h, method, policy, threshold = case
+    traj = caught(sf.integrate, field, sigmas[0], T, h, method, policy, threshold)
+    if isinstance(traj, Exception) or len(traj) < 2:
+        return
+    ref = caught(reference_curve, traj)
+    got = caught(traj.curve)
+    if isinstance(ref, sf.NotInCone):
+        assert isinstance(got, sf.NotInCone)
+        assert (got.index, bits(got.margin), bits(got.tol)) == (
+            ref.index, bits(ref.margin), bits(ref.tol)
+        )
+        return
+    assert np.array_equal(bits(got.values), bits([s.values for s in ref]))
+    assert all(np.array_equal(bits(a.values), bits(b.values)) for a, b in zip(got.samples, ref))
+    back = sf.time_reverse(got)
+    assert np.array_equal(bits(back.values), bits(got.values[::-1]))
+
+
+# ------------------------------------------------------- horizon and duality
+
+def reference_horizon_bound(f, sigma0, r, T, budget, time_samples, seed):
+    rng = np.random.default_rng(seed)
+    states = [sigma0.values, sigma0.values + r]
+    for _ in range(budget):
+        s = sf.perturb_in_ball(sigma0, r, rng)
+        if s is not None:
+            states.append(s.values)
+    c = 0.0
+    for t in np.linspace(0.0, T, time_samples):
+        for y in states:
+            c = max(c, float(np.max(np.abs(f.eval(float(t), y)))))
+    return c
+
+
+@pytest.mark.parametrize("kind", ["relax_to", "expand", "constant", "nan_rows"])
+def test_horizon_bound_matches_per_state_loop(kind):
+    grid = sf.DirectionGrid(32)
+    rng = np.random.default_rng(11)
+    sigma0 = sf.random_cone_sample(grid, rng)
+    field = {
+        "relax_to": sf.relax_to(sf.random_cone_sample(grid, rng)),
+        "expand": sf.expansion_field(grid, -1.7),
+        "constant": sf.constant_field(sf.SupportDelta(grid, rng.normal(size=32))),
+        # NaN on the states above sigma0 + 0.5: the per-state loop skipped them
+        "nan_rows": sf.RhsField(
+            grid, lambda t, y: np.where(y > sigma0.values + 0.5, np.nan, t - y)
+        ),
+    }[kind]
+    for seed in range(4):
+        c, _ = sf.existence_horizon(field, sigma0, 0.8, 2.0, budget=24, seed=seed)
+        ref = reference_horizon_bound(field, sigma0, 0.8, 2.0, 24, 9, seed)
+        assert bits(c) == bits(ref)
+
+
+def reference_semi_inner(f, g, tol_ext=None):
+    es = sf.extremal_sets(g, tol_ext)
+    tol = default_tol(g.values) if tol_ext is None else tol_ext
+    gnorm = float(np.max(np.abs(g.values)))
+    if gnorm <= tol:
+        return 0.0
+    mpos = float(np.min(f.values[list(es.positive)])) if es.positive else math.inf
+    mneg = float(np.min(-f.values[list(es.negative)])) if es.negative else math.inf
+    return gnorm * min(mpos, mneg)
+
+
+def reference_representatives(g, tol_ext=None):
+    tol = default_tol(g.values) if tol_ext is None else tol_ext
+    gnorm = float(np.max(np.abs(g.values)))
+    if gnorm <= tol:
+        return None
+    es = sf.extremal_sets(g, tol_ext)
+    return [((i, gnorm),) for i in es.positive] + [((i, -gnorm),) for i in es.negative]
+
+
+# ties at the extremes and values within a tolerance of them are the cases that matter
+delta_entries = st.sampled_from([-2.0, -1.0, 0.0, 1e-10, 1.0, 2.0]) | st.floats(-3, 3)
+delta_pairs = st.integers(3, 40).flatmap(
+    lambda n: st.tuples(*[hnp.arrays(np.float64, n, elements=delta_entries)] * 2)
+)
+
+
+@settings(max_examples=300)
+@given(delta_pairs, st.sampled_from([None, 0.0, 0.5]))
+def test_duality_matches_two_pass_reference(fg, tol_ext):
+    fv, gv = fg
+    grid = sf.DirectionGrid(len(fv))
+    f, g = sf.SupportDelta(grid, fv), sf.SupportDelta(grid, gv)
+    assert bits(sf.semi_inner(f, g, tol_ext)) == bits(reference_semi_inner(f, g, tol_ext))
+    ref = reference_representatives(g, tol_ext)
+    got = caught(sf.dual_representatives, g, tol_ext)
+    if ref is None:
+        assert isinstance(got, sf.ZeroFunction)
+    else:
+        assert [mu.atoms for mu in got] == ref

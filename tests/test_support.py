@@ -30,7 +30,6 @@ def test_grid_basics():
     g = sf.DirectionGrid(8)
     assert g.delta == pytest.approx(math.pi / 4)
     assert np.allclose(np.hypot(g.directions[:, 0], g.directions[:, 1]), 1.0)
-    assert g.antipode(1) == 5
     idx, err = g.nearest_index((0.0, -1.0))
     assert idx == 6 and err < 1e-12
 
@@ -38,12 +37,6 @@ def test_grid_basics():
 def test_grid_rejects_tiny():
     with pytest.raises(ValueError):
         sf.DirectionGrid(2)
-
-
-def test_odd_grid_has_no_antipode():
-    g = sf.DirectionGrid(5)
-    with pytest.raises(ValueError):
-        g.antipode(0)
 
 
 # -------------------------------------------------------------- support_of_polygon
@@ -371,18 +364,3 @@ def test_farthest_realizer_contained():
     inner = sf.ConvexPolygon.box((-0.5, 0.5), (-0.5, 0.5))
     with pytest.raises(sf.Contained):
         sf.farthest_realizer(inner, Q)
-
-
-# --------------------------------------------------------------------- reflection
-
-def test_reflect_sample_matches_negated_polygon():
-    s = sup(A1)
-    refl = sf.reflect_sample(s)
-    neg = sup(sf.ConvexPolygon(-A1.vertices))
-    assert np.allclose(refl.values, neg.values)
-
-
-def test_width_profile_square():
-    w = sf.width_profile(sup(Q))
-    assert w[0] == pytest.approx(2.0)
-    assert w.min() >= 2.0 - 1e-12
