@@ -79,6 +79,12 @@ class DirectionGrid:
     def is_even(self) -> bool:
         return self.n % 2 == 0
 
+    def antipode(self, i: int) -> int:
+        """Index of the opposite direction (even grids only)."""
+        if not self.is_even:
+            raise ValueError("antipodal reflection needs an even grid")
+        return (i + self.n // 2) % self.n
+
     def nearest_index(self, v) -> tuple[int, float]:
         """Grid index closest to the direction of v, plus the angular snap error."""
         v = np.asarray(v, dtype=float)

@@ -30,6 +30,7 @@ def test_grid_basics():
     g = sf.DirectionGrid(8)
     assert g.delta == pytest.approx(math.pi / 4)
     assert np.allclose(np.hypot(g.directions[:, 0], g.directions[:, 1]), 1.0)
+    assert g.antipode(1) == 5
     idx, err = g.nearest_index((0.0, -1.0))
     assert idx == 6 and err < 1e-12
 
@@ -37,6 +38,12 @@ def test_grid_basics():
 def test_grid_rejects_tiny():
     with pytest.raises(ValueError):
         sf.DirectionGrid(2)
+
+
+def test_odd_grid_has_no_antipode():
+    g = sf.DirectionGrid(5)
+    with pytest.raises(ValueError):
+        g.antipode(0)
 
 
 # -------------------------------------------------------------- support_of_polygon
