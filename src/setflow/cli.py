@@ -31,6 +31,7 @@ from .errors import (
     Contained,
     DegenerateDistance,
     DegenerateField,
+    NotInCone,
     SetflowError,
 )
 from .hukuhara import (
@@ -102,6 +103,9 @@ def cmd_integrate(args) -> int:
     except OSError as exc:
         _error("filesystem", str(exc))
         return 4
+    except NotInCone as exc:  # policy "never" stores states past the drift limit
+        _error("integration", f"a filmstrip frame left the cone: {exc}")
+        return 3
     if not traj.completed:
         _error("integration", traj.failure or "trajectory truncated")
         return 3
@@ -152,7 +156,7 @@ def _example_curves(grid: DirectionGrid, h: float, method: str) -> list[ExampleC
         err = float(np.max(np.abs(traj.states - relaxation_values(a0, q, traj.times, grid))))
         frames = _frame_indices(traj.times, FRAME_SPACING)
         states = traj.states[frames]
-        curve = SetCurve(grid, traj.times[frames], states, _drift_limit(states, traj.threshold))
+        curve = SetCurve(grid, traj.times[frames], states, _drift_limit(states))
         deltas = 0.5 * (curve.quotients[1:] + curve.quotients[:-1])
         inner = curve.times[1:-1]
         first = [SupportSample(grid, d) if ok else None

@@ -57,32 +57,31 @@ class DiscreteMeasure:
         return float(sum(w * vals[i] for i, w in self.atoms))
 
 
-def _extremal(vals: np.ndarray, tol_ext: float | None):
-    """(||vals||, indices within tol_ext of +||vals||, and of -||vals||); tol_ext defaults
-    to default_tol.  A norm within tol_ext of zero is None, with the whole grid twice."""
-    if tol_ext is None:
-        tol_ext = default_tol(vals)
+def _extremal(vals: np.ndarray):
+    """(||vals||, indices within default_tol of +||vals||, and of -||vals||).  A norm
+    within default_tol of zero is None, with the whole grid twice."""
+    tol = default_tol(vals)
     norm = float(np.max(np.abs(vals)))
-    if norm <= tol_ext:
+    if norm <= tol:
         full = np.arange(len(vals))
         return None, full, full
-    return norm, np.flatnonzero(vals >= norm - tol_ext), np.flatnonzero(vals <= -norm + tol_ext)
+    return norm, np.flatnonzero(vals >= norm - tol), np.flatnonzero(vals <= -norm + tol)
 
 
-def extremal_sets(f, tol_ext: float | None = None) -> ExtremalSets:
-    """Indices attaining the sup-norm of f from above and below."""
-    _, pos, neg = _extremal(np.asarray(getattr(f, "values", f), dtype=float), tol_ext)
+def extremal_sets(f) -> ExtremalSets:
+    """Indices attaining the sup-norm of f from above and below, within default_tol."""
+    _, pos, neg = _extremal(np.asarray(getattr(f, "values", f), dtype=float))
     return ExtremalSets(tuple(pos.tolist()), tuple(neg.tolist()))
 
 
-def semi_inner(f: SupportDelta, g: SupportDelta, tol_ext: float | None = None) -> float:
+def semi_inner(f: SupportDelta, g: SupportDelta) -> float:
     """One-sided pairing ||g|| * min{min_{E+} f, min_{E-} -f}, min over empty = inf.
 
     At least one extremal set of g is nonempty, so the result is always
     finite; for g == 0 it is 0 by the full-grid convention.
     """
     _require_same_grid(f, g)
-    gnorm, pos, neg = _extremal(g.values, tol_ext)
+    gnorm, pos, neg = _extremal(g.values)
     if gnorm is None:
         return 0.0
     fvals = f.values
@@ -94,15 +93,13 @@ def semi_inner(f: SupportDelta, g: SupportDelta, tol_ext: float | None = None) -
     return gnorm * m
 
 
-def dual_representatives(
-    g: SupportDelta, tol_ext: float | None = None
-) -> list[DiscreteMeasure]:
+def dual_representatives(g: SupportDelta) -> list[DiscreteMeasure]:
     """Single-atom elements of the duality map of g: +-||g|| delta_i at extrema.
 
     Every returned measure mu has total variation ||g|| and pairs with g to
     ||g||^2.  The minimum of mu(f) over the list equals semi_inner(f, g).
     """
-    gnorm, pos, neg = _extremal(g.values, tol_ext)
+    gnorm, pos, neg = _extremal(g.values)
     if gnorm is None:
         raise ZeroFunction("the zero function has no normalized representatives")
     reps = [DiscreteMeasure(((i, gnorm),)) for i in pos.tolist()]
@@ -111,20 +108,16 @@ def dual_representatives(
 
 
 def hausdorff_realizing_directions(
-    a: ConvexPolygon,
-    b: ConvexPolygon,
-    grid: DirectionGrid,
-    tol: float | None = None,
+    a: ConvexPolygon, b: ConvexPolygon, grid: DirectionGrid
 ) -> tuple[int, ...]:
     """Grid indices nearest to the directions (a* - b*) of farthest pairs.
 
     Requires dist(A, B) > 0 and dist(A, B) = dist_H(A, B); otherwise raises
     Contained or AsymmetricDistance (swap the arguments in the latter case).
     Each returned index lies within one grid step of a maximizer of
-    sigma_A - sigma_B.
+    sigma_A - sigma_B.  Distances are compared at default_tol of both vertex sets.
     """
-    if tol is None:
-        tol = default_tol(np.append(a.vertices, b.vertices))
+    tol = default_tol(np.append(a.vertices, b.vertices))
     dist, near = _nearest_points(a.vertices, b)
     d_ab = float(np.max(dist))
     d_ba = hausdorff_onesided(b, a)

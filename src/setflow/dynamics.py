@@ -72,30 +72,30 @@ class RhsField:
         return SupportDelta(self.grid, self.eval(t, sigma.values))
 
 
-def relax_to(target: SupportSample, name: str = "relax_to") -> RhsField:
+def relax_to(target: SupportSample) -> RhsField:
     """Field sigma' = sigma_target - sigma: exponential relaxation to target."""
     tvals = target.values
 
     def fn(t, y):
         return tvals - y
 
-    return RhsField(target.grid, fn, name=name, lipschitz=1.0)
+    return RhsField(target.grid, fn, name="relax_to", lipschitz=1.0)
 
 
-def constant_field(delta: SupportDelta, name: str = "constant") -> RhsField:
+def constant_field(delta: SupportDelta) -> RhsField:
     def fn(t, y):
         return delta.values.copy()
 
-    return RhsField(delta.grid, fn, name=name, lipschitz=0.0)
+    return RhsField(delta.grid, fn, name="constant", lipschitz=0.0)
 
 
-def expansion_field(grid: DirectionGrid, rate: float, name: str = "expand") -> RhsField:
+def expansion_field(grid: DirectionGrid, rate: float) -> RhsField:
     """Field sigma' = rate * sigma; expands sets for rate > 0."""
 
     def fn(t, y):
         return rate * y
 
-    return RhsField(grid, fn, name=name, lipschitz=abs(rate))
+    return RhsField(grid, fn, name="expand", lipschitz=abs(rate))
 
 
 @dataclass(frozen=True)
@@ -125,13 +125,12 @@ class SubtangentResult:
     lam_max: float
 
 
-def subtangent_feasible(
-    v, sigma: SupportSample, tol: float | None = None
-) -> SubtangentResult:
+def subtangent_feasible(v, sigma: SupportSample) -> SubtangentResult:
     """Decide whether v lies in the tangent cone to the support cone at sigma.
 
     Each grid index contributes a linear constraint a_i + lambda*b_i >= -tol
-    on lambda >= 0, where a and b are the three-term margins of v and sigma.
+    on lambda >= 0, where a and b are the three-term margins of v and sigma
+    and tol is default_tol(v).
     The margins of sigma are nonnegative (up to rounding), so the feasible
     set is a closed interval computed exactly.
     """
@@ -139,8 +138,7 @@ def subtangent_feasible(
     grid = sigma.grid
     a = cone_margins(vvals, grid)
     b = cone_margins(sigma.values, grid)
-    if tol is None:
-        tol = default_tol(vvals)
+    tol = default_tol(vvals)
     flat = _FLAT_REL * _scale(sigma.values)
     up, down = b > flat, b < -flat
     if np.any(a[~(up | down)] < -tol):
@@ -154,19 +152,14 @@ def subtangent_feasible(
 
 
 def existence_horizon(
-    f: RhsField,
-    sigma0: SupportSample,
-    r: float,
-    T: float,
-    budget: int = 64,
-    time_samples: int = 9,
-    seed: int = 0,
+    f: RhsField, sigma0: SupportSample, r: float, T: float, budget: int = 64, seed: int = 0
 ) -> tuple[float, float]:
     """Sampled field bound c on [0, T] x (cone ball of radius r) and b = min(T, r/c).
 
-    The bound is a lower-confidence estimate from a deterministic seeded
-    sweep, not a certified supremum.  Raises DegenerateField (carrying
-    horizon = T) when every sample evaluates to zero.
+    The field is evaluated at 9 equally spaced times on [0, T].  The bound
+    is a lower-confidence estimate from a deterministic seeded sweep, not a
+    certified supremum.  Raises DegenerateField (carrying horizon = T) when
+    every sample evaluates to zero.
     """
     if r <= 0 or T <= 0:
         raise ValueError("r and T must be positive")
@@ -178,7 +171,7 @@ def existence_horizon(
             states.append(s.values)
     stack = np.array(states)
     c = 0.0
-    for t in np.linspace(0.0, T, time_samples):
+    for t in np.linspace(0.0, T, 9):
         # the max over each state's |f|, skipping NaN rows like max(c, nan) does
         peaks = np.max(np.abs(f.eval(float(t), stack)), axis=-1)
         c = float(np.fmax.reduce(peaks, initial=c))
@@ -213,12 +206,7 @@ class OslReport:
 
 
 def osl_check(
-    f: RhsField,
-    a: ConvexPolygon,
-    b: ConvexPolygon,
-    t: float,
-    omega: GrowthFunction,
-    tol: float | None = None,
+    f: RhsField, a: ConvexPolygon, b: ConvexPolygon, t: float, omega: GrowthFunction
 ) -> OslReport:
     """Check the relative-velocity bound at the Hausdorff-realizing direction.
 
@@ -227,10 +215,10 @@ def osl_check(
     snap error recorded), and the scalar inequality
     f(t, sigma_A)(p) - f(t, sigma_B)(p) <= omega(t, dist_H) is evaluated
     there (with roles swapped for the reverse order).  The report is
-    satisfied when at least one applicable case holds.
+    satisfied when at least one applicable case holds.  Every comparison is
+    made at default_tol of the vertices of A and B.
     """
-    if tol is None:
-        tol = default_tol(np.append(a.vertices, b.vertices))
+    tol = default_tol(np.append(a.vertices, b.vertices))
     sets = (a, b)
     nearest = [_nearest_points(sets[i].vertices, sets[1 - i]) for i in (0, 1)]
     dh = max(float(np.max(dist)) for dist, _ in nearest)
@@ -265,7 +253,6 @@ class Trajectory:
     regularized: np.ndarray
     method: str
     policy: str
-    threshold: float | None = None
     completed: bool = True
     failure: str | None = None
 
@@ -274,7 +261,7 @@ class Trajectory:
 
     def sample(self, k: int) -> SupportSample:
         state = self.states[k]
-        return SupportSample(self.grid, state, tol=_drift_limit(state, self.threshold))
+        return SupportSample(self.grid, state, tol=_drift_limit(state))
 
     @property
     def final(self) -> SupportSample:
@@ -282,13 +269,12 @@ class Trajectory:
 
     def curve(self) -> SetCurve:
         """The stored states as a curve, checked once at the drift limit of each."""
-        tol = _drift_limit(self.states, self.threshold)
-        return SetCurve(self.grid, self.times, self.states, tol=tol)
+        return SetCurve(self.grid, self.times, self.states, tol=_drift_limit(self.states))
 
 
-def _drift_limit(state: np.ndarray, threshold: float | None):
-    """Cone residual a state (each row of a stack) may keep: threshold, else 10x default_tol."""
-    return 10.0 * default_tol(state) if threshold is None else threshold
+def _drift_limit(state: np.ndarray):
+    """Cone residual a state (each row of a stack) may keep: 10x default_tol."""
+    return 10.0 * default_tol(state)
 
 
 def _euler_step(f: RhsField, t: float, y: np.ndarray, h: float) -> np.ndarray:
@@ -305,7 +291,7 @@ def _rk4_step(f: RhsField, t: float, y: np.ndarray, h: float) -> np.ndarray:
 
 def integrate_stack(
     f: RhsField, sigmas: Sequence[SupportSample], T: float, h: float, method: str = "rk4",
-    policy: str = "on_violation", threshold: float | None = None,
+    policy: str = "on_violation",
 ) -> tuple[Trajectory, ...]:
     """Fixed-step explicit integration of a stack of initial samples, one trajectory each.
 
@@ -313,8 +299,8 @@ def integrate_stack(
     step together as one (B, n) array into preallocated storage.  Each step
     records every row's cone residual and applies the drift-repair policy
     per row: "never" keeps the raw state, "on_violation" regularizes when the
-    residual exceeds the threshold (default 10x the scale-aware cone
-    tolerance), "always" always does.  A row whose repair finds the halfplane
+    residual exceeds the drift limit (10x the scale-aware cone tolerance),
+    "always" always does.  A row whose repair finds the halfplane
     intersection empty leaves the stack alone: its trajectory ends at its last
     kept state, completed False, with the failure.  Non-finite states raise
     NonFiniteValue."""
@@ -351,7 +337,7 @@ def integrate_stack(
             raise NonFiniteValue(f"non-finite state at t = {t_next} under field '{f.name}'")
         res = cone_residual(y, grid)
         if policy == "on_violation":
-            fix = res > _drift_limit(y, threshold)
+            fix = res > _drift_limit(y)
         else:
             fix = np.full(len(y), policy == "always")
         if fix.any():
@@ -370,7 +356,7 @@ def integrate_stack(
         states[rows, k], residuals[rows, k], regularized[rows, k] = y, res, fix
     return tuple(
         Trajectory(grid, np.array(times[:end], dtype=float), states[b, :end],
-                   residuals[b, :end], regularized[b, :end], method, policy, threshold,
+                   residuals[b, :end], regularized[b, :end], method, policy,
                    end == len(times), failures[b])
         for b, end in enumerate(ends)
     )
@@ -378,10 +364,10 @@ def integrate_stack(
 
 def integrate(
     f: RhsField, sigma0: SupportSample, T: float, h: float, method: str = "rk4",
-    policy: str = "on_violation", threshold: float | None = None,
+    policy: str = "on_violation",
 ) -> Trajectory:
     """integrate_stack of the one initial sample sigma0."""
-    return integrate_stack(f, [sigma0], T, h, method, policy, threshold)[0]
+    return integrate_stack(f, [sigma0], T, h, method, policy)[0]
 
 
 def relaxation_values(
@@ -415,9 +401,7 @@ def relaxation_curve(
     return SetCurve(grid, times, relaxation_values(a0, q, times, grid))
 
 
-def lipschitz_estimate(
-    f: RhsField, budget: int = 200, seed: int = 0, radius: float = 1.5
-) -> float:
+def lipschitz_estimate(f: RhsField, budget: int = 200, seed: int = 0) -> float:
     """Empirical sup of the field's difference quotients over cone pairs.
 
     A lower bound on any true Lipschitz constant of f in its second
@@ -430,8 +414,8 @@ def lipschitz_estimate(
     best = 0.0
     for _ in range(budget):
         t = float(rng.uniform(0.0, 1.0))
-        y1 = random_cone_sample(grid, rng, radius=radius).values
-        y2 = random_cone_sample(grid, rng, radius=radius).values
+        y1 = random_cone_sample(grid, rng).values
+        y2 = random_cone_sample(grid, rng).values
         den = float(np.max(np.abs(y1 - y2)))
         if den == 0.0:
             continue

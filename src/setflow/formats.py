@@ -38,6 +38,9 @@ MAX_STEPS = 1_000_000
 # integrate may allocate up front, (ceil(T / h) + 1) * grid_n * curves (256 MiB).
 MAX_GRID_N = 65_536
 MAX_STORED_FLOATS = 1 << 25
+# Most samples a check may draw; samples * grid_n, the floats the subtangent and
+# horizon checks hold at once, is also capped by MAX_STORED_FLOATS.
+MAX_SAMPLES = 100_000
 
 
 # ---------------------------------------------------------------- JSON payloads
@@ -222,8 +225,14 @@ def load_scenario(path) -> ScenarioConfig:
         _check_steps(T, spacing, "output.frame_spacing")
         output = dict(output, frame_spacing=spacing)
     samples = _integer(obj.get("samples", 200), "samples")
-    if samples < 1:
-        raise ConfigError("bad_value", f"samples must be at least 1, got {samples}")
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise ConfigError("bad_value", f"samples must be in [1, {MAX_SAMPLES}], got {samples}")
+    if (held := samples * grid_n) > MAX_STORED_FLOATS:
+        message = f"samples * grid_n = {held} exceeds MAX_STORED_FLOATS = {MAX_STORED_FLOATS}"
+        raise ConfigError("bad_value", message)
+    r = _number(obj.get("r", 1.0), "r", positive=True)
+    if not math.isfinite(2.0 * r):  # perturbations draw from [-r, r]
+        raise ConfigError("bad_value", f"r must have a finite 2 * r, got {r!r}")
     cfg = ScenarioConfig(
         grid_n=grid_n,
         T=T,
@@ -235,7 +244,7 @@ def load_scenario(path) -> ScenarioConfig:
         output=output,
         seed=seed,
         samples=samples,
-        r=_number(obj.get("r", 1.0), "r", positive=True),
+        r=r,
         omega=obj.get("omega", {"kind": "linear", "rate": 1.0}),
     )
     build_field(cfg)  # validate the rhs descriptor eagerly

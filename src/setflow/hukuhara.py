@@ -81,17 +81,16 @@ class SetCurve:
         return len(self.times)
 
 
-def hukuhara_difference(
-    a: SupportSample, b: SupportSample, tol: float | None = None
-) -> SupportSample | None:
+def hukuhara_difference(a: SupportSample, b: SupportSample) -> SupportSample | None:
     """A -_H B as a support sample, or None when no such set exists.
 
     The only candidate is the componentwise difference (uniqueness of C in
-    B + C = A); it is accepted exactly when it passes the cone test.
+    B + C = A); it is accepted exactly when it passes the cone test at
+    default_tol of the difference.
     """
     _require_same_grid(a, b)
     try:
-        return SupportSample(a.grid, a.values - b.values, tol=tol)
+        return SupportSample(a.grid, a.values - b.values)
     except NotInCone:
         return None
 
@@ -127,35 +126,33 @@ _CLASSES = {
 }
 
 
-def _step_types(grid, quotients: np.ndarray, tol: float | None):
+def _step_types(grid, quotients: np.ndarray):
     """Per interior step: (first type, second type) as two boolean arrays.
 
     Step j lies between quotients j and j + 1.  It is first-type when both
     quotients are in the cone and second-type when both negated quotients
     are; the margins of -q are exactly -margins(q), so one margin pass over
-    the stack decides both, each quotient tested once.
+    the stack decides both, each quotient tested once at its default_tol.
     """
     m = cone_margins(quotients, grid)
-    limit = _cone_limit(quotients, tol)
+    limit = _cone_limit(quotients, None)
     grows = ~np.any(m < -limit, axis=-1)
     shrinks = ~np.any(m > limit, axis=-1)
     return grows[:-1] & grows[1:], shrinks[:-1] & shrinks[1:]
 
 
-def classify_step(c: SetCurve, k: int, tol: float | None = None) -> HukuharaClass:
+def classify_step(c: SetCurve, k: int) -> HukuharaClass:
     """Differentiability type at interior index k from the one-sided quotients."""
-    first, second = _step_types(c.grid, _quotients_around(c, k), tol)
+    first, second = _step_types(c.grid, _quotients_around(c, k))
     return _CLASSES[bool(first[0]), bool(second[0])]
 
 
-def classify_curve(
-    c: SetCurve, tol: float | None = None
-) -> tuple[HukuharaClass, list[HukuharaClass]]:
+def classify_curve(c: SetCurve) -> tuple[HukuharaClass, list[HukuharaClass]]:
     """Whole-curve class (conjunction over interior steps) plus the breakdown.
 
     Boundary indices have only one-sided information and are excluded.
     """
-    first, second = _step_types(c.grid, c.quotients, tol)
+    first, second = _step_types(c.grid, c.quotients)
     steps = [_CLASSES[f, s] for f, s in zip(first.tolist(), second.tolist())]
     return _CLASSES[bool(first.all()), bool(second.all())], steps
 

@@ -16,32 +16,23 @@ from .support import (
 DEFAULT_SEED = 20240
 
 
-def random_rectangle(
-    rng: np.random.Generator,
-    center_scale: float = 2.0,
-    max_side: float = 3.0,
-    min_side: float = 0.0,
-) -> ConvexPolygon:
-    """Axis-aligned rectangle with uniform center and side lengths."""
-    cx, cy = rng.uniform(-center_scale, center_scale, 2)
-    wx, wy = rng.uniform(min_side, max_side, 2) / 2.0
+def random_rectangle(rng: np.random.Generator) -> ConvexPolygon:
+    """Axis-aligned rectangle with uniform center in [-2, 2]^2 and sides in [0, 3]."""
+    cx, cy = rng.uniform(-2.0, 2.0, 2)
+    wx, wy = rng.uniform(0.0, 3.0, 2) / 2.0
     return ConvexPolygon.box((cx - wx, cx + wx), (cy - wy, cy + wy))
 
 
-def random_convex_polygon(
-    rng: np.random.Generator, max_vertices: int = 8, radius: float = 1.5
-) -> ConvexPolygon:
-    """Hull of a handful of uniform points in a square of the given radius."""
-    k = int(rng.integers(3, max_vertices + 1))
-    pts = rng.uniform(-radius, radius, (k, 2))
+def random_convex_polygon(rng: np.random.Generator) -> ConvexPolygon:
+    """Hull of 3 to 8 uniform points in the square [-1.5, 1.5]^2."""
+    k = int(rng.integers(3, 9))
+    pts = rng.uniform(-1.5, 1.5, (k, 2))
     return ConvexPolygon.from_points(pts)
 
 
-def random_cone_sample(
-    grid: DirectionGrid, rng: np.random.Generator, radius: float = 1.5
-) -> SupportSample:
+def random_cone_sample(grid: DirectionGrid, rng: np.random.Generator) -> SupportSample:
     """Support sample of a random convex polygon."""
-    return support_of_polygon(random_convex_polygon(rng, radius=radius), grid)
+    return support_of_polygon(random_convex_polygon(rng), grid)
 
 
 def perturb_in_ball(

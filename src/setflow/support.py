@@ -31,7 +31,8 @@ from .errors import (
 TOL_REL = 1e-9
 # regularize: margins this close to zero are rounding noise (keeps it idempotent).
 _ULP_REL = 1e-13
-# subtangent_feasible: margins this small count as zero.  halfplane_intersection
+# subtangent_feasible: margins this small count as zero.  _convex_hull: a point
+# this close to the chord of its neighbours is on it.  halfplane_intersection
 # and regularize: how far every line moves out (relative to max(1, |s|_inf, r0))
 # when rounding leaves the exact intersection of a point or segment empty.
 _FLAT_REL = 1e-12
@@ -146,12 +147,12 @@ def _cone_limit(values, tol) -> np.ndarray:
     return np.asarray(default_tol(values) if tol is None else tol)[..., None]
 
 
-def is_in_cone(values, grid: DirectionGrid, tol: float | None = None) -> ConeCheck:
-    """Test the discrete cone condition; report the smallest violating index.
+def is_in_cone(values, grid: DirectionGrid) -> ConeCheck:
+    """Test the discrete cone condition at default_tol; report the smallest violating index.
 
     Accepts one vector or a stack (..., n); a stack is tested row by row.
     """
-    bad = cone_margins(values, grid) < -_cone_limit(values, tol)
+    bad = cone_margins(values, grid) < -_cone_limit(values, None)
     ok = ~bad.any(axis=-1)
     if bad.ndim > 1:
         return ConeCheck(ok, np.where(ok, -1, bad.argmax(axis=-1)))
@@ -176,9 +177,12 @@ def _convex_hull(points: np.ndarray, tol: float) -> np.ndarray:
 
     Points are sorted and deduplicated on tolerance-quantized keys so that
     clusters of near-coincident points (ulp noise in either coordinate)
-    cannot scramble the lexicographic order the chain relies on.  The result
-    may have 1 (point) or 2 (segment) vertices and starts at the
-    lexicographically smallest vertex.
+    cannot scramble the lexicographic order the chain relies on.  A point
+    within _FLAT_REL * max(1, |points|_inf) of the chord between its
+    neighbours is dropped as collinear: a distance, not an area, so small
+    sets and short edges keep their vertices.  The result may have 1 (point)
+    or 2 (segment) vertices and starts at the lexicographically smallest
+    vertex.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     keys = np.round(pts / tol).astype(np.int64)
@@ -187,19 +191,21 @@ def _convex_hull(points: np.ndarray, tol: float) -> np.ndarray:
     pts = pts[order][np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)]]
     if len(pts) == 1:
         return pts
-    eps = tol * _scale(pts.ravel())
+    flat = _FLAT_REL * _scale(pts.ravel())
 
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+    def flat_or_right(o, a, b):
+        """a is at most flat to the left of the line from o through b."""
+        cross = (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+        return cross <= flat * math.hypot(b[0] - o[0], b[1] - o[1])
 
     lower: list[np.ndarray] = []
     for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= eps:
+        while len(lower) >= 2 and flat_or_right(lower[-2], lower[-1], p):
             lower.pop()
         lower.append(p)
     upper: list[np.ndarray] = []
     for p in pts[::-1]:
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= eps:
+        while len(upper) >= 2 and flat_or_right(upper[-2], upper[-1], p):
             upper.pop()
         upper.append(p)
     hull = lower[:-1] + upper[:-1]
@@ -248,10 +254,10 @@ class ConvexPolygon:
     def __len__(self) -> int:
         return len(self.vertices)
 
-    def contains(self, x, tol: float | None = None) -> bool:
+    def contains(self, x) -> bool:
+        """x in the polygon, up to default_tol of the vertices and x."""
         x = np.asarray(x, dtype=float)
-        if tol is None:
-            tol = default_tol(np.append(self.vertices, x))
+        tol = default_tol(np.append(self.vertices, x))
         v = self.vertices
         if len(v) == 1:
             return bool(np.max(np.abs(x - v[0])) <= tol)
@@ -266,8 +272,7 @@ class SupportSample:
 
     Construction validates the three-term cone condition and raises
     NotInCone otherwise; tol defaults to the scale-aware cone tolerance but
-    callers that accepted a vector at a looser bound (integration policies,
-    explicit difference tests) pass that bound through.
+    integrated states, accepted at their drift limit, pass that limit through.
     """
 
     grid: DirectionGrid
@@ -588,14 +593,11 @@ def hausdorff_exact(p: ConvexPolygon, q: ConvexPolygon) -> float:
     return max(hausdorff_onesided(p, q), hausdorff_onesided(q, p))
 
 
-def farthest_realizer(
-    p: ConvexPolygon, q: ConvexPolygon, tol: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def farthest_realizer(p: ConvexPolygon, q: ConvexPolygon) -> tuple[np.ndarray, np.ndarray]:
     """Pair (a*, b*) with a* in P farthest from Q and b* its projection.
 
-    Raises Contained when dist(P, Q) vanishes within tolerance (P inside Q).
-    Ties between vertices break toward the smallest index.
+    Raises Contained when dist(P, Q) is within default_tol of both vertex
+    sets (P inside Q).  Ties between vertices break toward the smallest index.
     """
-    if tol is None:
-        tol = default_tol(np.append(p.vertices, q.vertices))
+    tol = default_tol(np.append(p.vertices, q.vertices))
     return _farthest(p, *_nearest_points(p.vertices, q), tol)

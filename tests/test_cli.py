@@ -36,6 +36,16 @@ def scenario(tmp_path):
     return make
 
 
+def _drifting(scen, tmp_path):
+    """Policy "never" under a constant rhs that leaves the cone, with a filmstrip."""
+    delta = [0.5 if i % 2 == 0 else -1.0 for i in range(64)]
+    return scen(
+        h=0.02, policy="never", rhs={"kind": "constant", "delta": delta},
+        initial={"box": [[0, 1], [0, 1]]},
+        output={"trajectory": str(tmp_path / "t.csv"), "filmstrip": str(tmp_path / "f.svg")},
+    )
+
+
 # ---------------------------------------------------------------------- integrate
 
 def test_integrate_writes_monotone_gap_csv(scenario, tmp_path):
@@ -95,6 +105,12 @@ def test_integrate_malformed_config(tmp_path, capsys):
 
 def test_integrate_rejects_bad_step(scenario):
     assert main(["integrate", scenario(h=-0.5)]) == 2
+
+
+def test_drifted_filmstrip_exits_3_after_writing_the_trajectory(scenario, tmp_path, capsys):
+    assert main(["integrate", _drifting(scenario, tmp_path)]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "integration"
+    assert len((tmp_path / "t.csv").read_text().splitlines()) == 52  # header and 51 states
 
 
 def test_integrate_failure_exit_code(scenario, capsys):
@@ -302,6 +318,8 @@ CONTRACT_CASES = {
     ),
     "r_not_a_number": (lambda scen, tmp: ["check", "horizon", scen(r="x")], {}, 2),
     "r_negative": (lambda scen, tmp: ["check", "horizon", scen(r=-1)], {}, 2),
+    "r_overflows_its_range": (lambda scen, tmp: ["check", "horizon", scen(r=1e308)], {}, 2),
+    "filmstrip_of_drifted_states": (lambda scen, tmp: ["integrate", _drifting(scen, tmp)], {}, 3),
     "omega_not_an_object": (lambda scen, tmp: ["check", "osl", scen(omega=5)], {}, 2),
     "omega_rate_not_a_number": (
         lambda scen, tmp: ["check", "osl", scen(omega={"kind": "linear", "rate": "x"})],
@@ -355,6 +373,16 @@ CONTRACT_CASES = {
     ),
     "stored_floats_over_limit": (
         lambda scen, tmp: ["integrate", scen(grid_n=65_536, T=100.0, h=1e-3)], {}, 2
+    ),
+    # at the parent these run until killed (lipschitz, subtangent) or hold 525 MB (horizon)
+    "samples_over_limit_lipschitz": (
+        lambda scen, tmp: ["check", "lipschitz", scen(samples=10**12)], {}, 2
+    ),
+    "samples_over_limit_subtangent": (
+        lambda scen, tmp: ["check", "subtangent", scen(samples=10**12)], {}, 2
+    ),
+    "samples_times_grid_n_over_limit": (
+        lambda scen, tmp: ["check", "horizon", scen(grid_n=65_536, samples=1000)], {}, 2
     ),
     "example_stored_floats_over_limit": (
         lambda scen, tmp: ["example", str(tmp / "out"), "--grid-n", "65536", "--h", "1e-4"],

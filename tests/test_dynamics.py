@@ -191,7 +191,7 @@ def _denting_field():
     # pushes one support value down, driving the state out of the cone
     dent = np.zeros(64)
     dent[10] = -1.0
-    return sf.constant_field(sf.SupportDelta(G64, dent), name="dent")
+    return sf.constant_field(sf.SupportDelta(G64, dent))
 
 
 def test_cone_leaving_field_repaired_on_violation():

@@ -43,19 +43,18 @@ def roll_margins(values, grid):
     return np.roll(s, 1) + np.roll(s, -1) - grid.two_cos_delta * s
 
 
-def reference_in_cone(values, grid, tol=None) -> bool:
-    if tol is None:
-        tol = TOL_REL * max(1.0, float(np.max(np.abs(values))))
+def reference_in_cone(values, grid) -> bool:
+    tol = TOL_REL * max(1.0, float(np.max(np.abs(values))))
     return not np.any(roll_margins(values, grid) < -tol)
 
 
-def reference_classify_step(c, k, tol=None) -> HukuharaClass:
+def reference_classify_step(c, k) -> HukuharaClass:
     t = c.times
     v = [s.values for s in c.samples]
     fwd = (v[k + 1] - v[k]) / (t[k + 1] - t[k])
     bwd = (v[k] - v[k - 1]) / (t[k] - t[k - 1])
-    first = reference_in_cone(fwd, c.grid, tol) and reference_in_cone(bwd, c.grid, tol)
-    second = reference_in_cone(-fwd, c.grid, tol) and reference_in_cone(-bwd, c.grid, tol)
+    first = reference_in_cone(fwd, c.grid) and reference_in_cone(bwd, c.grid)
+    second = reference_in_cone(-fwd, c.grid) and reference_in_cone(-bwd, c.grid)
     if first and second:
         return HukuharaClass.BOTH
     if first:
@@ -65,13 +64,12 @@ def reference_classify_step(c, k, tol=None) -> HukuharaClass:
     return HukuharaClass.NEITHER
 
 
-def reference_subtangent(v, sigma, tol=None):
+def reference_subtangent(v, sigma):
     vvals = np.asarray(getattr(v, "values", v), dtype=float)
     grid = sigma.grid
     a = roll_margins(vvals, grid)
     b = roll_margins(sigma.values, grid)
-    if tol is None:
-        tol = TOL_REL * max(1.0, float(np.max(np.abs(vvals))))
+    tol = TOL_REL * max(1.0, float(np.max(np.abs(vvals))))
     flat = 1e-12 * max(1.0, float(np.max(np.abs(sigma.values))))
     lam_min, lam_max = 0.0, math.inf
     for ai, bi in zip(a, b):
@@ -132,13 +130,12 @@ def example_curves():
 EXAMPLE_CURVES = example_curves()
 
 
-@pytest.mark.parametrize("tol", [None, 0.0, 0.05])
-def test_classification_matches_four_test_reference(tol):
+def test_classification_matches_four_test_reference():
     for curve in EXAMPLE_CURVES:
-        whole, steps = sf.classify_curve(curve, tol)
-        expected = [reference_classify_step(curve, k, tol) for k in range(1, len(curve) - 1)]
+        whole, steps = sf.classify_curve(curve)
+        expected = [reference_classify_step(curve, k) for k in range(1, len(curve) - 1)]
         assert steps == expected
-        assert [sf.classify_step(curve, k, tol) for k in range(1, len(curve) - 1)] == expected
+        assert [sf.classify_step(curve, k) for k in range(1, len(curve) - 1)] == expected
         first = all(s in (HukuharaClass.FIRST_TYPE, HukuharaClass.BOTH) for s in expected)
         second = all(s in (HukuharaClass.SECOND_TYPE, HukuharaClass.BOTH) for s in expected)
         assert (whole in (HukuharaClass.FIRST_TYPE, HukuharaClass.BOTH)) == first
@@ -166,9 +163,8 @@ def test_subtangent_matches_loop_on_random_cone_pairs():
                 -other.values,
                 rng.normal(size=n),
             ):
-                for tol in (None, 1e-6):
-                    ref = reference_subtangent(v, sigma, tol)
-                    assert_same_interval(sf.subtangent_feasible(v, sigma, tol), ref)
+                ref = reference_subtangent(v, sigma)
+                assert_same_interval(sf.subtangent_feasible(v, sigma), ref)
 
 
 def test_subtangent_matches_loop_on_flat_margin_violation():
@@ -208,19 +204,22 @@ def reference_convex_hull(points, tol):
     pts = np.array(kept)
     if len(pts) == 1:
         return pts
-    eps = tol * max(1.0, float(np.max(np.abs(pts))))
+    flat = 1e-12 * max(1.0, float(np.max(np.abs(pts))))
 
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
+    def chord(o, b):
+        return math.hypot(b[0] - o[0], b[1] - o[1])
+
     lower = []
     for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= eps:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= flat * chord(lower[-2], p):
             lower.pop()
         lower.append(p)
     upper = []
     for p in pts[::-1]:
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= eps:
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= flat * chord(upper[-2], p):
             upper.pop()
         upper.append(p)
     hull = lower[:-1] + upper[:-1]
@@ -275,9 +274,8 @@ def reference_hausdorff_onesided(p, q) -> float:
     return max(reference_point_to_polygon(v, q) for v in p.vertices)
 
 
-def reference_farthest_realizer(p, q, tol=None):
-    if tol is None:
-        tol = default_tol(np.append(p.vertices, q.vertices))
+def reference_farthest_realizer(p, q):
+    tol = default_tol(np.append(p.vertices, q.vertices))
     dists = [reference_point_to_polygon(v, q) for v in p.vertices]
     k = int(np.argmax(dists))
     if dists[k] <= tol:
@@ -286,9 +284,8 @@ def reference_farthest_realizer(p, q, tol=None):
     return a, reference_project_point(a, q)
 
 
-def reference_realizing_directions(a, b, grid, tol=None):
-    if tol is None:
-        tol = default_tol(np.append(a.vertices, b.vertices))
+def reference_realizing_directions(a, b, grid):
+    tol = default_tol(np.append(a.vertices, b.vertices))
     d_ab = reference_hausdorff_onesided(a, b)
     d_ba = reference_hausdorff_onesided(b, a)
     if d_ab <= tol:
@@ -304,9 +301,8 @@ def reference_realizing_directions(a, b, grid, tol=None):
     return tuple(sorted(indices))
 
 
-def reference_osl_check(f, a, b, t, omega, tol=None):
-    if tol is None:
-        tol = default_tol(np.append(a.vertices, b.vertices))
+def reference_osl_check(f, a, b, t, omega):
+    tol = default_tol(np.append(a.vertices, b.vertices))
     d_ab = reference_hausdorff_onesided(a, b)
     d_ba = reference_hausdorff_onesided(b, a)
     dh = max(d_ab, d_ba)
@@ -318,12 +314,12 @@ def reference_osl_check(f, a, b, t, omega, tol=None):
     bound = omega(t, dh)
     cases = []
     if d_ab >= dh - tol:
-        pa, pb = reference_farthest_realizer(a, b, tol)
+        pa, pb = reference_farthest_realizer(a, b)
         idx, err = grid.nearest_index(pa - pb)
         lhs = float(fa[idx] - fb[idx])
         cases.append(OslCase("forward", pa, pb, idx, err, lhs, bound, lhs <= bound + tol))
     if d_ba >= dh - tol:
-        qb, qa = reference_farthest_realizer(b, a, tol)
+        qb, qa = reference_farthest_realizer(b, a)
         idx, err = grid.nearest_index(qb - qa)
         lhs = float(fb[idx] - fa[idx])
         cases.append(OslCase("reverse", qa, qb, idx, err, lhs, bound, lhs <= bound + tol))
@@ -388,7 +384,9 @@ def test_projection_matches_vertex_loop_bit_for_bit(data):
         assert same_bits(dk, reference_point_to_polygon(x, p))
         assert same_bits(sf.point_to_polygon(x, p), reference_point_to_polygon(x, p))
         assert p.contains(x) == reference_contains(p, x)
-        assert p.contains(x, 0.0) == reference_contains(p, x, 0.0)
+        if len(p) >= 3:  # the inside kernel at tolerance 0
+            inside = support._inside(x[None], p.vertices, support._edge_frame(p.vertices), 0.0)
+            assert inside[0] == reference_contains(p, x, 0.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -429,7 +427,8 @@ def test_inside_rule_scales_with_vertices_and_point():
     x = np.array([0.5, -5e-7])
     assert tri.contains(x) and reference_contains(tri, x)
     assert same_bits(sf.project_point(x, tri), x)
-    assert not tri.contains(x, 1e-9)
+    # a fixed tolerance scaled by max(1, radius, |x|) alone rejects it
+    assert not support._inside(x[None], tri.vertices, support._edge_frame(tri.vertices), 1e-9)[0]
 
 
 @st.composite
@@ -488,10 +487,9 @@ def assert_same_report(got, ref):
     polygon_pairs(),
     st.sampled_from([8, 64]),
     st.sampled_from(["expand", "relax_to"]),
-    st.sampled_from([None, 0.0, 1e-3]),
     st.floats(0.0, 2.0),
 )
-def test_osl_check_matches_two_branch_reference(pair, n, kind, tol, t):
+def test_osl_check_matches_two_branch_reference(pair, n, kind, t):
     a, b = pair
     grid = sf.DirectionGrid(n)
     if kind == "expand":
@@ -499,8 +497,8 @@ def test_osl_check_matches_two_branch_reference(pair, n, kind, tol, t):
     else:
         field = sf.relax_to(sf.support_of_polygon(sf.ConvexPolygon.box((-1, 1), (0, 2)), grid))
     for omega in (sf.zero_growth(), sf.linear_growth(1.0)):
-        got = outcome(sf.osl_check, field, a, b, t, omega, tol)
-        assert_same_report(got, outcome(reference_osl_check, field, a, b, t, omega, tol))
+        got = outcome(sf.osl_check, field, a, b, t, omega)
+        assert_same_report(got, outcome(reference_osl_check, field, a, b, t, omega))
 
 
 def test_osl_check_reaches_every_outcome():
@@ -513,14 +511,14 @@ def test_osl_check_reaches_every_outcome():
     report = sf.osl_check(field, square, shifted, 0.5, omega)
     assert [c.order for c in report.cases] == ["forward", "reverse"]
     assert_same_report(report, reference_osl_check(field, square, shifted, 0.5, omega))
-    for a, b, tol, error in (
-        (square, square, None, sf.DegenerateDistance),
-        # dist(A, B) = 0.8 tol attains dist_H = 1.5 tol within tol, yet vanishes
-        (sf.ConvexPolygon.box((0, 1), (0, 1.0008)), sf.ConvexPolygon.box((0, 1), (-0.0015, 1)),
-         1e-3, sf.Contained),
+    for a, b, error in (
+        (square, square, sf.DegenerateDistance),
+        # dist(A, B) = 0.8 tol attains dist_H = 1.5 tol within tol (= 1e-9), yet vanishes
+        (sf.ConvexPolygon.box((-1, 1), (0, 8e-10)), sf.ConvexPolygon.box((-1, 1), (-1.5e-9, 0)),
+         sf.Contained),
     ):
-        assert outcome(sf.osl_check, field, a, b, 0.0, omega, tol) is error
-        assert outcome(reference_osl_check, field, a, b, 0.0, omega, tol) is error
+        assert outcome(sf.osl_check, field, a, b, 0.0, omega) is error
+        assert outcome(reference_osl_check, field, a, b, 0.0, omega) is error
     corner = sf.ConvexPolygon.box((0.5, 1.5), (0.5, 1.5))
     big = sf.ConvexPolygon.box((-3, 3), (-3, 3))
     for a, b, error in ((corner, square, sf.AsymmetricDistance), (square, big, sf.Contained)):
@@ -921,7 +919,7 @@ def caught(fn, *args):
         return exc
 
 
-def reference_integrate(f, sigma0, T, h, method="rk4", policy="on_violation", threshold=None):
+def reference_integrate(f, sigma0, T, h, method="rk4", policy="on_violation"):
     """The single-set loop with list storage that integrate_stack replaced."""
     step = dynamics._euler_step if method == "euler" else dynamics._rk4_step
     grid = f.grid
@@ -945,7 +943,7 @@ def reference_integrate(f, sigma0, T, h, method="rk4", policy="on_violation", th
             raise sf.NonFiniteValue(f"non-finite state at t = {t_next} under field '{f.name}'")
         res = residual(y_new)
         did_reg = False
-        limit = 10.0 * default_tol(y_new) if threshold is None else threshold
+        limit = 10.0 * default_tol(y_new)
         if policy == "always" or (policy == "on_violation" and res > limit):
             try:
                 y_new = sf.regularize(y_new, grid).values.copy()
@@ -961,7 +959,7 @@ def reference_integrate(f, sigma0, T, h, method="rk4", policy="on_violation", th
         y = y_new
     return sf.Trajectory(
         grid, np.asarray(ts), np.asarray(states), np.asarray(residuals),
-        np.asarray(regularized, dtype=bool), method, policy, threshold, completed, failure,
+        np.asarray(regularized, dtype=bool), method, policy, completed, failure,
     )
 
 
@@ -976,7 +974,7 @@ def assert_same_trajectory(got, ref):
     assert np.array_equal(got.regularized, ref.regularized)
     assert got.regularized.dtype == bool and got.times.dtype == np.float64
     assert (got.completed, got.failure) == (ref.completed, ref.failure)
-    assert (got.method, got.policy, got.threshold) == (ref.method, ref.policy, ref.threshold)
+    assert (got.method, got.policy) == (ref.method, ref.policy)
 
 
 @st.composite
@@ -1002,24 +1000,23 @@ def stack_cases(draw):
     else:
         dent = np.zeros(n)
         dent[rng.integers(n)] = -draw(st.floats(0.1, 2.0))
-        field = sf.constant_field(sf.SupportDelta(grid, dent), name="dent")
+        field = sf.constant_field(sf.SupportDelta(grid, dent))
     sizes = draw(st.lists(st.sampled_from([0.0]) | st.floats(0.05, 3.0), min_size=1, max_size=4))
     # size 0: the point at the origin, whose margins are all exactly zero
     origin = sf.SupportSample(grid, np.zeros(n))
-    sigmas = [sf.random_cone_sample(grid, rng, radius=r) if r else origin for r in sizes]
+    sigmas = [sf.scale(sf.random_cone_sample(grid, rng), r / 1.5) if r else origin for r in sizes]
     h = draw(st.floats(0.01, 0.3))
     T = h * draw(st.floats(0.5, 30.0))
     method = draw(st.sampled_from(["euler", "rk4"]))
     policy = draw(st.sampled_from(["never", "on_violation", "always"]))
-    threshold = draw(st.sampled_from([None, None, 0.0, 1e-6]))
-    return field, sigmas, T, h, method, policy, threshold
+    return field, sigmas, T, h, method, policy
 
 
 @settings(max_examples=300)
 @given(stack_cases())
 def test_stacked_integration_matches_per_set_loop_bit_for_bit(case):
-    field, sigmas, T, h, method, policy, threshold = case
-    args = (T, h, method, policy, threshold)
+    field, sigmas, T, h, method, policy = case
+    args = (T, h, method, policy)
     refs = [caught(reference_integrate, field, s, *args) for s in sigmas]
     got = caught(sf.integrate_stack, field, sigmas, *args)
     if any(isinstance(r, sf.NonFiniteValue) for r in refs):
@@ -1103,8 +1100,8 @@ def test_curve_matches_per_sample_validation(case):
     """One stacked cone test at each state's drift limit accepts and rejects
     exactly what the per-state SupportSample constructions did, and reports
     the same violation."""
-    field, sigmas, T, h, method, policy, threshold = case
-    traj = caught(sf.integrate, field, sigmas[0], T, h, method, policy, threshold)
+    field, sigmas, T, h, method, policy = case
+    traj = caught(sf.integrate, field, sigmas[0], *case[2:])
     if isinstance(traj, Exception) or len(traj) < 2:
         return
     ref = caught(reference_curve, traj)
@@ -1157,9 +1154,9 @@ def test_horizon_bound_matches_per_state_loop(kind):
         assert bits(c) == bits(ref)
 
 
-def reference_semi_inner(f, g, tol_ext=None):
-    es = sf.extremal_sets(g, tol_ext)
-    tol = default_tol(g.values) if tol_ext is None else tol_ext
+def reference_semi_inner(f, g):
+    es = sf.extremal_sets(g)
+    tol = default_tol(g.values)
     gnorm = float(np.max(np.abs(g.values)))
     if gnorm <= tol:
         return 0.0
@@ -1168,12 +1165,12 @@ def reference_semi_inner(f, g, tol_ext=None):
     return gnorm * min(mpos, mneg)
 
 
-def reference_representatives(g, tol_ext=None):
-    tol = default_tol(g.values) if tol_ext is None else tol_ext
+def reference_representatives(g):
+    tol = default_tol(g.values)
     gnorm = float(np.max(np.abs(g.values)))
     if gnorm <= tol:
         return None
-    es = sf.extremal_sets(g, tol_ext)
+    es = sf.extremal_sets(g)
     return [((i, gnorm),) for i in es.positive] + [((i, -gnorm),) for i in es.negative]
 
 
@@ -1185,14 +1182,14 @@ delta_pairs = st.integers(3, 40).flatmap(
 
 
 @settings(max_examples=300)
-@given(delta_pairs, st.sampled_from([None, 0.0, 0.5]))
-def test_duality_matches_two_pass_reference(fg, tol_ext):
+@given(delta_pairs)
+def test_duality_matches_two_pass_reference(fg):
     fv, gv = fg
     grid = sf.DirectionGrid(len(fv))
     f, g = sf.SupportDelta(grid, fv), sf.SupportDelta(grid, gv)
-    assert bits(sf.semi_inner(f, g, tol_ext)) == bits(reference_semi_inner(f, g, tol_ext))
-    ref = reference_representatives(g, tol_ext)
-    got = caught(sf.dual_representatives, g, tol_ext)
+    assert bits(sf.semi_inner(f, g)) == bits(reference_semi_inner(f, g))
+    ref = reference_representatives(g)
+    got = caught(sf.dual_representatives, g)
     if ref is None:
         assert isinstance(got, sf.ZeroFunction)
     else:

@@ -52,6 +52,12 @@ def test_support_square_axis():
     assert sup(Q).values[0] == pytest.approx(1.0)
 
 
+def test_small_triangle_keeps_its_vertices():
+    # collinearity is a distance from the chord: legs of 1e-5 are far above 1e-12
+    tri = sf.ConvexPolygon.from_points([[0.0, 0.0], [1e-5, 0.0], [0.0, 1e-5]])
+    assert len(tri) == 3
+
+
 def test_support_single_point_origin():
     p = sf.ConvexPolygon.point((0.0, 0.0))
     assert np.all(sup(p).values == 0.0)
@@ -67,14 +73,15 @@ def test_support_samples_pass_cone_check():
     for _ in range(25):
         p = sf.ConvexPolygon.from_points(rng.uniform(-2, 2, (7, 2)))
         s = sup(p)
-        assert sf.is_in_cone(s.values, G64, tol=1e-12).ok
+        assert np.all(sf.cone_margins(s.values, G64) >= -1e-12)
 
 
 # ------------------------------------------------------------------------- cone
 
 def test_zero_vector_in_cone():
-    chk = sf.is_in_cone(np.zeros(64), G64, tol=0.0)
+    chk = sf.is_in_cone(np.zeros(64), G64)
     assert chk.ok and chk.first_violation is None
+    assert np.all(sf.cone_margins(np.zeros(64), G64) >= 0.0)
 
 
 def test_wide_difference_violates_cone():
@@ -88,8 +95,9 @@ def test_wide_difference_violates_cone():
 def test_first_violating_index_is_smallest():
     vals = np.zeros(64)
     vals[10] = -1.0  # dent violates at indices 9 and 11, reported at 9
-    chk = sf.is_in_cone(vals, G64, tol=1e-12)
+    chk = sf.is_in_cone(vals, G64)
     assert not chk.ok and chk.first_violation == 9
+    assert np.flatnonzero(sf.cone_margins(vals, G64) < -1e-12)[0] == 9
 
 
 def test_length_mismatch_raises():
