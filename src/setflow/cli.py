@@ -14,7 +14,7 @@ import numpy as np
 
 from . import formats, svg
 from .dynamics import (
-    RhsField,
+    METHODS,
     Trajectory,
     _drift_limit,
     existence_horizon,
@@ -26,14 +26,7 @@ from .dynamics import (
     relaxation_values,
     subtangent_feasible,
 )
-from .errors import (
-    ConfigError,
-    Contained,
-    DegenerateDistance,
-    DegenerateField,
-    NotInCone,
-    SetflowError,
-)
+from .errors import ConfigError, Contained, DegenerateDistance, DegenerateField, SetflowError
 from .hukuhara import (
     HukuharaClass,
     SetCurve,
@@ -83,52 +76,32 @@ def _frame_indices(times: np.ndarray, spacing: float) -> list[int]:
 
 
 def cmd_integrate(args) -> int:
-    try:
-        cfg = formats.load_scenario(args.config)
-        if cfg.initial is None:
-            raise ConfigError("missing_key", "integrate needs an 'initial' set")
-        formats._check_storage(cfg.T, cfg.h, cfg.grid_n)
-        field = formats.build_field(cfg)
-    except ConfigError as exc:
-        _error(exc.code, str(exc))
-        return 2
+    cfg = formats.load_scenario(args.config)
+    if cfg.initial is None:
+        raise ConfigError("missing_key", "integrate needs an 'initial' set")
+    formats._check_storage(cfg.T, cfg.h, cfg.grid.n)
     sigma0 = support_of_polygon(cfg.initial, cfg.grid)
-    try:
-        traj = integrate(field, sigma0, cfg.T, cfg.h, cfg.method, cfg.policy)
-    except SetflowError as exc:
-        _error("integration", str(exc))
-        return 3
-    try:
-        _write_integrate_outputs(cfg, field, traj)
-    except OSError as exc:
-        _error("filesystem", str(exc))
-        return 4
-    except NotInCone as exc:  # policy "never" stores states past the drift limit
-        _error("integration", f"a filmstrip frame left the cone: {exc}")
-        return 3
-    if not traj.completed:
-        _error("integration", traj.failure or "trajectory truncated")
-        return 3
-    return 0
-
-
-def _write_integrate_outputs(cfg, field: RhsField, traj) -> None:
-    grid = cfg.grid
+    traj = integrate(cfg.field, sigma0, cfg.T, cfg.h, cfg.method, cfg.policy)
     out = cfg.output
     traj_path = out.get("trajectory", "trajectory.csv")
     formats.write_trajectory_csv(traj, traj_path)
     print(f"wrote {traj_path} ({len(traj)} steps, method={cfg.method})")
     frames = _frame_indices(traj.times, out.get("frame_spacing", FRAME_SPACING))
     if "filmstrip" in out:
+        # a state stored under policy "never" past the drift limit raises NotInCone here
         polys = [(traj.times[k], reconstruct_polygon(traj.sample(k))) for k in frames]
-        svg.polygon_filmstrip(polys, out["filmstrip"], title=f"{field.name}: sets")
+        svg.polygon_filmstrip(polys, out["filmstrip"], title=f"{cfg.field.name}: sets")
         print(f"wrote {out['filmstrip']}")
     if "support" in out:
         vals = [(traj.times[k], traj.states[k]) for k in frames]
         svg.support_profiles(
-            vals, grid.angles, out["support"], title=f"{field.name}: support values"
+            vals, cfg.grid.angles, out["support"], title=f"{cfg.field.name}: support values"
         )
         print(f"wrote {out['support']}")
+    if not traj.completed:
+        _error("integration", traj.failure or "trajectory truncated")
+        return 3
+    return 0
 
 
 @dataclass(frozen=True)
@@ -201,21 +174,13 @@ def _write_example(k: int, ex: ExampleCurve, outdir: Path) -> None:
 
 
 def cmd_example(args) -> int:
-    try:
-        n, h = formats.parse_grid_n(args.grid_n), formats._number(args.h, "h", positive=True)
-        formats._check_storage(EXAMPLE_T, h, n, len(EXAMPLE_RECTS))
-    except ConfigError as exc:
-        _error(exc.code, str(exc))
-        return 2
+    n, h = formats.parse_grid_n(args.grid_n), formats._number(args.h, "h", positive=True)
+    formats._check_storage(EXAMPLE_T, h, n, len(EXAMPLE_RECTS))
     outdir = Path(args.outdir)
     results = _example_curves(DirectionGrid(n), h, args.method)
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-        for k, ex in zip(EXAMPLE_RECTS, results):
-            _write_example(k, ex, outdir)
-    except OSError as exc:
-        _error("filesystem", str(exc))
-        return 4
+    outdir.mkdir(parents=True, exist_ok=True)
+    for k, ex in zip(EXAMPLE_RECTS, results):
+        _write_example(k, ex, outdir)
     for k, ex in zip(EXAMPLE_RECTS, results):
         print(f"curve {k}: {ex.whole}")
     for k, ex in zip(EXAMPLE_RECTS, results):
@@ -223,7 +188,7 @@ def cmd_example(args) -> int:
     return 0
 
 
-def _check_subtangent(cfg, field: RhsField, rng) -> int:
+def _check_subtangent(cfg, rng) -> int:
     grid = cfg.grid
     points = []
     if cfg.initial is not None:
@@ -234,7 +199,7 @@ def _check_subtangent(cfg, field: RhsField, rng) -> int:
     intervals = []
     for sigma in points:
         t = float(rng.uniform(0.0, cfg.T))
-        res = subtangent_feasible(field(t, sigma), sigma)
+        res = subtangent_feasible(cfg.field(t, sigma), sigma)
         intervals.append(res)
         if not res.feasible:
             witnesses.append((t, sigma))
@@ -253,8 +218,7 @@ def _check_subtangent(cfg, field: RhsField, rng) -> int:
     return 0
 
 
-def _check_osl(cfg, field: RhsField, rng) -> int:
-    omega = formats.build_omega(cfg)
+def _check_osl(cfg, rng) -> int:
     rows = []
     violated = 0
     checked = 0
@@ -263,7 +227,7 @@ def _check_osl(cfg, field: RhsField, rng) -> int:
         b = random_rectangle(rng)
         t = float(rng.uniform(0.0, cfg.T))
         try:
-            rep = osl_check(field, a, b, t, omega)
+            rep = osl_check(cfg.field, a, b, t, cfg.omega)
         except (DegenerateDistance, Contained):
             continue
         checked += 1
@@ -293,21 +257,21 @@ def _check_osl(cfg, field: RhsField, rng) -> int:
     return 0
 
 
-def _check_lipschitz(cfg, field: RhsField, rng) -> int:
-    est = lipschitz_estimate(field, budget=cfg.samples, seed=int(rng.integers(2**31)))
-    declared = field.lipschitz
+def _check_lipschitz(cfg, rng) -> int:
+    est = lipschitz_estimate(cfg.field, budget=cfg.samples, seed=int(rng.integers(2**31)))
+    declared = cfg.field.lipschitz
     extra = f" (declared {declared:g})" if declared is not None else ""
     print(f"lipschitz estimate: {est:.9g}{extra}")
     return 0
 
 
-def _check_horizon(cfg, field: RhsField, rng) -> int:
+def _check_horizon(cfg, rng) -> int:
     if cfg.initial is None:
         raise ConfigError("missing_key", "horizon check needs an 'initial' set")
     sigma0 = support_of_polygon(cfg.initial, cfg.grid)
     try:
         c, b = existence_horizon(
-            field, sigma0, cfg.r, cfg.T, budget=cfg.samples,
+            cfg.field, sigma0, cfg.r, cfg.T, budget=cfg.samples,
             seed=int(rng.integers(2**31)),
         )
     except DegenerateField as exc:
@@ -317,35 +281,21 @@ def _check_horizon(cfg, field: RhsField, rng) -> int:
     return 0
 
 
+CHECKS = {"subtangent": _check_subtangent, "osl": _check_osl,
+          "lipschitz": _check_lipschitz, "horizon": _check_horizon}
+
+
 def cmd_check(args) -> int:
-    try:
-        cfg = formats.load_scenario(args.config)
-        field = formats.build_field(cfg)
-        rng = np.random.default_rng(formats.resolve_seed(cfg))
-        runner = {
-            "subtangent": _check_subtangent,
-            "osl": _check_osl,
-            "lipschitz": _check_lipschitz,
-            "horizon": _check_horizon,
-        }[args.diagnostic]
-        return runner(cfg, field, rng)
-    except ConfigError as exc:
-        _error(exc.code, str(exc))
-        return 2
-    except OSError as exc:
-        _error("filesystem", str(exc))
-        return 4
+    cfg = formats.load_scenario(args.config)
+    rng = np.random.default_rng(formats.resolve_seed(cfg))
+    return CHECKS[args.diagnostic](cfg, rng)
 
 
 def cmd_hausdorff(args) -> int:
-    try:
-        a = formats.load_set(args.set_a)
-        b = formats.load_set(args.set_b)
-        if not 3 <= args.n <= formats.MAX_GRID_N:
-            raise ConfigError("bad_value", f"--n must be 3..{formats.MAX_GRID_N}, got {args.n}")
-    except ConfigError as exc:
-        _error(exc.code, str(exc))
-        return 2
+    a = formats.load_set(args.set_a)
+    b = formats.load_set(args.set_b)
+    if not 3 <= args.n <= formats.MAX_GRID_N:
+        raise ConfigError("bad_value", f"--n must be 3..{formats.MAX_GRID_N}, got {args.n}")
     grid = DirectionGrid(args.n)
     est = hausdorff_grid(support_of_polygon(a, grid), support_of_polygon(b, grid))
     exact = hausdorff_exact(a, b)
@@ -369,14 +319,12 @@ def main(argv=None) -> int:
     p_ex = sub.add_parser("example", help="run the three-rectangle relaxation demo")
     p_ex.add_argument("outdir")
     p_ex.add_argument("--h", type=float, default=0.01)
-    p_ex.add_argument("--method", choices=("euler", "rk4"), default="rk4")
+    p_ex.add_argument("--method", choices=METHODS, default="rk4")
     p_ex.add_argument("--grid-n", type=int, default=64, dest="grid_n")
     p_ex.set_defaults(fn=cmd_example)
 
     p_chk = sub.add_parser("check", help="run a diagnostic over a scenario")
-    p_chk.add_argument(
-        "diagnostic", choices=("subtangent", "osl", "lipschitz", "horizon")
-    )
+    p_chk.add_argument("diagnostic", choices=tuple(CHECKS))
     p_chk.add_argument("config")
     p_chk.set_defaults(fn=cmd_check)
 
@@ -387,7 +335,18 @@ def main(argv=None) -> int:
     p_hd.set_defaults(fn=cmd_hausdorff)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    # the one place an error becomes an exit code: 1 (a violation) is returned, never raised
+    try:
+        return args.fn(args)
+    except ConfigError as exc:
+        _error(exc.code, str(exc))
+        return 2
+    except OSError as exc:
+        _error("filesystem", str(exc))
+        return 4
+    except SetflowError as exc:
+        _error("integration", str(exc))
+        return 3
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,9 +41,22 @@ MAX_STORED_FLOATS = 1 << 25
 # Most samples a check may draw; samples * grid_n, the floats the subtangent and
 # horizon checks hold at once, is also capped by MAX_STORED_FLOATS.
 MAX_SAMPLES = 100_000
+# Largest magnitude of a set coordinate or of r: lengths far below the float range,
+# so the sums, differences and squares built from them cannot overflow.
+MAX_MAGNITUDE = 1e100
 
 
 # ---------------------------------------------------------------- JSON payloads
+
+def _points(values) -> np.ndarray:
+    """values as a (k, 2) float array, every coordinate at most MAX_MAGNITUDE in size."""
+    pts = np.asarray(values, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"need shape (k, 2), got {pts.shape}")
+    if not np.all(np.abs(pts) <= MAX_MAGNITUDE):
+        raise ValueError(f"coordinates must be at most MAX_MAGNITUDE = {MAX_MAGNITUDE:g} in size")
+    return pts
+
 
 def parse_set(obj) -> ConvexPolygon:
     """Build a polygon from {"vertices": [[x,y],...]} or {"box": [[a,b],[c,d]]}."""
@@ -51,28 +64,32 @@ def parse_set(obj) -> ConvexPolygon:
         raise ConfigError("bad_set", f"set descriptor must be an object, got {type(obj).__name__}")
     if "vertices" in obj:
         try:
-            return ConvexPolygon.from_points(np.asarray(obj["vertices"], dtype=float))
+            return ConvexPolygon.from_points(_points(obj["vertices"]))
         except (ValueError, TypeError) as exc:
             raise ConfigError("bad_set", f"bad vertex list: {exc}") from exc
     if "box" in obj:
         box = obj["box"]
         try:
-            (a1, b1), (a2, b2) = box
-            return ConvexPolygon.box((float(a1), float(b1)), (float(a2), float(b2)))
+            xr, yr = _points(box)
+            return ConvexPolygon.box(xr, yr)
         except (ValueError, TypeError) as exc:
             raise ConfigError("bad_set", f"bad box descriptor {box!r}: {exc}") from exc
     raise ConfigError("bad_set", "set descriptor needs 'vertices' or 'box'")
 
 
-def load_set(path) -> ConvexPolygon:
+def _read_json(path, what: str):
+    """The JSON document at path; a file that cannot be read or parsed is a ConfigError."""
     try:
         with open(path) as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ConfigError("io", f"cannot read set file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+        raise ConfigError("io", f"cannot read {what} {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
         raise ConfigError("bad_json", f"{path}: {exc}") from exc
-    return parse_set(obj)
+
+
+def load_set(path) -> ConvexPolygon:
+    return parse_set(_read_json(path, "set file"))
 
 
 # ------------------------------------------------------------------- CSV output
@@ -118,26 +135,22 @@ def write_values_csv(times, rows, path) -> None:
 
 # -------------------------------------------------------------- scenario config
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
-    """Parsed scenario file driving the CLI front end."""
+    """A scenario file parsed into the objects it names, driving the CLI front end."""
 
-    grid_n: int
+    grid: DirectionGrid
     T: float
     h: float
     method: str
     policy: str
-    rhs: dict
+    field: RhsField
+    omega: GrowthFunction
     initial: ConvexPolygon | None
-    output: dict = field(default_factory=dict)
-    seed: int | None = None
-    samples: int = 200
-    r: float = 1.0
-    omega: dict = field(default_factory=lambda: {"kind": "linear", "rate": 1.0})
-
-    @property
-    def grid(self) -> DirectionGrid:
-        return DirectionGrid(self.grid_n)
+    output: dict
+    seed: int | None
+    samples: int
+    r: float
 
 
 def _require(obj: dict, key: str):
@@ -147,10 +160,12 @@ def _require(obj: dict, key: str):
 
 
 def _integer(value, name: str) -> int:
-    try:
+    """value as an int: a JSON integer, or a float with an integral value; never a bool."""
+    if isinstance(value, float) and value.is_integer():
         return int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError("bad_value", f"{name} must be an integer, got {value!r}") from exc
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError("bad_value", f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def _number(value, name: str, positive: bool = False) -> float:
@@ -189,13 +204,7 @@ def parse_grid_n(value) -> int:
 
 
 def load_scenario(path) -> ScenarioConfig:
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ConfigError("io", f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError("bad_json", f"{path}: {exc}") from exc
+    obj = _read_json(path, "config")
     if not isinstance(obj, dict):
         raise ConfigError("bad_json", "config root must be an object")
 
@@ -231,55 +240,53 @@ def load_scenario(path) -> ScenarioConfig:
         message = f"samples * grid_n = {held} exceeds MAX_STORED_FLOATS = {MAX_STORED_FLOATS}"
         raise ConfigError("bad_value", message)
     r = _number(obj.get("r", 1.0), "r", positive=True)
-    if not math.isfinite(2.0 * r):  # perturbations draw from [-r, r]
-        raise ConfigError("bad_value", f"r must have a finite 2 * r, got {r!r}")
-    cfg = ScenarioConfig(
-        grid_n=grid_n,
+    if r > MAX_MAGNITUDE:
+        message = f"r must be at most MAX_MAGNITUDE = {MAX_MAGNITUDE:g}, got {r!r}"
+        raise ConfigError("bad_value", message)
+    grid = DirectionGrid(grid_n)
+    return ScenarioConfig(
+        grid=grid,
         T=T,
         h=h,
         method=method,
         policy=policy,
-        rhs=rhs,
+        field=build_field(rhs, grid),
+        omega=build_omega(obj.get("omega", {})),
         initial=initial,
         output=output,
         seed=seed,
         samples=samples,
         r=r,
-        omega=obj.get("omega", {"kind": "linear", "rate": 1.0}),
     )
-    build_field(cfg)  # validate the rhs descriptor eagerly
-    build_omega(cfg)
-    return cfg
 
 
-def build_field(cfg: ScenarioConfig) -> RhsField:
-    """Instantiate the configured right-hand side on the configured grid."""
-    grid = cfg.grid
-    kind = cfg.rhs.get("kind")
+def build_field(rhs: dict, grid: DirectionGrid) -> RhsField:
+    """Instantiate the rhs descriptor on the grid."""
+    kind = rhs.get("kind")
     if kind == "relax_to":
-        if "target" not in cfg.rhs:
+        if "target" not in rhs:
             raise ConfigError("bad_value", "relax_to rhs needs a 'target' set")
-        target = parse_set(cfg.rhs["target"])
-        return relax_to(support_of_polygon(target, grid))
+        return relax_to(support_of_polygon(parse_set(rhs["target"]), grid))
     if kind == "constant":
         try:
-            delta = SupportDelta(grid, cfg.rhs.get("delta", []))
+            delta = SupportDelta(grid, rhs.get("delta", []))
         except (GridMismatch, TypeError, ValueError) as exc:
             raise ConfigError("bad_value", f"constant rhs delta: {exc}") from exc
         if not np.all(np.isfinite(delta.values)):
             raise ConfigError("bad_value", "constant rhs delta must be finite")
         return constant_field(delta)
     if kind == "expand":
-        return expansion_field(grid, _number(cfg.rhs.get("rate", 1.0), "rhs.rate"))
+        return expansion_field(grid, _number(rhs.get("rate", 1.0), "rhs.rate"))
     raise ConfigError("bad_value", f"unknown rhs kind {kind!r}")
 
 
-def build_omega(cfg: ScenarioConfig) -> GrowthFunction:
-    if not isinstance(cfg.omega, dict):
+def build_omega(omega) -> GrowthFunction:
+    """Instantiate the omega descriptor, linear with rate 1 by default."""
+    if not isinstance(omega, dict):
         raise ConfigError("bad_value", "omega must be an object")
-    kind = cfg.omega.get("kind", "linear")
+    kind = omega.get("kind", "linear")
     if kind == "linear":
-        return linear_growth(_number(cfg.omega.get("rate", 1.0), "omega.rate"))
+        return linear_growth(_number(omega.get("rate", 1.0), "omega.rate"))
     if kind == "zero":
         return zero_growth()
     raise ConfigError("bad_value", f"unknown omega kind {kind!r}")

@@ -510,22 +510,24 @@ def hausdorff_grid(a: SupportSample, b: SupportSample) -> float:
 _BLOCK_PAIRS = 1 << 16
 
 
-def _edge_frame(v: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Edge vectors of the CCW vertices v, max |coordinate| and max(1, radius)."""
+def _edge_frame(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Edge vectors of the CCW vertices v, their lengths, max |coordinate|, max(1, radius)."""
+    e = np.roll(v, -1, axis=0) - v
     radius = float(np.max(np.hypot(v[:, 0], v[:, 1])))
-    return np.roll(v, -1, axis=0) - v, np.max(np.abs(v)), max(1.0, radius)
+    return e, np.hypot(e[:, 0], e[:, 1]), np.max(np.abs(v)), max(1.0, radius)
 
 
 def _inside(x: np.ndarray, v: np.ndarray, frame, tol=None) -> np.ndarray:
-    """Rows of x (K, 2) on the inner side of every edge of the CCW vertices v
-    (>= 3), up to tol * max(1, radius, |row|_inf); frame is _edge_frame(v) and
-    tol defaults to default_tol(vertices, row)."""
-    e, vmax, rad = frame
+    """Rows of x (K, 2) on the inner side of every edge of the CCW vertices v (>= 3), up to
+    tol * min(edge length, max(1, radius, |row|_inf)), so never more than tol outside an
+    edge line; frame is _edge_frame(v) and tol defaults to default_tol(vertices, row)."""
+    e, length, vmax, rad = frame
     if tol is None:
         tol = default_tol(np.column_stack([np.full(len(x), vmax), x]))
-    limit = -tol * np.maximum(rad, np.max(np.abs(x), axis=1))
+    scale = np.maximum(rad, np.max(np.abs(x), axis=1))
+    limit = -np.asarray(tol)[..., None] * np.minimum(length, scale[:, None])
     crosses = e[:, 0] * (x[:, 1, None] - v[:, 1]) - e[:, 1] * (x[:, 0, None] - v[:, 0])
-    return np.all(crosses >= limit[:, None], axis=1)
+    return np.all(crosses >= limit, axis=1)
 
 
 def _nearest_points(x, p: ConvexPolygon) -> tuple[np.ndarray, np.ndarray]:

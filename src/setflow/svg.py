@@ -18,6 +18,24 @@ def _color(i: int, total: int) -> str:
     return f"rgb({shade},{int(60 + 60 * frac)},{255 - shade})"
 
 
+def _write_svg(path, width: int, height: int, title: str, body, backdrop=()) -> None:
+    """Write an SVG document: white background, backdrop, centred title if any, then body."""
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        *backdrop,
+    ]
+    if title:
+        parts.append(
+            f'<text x="{width / 2:.1f}" y="16" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="12">{title}</text>'
+        )
+    parts += body
+    parts.append("</svg>")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(parts))
+
+
 def polygon_filmstrip(frames, path, title: str = "") -> None:
     """Write one square cell per (t, polygon) frame, all on a shared scale."""
     frames = list(frames)
@@ -39,15 +57,7 @@ def polygon_filmstrip(frames, path, title: str = "") -> None:
         y = cy + CELL - (xy[1] - lo[1]) / span * CELL
         return x, y
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
-    if title:
-        parts.append(
-            f'<text x="{width / 2:.1f}" y="16" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{title}</text>'
-        )
+    parts = []
     for i, (t, poly) in enumerate(frames):
         cx = MARGIN + (i % cols) * (CELL + MARGIN)
         cy = MARGIN + 20 + (i // cols) * (CELL + MARGIN + 16)
@@ -68,9 +78,7 @@ def polygon_filmstrip(frames, path, title: str = "") -> None:
             f'text-anchor="middle" font-family="sans-serif" font-size="10">'
             f"t = {t:g}</text>"
         )
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts))
+    _write_svg(path, width, height, title, parts)
 
 
 def support_profiles(frames, angles, path, title: str = "") -> None:
@@ -85,17 +93,7 @@ def support_profiles(frames, angles, path, title: str = "") -> None:
         vmax = vmin + 1.0
     amax = float(angles[-1])
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<rect x="{x0}" y="{y0}" width="{plot_w}" height="{plot_h}" '
-        f'fill="none" stroke="#cccccc"/>',
-    ]
-    if title:
-        parts.append(
-            f'<text x="{width / 2:.1f}" y="16" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{title}</text>'
-        )
+    parts = []
     if vmin < 0 < vmax:
         yz = y0 + plot_h - (0 - vmin) / (vmax - vmin) * plot_h
         parts.append(
@@ -115,6 +113,8 @@ def support_profiles(frames, angles, path, title: str = "") -> None:
         f'<text x="{x0 + plot_w / 2:.1f}" y="{height - 6}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="10">direction angle</text>'
     )
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts))
+    frame = (
+        f'<rect x="{x0}" y="{y0}" width="{plot_w}" height="{plot_h}" '
+        f'fill="none" stroke="#cccccc"/>'
+    )
+    _write_svg(path, width, height, title, parts, backdrop=[frame])

@@ -250,6 +250,16 @@ def _box_file(tmp_path):
     return write_json(tmp_path / "a.json", {"box": [[0, 1], [0, 1]]})
 
 
+def _set_file(tmp_path, obj):
+    return write_json(tmp_path / "s.json", obj)
+
+
+def _raw_file(tmp_path, data):
+    path = tmp_path / "raw.json"
+    path.write_bytes(data)
+    return str(path)
+
+
 def _frames(tmp_path, spacing):
     return {"trajectory": str(tmp_path / "t.csv"), "frame_spacing": spacing}
 
@@ -388,6 +398,52 @@ CONTRACT_CASES = {
         lambda scen, tmp: ["example", str(tmp / "out"), "--grid-n", "65536", "--h", "1e-4"],
         {},
         2,
+    ),
+    "hausdorff_vertices_not_pairs": (
+        lambda scen, tmp: [
+            "hausdorff", _set_file(tmp, {"vertices": [[1, 2, 3], [4, 5, 6]]}), _box_file(tmp)
+        ],
+        {},
+        2,
+    ),
+    "initial_vertices_nested": (
+        lambda scen, tmp: ["integrate", scen(initial={"vertices": [[[1, 2]], [[3, 4]]]})], {}, 2
+    ),
+    "grid_n_not_integral": (lambda scen, tmp: ["integrate", scen(grid_n=4.5)], {}, 2),
+    "samples_not_integral": (lambda scen, tmp: ["check", "subtangent", scen(samples=2.7)], {}, 2),
+    "seed_a_bool": (lambda scen, tmp: ["check", "lipschitz", scen(seed=True)], {}, 2),
+    # at the parent these overflow: a wrong distance, a bogus witness, warnings or a traceback
+    "hausdorff_coordinates_over_magnitude": (
+        lambda scen, tmp: [
+            "hausdorff",
+            _set_file(tmp, {"vertices": [[1e308, 0], [-1e308, 0], [0, 1e308]]}),
+            _box_file(tmp),
+        ],
+        {},
+        2,
+    ),
+    "target_coordinates_over_magnitude": (
+        lambda scen, tmp: [
+            "check",
+            "osl",
+            scen(rhs={"kind": "relax_to", "target": {"box": [[-1.7e308, 1.7e308], [-1, 1]]}}),
+        ],
+        {},
+        2,
+    ),
+    "initial_coordinates_over_magnitude": (
+        lambda scen, tmp: [
+            "check", "horizon", scen(initial={"vertices": [[1.7e308, 1.7e308]]})
+        ],
+        {},
+        2,
+    ),
+    "r_over_magnitude": (lambda scen, tmp: ["check", "horizon", scen(r=5e307)], {}, 2),
+    "config_not_utf8": (
+        lambda scen, tmp: ["integrate", _raw_file(tmp, b'{"grid_n": "\xff"}')], {}, 2
+    ),
+    "config_nested_too_deep": (
+        lambda scen, tmp: ["integrate", _raw_file(tmp, b"[" * 100_000 + b"]" * 100_000)], {}, 2
     ),
     "witnesses_unwritable": (
         lambda scen, tmp: [

@@ -42,7 +42,7 @@ def test_scenario_validation(tmp_path):
     path = tmp_path / "ok.json"
     path.write_text(json.dumps(good))
     cfg = formats.load_scenario(path)
-    assert cfg.grid_n == 16 and cfg.method == "rk4"
+    assert cfg.grid.n == 16 and cfg.method == "rk4"
 
     for mutation, code in [
         ({"grid_n": 15}, "bad_value"),
@@ -57,6 +57,16 @@ def test_scenario_validation(tmp_path):
         with pytest.raises(sf.ConfigError) as exc:
             formats.load_scenario(bad_path)
         assert exc.value.code == code
+
+
+def test_integral_floats_are_integers(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "grid_n": 16.0, "T": 1.0, "h": 0.1, "rhs": {"kind": "expand"}, "samples": 5.0, "seed": 7.0
+    }))
+    cfg = formats.load_scenario(path)
+    assert (cfg.grid.n, cfg.samples, cfg.seed) == (16, 5, 7)
+    assert all(type(v) is int for v in (cfg.grid.n, cfg.samples, cfg.seed))
 
 
 def test_scenario_missing_key(tmp_path):

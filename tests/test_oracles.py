@@ -242,7 +242,7 @@ def reference_contains(p, x, tol=None) -> bool:
     crosses = e[:, 0] * r[:, 1] - e[:, 1] * r[:, 0]
     radius = float(np.max(np.hypot(v[:, 0], v[:, 1])))
     scale = max(1.0, radius, float(np.max(np.abs(x))))
-    return bool(np.all(crosses >= -tol * scale))
+    return bool(np.all(crosses >= -tol * np.minimum(np.hypot(e[:, 0], e[:, 1]), scale)))
 
 
 def reference_project_point(x, p):

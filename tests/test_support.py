@@ -300,6 +300,14 @@ def test_hausdorff_exact_values():
     assert sf.hausdorff_exact(A2, Q) == pytest.approx(math.sqrt(8.5), abs=1e-12)
 
 
+def test_far_point_is_outside_a_small_polygon():
+    # the short edges must not widen the inside test: the point is 1.4e6 away, not inside
+    tri = sf.ConvexPolygon.from_points([[0, 0], [1e-4, 0], [0, 1e-4]])
+    far = sf.ConvexPolygon.point((1e6, 1e6))
+    assert not tri.contains((1e6, 1e6))
+    assert sf.hausdorff_exact(tri, far) == pytest.approx(math.sqrt(2) * 1e6)
+
+
 def test_hausdorff_exact_memory_is_bounded():
     # 4096 x 4096 vertex-edge pairs: an unblocked broadcast would peak near 300 MB
     grid = sf.DirectionGrid(4096)

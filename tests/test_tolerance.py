@@ -1,8 +1,9 @@
 """The one tolerance: every comparison takes default_tol of its own inputs.
 
-Property tests of three comparisons that rest on it (Hukuhara differences,
-the subtangent interval and polygon reconstruction), and a check that no
-exported callable takes a per-call tolerance or a fixed sampling shape.
+Property tests of four comparisons that rest on it (Hukuhara differences,
+the subtangent interval, polygon reconstruction and the grid Hausdorff
+distance), and a check that no exported callable takes a per-call tolerance
+or a fixed sampling shape.
 """
 
 import inspect
@@ -120,6 +121,57 @@ def test_reconstruction_reproduces_the_sample(s):
     design, and the gap can then reach that cell (see the README)."""
     back = sf.support_of_polygon(sf.reconstruct_polygon(s), s.grid)
     assert np.max(np.abs(back.values - s.values)) <= default_tol(s.values)
+
+
+# ------------------------------------------------------------ Hausdorff distances
+
+@st.composite
+def polygons(draw):
+    """A polygon of 3 to 8 random points, a segment or a point, of size 1e-4
+    to 1e4, centred at the origin or away from it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = 10.0 ** draw(st.integers(-4, 4))
+    center = size * draw(st.sampled_from([0.0, 1.0, 100.0])) * rng.normal(size=2)
+    count = draw(st.sampled_from([1, 2, 3, 5, 8]))
+    return sf.ConvexPolygon.from_points(size * rng.uniform(-1.0, 1.0, (count, 2)) + center)
+
+
+def hausdorff_tol(*polys):
+    return default_tol(np.concatenate([p.vertices.ravel() for p in polys]))
+
+
+@settings(max_examples=200)
+@given(polygons(), polygons(), st.sampled_from([3, 4, 8, 64, 257]), st.integers(2, 4))
+def test_grid_distance_is_a_lower_bound_that_refinement_raises(a, b, n, k):
+    """The grid estimate never exceeds the exact distance, and the estimate on
+    the grid refined by an integer factor is at least the coarse one."""
+    tol = hausdorff_tol(a, b)
+    coarse, fine = (
+        sf.hausdorff_grid(sf.support_of_polygon(a, g), sf.support_of_polygon(b, g))
+        for g in (sf.DirectionGrid(n), sf.DirectionGrid(k * n))
+    )
+    exact = sf.hausdorff_exact(a, b)
+    assert coarse <= exact + tol
+    assert fine <= exact + tol
+    assert fine >= coarse - tol
+
+
+@settings(max_examples=100)
+@given(polygons(), st.sampled_from([3, 4, 8, 64]), st.floats(0.5, 2.0), st.data())
+def test_grid_distance_is_exact_along_a_grid_direction(a, n, length, data):
+    """B = A + d u_j for each grid direction u_j: direction j realizes the
+    distance d, so the grid estimate is exact there.  d is at least half of
+    max(1, extent of A), so a max that skips u_j falls short by far more
+    than the tolerance."""
+    grid = sf.DirectionGrid(n)
+    d = length * max(1.0, np.ptp(a.vertices))
+    sigma = sf.support_of_polygon(a, grid)
+    shifted = [sf.ConvexPolygon.from_points(a.vertices + d * u) for u in grid.directions]
+    for b in shifted:
+        est = sf.hausdorff_grid(sigma, sf.support_of_polygon(b, grid))
+        assert abs(est - d) <= hausdorff_tol(a, b)
+    b = shifted[data.draw(st.integers(0, n - 1))]
+    assert abs(sf.hausdorff_exact(a, b) - d) <= hausdorff_tol(a, b)
 
 
 # ------------------------------------------------------------------- no knobs
