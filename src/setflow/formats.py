@@ -41,9 +41,11 @@ MAX_STORED_FLOATS = 1 << 25
 # Most samples a check may draw; samples * grid_n, the floats the subtangent and
 # horizon checks hold at once, is also capped by MAX_STORED_FLOATS.
 MAX_SAMPLES = 100_000
-# Largest magnitude of a set coordinate or of r: lengths far below the float range,
-# so the sums, differences and squares built from them cannot overflow.
+# Largest magnitude of a set coordinate, of r and of a field parameter (rhs.rate,
+# rhs.delta, omega.rate): far below the float range, so the sums, differences,
+# squares and field values built from them cannot overflow.
 MAX_MAGNITUDE = 1e100
+_CAPPED = f"at most MAX_MAGNITUDE = {MAX_MAGNITUDE:g} in size"
 
 
 # ---------------------------------------------------------------- JSON payloads
@@ -54,7 +56,7 @@ def _points(values) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"need shape (k, 2), got {pts.shape}")
     if not np.all(np.abs(pts) <= MAX_MAGNITUDE):
-        raise ValueError(f"coordinates must be at most MAX_MAGNITUDE = {MAX_MAGNITUDE:g} in size")
+        raise ValueError(f"coordinates must be {_CAPPED}")
     return pts
 
 
@@ -168,16 +170,31 @@ def _integer(value, name: str) -> int:
     return value
 
 
-def _number(value, name: str, positive: bool = False) -> float:
-    """value as a finite float, and > 0 when positive."""
+def _number(value, name: str, positive: bool = False, capped: bool = False) -> float:
+    """value as a finite float from a JSON number (never a bool or a string).
+
+    Also > 0 when positive, and at most MAX_MAGNITUDE in size when capped.
+    """
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError("bad_value", f"{name} must be a number, got {value!r}")
     try:
         x = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("bad_value", f"{name} must be a number, got {value!r}") from exc
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ConfigError("bad_value", f"{name} must be finite, got {value!r}") from exc
     if not math.isfinite(x) or (positive and x <= 0):
         rule = "positive and finite" if positive else "finite"
         raise ConfigError("bad_value", f"{name} must be {rule}, got {value!r}")
+    if capped and abs(x) > MAX_MAGNITUDE:
+        raise ConfigError("bad_value", f"{name} must be {_CAPPED}, got {value!r}")
     return x
+
+
+def _seed(value, name: str) -> int:
+    """value as a seed: a non-negative integer."""
+    seed = _integer(value, name)
+    if seed < 0:
+        raise ConfigError("bad_value", f"{name} must be non-negative, got {seed}")
+    return seed
 
 
 def _check_steps(T: float, h: float, name: str = "h") -> None:
@@ -222,7 +239,7 @@ def load_scenario(path) -> ScenarioConfig:
     if not isinstance(rhs, dict) or "kind" not in rhs:
         raise ConfigError("bad_value", "rhs needs a 'kind'")
     initial = parse_set(obj["initial"]) if "initial" in obj else None
-    seed = _integer(obj["seed"], "seed") if "seed" in obj else None
+    seed = _seed(obj["seed"], "seed") if "seed" in obj else None
     output = obj.get("output", {})
     if not isinstance(output, dict):
         raise ConfigError("bad_value", "output must be an object")
@@ -239,10 +256,7 @@ def load_scenario(path) -> ScenarioConfig:
     if (held := samples * grid_n) > MAX_STORED_FLOATS:
         message = f"samples * grid_n = {held} exceeds MAX_STORED_FLOATS = {MAX_STORED_FLOATS}"
         raise ConfigError("bad_value", message)
-    r = _number(obj.get("r", 1.0), "r", positive=True)
-    if r > MAX_MAGNITUDE:
-        message = f"r must be at most MAX_MAGNITUDE = {MAX_MAGNITUDE:g}, got {r!r}"
-        raise ConfigError("bad_value", message)
+    r = _number(obj.get("r", 1.0), "r", positive=True, capped=True)
     grid = DirectionGrid(grid_n)
     return ScenarioConfig(
         grid=grid,
@@ -272,11 +286,11 @@ def build_field(rhs: dict, grid: DirectionGrid) -> RhsField:
             delta = SupportDelta(grid, rhs.get("delta", []))
         except (GridMismatch, TypeError, ValueError) as exc:
             raise ConfigError("bad_value", f"constant rhs delta: {exc}") from exc
-        if not np.all(np.isfinite(delta.values)):
-            raise ConfigError("bad_value", "constant rhs delta must be finite")
+        if not np.all(np.abs(delta.values) <= MAX_MAGNITUDE):  # NaN fails too
+            raise ConfigError("bad_value", f"constant rhs delta must be {_CAPPED}")
         return constant_field(delta)
     if kind == "expand":
-        return expansion_field(grid, _number(rhs.get("rate", 1.0), "rhs.rate"))
+        return expansion_field(grid, _number(rhs.get("rate", 1.0), "rhs.rate", capped=True))
     raise ConfigError("bad_value", f"unknown rhs kind {kind!r}")
 
 
@@ -286,7 +300,7 @@ def build_omega(omega) -> GrowthFunction:
         raise ConfigError("bad_value", "omega must be an object")
     kind = omega.get("kind", "linear")
     if kind == "linear":
-        return linear_growth(_number(omega.get("rate", 1.0), "omega.rate"))
+        return linear_growth(_number(omega.get("rate", 1.0), "omega.rate", capped=True))
     if kind == "zero":
         return zero_growth()
     raise ConfigError("bad_value", f"unknown omega kind {kind!r}")
@@ -297,10 +311,11 @@ def resolve_seed(cfg: ScenarioConfig) -> int:
     env = os.environ.get("SETFLOW_SEED")
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as exc:
             message = f"SETFLOW_SEED must be an integer, got {env!r}"
             raise ConfigError("bad_value", message) from exc
+        return _seed(seed, "SETFLOW_SEED")
     if cfg.seed is not None:
         return cfg.seed
     return DEFAULT_SEED

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import InitVar, dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -172,46 +173,51 @@ def _require_in_cone(values, grid: DirectionGrid, tol) -> np.ndarray:
     return limit[..., 0]
 
 
-def _convex_hull(points: np.ndarray, tol: float) -> np.ndarray:
+def _monotone_chain(points, flat: float) -> list[tuple[float, float]]:
+    """One half of the hull: each point pops every vertex at most flat to the left of its chord."""
+    out: list[tuple[float, float]] = []
+    for b in points:
+        bx, by = b
+        while len(out) >= 2:
+            ox, oy = out[-2]
+            ax, ay = out[-1]
+            dx, dy = bx - ox, by - oy
+            if (ax - ox) * dy - (ay - oy) * dx <= flat * math.hypot(dx, dy):
+                out.pop()
+            else:
+                break
+        out.append(b)
+    return out
+
+
+def _convex_hull(coords: list[float], tol: float) -> np.ndarray:
     """Convex hull in CCW order via monotone chain, degenerate-safe.
 
-    Points are sorted and deduplicated on tolerance-quantized keys so that
-    clusters of near-coincident points (ulp noise in either coordinate)
-    cannot scramble the lexicographic order the chain relies on.  A point
-    within _FLAT_REL * max(1, |points|_inf) of the chord between its
-    neighbours is dropped as collinear: a distance, not an area, so small
-    sets and short edges keep their vertices.  The result may have 1 (point)
-    or 2 (segment) vertices and starts at the lexicographically smallest
-    vertex.
+    coords are the finite coordinates x0, y0, x1, y1, ... as Python floats:
+    on a few points, per-call numpy overhead would cost more than the
+    geometry.  Points are sorted stably and deduplicated on tolerance-quantized
+    keys (rounded half to even; the first point of a key is kept) so that
+    clusters of near-coincident points (ulp noise in either coordinate) cannot
+    scramble the lexicographic order the chain relies on.  A point within
+    _FLAT_REL * max(1, |points|_inf) of the chord between its neighbours is
+    dropped as collinear: a distance, not an area, so small sets and short
+    edges keep their vertices.  The result may have 1 (point) or 2 (segment)
+    vertices and starts at the lexicographically smallest vertex.
     """
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    keys = np.round(pts / tol).astype(np.int64)
-    order = np.lexsort((keys[:, 1], keys[:, 0]))
-    keys = keys[order]
-    pts = pts[order][np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)]]
-    if len(pts) == 1:
-        return pts
-    flat = _FLAT_REL * _scale(pts.ravel())
-
-    def flat_or_right(o, a, b):
-        """a is at most flat to the left of the line from o through b."""
-        cross = (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-        return cross <= flat * math.hypot(b[0] - o[0], b[1] - o[1])
-
-    lower: list[np.ndarray] = []
-    for p in pts:
-        while len(lower) >= 2 and flat_or_right(lower[-2], lower[-1], p):
-            lower.pop()
-        lower.append(p)
-    upper: list[np.ndarray] = []
-    for p in pts[::-1]:
-        while len(upper) >= 2 and flat_or_right(upper[-2], upper[-1], p):
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 2:  # fully collinear input collapses to its extremes
-        return np.array([pts[0], pts[-1]])
-    return np.array(hull)
+    xs, ys = coords[0::2], coords[1::2]
+    keys = [(round(x / tol), round(y / tol)) for x, y in zip(xs, ys)]
+    pts: list[tuple[float, float]] = []
+    last = None
+    for i in sorted(range(len(keys)), key=keys.__getitem__):
+        if keys[i] != last:
+            pts.append((xs[i], ys[i]))
+            last = keys[i]
+    if len(pts) > 1:
+        flat = _FLAT_REL * max(1.0, max(map(abs, chain.from_iterable(pts))))
+        hull = _monotone_chain(pts, flat)[:-1] + _monotone_chain(reversed(pts), flat)[:-1]
+        # fully collinear input collapses to its extremes
+        pts = hull if len(hull) >= 2 else [pts[0], pts[-1]]
+    return np.array(list(chain.from_iterable(pts))).reshape(-1, 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,12 +232,13 @@ class ConvexPolygon:
     vertices: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.vertices, dtype=float).reshape(-1, 2)
-        if pts.size == 0:
+        coords = np.asarray(self.vertices, dtype=float).reshape(-1, 2).ravel().tolist()
+        if not coords:
             raise ValueError("a polygon needs at least one vertex")
-        if not np.all(np.isfinite(pts)):
+        if not all(map(math.isfinite, coords)):
             raise ValueError("polygon vertices must be finite")
-        hull = _convex_hull(pts, default_tol(pts.ravel()))
+        # default_tol of the coordinates, bit for bit
+        hull = _convex_hull(coords, TOL_REL * max(1.0, max(map(abs, coords))))
         hull.setflags(write=False)
         object.__setattr__(self, "vertices", hull)
 

@@ -445,6 +445,33 @@ CONTRACT_CASES = {
     "config_nested_too_deep": (
         lambda scen, tmp: ["integrate", _raw_file(tmp, b"[" * 100_000 + b"]" * 100_000)], {}, 2
     ),
+    # at the parent a negative seed is a ValueError traceback (exit 1)
+    "seed_negative": (lambda scen, tmp: ["check", "lipschitz", scen(seed=-1)], {}, 2),
+    "env_seed_negative": (
+        lambda scen, tmp: ["check", "lipschitz", scen()], {"SETFLOW_SEED": "-5"}, 2
+    ),
+    # at the parent these overflow and exit 0 or 1: c = inf, a bogus witness, warnings
+    "expand_rate_over_magnitude": (
+        lambda scen, tmp: ["check", "horizon", scen(rhs={"kind": "expand", "rate": 1e308})],
+        {},
+        2,
+    ),
+    "constant_delta_over_magnitude": (
+        lambda scen, tmp: [
+            "check", "subtangent", scen(rhs={"kind": "constant", "delta": [1e308] * 64})
+        ],
+        {},
+        2,
+    ),
+    "omega_rate_over_magnitude": (
+        lambda scen, tmp: ["check", "osl", scen(omega={"kind": "linear", "rate": -1e308})],
+        {},
+        2,
+    ),
+    # at the parent these run as T = 1 and h = 0.5 (exit 0), or overflow float() (exit 1)
+    "T_a_bool": (lambda scen, tmp: ["integrate", scen(T=True)], {}, 2),
+    "h_a_numeric_string": (lambda scen, tmp: ["integrate", scen(h="0.5")], {}, 2),
+    "T_integer_beyond_float_range": (lambda scen, tmp: ["integrate", scen(T=10**400)], {}, 2),
     "witnesses_unwritable": (
         lambda scen, tmp: [
             "check",
@@ -459,6 +486,29 @@ CONTRACT_CASES = {
         4,
     ),
 }
+
+
+CAP = 1e100  # formats.MAX_MAGNITUDE
+CAP_BOX = {"box": [[-CAP, CAP], [-CAP, CAP]]}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("check", ["lipschitz", "horizon", "osl", "subtangent"])
+@pytest.mark.parametrize(
+    "rhs",
+    [
+        {"kind": "expand", "rate": CAP},
+        {"kind": "constant", "delta": [CAP] * 256},
+        {"kind": "relax_to", "target": CAP_BOX},
+    ],
+    ids=["expand", "constant", "relax_to"],
+)
+def test_checks_are_warning_free_at_the_caps(scenario, check, rhs):
+    # every capped value at exactly MAX_MAGNITUDE: no overflow, no warning, exit 0
+    path = scenario(
+        grid_n=256, rhs=rhs, omega={"kind": "linear", "rate": CAP}, r=CAP, initial=CAP_BOX
+    )
+    assert main(["check", check, path]) == 0
 
 
 @pytest.mark.parametrize("case", sorted(CONTRACT_CASES))

@@ -413,6 +413,109 @@ def test_hull_matches_point_loop_bit_for_bit(data):
     assert same_bits(sf.ConvexPolygon.from_points(pts).vertices, ref)
 
 
+def assert_hull_matches_point_loop(pts, got=None):
+    """The polygon of pts (or got) has the reference hull's vertices, bit for bit."""
+    pts = np.asarray(pts, dtype=float)
+    ref = reference_convex_hull(pts, default_tol(pts.ravel()))
+    got = sf.ConvexPolygon.from_points(pts).vertices if got is None else got
+    assert got.shape == ref.shape and same_bits(got, ref)
+
+
+@pytest.mark.parametrize("n", [64, 1024, 4096])
+@pytest.mark.parametrize("shape", ["ellipse", "box"])
+def test_hull_of_reconstructions_matches_point_loop(shape, n):
+    # every corner of an ellipse is a vertex; a box repeats each corner n/4 times
+    grid = sf.DirectionGrid(n)
+    u = grid.directions
+    if shape == "ellipse":
+        sample = sf.SupportSample(grid, np.hypot(1.5 * u[:, 0], 0.8 * u[:, 1]))
+    else:
+        sample = sf.support_of_polygon(sf.ConvexPolygon.box((-2.0, 1.0), (0.5, 3.0)), grid)
+    # the points reconstruct_polygon takes the hull of: consecutive supporting lines meet
+    th, s = grid.angles, sample.values
+    thn, sn = np.roll(th, -1), np.roll(s, -1)
+    d = math.sin(grid.delta)
+    pts = np.column_stack([(s * np.sin(thn) - sn * np.sin(th)) / d,
+                           (sn * np.cos(th) - s * np.cos(thn)) / d])
+    assert_hull_matches_point_loop(pts)
+    assert_hull_matches_point_loop(pts, sf.reconstruct_polygon(sample).vertices)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 8, 64, 1024, 4096])
+def test_hull_of_gaussian_clouds_matches_point_loop(size):
+    rng = np.random.default_rng(size)
+    for scale in (1e-4, 1.0, 1e4):
+        assert_hull_matches_point_loop(scale * rng.normal(size=(size, 2)))
+
+
+def half_key_ties(tol, ks):
+    """(k, x) with x / tol exactly k + 0.5 in floating point, for each k that has one."""
+    ties = []
+    for k in ks:
+        x = (k + 0.5) * tol
+        near = [x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)]
+        ties += [(k, c) for c in near if c / tol == k + 0.5][:1]
+    return ties
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_hull_rounds_half_key_ties_to_even(axis, sign):
+    # x sits on the tie between keys k and k + 1, both of which hold a point listed
+    # after it: x takes the even key, merges with that point and keeps its own bits
+    tol = default_tol(np.ones(1))  # every coordinate below is under 1 in size
+    ties = half_key_ties(tol, range(1, 200))
+    assert {k % 2 for k, _ in ties} == {0, 1}
+    for k, x in ties:
+        run = sign * np.array([[x, 0.0], [(k + 1) * tol, 0.0], [k * tol, 0.0]])
+        assert_hull_matches_point_loop(run[:, ::-1] if axis else run)
+        off_line = np.concatenate([run, [[0.5 * sign, 0.5]]])  # a triangle, not a segment
+        assert_hull_matches_point_loop(off_line[:, ::-1] if axis else off_line)
+
+
+def test_hull_keeps_the_first_of_signed_zeros():
+    corners = [[1.0, -0.0], [-0.0, 1.0]]
+    for zeros in ([[-0.0, 0.0], [0.0, -0.0]], [[0.0, -0.0], [-0.0, 0.0]], [[-0.0, -0.0]]):
+        for pts in (zeros + corners, corners + zeros, zeros[::-1] + corners[::-1]):
+            assert_hull_matches_point_loop(pts)
+    v = sf.ConvexPolygon.from_points([[-0.0, 0.0], [0.0, -0.0], [1.0, 0.0]]).vertices
+    assert bits(v[0]).tolist() == bits([-0.0, 0.0]).tolist()
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_hull_of_points_segments_and_collinear_runs_matches_point_loop(scale):
+    rng = np.random.default_rng(7)
+    t = rng.permutation(np.linspace(-1.0, 1.0, 33))
+    hair = 1e-14 * rng.normal(size=(33, 2))  # within the flat distance of the line
+    for pts in (
+        [[0.3, -0.7]],
+        [[0.3, -0.7]] * 5,
+        [[1.0, 2.0], [-3.0, 0.5]],
+        [[1.0, 2.0], [-3.0, 0.5], [1.0, 2.0], [-1.0, 1.25]],
+        np.outer(t, [3.0, -2.0]),
+        np.outer(t, [0.0, 1.0]),
+        np.outer(t, [1.0, 0.0]) + [0.0, 0.25],
+        np.outer(t, [3.0, -2.0]) + hair,
+    ):
+        assert_hull_matches_point_loop(scale * np.asarray(pts))
+
+
+@pytest.mark.parametrize(
+    "pts, message",
+    [
+        ([[0.0, 0.0], [math.nan, 1.0]], "polygon vertices must be finite"),
+        ([[5.0, 0.0], [1.0, math.nan]], "polygon vertices must be finite"),
+        ([[math.inf, 0.0]], "polygon vertices must be finite"),
+        ([[0.0, 0.0], [1.0, -math.inf]], "polygon vertices must be finite"),
+        (np.empty((0, 2)), "a polygon needs at least one vertex"),
+        ([], "a polygon needs at least one vertex"),
+    ],
+)
+def test_hull_rejects_non_finite_and_empty_input(pts, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        sf.ConvexPolygon.from_points(pts)
+
+
 def test_projection_clamps_like_max_then_min():
     # t < 0 clamps to +0.0 as max(0.0, t) did, so a - 0.0 * d keeps the -0.0 of a
     seg = sf.ConvexPolygon.from_points([[-1.0, -0.0], [1.0, -2.0]])
