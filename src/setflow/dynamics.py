@@ -156,20 +156,18 @@ def existence_horizon(
 ) -> tuple[float, float]:
     """Sampled field bound c on [0, T] x (cone ball of radius r) and b = min(T, r/c).
 
-    The field is evaluated at 9 equally spaced times on [0, T].  The bound
-    is a lower-confidence estimate from a deterministic seeded sweep, not a
-    certified supremum.  Raises DegenerateField (carrying horizon = T) when
-    every sample evaluates to zero.
+    The states are sigma0, sigma0 + r and budget seeded draws of
+    perturb_in_ball: sigma0 + lam * sigma_P for a random polygon P, scaled to
+    sup-norm r * u with u uniform on [0, 1).  The field is evaluated at 9
+    equally spaced times on [0, T].  The bound is a lower-confidence estimate
+    from this sweep, not a certified supremum.  Raises DegenerateField
+    (carrying horizon = T) when every sample evaluates to zero.
     """
     if r <= 0 or T <= 0:
         raise ValueError("r and T must be positive")
     rng = np.random.default_rng(seed)
-    states = [sigma0.values, sigma0.values + r]
-    for _ in range(budget):
-        s = perturb_in_ball(sigma0, r, rng)
-        if s is not None:
-            states.append(s.values)
-    stack = np.array(states)
+    draws = [perturb_in_ball(sigma0, r, rng).values for _ in range(budget)]
+    stack = np.array([sigma0.values, sigma0.values + r, *draws])
     c = 0.0
     for t in np.linspace(0.0, T, 9):
         # the max over each state's |f|, skipping NaN rows like max(c, nan) does

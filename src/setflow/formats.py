@@ -51,13 +51,11 @@ _CAPPED = f"at most MAX_MAGNITUDE = {MAX_MAGNITUDE:g} in size"
 # ---------------------------------------------------------------- JSON payloads
 
 def _points(values) -> np.ndarray:
-    """values as a (k, 2) float array, every coordinate at most MAX_MAGNITUDE in size."""
-    pts = np.asarray(values, dtype=float)
+    """values as a (k, 2) float array; each coordinate passes _number(capped=True)."""
+    pts = np.asarray(values, dtype=object)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"need shape (k, 2), got {pts.shape}")
-    if not np.all(np.abs(pts) <= MAX_MAGNITUDE):
-        raise ValueError(f"coordinates must be {_CAPPED}")
-    return pts
+    return np.array([_number(x, "set coordinate", capped=True) for x in pts.flat]).reshape(-1, 2)
 
 
 def parse_set(obj) -> ConvexPolygon:
@@ -282,12 +280,14 @@ def build_field(rhs: dict, grid: DirectionGrid) -> RhsField:
             raise ConfigError("bad_value", "relax_to rhs needs a 'target' set")
         return relax_to(support_of_polygon(parse_set(rhs["target"]), grid))
     if kind == "constant":
+        values = rhs.get("delta", [])
+        if not isinstance(values, list):
+            raise ConfigError("bad_value", f"constant rhs delta must be a list, got {values!r}")
+        entries = [_number(x, "rhs.delta entry", capped=True) for x in values]
         try:
-            delta = SupportDelta(grid, rhs.get("delta", []))
-        except (GridMismatch, TypeError, ValueError) as exc:
+            delta = SupportDelta(grid, entries)
+        except GridMismatch as exc:
             raise ConfigError("bad_value", f"constant rhs delta: {exc}") from exc
-        if not np.all(np.abs(delta.values) <= MAX_MAGNITUDE):  # NaN fails too
-            raise ConfigError("bad_value", f"constant rhs delta must be {_CAPPED}")
         return constant_field(delta)
     if kind == "expand":
         return expansion_field(grid, _number(rhs.get("rate", 1.0), "rhs.rate", capped=True))

@@ -4,12 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptyIntersection
 from .support import (
     ConvexPolygon,
     DirectionGrid,
     SupportSample,
-    regularize,
     support_of_polygon,
 )
 
@@ -35,23 +33,14 @@ def random_cone_sample(grid: DirectionGrid, rng: np.random.Generator) -> Support
     return support_of_polygon(random_convex_polygon(rng), grid)
 
 
-def perturb_in_ball(
-    base: SupportSample, r: float, rng: np.random.Generator
-) -> SupportSample | None:
-    """Cone element within sup-distance r of base, via a regularized bump.
+def perturb_in_ball(base: SupportSample, r: float, rng: np.random.Generator) -> SupportSample:
+    """Cone element within sup-distance r of base: base + lam * sigma_P.
 
-    Regularization can push the perturbed vector far below the base, so the
-    result is blended back toward base onto the sphere of radius r when
-    needed; the blend stays in the cone because the cone is convex.  Returns
-    None when the perturbed halfplanes have empty intersection.
+    sigma_P is random_cone_sample(base.grid, rng) and lam = r * u / |sigma_P|_inf
+    with u uniform on [0, 1), so the draw is the support of the Minkowski sum
+    base + lam * P.  The cone is closed under addition and non-negative scaling,
+    so every draw is in the cone and within r of base by construction.
     """
-    bump = rng.uniform(-r, r, base.grid.n)
-    try:
-        reg = regularize(base.values + bump, base.grid)
-    except EmptyIntersection:
-        return None
-    gap = float(np.max(np.abs(reg.values - base.values)))
-    if gap <= r:
-        return reg
-    lam = r / gap
-    return SupportSample(base.grid, base.values + lam * (reg.values - base.values))
+    step = random_cone_sample(base.grid, rng).values
+    lam = r * rng.uniform() / float(np.max(np.abs(step)))
+    return SupportSample(base.grid, base.values + lam * step)

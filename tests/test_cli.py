@@ -472,6 +472,50 @@ CONTRACT_CASES = {
     "T_a_bool": (lambda scen, tmp: ["integrate", scen(T=True)], {}, 2),
     "h_a_numeric_string": (lambda scen, tmp: ["integrate", scen(h="0.5")], {}, 2),
     "T_integer_beyond_float_range": (lambda scen, tmp: ["integrate", scen(T=10**400)], {}, 2),
+    # set coordinates and delta entries are JSON numbers: not strings or bools, and
+    # an integer beyond the float range is refused rather than overflowing float()
+    "vertex_a_numeric_string": (
+        lambda scen, tmp: ["integrate", scen(initial={"vertices": [["0", 0], [1, 0], [0, 1]]})],
+        {},
+        2,
+    ),
+    "box_coordinate_a_bool": (
+        lambda scen, tmp: ["integrate", scen(initial={"box": [[0, 1], [0, True]]})], {}, 2
+    ),
+    "target_coordinate_a_numeric_string": (
+        lambda scen, tmp: [
+            "check", "osl", scen(rhs={"kind": "relax_to", "target": {"box": [["-1", 1], [-1, 1]]}})
+        ],
+        {},
+        2,
+    ),
+    "vertex_integer_beyond_float_range": (
+        lambda scen, tmp: ["integrate", scen(initial={"vertices": [[10**400, 0], [0, 1]]})],
+        {},
+        2,
+    ),
+    "constant_delta_numeric_string": (
+        lambda scen, tmp: [
+            "integrate", scen(rhs={"kind": "constant", "delta": ["0.5"] + [0.5] * 63})
+        ],
+        {},
+        2,
+    ),
+    "constant_delta_bool": (
+        lambda scen, tmp: ["integrate", scen(rhs={"kind": "constant", "delta": [True] * 64})],
+        {},
+        2,
+    ),
+    "constant_delta_not_a_list": (
+        lambda scen, tmp: ["integrate", scen(rhs={"kind": "constant", "delta": 5})], {}, 2
+    ),
+    "constant_delta_integer_beyond_float_range": (
+        lambda scen, tmp: [
+            "integrate", scen(rhs={"kind": "constant", "delta": [10**400] + [0] * 63})
+        ],
+        {},
+        2,
+    ),
     "witnesses_unwritable": (
         lambda scen, tmp: [
             "check",

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import setflow as sf
 
@@ -71,6 +73,48 @@ def test_horizon_constant_field():
     f = sf.constant_field(sf.SupportDelta(G64, vals))
     c, b = sf.existence_horizon(f, SQ, r=1.0, T=10.0, budget=8)
     assert c == 2.0 and b == 0.5
+
+
+@st.composite
+def ball_bases(draw):
+    """(base, r, rng): base a point, segment, random polygon or box much narrower
+    than r, on n = 4..1024 directions, with r from 1e-3 to 1e3."""
+    grid = sf.DirectionGrid(draw(st.integers(4, 1024)))
+    r = 10.0 ** draw(st.floats(-3.0, 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    center = rng.uniform(-2.0, 2.0, 2)
+    kind = draw(st.sampled_from(["point", "segment", "polygon", "narrow_box"]))
+    if kind == "narrow_box":
+        w = r * 10.0 ** draw(st.floats(-6.0, -1.0))
+        poly = sf.ConvexPolygon.box((center[0] - w, center[0] + w), (center[1] - w, center[1] + w))
+    else:
+        count = {"point": 1, "segment": 2, "polygon": int(rng.integers(3, 9))}[kind]
+        poly = sf.ConvexPolygon.from_points(center + rng.uniform(-1.0, 1.0, (count, 2)))
+    return sf.support_of_polygon(poly, grid), r, rng
+
+
+@given(ball_bases())
+def test_perturb_in_ball_draws_lie_in_the_cone_ball(case):
+    base, r, rng = case
+    for _ in range(5):
+        draw = sf.perturb_in_ball(base, r, rng)
+        assert isinstance(draw, sf.SupportSample)
+        assert sf.is_in_cone(draw.values, base.grid).ok  # at default_tol, nothing widened
+        assert np.max(np.abs(draw.values - base.values)) <= r
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_horizon_sees_a_shift_blind_field(n):
+    # f cancels constant shifts, so sigma0 + r shows it nothing; the segment S
+    # from (-1/2, 0) to (1/2, 0) gives a ball point sigma0 + sigma_S it must not miss
+    grid = sf.DirectionGrid(n)
+    f = sf.RhsField(grid, lambda t, y: y - np.roll(y, 1, axis=-1))
+    sigma0 = sup(sf.ConvexPolygon.box((-0.01, 0.01), (-0.01, 0.01)), grid)
+    segment = sup(sf.ConvexPolygon.from_points([[-0.5, 0.0], [0.5, 0.0]]), grid)
+    floor = float(np.max(np.abs(f.eval(0.0, sigma0.values + segment.values))))
+    for seed in range(30):
+        c, _ = sf.existence_horizon(f, sigma0, r=1.0, T=1.0, seed=seed)
+        assert c >= floor
 
 
 # -------------------------------------------------------------------------- osl
