@@ -6,7 +6,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from itertools import count
 from pathlib import Path
 
@@ -31,7 +30,6 @@ from .hukuhara import (
     HukuharaClass,
     SetCurve,
     classify_curve,
-    quotient_gap,
     second_type_differential,
 )
 from .sampling import random_cone_sample, random_rectangle
@@ -104,87 +102,72 @@ def cmd_integrate(args) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class ExampleCurve:
-    """A demo curve: trajectory, closed-form error, the frames classified as a curve, and per
-    interior frame the derivative (mean of its two quotients) and its (t, set) differentials."""
+def _example_one(
+    k: int, a0: ConvexPolygon, q: ConvexPolygon, traj: Trajectory, outdir: Path
+) -> tuple[HukuharaClass, float]:
+    """Demo curve k: classify its frames, take the mean of the two quotients around
+    each interior frame as the derivative, and write its tables and figures.
 
-    traj: Trajectory
-    max_err: float
-    curve: SetCurve
-    whole: HukuharaClass
-    steps: list[HukuharaClass]
-    deltas: np.ndarray
-    differentials: dict[str, list[tuple[float, SupportSample]]]
-
-
-def _example_curves(grid: DirectionGrid, h: float, method: str) -> list[ExampleCurve]:
-    """The three demo curves, integrated together as one stack."""
-    q = ConvexPolygon.box(*EXAMPLE_TARGET)
-    starts = [ConvexPolygon.box(*rect) for rect in EXAMPLE_RECTS.values()]
-    field = relax_to(support_of_polygon(q, grid))
-    sigmas = [support_of_polygon(a0, grid) for a0 in starts]
-    results = []
-    for a0, traj in zip(starts, integrate_stack(field, sigmas, EXAMPLE_T, h, method)):
-        err = float(np.max(np.abs(traj.states - relaxation_values(a0, q, traj.times, grid))))
-        frames = _frame_indices(traj.times, FRAME_SPACING)
-        states = traj.states[frames]
-        curve = SetCurve(grid, traj.times[frames], states, _drift_limit(states))
-        deltas = 0.5 * (curve.quotients[1:] + curve.quotients[:-1])
-        inner = curve.times[1:-1]
-        first = [SupportSample(grid, d) if ok else None
-                 for d, ok in zip(deltas, is_in_cone(deltas, grid).ok)]
-        second = [second_type_differential(SupportDelta(grid, d)) for d in deltas]
-        diffs = {
-            kind: [(t, s) for t, s in zip(inner, sets) if s is not None]
-            for kind, sets in (("hukuhara", first), ("second_type", second))
-        }
-        results.append(ExampleCurve(traj, err, curve, *classify_curve(curve), deltas, diffs))
-    return results
-
-
-def _write_example(k: int, ex: ExampleCurve, outdir: Path) -> None:
-    curve, inner = ex.curve, ex.curve.times[1:-1]
-    formats.write_trajectory_csv(ex.traj, outdir / f"curve{k}_trajectory.csv")
+    Returns the class of the whole curve and max |numeric - closed form|.
+    """
+    grid = traj.grid
+    err = float(np.max(np.abs(traj.states - relaxation_values(a0, q, traj.times, grid))))
+    frames = _frame_indices(traj.times, FRAME_SPACING)
+    states = traj.states[frames]
+    curve = SetCurve(grid, traj.times[frames], states, _drift_limit(states))
+    whole, steps = classify_curve(curve)
+    quotients, inner = curve.quotients, curve.times[1:-1]
+    deltas = 0.5 * (quotients[1:] + quotients[:-1])
+    gaps = np.max(np.abs(quotients[1:] - quotients[:-1]), axis=-1)
+    first = [(t, SupportSample(grid, d))
+             for t, d, ok in zip(inner, deltas, is_in_cone(deltas, grid).ok) if ok]
+    second = [(t, s) for t, d in zip(inner, deltas)
+              if (s := second_type_differential(SupportDelta(grid, d))) is not None]
+    formats.write_trajectory_csv(traj, outdir / f"curve{k}_trajectory.csv")
     formats._write_table(
         outdir / f"curve{k}_classification.csv",
         ["step", "t", "class", "quotient_gap"],
         ["%d", formats.FLOAT_FMT, "%s", formats.FLOAT_FMT],
-        ((j, t, c, quotient_gap(curve, j)) for j, t, c in zip(count(1), inner, ex.steps)),
+        zip(count(1), inner.tolist(), steps, gaps.tolist()),
     )
-    formats.write_values_csv(inner, ex.deltas, outdir / f"curve{k}_frechet_delta.csv")
-    for kind, rows in ex.differentials.items():
+    formats.write_values_csv(inner, deltas, outdir / f"curve{k}_frechet_delta.csv")
+    for kind, rows in (("hukuhara", first), ("second_type", second)):
         if rows:
             formats.write_values_csv(*zip(*rows), outdir / f"curve{k}_{kind}_differentials.csv")
-    films = {
-        "sets": ("states", list(zip(curve.times, curve.samples))),
-        "differentials": ("differentials", sum(ex.differentials.values(), [])),
-    }
-    profiles = {
-        "support": ("support values", list(zip(curve.times, curve.values))),
-        "delta_support": ("derivative values", list(zip(inner, ex.deltas))),
-    }
-    for name, (what, frames) in films.items():
-        if frames:
-            polys = [(t, reconstruct_polygon(s)) for t, s in frames]
+    films = (("sets", "states", list(zip(curve.times, curve.samples))),
+             ("differentials", "differentials", first + second))
+    for name, what, film in films:
+        if film:
+            polys = [(t, reconstruct_polygon(s)) for t, s in film]
             svg.polygon_filmstrip(polys, outdir / f"curve{k}_{name}.svg", f"curve {k}: {what}")
-    for name, (what, frames) in profiles.items():
+    profiles = (("support", "support values", zip(curve.times, curve.values)),
+                ("delta_support", "derivative values", zip(inner, deltas)))
+    for name, what, profile in profiles:
         path = outdir / f"curve{k}_{name}.svg"
-        svg.support_profiles(frames, curve.grid.angles, path, f"curve {k}: {what}")
+        svg.support_profiles(profile, grid.angles, path, f"curve {k}: {what}")
+    return whole, err
 
 
 def cmd_example(args) -> int:
     n, h = formats.parse_grid_n(args.grid_n), formats._number(args.h, "h", positive=True)
     formats._check_storage(EXAMPLE_T, h, n, len(EXAMPLE_RECTS))
+    grid = DirectionGrid(n)
+    q = ConvexPolygon.box(*EXAMPLE_TARGET)
+    starts = [ConvexPolygon.box(*rect) for rect in EXAMPLE_RECTS.values()]
+    field = relax_to(support_of_polygon(q, grid))
+    sigmas = [support_of_polygon(a0, grid) for a0 in starts]
+    trajs = integrate_stack(field, sigmas, EXAMPLE_T, h, args.method)
+    for k, traj in zip(EXAMPLE_RECTS, trajs):
+        if not traj.completed:
+            raise SetflowError(f"curve {k}: {traj.failure}")
     outdir = Path(args.outdir)
-    results = _example_curves(DirectionGrid(n), h, args.method)
     outdir.mkdir(parents=True, exist_ok=True)
-    for k, ex in zip(EXAMPLE_RECTS, results):
-        _write_example(k, ex, outdir)
-    for k, ex in zip(EXAMPLE_RECTS, results):
-        print(f"curve {k}: {ex.whole}")
-    for k, ex in zip(EXAMPLE_RECTS, results):
-        print(f"curve {k} max |numeric - closed form| = {ex.max_err:.3e}")
+    results = [_example_one(k, a0, q, traj, outdir)
+               for k, a0, traj in zip(EXAMPLE_RECTS, starts, trajs)]
+    for k, (whole, _) in zip(EXAMPLE_RECTS, results):
+        print(f"curve {k}: {whole}")
+    for k, (_, err) in zip(EXAMPLE_RECTS, results):
+        print(f"curve {k} max |numeric - closed form| = {err:.3e}")
     return 0
 
 
@@ -195,32 +178,25 @@ def _check_subtangent(cfg, rng) -> int:
         points.append(support_of_polygon(cfg.initial, grid))
     while len(points) < cfg.samples:
         points.append(random_cone_sample(grid, rng))
-    witnesses = []
-    intervals = []
-    for sigma in points:
-        t = float(rng.uniform(0.0, cfg.T))
-        res = subtangent_feasible(cfg.field(t, sigma), sigma)
-        intervals.append(res)
-        if not res.feasible:
-            witnesses.append((t, sigma))
-    feasible = [r for r in intervals if r.feasible]
+    results = [subtangent_feasible(cfg.field(float(rng.uniform(0.0, cfg.T)), sigma), sigma)
+               for sigma in points]
+    feasible = [r for r in results if r.feasible]
     if feasible:
         lam_lo = max(r.lam_min for r in feasible)
         lam_hi = min(r.lam_max for r in feasible)
         hi_txt = "inf" if math.isinf(lam_hi) else f"{lam_hi:.6g}"
         print(
-            f"subtangent: {len(feasible)}/{len(intervals)} feasible; "
+            f"subtangent: {len(feasible)}/{len(results)} feasible; "
             f"common lambda interval [{lam_lo:.6g}, {hi_txt}]"
         )
-    if witnesses:
-        print(f"subtangent: {len(witnesses)} infeasible points witnessed")
+    if len(feasible) < len(results):
+        print(f"subtangent: {len(results) - len(feasible)} infeasible points witnessed")
         return 1
     return 0
 
 
 def _check_osl(cfg, rng) -> int:
-    rows = []
-    violated = 0
+    witnesses = []  # (t, the case that fails)
     checked = 0
     while checked < cfg.samples:
         a = random_rectangle(rng)
@@ -232,26 +208,21 @@ def _check_osl(cfg, rng) -> int:
             continue
         checked += 1
         if not rep.satisfied:
-            violated += 1
-            w = rep.witness
-            rows.append(
-                (t, w.a[0], w.a[1], w.b[0], w.b[1], w.direction_index, w.lhs, w.bound)
-            )
-    print(f"osl: {checked - violated}/{checked} pairs satisfied")
-    if rows and "witnesses" in cfg.output:
+            witnesses.append((t, rep.witness))
+    print(f"osl: {checked - len(witnesses)}/{checked} pairs satisfied")
+    if witnesses and "witnesses" in cfg.output:
         formats._write_table(
             cfg.output["witnesses"],
             ["t", "ax", "ay", "bx", "by", "direction_index", "lhs", "bound"],
             [formats.FLOAT_FMT] * 5 + ["%d"] + [formats.FLOAT_FMT] * 2,
-            rows,
+            ((t, *w.a, *w.b, w.direction_index, w.lhs, w.bound) for t, w in witnesses),
         )
         print(f"wrote {cfg.output['witnesses']}")
-    if violated:
-        first = rows[0]
+    if witnesses:
+        w = witnesses[0][1]
         print(
-            f"osl witness: a=({first[1]:.4g},{first[2]:.4g}) "
-            f"b=({first[3]:.4g},{first[4]:.4g}) index={first[5]} "
-            f"lhs={first[6]:.6g} bound={first[7]:.6g}"
+            f"osl witness: a=({w.a[0]:.4g},{w.a[1]:.4g}) b=({w.b[0]:.4g},{w.b[1]:.4g}) "
+            f"index={w.direction_index} lhs={w.lhs:.6g} bound={w.bound:.6g}"
         )
         return 1
     return 0

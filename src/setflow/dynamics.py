@@ -301,7 +301,8 @@ def integrate_stack(
     "always" always does.  A row whose repair finds the halfplane
     intersection empty leaves the stack alone: its trajectory ends at its last
     kept state, completed False, with the failure.  Non-finite states raise
-    NonFiniteValue."""
+    NonFiniteValue, the only report of an overflow: the steps run with numpy's
+    overflow and invalid-value warnings off."""
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
     if policy not in POLICIES:
@@ -328,30 +329,31 @@ def integrate_stack(
     ends = [len(times)] * len(y)  # stored states per row
     failures: list[str | None] = [None] * len(y)
     live = np.arange(len(y))  # rows still in the stack, in the order of y
-    for k in range(1, len(times)):
-        t_prev, t_next = times[k - 1], times[k]
-        y = step(f, t_prev, y, t_next - t_prev)
-        if not np.isfinite(y).all():
-            raise NonFiniteValue(f"non-finite state at t = {t_next} under field '{f.name}'")
-        res = cone_residual(y, grid)
-        if policy == "on_violation":
-            fix = res > _drift_limit(y)
-        else:
-            fix = np.full(len(y), policy == "always")
-        if fix.any():
-            for i in np.flatnonzero(fix):
-                try:
-                    y[i] = regularize(y[i], grid).values
-                except EmptyIntersection:
-                    ends[live[i]] = k
-                    failures[live[i]] = f"empty halfplane intersection at t = {t_next}"
-            if k in ends:
-                keep = np.array([ends[b] > k for b in live])
-                y, res, fix, live = y[keep], res[keep], fix[keep], live[keep]
-                if not len(live):
-                    break
-        rows = live if len(live) < len(ends) else slice(None)
-        states[rows, k], residuals[rows, k], regularized[rows, k] = y, res, fix
+    with np.errstate(over="ignore", invalid="ignore"):  # NonFiniteValue reports these
+        for k in range(1, len(times)):
+            t_prev, t_next = times[k - 1], times[k]
+            y = step(f, t_prev, y, t_next - t_prev)
+            if not np.isfinite(y).all():
+                raise NonFiniteValue(f"non-finite state at t = {t_next} under field '{f.name}'")
+            res = cone_residual(y, grid)
+            if policy == "on_violation":
+                fix = res > _drift_limit(y)
+            else:
+                fix = np.full(len(y), policy == "always")
+            if fix.any():
+                for i in np.flatnonzero(fix):
+                    try:
+                        y[i] = regularize(y[i], grid).values
+                    except EmptyIntersection:
+                        ends[live[i]] = k
+                        failures[live[i]] = f"empty halfplane intersection at t = {t_next}"
+                if k in ends:
+                    keep = np.array([ends[b] > k for b in live])
+                    y, res, fix, live = y[keep], res[keep], fix[keep], live[keep]
+                    if not len(live):
+                        break
+            rows = live if len(live) < len(ends) else slice(None)
+            states[rows, k], residuals[rows, k], regularized[rows, k] = y, res, fix
     return tuple(
         Trajectory(grid, np.array(times[:end], dtype=float), states[b, :end],
                    residuals[b, :end], regularized[b, :end], method, policy,

@@ -2,12 +2,14 @@ import json
 import math
 import time
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import setflow as sf
 from setflow.cli import _frame_indices, main
+from setflow.dynamics import _drift_limit
 
 
 def write_json(path, obj):
@@ -34,6 +36,19 @@ def scenario(tmp_path):
         return write_json(tmp_path / "scen.json", cfg)
 
     return make
+
+
+def _without(path, key):
+    """The scenario file at path, rewritten without key."""
+    cfg = json.loads(Path(path).read_text())
+    del cfg[key]
+    return write_json(Path(path), cfg)
+
+
+def _table(path):
+    """A CSV table as its header fields and one list of fields per row."""
+    header, *rows = path.read_text().splitlines()
+    return header.split(","), [row.split(",") for row in rows]
 
 
 def _drifting(scen, tmp_path):
@@ -113,6 +128,29 @@ def test_drifted_filmstrip_exits_3_after_writing_the_trajectory(scenario, tmp_pa
     assert len((tmp_path / "t.csv").read_text().splitlines()) == 52  # header and 51 states
 
 
+def test_integrate_truncated_trajectory_exits_3(scenario, tmp_path, capsys):
+    # one step of length 4 overshoots the target: its repair finds the
+    # halfplane intersection empty, so only the initial state is stored
+    assert main(["integrate", scenario(T=4.0, h=4.0)]) == 3
+    out, err = capsys.readouterr()
+    assert out == f"wrote {tmp_path / 'traj.csv'} (1 steps, method=rk4)\n"
+    assert json.loads(err) == {
+        "error": "integration", "message": "empty halfplane intersection at t = 4.0"
+    }
+    assert len((tmp_path / "traj.csv").read_text().splitlines()) == 2
+
+
+def test_integrate_frame_spacing(scenario, tmp_path, capsys):
+    film = tmp_path / "f.svg"
+    output = {"trajectory": str(tmp_path / "t.csv"), "frame_spacing": 0.5, "filmstrip": str(film)}
+    assert main(["integrate", scenario(output=output)]) == 0
+    assert capsys.readouterr().out == (
+        f"wrote {tmp_path / 't.csv'} (101 steps, method=rk4)\nwrote {film}\n"
+    )
+    polys = ET.parse(film).getroot().findall(".//{http://www.w3.org/2000/svg}polygon")
+    assert len(polys) == 3  # frames at 0, .5, 1
+
+
 def test_integrate_failure_exit_code(scenario, capsys):
     # explosive growth overflows to inf within the first rk4 step
     path = scenario(rhs={"kind": "expand", "rate": 1e80}, initial={"box": [[1, 2], [1, 2]]})
@@ -158,10 +196,56 @@ def test_example_third_curve_delta_fails_cone_both_ways(tmp_path):
     assert not sf.is_in_cone(-vals, grid).ok
 
 
+def test_example_tables_match_the_library_per_step(tmp_path):
+    # the quotient gaps and both differential tables, bit for bit, against the
+    # library on the frame curve of each written trajectory (%.17g reads back exactly)
+    out = tmp_path / "demo"
+    assert main(["example", str(out), "--h", "0.05"]) == 0
+    grid = sf.DirectionGrid(64)
+    for k in (1, 2, 3):
+        traj = np.array(_table(out / f"curve{k}_trajectory.csv")[1], dtype=float)
+        frames = _frame_indices(traj[:, 0], 0.25)
+        states = traj[frames, 3:]
+        curve = sf.SetCurve(grid, traj[frames, 0], states, tol=_drift_limit(states))
+        steps = sf.classify_curve(curve)[1]
+        header, rows = _table(out / f"curve{k}_classification.csv")
+        assert header == ["step", "t", "class", "quotient_gap"]
+        assert len(rows) == len(curve) - 2
+        want = {"hukuhara": [], "second_type": []}
+        for j, (step, t, cls, gap) in enumerate(rows, start=1):
+            assert (int(step), float(t), cls) == (j, curve.times[j], str(steps[j - 1]))
+            assert float(gap) == sf.quotient_gap(curve, j)
+            fwd, bwd = sf.difference_quotients(curve, j)
+            delta = (fwd + bwd) * 0.5
+            if sf.is_in_cone(delta.values, grid):
+                want["hukuhara"].append([t, *sf.SupportSample(grid, delta.values).values])
+            if (second := sf.second_type_differential(delta)) is not None:
+                want["second_type"].append([t, *second.values])
+        for kind, expected in want.items():
+            path = out / f"curve{k}_{kind}_differentials.csv"
+            assert path.exists() == bool(expected)
+            if expected:
+                got = np.array(_table(path)[1], dtype=float)
+                assert np.array_equal(got, np.array(expected, dtype=float))
+
+
 # -------------------------------------------------------------------------- check
 
 def test_check_subtangent_ok(scenario):
     assert main(["check", "subtangent", scenario()]) == 0
+
+
+def test_check_subtangent_witnesses(scenario, capsys):
+    # the negated support of a box is tangent only where sigma has an edge at
+    # each of its four normals: the initial box has, random cone samples do not
+    grid = sf.DirectionGrid(64)
+    box = sf.support_of_polygon(sf.ConvexPolygon.box((0, 1), (0, 1)), grid)
+    path = scenario(rhs={"kind": "constant", "delta": (-box.values).tolist()})
+    assert main(["check", "subtangent", path]) == 1
+    assert capsys.readouterr().out == (
+        "subtangent: 1/40 feasible; common lambda interval [1, inf]\n"
+        "subtangent: 39 infeasible points witnessed\n"
+    )
 
 
 def test_check_osl_ok(scenario):
@@ -211,6 +295,12 @@ def test_check_horizon(scenario, capsys):
     assert main(["check", "horizon", scenario()]) == 0
     out = capsys.readouterr().out
     assert "b = min(T, r/c)" in out
+
+
+def test_check_horizon_degenerate_field(scenario, capsys):
+    path = scenario(rhs={"kind": "constant", "delta": [0] * 64})
+    assert main(["check", "horizon", path]) == 0
+    assert capsys.readouterr().out == "horizon: field degenerate (c = 0), b = 1\n"
 
 
 def test_check_bad_config(tmp_path):
@@ -516,6 +606,36 @@ CONTRACT_CASES = {
         {},
         2,
     ),
+    # each rule of the scenario and set readers, and a demo curve that truncates
+    "integrate_without_initial": (
+        lambda scen, tmp: ["integrate", _without(scen(), "initial")], {}, 2
+    ),
+    "horizon_without_initial": (
+        lambda scen, tmp: ["check", "horizon", _without(scen(), "initial")], {}, 2
+    ),
+    "set_not_an_object": (lambda scen, tmp: ["integrate", scen(initial=5)], {}, 2),
+    "box_bounds_unordered": (
+        lambda scen, tmp: ["integrate", scen(initial={"box": [[1, 0], [0, 1]]})], {}, 2
+    ),
+    "config_root_not_an_object": (
+        lambda scen, tmp: ["integrate", _raw_file(tmp, b"[1, 2]")], {}, 2
+    ),
+    "policy_unknown": (lambda scen, tmp: ["integrate", scen(policy="sometimes")], {}, 2),
+    "rhs_without_kind": (lambda scen, tmp: ["integrate", scen(rhs={"rate": 1.0})], {}, 2),
+    "relax_to_without_target": (
+        lambda scen, tmp: ["integrate", scen(rhs={"kind": "relax_to"})], {}, 2
+    ),
+    "constant_delta_wrong_length": (
+        lambda scen, tmp: ["integrate", scen(rhs={"kind": "constant", "delta": [0.5] * 3})],
+        {},
+        2,
+    ),
+    "omega_kind_unknown": (
+        lambda scen, tmp: ["check", "osl", scen(omega={"kind": "quadratic"})], {}, 2
+    ),
+    "example_curve_truncates": (
+        lambda scen, tmp: ["example", str(tmp / "out"), "--h", "4"], {}, 3
+    ),
     "witnesses_unwritable": (
         lambda scen, tmp: [
             "check",
@@ -553,6 +673,19 @@ def test_checks_are_warning_free_at_the_caps(scenario, check, rhs):
         grid_n=256, rhs=rhs, omega={"kind": "linear", "rate": CAP}, r=CAP, initial=CAP_BOX
     )
     assert main(["check", check, path]) == 0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rate", [CAP, -CAP], ids=["growing", "shrinking"])
+def test_integrate_overflow_is_reported_only_by_its_exit_line(scenario, capsys, rate):
+    path = scenario(
+        grid_n=16, T=0.2, h=0.05, rhs={"kind": "expand", "rate": rate},
+        initial={"box": [[0, 1], [0, 1]]},
+    )
+    assert main(["integrate", path]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"] == "integration"
 
 
 @pytest.mark.parametrize("case", sorted(CONTRACT_CASES))

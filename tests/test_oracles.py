@@ -782,6 +782,18 @@ def test_deque_pass_keeps_the_lines_through_a_point():
     assert_same_pass(s, grid)
 
 
+def test_deque_pass_trims_the_front_when_it_closes():
+    # the support of a horizontal segment on 12 directions: the pass ends with
+    # lines 2, 3, 4, 9, 10, and the front vertex, where lines 2 and 3 meet at
+    # the segment's right end, lies 5.6e-17 beyond line 10 through that end,
+    # so the closing front trim drops line 2; no property-test input gets there
+    grid = sf.DirectionGrid(12)
+    s = sf.support_of_polygon(sf.ConvexPolygon.from_points([[0.5, 0.8], [-0.6, 0.8]]), grid)
+    lines, verts = support._deque_pass(s.values, grid)
+    assert lines.tolist() == [3, 4, 9, 10]
+    assert_same_pass(s.values, grid)
+
+
 @pytest.mark.parametrize("n", [256, 1024, 4096])
 def test_deque_pass_matches_helper_version_on_noisy_ellipses(n):
     grid = sf.DirectionGrid(n)
