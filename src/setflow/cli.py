@@ -83,7 +83,7 @@ def cmd_integrate(args) -> int:
     out = cfg.output
     traj_path = out.get("trajectory", "trajectory.csv")
     formats.write_trajectory_csv(traj, traj_path)
-    print(f"wrote {traj_path} ({len(traj)} steps, method={cfg.method})")
+    print(f"wrote {traj_path} ({len(traj) - 1} steps, method={cfg.method})")
     frames = _frame_indices(traj.times, out.get("frame_spacing", FRAME_SPACING))
     if "filmstrip" in out:
         # a state stored under policy "never" past the drift limit raises NotInCone here

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import AsymmetricDistance, Contained, ZeroFunction
 from .support import (
+    TOL_REL,
     ConvexPolygon,
     DirectionGrid,
     SupportDelta,
@@ -60,12 +61,12 @@ class DiscreteMeasure:
 def _extremal(vals: np.ndarray):
     """(||vals||, indices within default_tol of +||vals||, and of -||vals||).  A norm
     within default_tol of zero is None, with the whole grid twice."""
-    tol = default_tol(vals)
-    norm = float(np.max(np.abs(vals)))
+    norm = float(np.abs(vals).max())
+    tol = TOL_REL * max(1.0, norm)  # default_tol(vals), bit for bit
     if norm <= tol:
         full = np.arange(len(vals))
         return None, full, full
-    return norm, np.flatnonzero(vals >= norm - tol), np.flatnonzero(vals <= -norm + tol)
+    return norm, (vals >= norm - tol).nonzero()[0], (vals <= -norm + tol).nonzero()[0]
 
 
 def extremal_sets(f) -> ExtremalSets:
@@ -85,8 +86,8 @@ def semi_inner(f: SupportDelta, g: SupportDelta) -> float:
     if gnorm is None:
         return 0.0
     fvals = f.values
-    mpos = float(np.min(fvals[pos])) if len(pos) else math.inf
-    mneg = float(np.min(-fvals[neg])) if len(neg) else math.inf
+    mpos = float(fvals[pos].min()) if len(pos) else math.inf
+    mneg = float((-fvals[neg]).min()) if len(neg) else math.inf
     m = min(mpos, mneg)
     if not math.isfinite(m):
         raise RuntimeError("both extremal sets empty for a nonzero function")

@@ -17,7 +17,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NotInCone
 from .support import (
     DirectionGrid,
     SupportDelta,
@@ -27,6 +26,7 @@ from .support import (
     _require_in_cone,
     _require_same_grid,
     cone_margins,
+    is_in_cone,
 )
 
 
@@ -81,6 +81,14 @@ class SetCurve:
         return len(self.times)
 
 
+def _sample_or_none(grid: DirectionGrid, values: np.ndarray) -> SupportSample | None:
+    """A fresh vector as a sample when it passes is_in_cone (default_tol), else None."""
+    if not is_in_cone(values, grid):
+        return None
+    values.setflags(write=False)
+    return SupportSample._checked(grid, values)
+
+
 def hukuhara_difference(a: SupportSample, b: SupportSample) -> SupportSample | None:
     """A -_H B as a support sample, or None when no such set exists.
 
@@ -89,10 +97,7 @@ def hukuhara_difference(a: SupportSample, b: SupportSample) -> SupportSample | N
     default_tol of the difference.
     """
     _require_same_grid(a, b)
-    try:
-        return SupportSample(a.grid, a.values - b.values)
-    except NotInCone:
-        return None
+    return _sample_or_none(a.grid, a.values - b.values)
 
 
 def _quotients_around(c: SetCurve, k: int) -> np.ndarray:
@@ -106,10 +111,11 @@ def difference_quotients(c: SetCurve, k: int) -> tuple[SupportDelta, SupportDelt
     """Forward and backward difference quotients at interior index k.
 
     Always well-defined as deltas, even when the corresponding Hukuhara
-    differences do not exist.
+    differences do not exist.  The deltas are read-only views of rows of
+    c.quotients, not copies.
     """
     bwd, fwd = _quotients_around(c, k)
-    return SupportDelta(c.grid, fwd), SupportDelta(c.grid, bwd)
+    return SupportDelta._checked(c.grid, fwd), SupportDelta._checked(c.grid, bwd)
 
 
 def quotient_gap(c: SetCurve, k: int) -> float:
@@ -173,7 +179,4 @@ def second_type_differential(delta: SupportDelta) -> SupportSample | None:
     grid = delta.grid
     if not grid.is_even:
         raise ValueError("second-type differentials need an even grid")
-    try:
-        return SupportSample(grid, np.roll(-delta.values, -(grid.n // 2)))
-    except NotInCone:
-        return None
+    return _sample_or_none(grid, np.roll(-delta.values, -(grid.n // 2)))

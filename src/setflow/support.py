@@ -43,7 +43,7 @@ _TIME_SNAP_REL = 1e-9
 
 def _scale(x):
     """max(1, |x|_inf) of each vector along the last axis, ignoring NaN."""
-    return np.fmax(1.0, np.max(np.abs(x), axis=-1))
+    return np.fmax(1.0, np.abs(x).max(axis=-1))
 
 
 def default_tol(x):
@@ -273,6 +273,14 @@ class ConvexPolygon:
         return bool(_inside(x.reshape(1, 2), v, _edge_frame(v), tol)[0])
 
 
+def _wrap_checked(cls, grid: DirectionGrid, values: np.ndarray):
+    """An instance of cls over a read-only vector of grid.n floats, without a copy or test."""
+    s = object.__new__(cls)
+    object.__setattr__(s, "grid", grid)
+    object.__setattr__(s, "values", values)
+    return s
+
+
 @dataclass(frozen=True, eq=False)
 class SupportSample:
     """Support values of a convex compact set on a direction grid.
@@ -292,13 +300,8 @@ class SupportSample:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    @classmethod
-    def _checked(cls, grid: DirectionGrid, values: np.ndarray) -> "SupportSample":
-        """A sample of a read-only vector that already passed the cone test."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "grid", grid)
-        object.__setattr__(s, "values", values)
-        return s
+    # A sample of a read-only vector that already passed the cone test.
+    _checked = classmethod(_wrap_checked)
 
     @property
     def norm_inf(self) -> float:
@@ -328,6 +331,9 @@ class SupportDelta:
         vals = _grid_values(self.values, self.grid).copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+    # A delta of a read-only vector, such as a row of SetCurve.quotients.
+    _checked = classmethod(_wrap_checked)
 
     @property
     def norm_inf(self) -> float:

@@ -133,7 +133,7 @@ def test_integrate_truncated_trajectory_exits_3(scenario, tmp_path, capsys):
     # halfplane intersection empty, so only the initial state is stored
     assert main(["integrate", scenario(T=4.0, h=4.0)]) == 3
     out, err = capsys.readouterr()
-    assert out == f"wrote {tmp_path / 'traj.csv'} (1 steps, method=rk4)\n"
+    assert out == f"wrote {tmp_path / 'traj.csv'} (0 steps, method=rk4)\n"
     assert json.loads(err) == {
         "error": "integration", "message": "empty halfplane intersection at t = 4.0"
     }
@@ -145,7 +145,7 @@ def test_integrate_frame_spacing(scenario, tmp_path, capsys):
     output = {"trajectory": str(tmp_path / "t.csv"), "frame_spacing": 0.5, "filmstrip": str(film)}
     assert main(["integrate", scenario(output=output)]) == 0
     assert capsys.readouterr().out == (
-        f"wrote {tmp_path / 't.csv'} (101 steps, method=rk4)\nwrote {film}\n"
+        f"wrote {tmp_path / 't.csv'} (100 steps, method=rk4)\nwrote {film}\n"
     )
     polys = ET.parse(film).getroot().findall(".//{http://www.w3.org/2000/svg}polygon")
     assert len(polys) == 3  # frames at 0, .5, 1
