@@ -52,9 +52,10 @@ class RhsField:
     """Right-hand side f(t, sigma) -> delta, evaluated on raw value vectors.
 
     fn gets one vector (n,) or a stack (B, n) and must act row by row; a
-    result of shape (n,) is broadcast over the stack.  fn must be reentrant
-    and deterministic; lipschitz is an optional declared constant used only
-    for reporting.
+    result of shape (n,) is broadcast over the stack.  fn must be pure:
+    integrate may evaluate it on states past the first one that is
+    non-finite or needs repair, and then discards them.  lipschitz is an
+    optional declared constant used only for reporting.
     """
 
     grid: DirectionGrid
@@ -302,7 +303,13 @@ def integrate_stack(
     intersection empty leaves the stack alone: its trajectory ends at its last
     kept state, completed False, with the failure.  Non-finite states raise
     NonFiniteValue, the only report of an overflow: the steps run with numpy's
-    overflow and invalid-value warnings off."""
+    overflow and invalid-value warnings off.
+
+    States are checked in stacked blocks: a clean block is kept whole and the
+    next is twice as long; otherwise the states before its first non-finite or
+    repaired step are kept, that step is handled and the rest are stepped
+    again, the next block as long as the run that ended.  The results equal a
+    check after every step, bit for bit."""
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
     if policy not in POLICIES:
@@ -329,31 +336,43 @@ def integrate_stack(
     ends = [len(times)] * len(y)  # stored states per row
     failures: list[str | None] = [None] * len(y)
     live = np.arange(len(y))  # rows still in the stack, in the order of y
+    k, span, start = 1, 1, 1  # first unchecked step, next block's length, start of this run
     with np.errstate(over="ignore", invalid="ignore"):  # NonFiniteValue reports these
-        for k in range(1, len(times)):
-            t_prev, t_next = times[k - 1], times[k]
-            y = step(f, t_prev, y, t_next - t_prev)
-            if not np.isfinite(y).all():
-                raise NonFiniteValue(f"non-finite state at t = {t_next} under field '{f.name}'")
-            res = cone_residual(y, grid)
-            if policy == "on_violation":
-                fix = res > _drift_limit(y)
-            else:
-                fix = np.full(len(y), policy == "always")
-            if fix.any():
-                for i in np.flatnonzero(fix):
-                    try:
-                        y[i] = regularize(y[i], grid).values
-                    except EmptyIntersection:
-                        ends[live[i]] = k
-                        failures[live[i]] = f"empty halfplane intersection at t = {t_next}"
-                if k in ends:
-                    keep = np.array([ends[b] > k for b in live])
-                    y, res, fix, live = y[keep], res[keep], fix[keep], live[keep]
-                    if not len(live):
-                        break
+        while k < len(times):
             rows = live if len(live) < len(ends) else slice(None)
-            states[rows, k], residuals[rows, k], regularized[rows, k] = y, res, fix
+            stop = min(k + span, len(times))
+            for j in range(k, stop):
+                y = step(f, times[j - 1], y, times[j] - times[j - 1])
+                states[rows, j] = y
+            block = states[rows, k:stop]  # (rows, steps, n): one check for the whole block
+            # residuals past the first event are stored again when their steps are redone
+            res = residuals[rows, k:stop] = cone_residual(block, grid)
+            finite = np.isfinite(block).all(axis=-1)
+            fix = (res > _drift_limit(block) if policy == "on_violation"
+                   else np.full(res.shape, policy == "always"))
+            events = (fix | ~finite).any(axis=0)
+            e = int(events.argmax())
+            if not events[e]:
+                k, span = stop, 2 * span
+                continue
+            j = k + e
+            if not finite[:, e].all():
+                raise NonFiniteValue(f"non-finite state at t = {times[j]} under field '{f.name}'")
+            y, fix = states[rows, j].copy(), fix[:, e]
+            for i in fix.nonzero()[0]:
+                try:
+                    y[i] = regularize(y[i], grid).values
+                except EmptyIntersection:
+                    ends[live[i]] = j
+                    failures[live[i]] = f"empty halfplane intersection at t = {times[j]}"
+            if j in ends:
+                keep = np.array([ends[b] > j for b in live])
+                y, fix, live = y[keep], fix[keep], live[keep]
+                if not len(live):
+                    break
+                rows = live
+            states[rows, j], regularized[rows, j] = y, fix
+            k, span, start = j + 1, j - start + 1, j + 1  # expect the last run again
     return tuple(
         Trajectory(grid, np.array(times[:end], dtype=float), states[b, :end],
                    residuals[b, :end], regularized[b, :end], method, policy,

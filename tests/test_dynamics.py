@@ -256,6 +256,47 @@ def test_cone_leaving_field_never_policy_keeps_drift():
         traj.final
 
 
+def counted(field):
+    """field with a count of its evaluations."""
+    calls = [0]
+
+    def fn(t, y):
+        calls[0] += 1
+        return field.fn(t, y)
+
+    return sf.RhsField(field.grid, fn, field.name), calls
+
+
+def test_field_evaluations_match_single_steps_when_no_step_or_every_step_repairs():
+    """The relax_to run of the analyze benchmark never repairs, and the segment
+    erosion of the repair benchmark repairs every step: both evaluate the
+    field once per stage, as the step-by-step loop did (RK4 4, Euler 1)."""
+    relax, calls = counted(RELAX)
+    traj = sf.integrate(relax, sup(A1), T=4.0, h=0.01, method="rk4")
+    assert not traj.regularized.any() and calls[0] == 4 * 400
+    g = sf.DirectionGrid(1024)
+    segment = np.abs(g.directions @ np.array([math.cos(0.7), math.sin(0.7)]))
+    erode, calls = counted(sf.constant_field(sf.SupportDelta(g, -0.5 * segment)))
+    box = sup(sf.ConvexPolygon.box((-2, 2), (-2, 2)), g)
+    traj = sf.integrate(erode, box, T=0.5, h=0.01, method="euler")
+    assert traj.regularized[1:].all() and calls[0] == 50
+
+
+@pytest.mark.parametrize("dent, repairs", [(2e-9, 39), (3.4e-9, 66), (6e-9, 100), (1.2e-8, 200)])
+def test_steps_discarded_past_repairs_at_most_double_the_evaluations(dent, repairs):
+    """A one-index dent below the drift limit per step ends clean runs of
+    varying length in a repair; the steps taken past each repair and then
+    discarded at most double the 200 evaluations of the step-by-step loop."""
+    g = sf.DirectionGrid(32)
+    delta = np.zeros(32)
+    delta[5] = -dent
+    creep, calls = counted(sf.constant_field(sf.SupportDelta(g, delta)))
+    traj = sf.integrate(creep, sup(sf.ConvexPolygon.box((-0.5, 0.5), (-0.5, 0.5)), g), T=200.0,
+                        h=1.0, method="euler")
+    assert int(traj.regularized.sum()) == repairs
+    assert 200 <= calls[0] <= 2 * 200
+
+
 def test_semigroup_consistency():
     one_shot = sf.integrate(RELAX, sup(A1), T=2.0, h=0.01)
     first = sf.integrate(RELAX, sup(A1), T=1.0, h=0.01)

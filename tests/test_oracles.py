@@ -977,8 +977,10 @@ def test_values_csv_matches_csv_writer_byte_for_byte(tmp_path_factory, data, n, 
     times = data.draw(hnp.arrays(np.float64, m, elements=csv_floats))
     values = data.draw(hnp.arrays(np.float64, (m, n), elements=csv_floats))
     out = tmp_path_factory.mktemp("values")
-    for write, name in ((formats.write_values_csv, "new"), (reference_write_values_csv, "ref")):
-        write(as_time_values(times, tkind), as_rows(values, rkind), out / f"{name}.csv")
+    # the "sample" rows check their cone margins, which overflow near 1e308
+    with np.errstate(all="ignore"):
+        for write, name in ((formats.write_values_csv, "new"), (reference_write_values_csv, "ref")):
+            write(as_time_values(times, tkind), as_rows(values, rkind), out / f"{name}.csv")
     assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
 
 
@@ -1099,11 +1101,16 @@ def stack_cases(draw):
     The "shrink" field subtracts the same amount from every support value:
     it leaves the cone on every step, and a set smaller than what it has
     eroded so far empties, so small rows truncate while large ones finish.
+    The "creep" field dents one support value by 0.2-1.2 drift limits per
+    step, so clean runs of varying length each end in a repair, and the
+    "blowup" field expands fast enough to overflow after a few steps; both
+    run 64-150 steps, so an event can fall deep inside a checked block.
     """
     n = draw(st.sampled_from([8, 16, 33, 64]))
     grid = sf.DirectionGrid(n)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["relax_to", "expand", "constant", "shrink", "dent"]))
+    kind = draw(st.sampled_from(["relax_to", "expand", "constant", "shrink", "dent", "creep",
+                                 "blowup"]))
     if kind == "relax_to":
         field = sf.relax_to(sf.random_cone_sample(grid, rng))
     elif kind == "expand":
@@ -1112,7 +1119,9 @@ def stack_cases(draw):
         field = sf.constant_field(sf.SupportDelta(grid, rng.normal(size=n)))
     elif kind == "shrink":
         field = sf.constant_field(sf.SupportDelta(grid, np.full(n, -draw(st.floats(0.5, 3.0)))))
-    else:
+    elif kind == "blowup":
+        field = sf.expansion_field(grid, 10.0 ** draw(st.floats(10.0, 60.0)))
+    elif kind == "dent":
         dent = np.zeros(n)
         dent[rng.integers(n)] = -draw(st.floats(0.1, 2.0))
         field = sf.constant_field(sf.SupportDelta(grid, dent))
@@ -1122,6 +1131,12 @@ def stack_cases(draw):
     sigmas = [sf.scale(sf.random_cone_sample(grid, rng), r / 1.5) if r else origin for r in sizes]
     h = draw(st.floats(0.01, 0.3))
     T = h * draw(st.floats(0.5, 30.0))
+    if kind == "creep":  # h times the dent is a share of the drift limit at scale 1
+        dent = np.zeros(n)
+        dent[rng.integers(n)] = -draw(st.floats(0.2, 1.2)) * 10.0 * TOL_REL / h
+        field = sf.constant_field(sf.SupportDelta(grid, dent))
+    if kind in ("creep", "blowup"):
+        T = h * draw(st.floats(64.0, 150.0))
     method = draw(st.sampled_from(["euler", "rk4"]))
     policy = draw(st.sampled_from(["never", "on_violation", "always"]))
     return field, sigmas, T, h, method, policy
@@ -1132,11 +1147,14 @@ def stack_cases(draw):
 def test_stacked_integration_matches_per_set_loop_bit_for_bit(case):
     field, sigmas, T, h, method, policy = case
     args = (T, h, method, policy)
-    refs = [caught(reference_integrate, field, s, *args) for s in sigmas]
+    with np.errstate(over="ignore", invalid="ignore"):  # "blowup" overflows on purpose
+        refs = [caught(reference_integrate, field, s, *args) for s in sigmas]
     got = caught(sf.integrate_stack, field, sigmas, *args)
-    if any(isinstance(r, sf.NonFiniteValue) for r in refs):
-        # a row that goes non-finite while it is still in the stack stops all
+    raised = [str(r) for r in refs if isinstance(r, sf.NonFiniteValue)]
+    if raised:
+        # the first row that goes non-finite while it is still in the stack stops all
         assert isinstance(got, sf.NonFiniteValue)
+        assert str(got) == min(raised, key=lambda m: float(m.split("t = ")[1].split()[0]))
         return
     assert len(got) == len(sigmas)
     for traj, ref, sigma in zip(got, refs, sigmas):
