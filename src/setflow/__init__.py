@@ -64,9 +64,9 @@ from .hukuhara import (
     time_reverse,
 )
 from .sampling import (
+    ball_draws,
     perturb_in_ball,
     random_cone_sample,
-    random_convex_polygon,
     random_rectangle,
 )
 from .support import (

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from itertools import count
 from pathlib import Path
@@ -32,7 +31,7 @@ from .hukuhara import (
     classify_curve,
     second_type_differential,
 )
-from .sampling import random_cone_sample, random_rectangle
+from .sampling import ball_draws, random_rectangle
 from .support import (
     ConvexPolygon,
     DirectionGrid,
@@ -171,24 +170,24 @@ def cmd_example(args) -> int:
     return 0
 
 
+def _ball_centre(cfg) -> SupportSample:
+    """Centre of a sampled check's cone ball: the initial set, else the origin point."""
+    initial = cfg.initial if cfg.initial is not None else ConvexPolygon.point((0.0, 0.0))
+    return support_of_polygon(initial, cfg.grid)
+
+
 def _check_subtangent(cfg, rng) -> int:
-    grid = cfg.grid
-    points = []
-    if cfg.initial is not None:
-        points.append(support_of_polygon(cfg.initial, grid))
-    while len(points) < cfg.samples:
-        points.append(random_cone_sample(grid, rng))
-    results = [subtangent_feasible(cfg.field(float(rng.uniform(0.0, cfg.T)), sigma), sigma)
-               for sigma in points]
+    sigma0 = _ball_centre(cfg)
+    points = np.vstack([sigma0.values, ball_draws(sigma0, cfg.r, cfg.samples - 1, rng)])
+    points.setflags(write=False)  # rows in the cone by construction, wrapped without a test
+    results = [subtangent_feasible(cfg.field.eval(float(rng.uniform(0.0, cfg.T)), y),
+                                   SupportSample._checked(cfg.grid, y)) for y in points]
     feasible = [r for r in results if r.feasible]
     if feasible:
         lam_lo = max(r.lam_min for r in feasible)
-        lam_hi = min(r.lam_max for r in feasible)
-        hi_txt = "inf" if math.isinf(lam_hi) else f"{lam_hi:.6g}"
-        print(
-            f"subtangent: {len(feasible)}/{len(results)} feasible; "
-            f"common lambda interval [{lam_lo:.6g}, {hi_txt}]"
-        )
+        lam_hi = min(r.lam_max for r in feasible)  # inf prints as "inf"
+        print(f"subtangent: {len(feasible)}/{len(results)} feasible; "
+              f"common lambda interval [{lam_lo:.6g}, {lam_hi:.6g}]")
     if len(feasible) < len(results):
         print(f"subtangent: {len(results) - len(feasible)} infeasible points witnessed")
         return 1
@@ -229,7 +228,8 @@ def _check_osl(cfg, rng) -> int:
 
 
 def _check_lipschitz(cfg, rng) -> int:
-    est = lipschitz_estimate(cfg.field, budget=cfg.samples, seed=int(rng.integers(2**31)))
+    est = lipschitz_estimate(cfg.field, _ball_centre(cfg), cfg.r, cfg.T, budget=cfg.samples,
+                             seed=int(rng.integers(2**31)))
     declared = cfg.field.lipschitz
     extra = f" (declared {declared:g})" if declared is not None else ""
     print(f"lipschitz estimate: {est:.9g}{extra}")
@@ -239,12 +239,9 @@ def _check_lipschitz(cfg, rng) -> int:
 def _check_horizon(cfg, rng) -> int:
     if cfg.initial is None:
         raise ConfigError("missing_key", "horizon check needs an 'initial' set")
-    sigma0 = support_of_polygon(cfg.initial, cfg.grid)
     try:
-        c, b = existence_horizon(
-            cfg.field, sigma0, cfg.r, cfg.T, budget=cfg.samples,
-            seed=int(rng.integers(2**31)),
-        )
+        c, b = existence_horizon(cfg.field, _ball_centre(cfg), cfg.r, cfg.T, budget=cfg.samples,
+                                 seed=int(rng.integers(2**31)))
     except DegenerateField as exc:
         print(f"horizon: field degenerate (c = 0), b = {exc.horizon:g}")
         return 0

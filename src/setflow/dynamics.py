@@ -23,7 +23,7 @@ from .errors import (
     NonFiniteValue,
 )
 from .hukuhara import SetCurve
-from .sampling import perturb_in_ball, random_cone_sample
+from .sampling import ball_draws
 from .support import (
     _FLAT_REL,
     _TIME_SNAP_REL,
@@ -157,18 +157,16 @@ def existence_horizon(
 ) -> tuple[float, float]:
     """Sampled field bound c on [0, T] x (cone ball of radius r) and b = min(T, r/c).
 
-    The states are sigma0, sigma0 + r and budget seeded draws of
-    perturb_in_ball: sigma0 + lam * sigma_P for a random polygon P, scaled to
-    sup-norm r * u with u uniform on [0, 1).  The field is evaluated at 9
-    equally spaced times on [0, T].  The bound is a lower-confidence estimate
-    from this sweep, not a certified supremum.  Raises DegenerateField
-    (carrying horizon = T) when every sample evaluates to zero.
+    The states are sigma0, sigma0 + r and the budget rows of ball_draws around
+    sigma0 (widened and shrunk sets), each at 9 equally spaced times on
+    [0, T].  The bound is a lower-confidence estimate from this sweep, not a
+    certified supremum.  Raises DegenerateField (carrying horizon = T) when
+    every sample evaluates to zero.
     """
     if r <= 0 or T <= 0:
         raise ValueError("r and T must be positive")
-    rng = np.random.default_rng(seed)
-    draws = [perturb_in_ball(sigma0, r, rng).values for _ in range(budget)]
-    stack = np.array([sigma0.values, sigma0.values + r, *draws])
+    draws = ball_draws(sigma0, r, budget, np.random.default_rng(seed))
+    stack = np.vstack([sigma0.values, sigma0.values + r, draws])
     c = 0.0
     for t in np.linspace(0.0, T, 9):
         # the max over each state's |f|, skipping NaN rows like max(c, nan) does
@@ -420,24 +418,23 @@ def relaxation_curve(
     return SetCurve(grid, times, relaxation_values(a0, q, times, grid))
 
 
-def lipschitz_estimate(f: RhsField, budget: int = 200, seed: int = 0) -> float:
-    """Empirical sup of the field's difference quotients over cone pairs.
+def lipschitz_estimate(
+    f: RhsField, sigma0: SupportSample, r: float, T: float, budget: int = 200, seed: int = 0
+) -> float:
+    """Empirical sup of the field's difference quotients on [0, T] x (cone ball of radius r).
 
-    A lower bound on any true Lipschitz constant of f in its second
-    argument.
+    The pairs are consecutive rows of budget + 1 ball_draws around sigma0, a
+    widened set and a shrunk one, and the field is evaluated on all rows at
+    the same 9 times as existence_horizon.  A lower bound on any Lipschitz
+    constant of f in its second argument on that set.
     """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    rng = np.random.default_rng(seed)
-    grid = f.grid
+    if budget < 1 or r <= 0 or T <= 0:
+        raise ValueError("budget must be at least 1, and r and T positive")
+    ys = ball_draws(sigma0, r, budget + 1, np.random.default_rng(seed))
+    den = np.max(np.abs(np.diff(ys, axis=0)), axis=-1)
     best = 0.0
-    for _ in range(budget):
-        t = float(rng.uniform(0.0, 1.0))
-        y1 = random_cone_sample(grid, rng).values
-        y2 = random_cone_sample(grid, rng).values
-        den = float(np.max(np.abs(y1 - y2)))
-        if den == 0.0:
-            continue
-        num = float(np.max(np.abs(f.eval(t, y1) - f.eval(t, y2))))
-        best = max(best, num / den)
+    for t in np.linspace(0.0, T, 9):
+        num = np.max(np.abs(np.diff(f.eval(float(t), ys), axis=0)), axis=-1)
+        # pairs that coincide and NaN quotients are skipped, like max(best, nan) does
+        best = float(np.fmax.reduce(num[den > 0.0] / den[den > 0.0], initial=best))
     return best

@@ -38,8 +38,8 @@ MAX_STEPS = 1_000_000
 # integrate may allocate up front, (ceil(T / h) + 1) * grid_n * curves (256 MiB).
 MAX_GRID_N = 65_536
 MAX_STORED_FLOATS = 1 << 25
-# Most samples a check may draw; samples * grid_n, the floats the subtangent and
-# horizon checks hold at once, is also capped by MAX_STORED_FLOATS.
+# Most samples a check may draw; samples * grid_n, the floats the subtangent,
+# horizon and lipschitz checks hold at once, is also capped by MAX_STORED_FLOATS.
 MAX_SAMPLES = 100_000
 # Largest magnitude of a set coordinate, of r and of a field parameter (rhs.rate,
 # rhs.delta, omega.rate): far below the float range, so the sums, differences,

@@ -362,22 +362,20 @@ def support_of_polygon(p: ConvexPolygon, grid: DirectionGrid) -> SupportSample:
     return SupportSample(grid, vals)
 
 
-def reconstruct_polygon(s: SupportSample) -> ConvexPolygon:
-    """Polygon cut out by the supporting lines of a cone-consistent sample.
+def _line_corners(vals: np.ndarray, grid: DirectionGrid) -> np.ndarray:
+    """The n points (n, 2) where lines <u_i, x> = vals_i and <u_{i+1}, x> = vals_{i+1}
+    meet: for a vector in the cone, boundary points of its set, whose hull it is."""
+    cos, sin = grid.directions.T
+    sn, denom = np.roll(vals, -1), math.sin(grid.delta)
+    x = (vals * np.roll(sin, -1) - sn * sin) / denom
+    y = (sn * cos - vals * np.roll(cos, -1)) / denom
+    return np.column_stack([x, y])
 
-    Consecutive supporting lines <u_i, x> = s_i and <u_{i+1}, x> = s_{i+1}
-    intersect in a boundary point of the halfplane intersection; the hull of
-    these n points is the full intersection because s is in the cone.  The
-    support values of the result reproduce s up to rounding.
-    """
-    g, vals = s.grid, s.values
-    th = g.angles
-    thn = np.roll(th, -1)
-    sn = np.roll(vals, -1)
-    denom = math.sin(g.delta)
-    x = (vals * np.sin(thn) - sn * np.sin(th)) / denom
-    y = (sn * np.cos(th) - vals * np.cos(thn)) / denom
-    return ConvexPolygon.from_points(np.column_stack([x, y]))
+
+def reconstruct_polygon(s: SupportSample) -> ConvexPolygon:
+    """Polygon cut out by the supporting lines of a cone-consistent sample: the hull of
+    its _line_corners.  Its support values reproduce s up to rounding."""
+    return ConvexPolygon.from_points(_line_corners(s.values, s.grid))
 
 
 def _finite_values(values, grid: DirectionGrid) -> np.ndarray:

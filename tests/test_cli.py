@@ -237,15 +237,16 @@ def test_check_subtangent_ok(scenario):
 
 def test_check_subtangent_witnesses(scenario, capsys):
     # the negated support of a box is tangent only where sigma has an edge at
-    # each of its four normals: the initial box has, random cone samples do not
+    # each of its four normals: a point has none, and neither has its cone ball
+    # (its shrunk draws are the point, its widened ones random polygons)
     grid = sf.DirectionGrid(64)
     box = sf.support_of_polygon(sf.ConvexPolygon.box((0, 1), (0, 1)), grid)
-    path = scenario(rhs={"kind": "constant", "delta": (-box.values).tolist()})
-    assert main(["check", "subtangent", path]) == 1
-    assert capsys.readouterr().out == (
-        "subtangent: 1/40 feasible; common lambda interval [1, inf]\n"
-        "subtangent: 39 infeasible points witnessed\n"
+    path = scenario(
+        rhs={"kind": "constant", "delta": (-box.values).tolist()},
+        initial={"vertices": [[0.5, 0.5]]},
     )
+    assert main(["check", "subtangent", path]) == 1
+    assert capsys.readouterr().out == "subtangent: 40 infeasible points witnessed\n"
 
 
 def test_check_osl_ok(scenario):
@@ -289,6 +290,18 @@ def test_osl_witness_csv_prints_17_significant_digits(scenario, tmp_path, capsys
 def test_check_lipschitz(scenario, capsys):
     assert main(["check", "lipschitz", scenario()]) == 0
     assert "lipschitz estimate: 1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "check, out",
+    [
+        ("subtangent", "subtangent: 40/40 feasible; common lambda interval [1, inf]\n"),
+        ("lipschitz", "lipschitz estimate: 1 (declared 1)\n"),
+    ],
+)
+def test_sampled_checks_without_initial_use_the_origin_ball(scenario, capsys, check, out):
+    assert main(["check", check, _without(scenario(), "initial")]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_check_horizon(scenario, capsys):
@@ -673,6 +686,17 @@ def test_checks_are_warning_free_at_the_caps(scenario, check, rhs):
         grid_n=256, rhs=rhs, omega={"kind": "linear", "rate": CAP}, r=CAP, initial=CAP_BOX
     )
     assert main(["check", check, path]) == 0
+
+
+def test_lipschitz_estimate_does_not_cancel_at_the_caps(scenario, capsys):
+    # pairs from the cone ball of radius 1e100 differ at its scale, so
+    # f(a) - f(b) = (target - a) - (target - b) keeps its size, not 0
+    path = scenario(
+        grid_n=256, rhs={"kind": "relax_to", "target": CAP_BOX},
+        omega={"kind": "linear", "rate": CAP}, r=CAP, initial=CAP_BOX,
+    )
+    assert main(["check", "lipschitz", path]) == 0
+    assert capsys.readouterr().out == "lipschitz estimate: 1 (declared 1)\n"
 
 
 @pytest.mark.filterwarnings("error")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import setflow as sf
+from setflow.support import default_tol
 
 G64 = sf.DirectionGrid(64)
 Q = sf.ConvexPolygon.box((-1, 1), (-1, 1))
@@ -93,14 +95,35 @@ def ball_bases(draw):
     return sf.support_of_polygon(poly, grid), r, rng
 
 
-@given(ball_bases())
-def test_perturb_in_ball_draws_lie_in_the_cone_ball(case):
+@given(ball_bases(), st.integers(0, 7))
+def test_ball_draws_lie_in_the_cone_ball(case, count):
     base, r, rng = case
-    for _ in range(5):
-        draw = sf.perturb_in_ball(base, r, rng)
-        assert isinstance(draw, sf.SupportSample)
-        assert sf.is_in_cone(draw.values, base.grid).ok  # at default_tol, nothing widened
-        assert np.max(np.abs(draw.values - base.values)) <= r
+    draws = sf.ball_draws(base, r, count, rng)  # a point base warns nothing (warnings fail)
+    assert draws.shape == (count, base.grid.n)
+    assert count == 0 or np.any(draws != base.values)
+    one = sf.perturb_in_ball(base, r, rng)
+    assert isinstance(one, sf.SupportSample)
+    for rows in (draws, one.values[None]):
+        assert np.all(sf.is_in_cone(rows, base.grid).ok)  # at default_tol, nothing widened
+        assert np.max(np.abs(rows - base.values), initial=0.0) <= r
+    if count >= 2:  # both sides of the ball: a shrunk draw and a widened one
+        below = draws <= base.values + default_tol(base.values)
+        assert np.any(np.all(below, axis=1))
+        assert np.any(np.all(draws >= base.values, axis=1))
+
+
+def test_ball_draws_memory_is_bounded():
+    # 8 points per Minkowski draw as one (count, 8, n) product would peak near 66 MB
+    count, grid = 2000, sf.DirectionGrid(1024)
+    sigma0 = sup(A1, grid)
+    tracemalloc.start()
+    try:
+        draws = sf.ball_draws(sigma0, 1.0, count, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert draws.shape == (count, grid.n)
+    assert peak < 4 * count * grid.n * 8
 
 
 @pytest.mark.parametrize("n", [16, 64, 256])
@@ -351,13 +374,20 @@ def test_closed_form_distance_decay():
 # -------------------------------------------------------------------- lipschitz
 
 def test_lipschitz_of_relaxation_is_one():
-    est = sf.lipschitz_estimate(RELAX, budget=50, seed=1)
+    est = sf.lipschitz_estimate(RELAX, sup(A1), 1.0, 2.0, budget=50, seed=1)
     assert est == pytest.approx(1.0, abs=1e-12)
 
 
 def test_lipschitz_of_constant_is_zero():
     f = sf.constant_field(sf.SupportDelta(G64, np.ones(64)))
-    assert sf.lipschitz_estimate(f, budget=20, seed=1) == 0.0
+    assert sf.lipschitz_estimate(f, SQ, 0.5, 1.0, budget=20, seed=1) == 0.0
+
+
+@pytest.mark.parametrize("r, T", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
+def test_sampled_bounds_need_a_positive_radius_and_horizon(r, T):
+    for bound in (sf.existence_horizon, sf.lipschitz_estimate):
+        with pytest.raises(ValueError):
+            bound(RELAX, SQ, r, T)
 
 
 def test_lipschitz_of_double_field_is_two():
@@ -365,4 +395,6 @@ def test_lipschitz_of_double_field_is_two():
         return 2.0 * y - SQ.values
 
     f = sf.RhsField(G64, fn, name="stretch")
-    assert sf.lipschitz_estimate(f, budget=50, seed=1) == pytest.approx(2.0, abs=1e-12)
+    assert sf.lipschitz_estimate(f, sup(A1), 3.0, 1.0, budget=50, seed=1) == pytest.approx(
+        2.0, abs=1e-12
+    )

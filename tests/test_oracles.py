@@ -1254,12 +1254,8 @@ def test_curve_matches_per_sample_validation(case):
 # ------------------------------------------------------- horizon and duality
 
 def reference_horizon_bound(f, sigma0, r, T, budget, time_samples, seed):
-    rng = np.random.default_rng(seed)
     states = [sigma0.values, sigma0.values + r]
-    for _ in range(budget):
-        s = sf.perturb_in_ball(sigma0, r, rng)
-        if s is not None:
-            states.append(s.values)
+    states.extend(sf.ball_draws(sigma0, r, budget, np.random.default_rng(seed)))
     c = 0.0
     for t in np.linspace(0.0, T, time_samples):
         for y in states:
