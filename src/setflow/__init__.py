@@ -42,8 +42,6 @@ from .errors import (
     AsymmetricDistance,
     ConfigError,
     Contained,
-    DegenerateDistance,
-    DegenerateField,
     EmptyIntersection,
     GridMismatch,
     NegativeScalar,
@@ -70,7 +68,6 @@ from .sampling import (
     random_rectangle,
 )
 from .support import (
-    ConeCheck,
     ConvexPolygon,
     DirectionGrid,
     SupportDelta,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AsymmetricDistance, Contained, ZeroFunction
+from .errors import AsymmetricDistance, Contained, NonFiniteValue, ZeroFunction
 from .support import (
     TOL_REL,
     ConvexPolygon,
@@ -78,8 +78,9 @@ def extremal_sets(f) -> ExtremalSets:
 def semi_inner(f: SupportDelta, g: SupportDelta) -> float:
     """One-sided pairing ||g|| * min{min_{E+} f, min_{E-} -f}, min over empty = inf.
 
-    At least one extremal set of g is nonempty, so the result is always
-    finite; for g == 0 it is 0 by the full-grid convention.
+    For finite g at least one extremal set is nonempty; for g == 0 the
+    result is 0 by the full-grid convention.  Raises NonFiniteValue when a
+    non-finite g, or a non-finite f at an extremal index, leaves it undefined.
     """
     _require_same_grid(f, g)
     gnorm, pos, neg = _extremal(g.values)
@@ -90,7 +91,7 @@ def semi_inner(f: SupportDelta, g: SupportDelta) -> float:
     mneg = float((-fvals[neg]).min()) if len(neg) else math.inf
     m = min(mpos, mneg)
     if not math.isfinite(m):
-        raise RuntimeError("both extremal sets empty for a nonzero function")
+        raise NonFiniteValue("non-finite values of g, or of f at an extremal index of g")
     return gnorm * m
 
 

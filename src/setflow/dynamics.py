@@ -16,12 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateDistance,
-    DegenerateField,
-    EmptyIntersection,
-    NonFiniteValue,
-)
+from .errors import EmptyIntersection, NonFiniteValue
 from .hukuhara import SetCurve
 from .sampling import ball_draws
 from .support import (
@@ -31,7 +26,6 @@ from .support import (
     DirectionGrid,
     SupportDelta,
     SupportSample,
-    _farthest,
     _grid_values,
     _nearest_points,
     _require_same_grid,
@@ -99,22 +93,16 @@ def expansion_field(grid: DirectionGrid, rate: float) -> RhsField:
     return RhsField(grid, fn, name="expand", lipschitz=abs(rate))
 
 
-@dataclass(frozen=True)
-class GrowthFunction:
-    """Comparison growth bound omega(t, s)."""
-
-    fn: Callable[[float, float], float]
-
-    def __call__(self, t: float, s: float) -> float:
-        return float(self.fn(t, s))
+# Comparison growth bound omega(t, s).
+GrowthFunction = Callable[[float, float], float]
 
 
 def linear_growth(rate: float) -> GrowthFunction:
-    return GrowthFunction(lambda t, s: rate * s)
+    return lambda t, s: rate * s
 
 
 def zero_growth() -> GrowthFunction:
-    return GrowthFunction(lambda t, s: 0.0)
+    return lambda t, s: 0.0
 
 
 @dataclass(frozen=True)
@@ -160,8 +148,8 @@ def existence_horizon(
     The states are sigma0, sigma0 + r and the budget rows of ball_draws around
     sigma0 (widened and shrunk sets), each at 9 equally spaced times on
     [0, T].  The bound is a lower-confidence estimate from this sweep, not a
-    certified supremum.  Raises DegenerateField (carrying horizon = T) when
-    every sample evaluates to zero.
+    certified supremum.  A field that is zero on every sample gives c = 0 and
+    b = T.
     """
     if r <= 0 or T <= 0:
         raise ValueError("r and T must be positive")
@@ -172,9 +160,7 @@ def existence_horizon(
         # the max over each state's |f|, skipping NaN rows like max(c, nan) does
         peaks = np.max(np.abs(f.eval(float(t), stack)), axis=-1)
         c = float(np.fmax.reduce(peaks, initial=c))
-    if c == 0.0:
-        raise DegenerateField(T)
-    return c, min(T, r / c)
+    return c, (T if c == 0.0 else min(T, r / c))
 
 
 @dataclass(frozen=True)
@@ -204,7 +190,7 @@ class OslReport:
 
 def osl_check(
     f: RhsField, a: ConvexPolygon, b: ConvexPolygon, t: float, omega: GrowthFunction
-) -> OslReport:
+) -> OslReport | None:
     """Check the relative-velocity bound at the Hausdorff-realizing direction.
 
     For each one-sided distance that attains dist_H(A, B), the realizing pair
@@ -213,25 +199,30 @@ def osl_check(
     f(t, sigma_A)(p) - f(t, sigma_B)(p) <= omega(t, dist_H) is evaluated
     there (with roles swapped for the reverse order).  The report is
     satisfied when at least one applicable case holds.  Every comparison is
-    made at default_tol of the vertices of A and B.
+    made at default_tol of the vertices of A and B.  None when an order that
+    attains dist_H has no realizing pair (its distance is within tol of zero,
+    as for sets that coincide): the condition says nothing about the pair.
     """
     tol = default_tol(np.append(a.vertices, b.vertices))
     sets = (a, b)
     nearest = [_nearest_points(sets[i].vertices, sets[1 - i]) for i in (0, 1)]
-    dh = max(float(np.max(dist)) for dist, _ in nearest)
-    if dh <= tol:
-        raise DegenerateDistance("sets coincide within tolerance")
+    peaks = [float(np.max(dist)) for dist, _ in nearest]
+    dh = max(peaks)
+    orders = [i for i in (0, 1) if peaks[i] >= dh - tol]  # the orders attaining dist_H
+    if any(peaks[i] <= tol for i in orders):
+        return None
     fvals = [f.eval(t, support_of_polygon(s, f.grid).values) for s in sets]
     bound = omega(t, dh)
     cases = []
-    for i, order in enumerate(("forward", "reverse")):
+    for i in orders:
         dist, near = nearest[i]
-        if float(np.max(dist)) >= dh - tol:
-            far, proj = _farthest(sets[i], dist, near, tol)
-            idx, err = f.grid.nearest_index(far - proj)
-            lhs = float(fvals[i][idx] - fvals[1 - i][idx])
-            pa, pb = (far, proj) if i == 0 else (proj, far)
-            cases.append(OslCase(order, pa, pb, idx, err, lhs, bound, lhs <= bound + tol))
+        k = int(np.argmax(dist))  # the smallest index on ties
+        far, proj = sets[i].vertices[k].copy(), near[k]
+        idx, err = f.grid.nearest_index(far - proj)
+        lhs = float(fvals[i][idx] - fvals[1 - i][idx])
+        pa, pb = (far, proj) if i == 0 else (proj, far)
+        order = ("forward", "reverse")[i]
+        cases.append(OslCase(order, pa, pb, idx, err, lhs, bound, lhs <= bound + tol))
     return OslReport(any(c.satisfied for c in cases), dh, tuple(cases))
 
 

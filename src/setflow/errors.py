@@ -42,18 +42,6 @@ class ZeroFunction(SetflowError):
     """The zero function has no normalized dual representatives."""
 
 
-class DegenerateDistance(SetflowError):
-    """The two sets coincide within tolerance; the check is vacuous."""
-
-
-class DegenerateField(SetflowError):
-    """The sampled field bound is zero, so the horizon is the full interval."""
-
-    def __init__(self, horizon):
-        self.horizon = horizon
-        super().__init__(f"field vanished on every sample; horizon = {horizon}")
-
-
 class NonFiniteValue(SetflowError):
     """A field evaluation produced NaN or infinite entries."""
 

@@ -92,11 +92,9 @@ class DirectionGrid:
         v = np.asarray(v, dtype=float)
         angle = math.atan2(v[1], v[0]) % (2.0 * math.pi)
         k = int(round(angle / self.delta)) % self.n
-        err = angle - k * self.delta
+        err = angle - k * self.delta  # >= -delta/2, as angle is in [0, 2 pi)
         if err > math.pi:
             err -= 2.0 * math.pi
-        elif err < -math.pi:
-            err += 2.0 * math.pi
         return k, abs(err)
 
 
@@ -132,32 +130,16 @@ def cone_residual(values, grid: DirectionGrid):
     return np.where(worst > 0.0, worst, 0.0)[()]  # max(0.0, worst): NaN and -0.0 give 0.0
 
 
-@dataclass(frozen=True)
-class ConeCheck:
-    """Verdict of is_in_cone; arrays over the leading axes for a stack (-1: passes)."""
-
-    ok: bool | np.ndarray
-    first_violation: int | None | np.ndarray
-
-    def __bool__(self) -> bool:
-        return bool(self.ok)
-
-
 def _cone_limit(values, tol) -> np.ndarray:
     """tol, or default_tol per vector when None, shaped to broadcast over margins."""
     return np.asarray(default_tol(values) if tol is None else tol)[..., None]
 
 
-def is_in_cone(values, grid: DirectionGrid) -> ConeCheck:
-    """Test the discrete cone condition at default_tol; report the smallest violating index.
-
-    Accepts one vector or a stack (..., n); a stack is tested row by row.
-    """
-    bad = cone_margins(values, grid) < -_cone_limit(values, None)
-    ok = ~bad.any(axis=-1)
-    if bad.ndim > 1:
-        return ConeCheck(ok, np.where(ok, -1, bad.argmax(axis=-1)))
-    return ConeCheck(True, None) if ok else ConeCheck(False, int(bad.argmax()))
+def is_in_cone(values, grid: DirectionGrid) -> bool | np.ndarray:
+    """The discrete cone condition at default_tol: a bool, or a bool array over the
+    leading axes of a stack (..., n), tested row by row.  NaN margins pass."""
+    margins = cone_margins(values, grid)
+    return ~(margins < -_cone_limit(values, None)).any(axis=-1)[()]
 
 
 def _require_in_cone(values, grid: DirectionGrid, tol) -> np.ndarray:
@@ -270,7 +252,7 @@ class ConvexPolygon:
             return bool(np.max(np.abs(x - v[0])) <= tol)
         if len(v) == 2:
             return point_to_polygon(x, self) <= tol
-        return bool(_inside(x.reshape(1, 2), v, _edge_frame(v), tol)[0])
+        return bool(_inside(x.reshape(1, 2), v, _edge_frame(v))[0])
 
 
 def _wrap_checked(cls, grid: DirectionGrid, values: np.ndarray):
@@ -528,15 +510,14 @@ def _edge_frame(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
     return e, np.hypot(e[:, 0], e[:, 1]), np.max(np.abs(v)), max(1.0, radius)
 
 
-def _inside(x: np.ndarray, v: np.ndarray, frame, tol=None) -> np.ndarray:
+def _inside(x: np.ndarray, v: np.ndarray, frame) -> np.ndarray:
     """Rows of x (K, 2) on the inner side of every edge of the CCW vertices v (>= 3), up to
     tol * min(edge length, max(1, radius, |row|_inf)), so never more than tol outside an
-    edge line; frame is _edge_frame(v) and tol defaults to default_tol(vertices, row)."""
+    edge line; frame is _edge_frame(v) and tol is default_tol(vertices, row)."""
     e, length, vmax, rad = frame
-    if tol is None:
-        tol = default_tol(np.column_stack([np.full(len(x), vmax), x]))
+    tol = default_tol(np.column_stack([np.full(len(x), vmax), x]))
     scale = np.maximum(rad, np.max(np.abs(x), axis=1))
-    limit = -np.asarray(tol)[..., None] * np.minimum(length, scale[:, None])
+    limit = -tol[:, None] * np.minimum(length, scale[:, None])
     crosses = e[:, 0] * (x[:, 1, None] - v[:, 1]) - e[:, 1] * (x[:, 0, None] - v[:, 0])
     return np.all(crosses >= limit, axis=1)
 
@@ -574,14 +555,6 @@ def _nearest_points(x, p: ConvexPolygon) -> tuple[np.ndarray, np.ndarray]:
     return np.hypot(gap[:, 0], gap[:, 1]), near
 
 
-def _farthest(p: ConvexPolygon, dist: np.ndarray, near: np.ndarray, tol: float):
-    """(a*, b*) from the distances of p's vertices: smallest index on ties."""
-    k = int(np.argmax(dist))
-    if dist[k] <= tol:
-        raise Contained("dist(P, Q) vanishes; no realizing direction")
-    return p.vertices[k].copy(), near[k]
-
-
 def project_point(x, p: ConvexPolygon) -> np.ndarray:
     """Nearest point of p to x (the metric projection; 1-Lipschitz in x)."""
     return _nearest_points(x, p)[1][0]
@@ -612,5 +585,8 @@ def farthest_realizer(p: ConvexPolygon, q: ConvexPolygon) -> tuple[np.ndarray, n
     Raises Contained when dist(P, Q) is within default_tol of both vertex
     sets (P inside Q).  Ties between vertices break toward the smallest index.
     """
-    tol = default_tol(np.append(p.vertices, q.vertices))
-    return _farthest(p, *_nearest_points(p.vertices, q), tol)
+    dist, near = _nearest_points(p.vertices, q)
+    k = int(np.argmax(dist))
+    if dist[k] <= default_tol(np.append(p.vertices, q.vertices)):
+        raise Contained("dist(P, Q) vanishes; no realizing direction")
+    return p.vertices[k].copy(), near[k]

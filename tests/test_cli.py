@@ -192,8 +192,8 @@ def test_example_third_curve_delta_fails_cone_both_ways(tmp_path):
     rows = (out / "curve3_frechet_delta.csv").read_text().strip().splitlines()[1:]
     grid = sf.DirectionGrid(64)
     vals = np.asarray(rows[0].split(",")[1:], dtype=float)
-    assert not sf.is_in_cone(vals, grid).ok
-    assert not sf.is_in_cone(-vals, grid).ok
+    assert not sf.is_in_cone(vals, grid)
+    assert not sf.is_in_cone(-vals, grid)
 
 
 def test_example_tables_match_the_library_per_step(tmp_path):

@@ -89,6 +89,19 @@ def test_positive_homogeneity_in_g():
         )
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_values_leave_semi_inner_undefined(bad):
+    grid = sf.DirectionGrid(8)
+    g = np.arange(8.0)  # one extremal index, 7
+    f = np.zeros(8)
+    f[7] = bad
+    with pytest.raises(sf.NonFiniteValue, match="non-finite values"):
+        sf.semi_inner(sf.SupportDelta(grid, f), sf.SupportDelta(grid, g))
+    g[3] = np.nan
+    with pytest.raises(sf.NonFiniteValue, match="non-finite values"):
+        sf.semi_inner(sf.SupportDelta(grid, np.zeros(8)), sf.SupportDelta(grid, g))
+
+
 def test_grid_mismatch():
     with pytest.raises(sf.GridMismatch):
         sf.semi_inner(

@@ -49,7 +49,7 @@ def test_flat_direction_infeasibility():
     assert not res.feasible
     # brute-force lambda sweep confirms
     assert not any(
-        sf.is_in_cone(v.values + lam * sigma.values, G64).ok
+        sf.is_in_cone(v.values + lam * sigma.values, G64)
         for lam in np.linspace(0.0, 50.0, 501)
     )
 
@@ -64,9 +64,7 @@ def test_horizon_at_fixed_point():
 
 def test_horizon_degenerate_field():
     zero = sf.constant_field(sf.SupportDelta(G64, np.zeros(64)))
-    with pytest.raises(sf.DegenerateField) as exc:
-        sf.existence_horizon(zero, SQ, r=1.0, T=7.0)
-    assert exc.value.horizon == 7.0
+    assert sf.existence_horizon(zero, SQ, r=1.0, T=7.0) == (0.0, 7.0)
 
 
 def test_horizon_constant_field():
@@ -104,7 +102,7 @@ def test_ball_draws_lie_in_the_cone_ball(case, count):
     one = sf.perturb_in_ball(base, r, rng)
     assert isinstance(one, sf.SupportSample)
     for rows in (draws, one.values[None]):
-        assert np.all(sf.is_in_cone(rows, base.grid).ok)  # at default_tol, nothing widened
+        assert np.all(sf.is_in_cone(rows, base.grid))  # at default_tol, nothing widened
         assert np.max(np.abs(rows - base.values), initial=0.0) <= r
     if count >= 2:  # both sides of the ball: a shrunk draw and a widened one
         below = draws <= base.values + default_tol(base.values)
@@ -124,6 +122,16 @@ def test_ball_draws_memory_is_bounded():
         tracemalloc.stop()
     assert draws.shape == (count, grid.n)
     assert peak < 4 * count * grid.n * 8
+    # the sampled checks hold a few budget * n stacks at once (measured 4.0x and 3.0x)
+    budget, relax = 1024, sf.relax_to(sup(Q, grid))
+    for check in (sf.existence_horizon, sf.lipschitz_estimate):
+        tracemalloc.start()
+        try:
+            check(relax, sigma0, 1.0, 1.0, budget=budget)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * budget * grid.n * 8, check.__name__
 
 
 @pytest.mark.parametrize("n", [16, 64, 256])
@@ -149,9 +157,8 @@ def test_relaxation_field_osl_satisfied():
     while checked < 100:
         a = sf.random_rectangle(rng)
         b = sf.random_rectangle(rng)
-        try:
-            rep = sf.osl_check(RELAX, a, b, 0.0, omega)
-        except (sf.DegenerateDistance, sf.Contained):
+        rep = sf.osl_check(RELAX, a, b, 0.0, omega)
+        if rep is None:
             continue
         checked += 1
         assert rep.satisfied
@@ -185,8 +192,7 @@ def test_expanding_field_violates_zero_growth():
 
 
 def test_degenerate_pair_rejected():
-    with pytest.raises(sf.DegenerateDistance):
-        sf.osl_check(RELAX, Q, Q, 0.0, sf.linear_growth(1.0))
+    assert sf.osl_check(RELAX, Q, Q, 0.0, sf.linear_growth(1.0)) is None
 
 
 # -------------------------------------------------------------------- integrate

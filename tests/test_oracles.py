@@ -99,13 +99,10 @@ def test_stacked_margins_match_roll_formula_bit_for_bit(stack):
     grid = sf.DirectionGrid(stack.shape[1])
     margins = sf.cone_margins(stack, grid)
     verdict = sf.is_in_cone(stack, grid)
+    assert verdict.shape == stack.shape[:1]
     for k, row in enumerate(stack):
         assert np.array_equal(bits(margins[k]), bits(roll_margins(row, grid)))
-        single = sf.is_in_cone(row, grid)
-        assert verdict.ok[k] == single.ok == reference_in_cone(row, grid)
-        assert verdict.first_violation[k] == (
-            -1 if single.first_violation is None else single.first_violation
-        )
+        assert verdict[k] == sf.is_in_cone(row, grid) == reference_in_cone(row, grid)
 
 
 def test_margins_reject_wrong_length():
@@ -307,19 +304,24 @@ def reference_osl_check(f, a, b, t, omega):
     d_ba = reference_hausdorff_onesided(b, a)
     dh = max(d_ab, d_ba)
     if dh <= tol:
-        raise sf.DegenerateDistance("sets coincide within tolerance")
+        return None
     grid = f.grid
     fa = f.eval(t, sf.support_of_polygon(a, grid).values)
     fb = f.eval(t, sf.support_of_polygon(b, grid).values)
     bound = omega(t, dh)
     cases = []
-    if d_ab >= dh - tol:
-        pa, pb = reference_farthest_realizer(a, b)
+    try:
+        forward = reference_farthest_realizer(a, b) if d_ab >= dh - tol else None
+        reverse = reference_farthest_realizer(b, a) if d_ba >= dh - tol else None
+    except sf.Contained:
+        return None
+    if forward is not None:
+        pa, pb = forward
         idx, err = grid.nearest_index(pa - pb)
         lhs = float(fa[idx] - fb[idx])
         cases.append(OslCase("forward", pa, pb, idx, err, lhs, bound, lhs <= bound + tol))
-    if d_ba >= dh - tol:
-        qb, qa = reference_farthest_realizer(b, a)
+    if reverse is not None:
+        qb, qa = reverse
         idx, err = grid.nearest_index(qb - qa)
         lhs = float(fb[idx] - fa[idx])
         cases.append(OslCase("reverse", qa, qb, idx, err, lhs, bound, lhs <= bound + tol))
@@ -384,9 +386,9 @@ def test_projection_matches_vertex_loop_bit_for_bit(data):
         assert same_bits(dk, reference_point_to_polygon(x, p))
         assert same_bits(sf.point_to_polygon(x, p), reference_point_to_polygon(x, p))
         assert p.contains(x) == reference_contains(p, x)
-        if len(p) >= 3:  # the inside kernel at tolerance 0
-            inside = support._inside(x[None], p.vertices, support._edge_frame(p.vertices), 0.0)
-            assert inside[0] == reference_contains(p, x, 0.0)
+        if len(p) >= 3:  # the inside kernel on its own
+            inside = support._inside(x[None], p.vertices, support._edge_frame(p.vertices))
+            assert inside[0] == reference_contains(p, x)
 
 
 @settings(max_examples=40, deadline=None)
@@ -531,7 +533,7 @@ def test_inside_rule_scales_with_vertices_and_point():
     assert tri.contains(x) and reference_contains(tri, x)
     assert same_bits(sf.project_point(x, tri), x)
     # a fixed tolerance scaled by max(1, radius, |x|) alone rejects it
-    assert not support._inside(x[None], tri.vertices, support._edge_frame(tri.vertices), 1e-9)[0]
+    assert not reference_contains(tri, x, 1e-9)
 
 
 @st.composite
@@ -573,7 +575,7 @@ def test_distances_and_realizers_match_vertex_loops(pair):
 
 
 def assert_same_report(got, ref):
-    if isinstance(ref, type):
+    if not isinstance(ref, OslReport):  # None, or the class of an error
         assert got is ref
         return
     assert got.satisfied == ref.satisfied
@@ -614,14 +616,13 @@ def test_osl_check_reaches_every_outcome():
     report = sf.osl_check(field, square, shifted, 0.5, omega)
     assert [c.order for c in report.cases] == ["forward", "reverse"]
     assert_same_report(report, reference_osl_check(field, square, shifted, 0.5, omega))
-    for a, b, error in (
-        (square, square, sf.DegenerateDistance),
+    for a, b in (
+        (square, square),
         # dist(A, B) = 0.8 tol attains dist_H = 1.5 tol within tol (= 1e-9), yet vanishes
-        (sf.ConvexPolygon.box((-1, 1), (0, 8e-10)), sf.ConvexPolygon.box((-1, 1), (-1.5e-9, 0)),
-         sf.Contained),
+        (sf.ConvexPolygon.box((-1, 1), (0, 8e-10)), sf.ConvexPolygon.box((-1, 1), (-1.5e-9, 0))),
     ):
-        assert outcome(sf.osl_check, field, a, b, 0.0, omega) is error
-        assert outcome(reference_osl_check, field, a, b, 0.0, omega) is error
+        assert sf.osl_check(field, a, b, 0.0, omega) is None
+        assert reference_osl_check(field, a, b, 0.0, omega) is None
     corner = sf.ConvexPolygon.box((0.5, 1.5), (0.5, 1.5))
     big = sf.ConvexPolygon.box((-3, 3), (-3, 3))
     for a, b, error in ((corner, square, sf.AsymmetricDistance), (square, big, sf.Contained)):
