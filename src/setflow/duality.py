@@ -60,8 +60,10 @@ class DiscreteMeasure:
 
 def _extremal(vals: np.ndarray):
     """(||vals||, indices within default_tol of +||vals||, and of -||vals||).  A norm
-    within default_tol of zero is None, with the whole grid twice."""
+    within default_tol of zero is None, with the whole grid twice; NonFiniteValue if not finite."""
     norm = float(np.abs(vals).max())
+    if not math.isfinite(norm):
+        raise NonFiniteValue("non-finite values of g")
     tol = TOL_REL * max(1.0, norm)  # default_tol(vals), bit for bit
     if norm <= tol:
         full = np.arange(len(vals))
@@ -90,7 +92,7 @@ def semi_inner(f: SupportDelta, g: SupportDelta) -> float:
     mpos = float(fvals[pos].min()) if len(pos) else math.inf
     mneg = float((-fvals[neg]).min()) if len(neg) else math.inf
     m = min(mpos, mneg)
-    if not math.isfinite(m):
+    if not math.isfinite(m) or math.isnan(mneg):  # min(x, nan) drops the nan
         raise NonFiniteValue("non-finite values of g, or of f at an extremal index of g")
     return gnorm * m
 

@@ -1,11 +1,10 @@
 """Set dynamics on the support cone: feasibility diagnostics and integration.
 
-A right-hand side maps (t, support sample) to a delta.  Solutions stay in
-the cone when the field values are subtangent to it, which on the grid is a
-one-parameter family of linear inequalities solved in closed form.  The
-integrator is fixed-step explicit (Euler or classical RK4) with a stated
-drift-repair policy; existence-horizon, Lipschitz, and one-sided-Lipschitz
-checks are sampled estimates, never certificates.
+A right-hand side maps (t, support sample) to a delta.  Solutions stay in the cone when the
+field values are subtangent to it, on the grid a one-parameter family of linear inequalities
+solved in closed form.  The integrator is fixed-step explicit (Euler or classical RK4) with a
+stated drift-repair policy.  Existence-horizon, Lipschitz and one-sided-Lipschitz checks (the
+last a semi-inner product of support vectors, osl_row) are sampled estimates, not certificates.
 """
 
 from __future__ import annotations
@@ -16,6 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .duality import _extremal
 from .errors import EmptyIntersection, NonFiniteValue
 from .hukuhara import SetCurve
 from .sampling import ball_draws
@@ -224,6 +224,22 @@ def osl_check(
         order = ("forward", "reverse")[i]
         cases.append(OslCase(order, pa, pb, idx, err, lhs, bound, lhs <= bound + tol))
     return OslReport(any(c.satisfied for c in cases), dh, tuple(cases))
+
+
+def osl_row(f: RhsField, xy: np.ndarray, t: float, omega: GrowthFunction):
+    """One-sided Lipschitz check in the Banach space of a (2, n) pair x, y at time t: g = x - y,
+    d = f(t, x) - f(t, y), lhs = [d, g]_- / |g|_inf, the least of d on E+ and of -d on E- of g (NaN
+    if d is NaN there).  (t, |g|_inf, the lowest index of lhs, lhs, bound = omega(t, |g|_inf), lhs
+    <= bound + default_tol of x, y and d), or None if |g|_inf <= default_tol of x and y."""
+    dist, pos, neg = _extremal(xy[0] - xy[1])
+    if dist is None or dist <= (tol := float(default_tol(xy.ravel()))):
+        return None
+    d = np.subtract(*f.eval(t, xy))
+    arms = np.full(len(d), math.inf)
+    arms[pos], arms[neg] = d[pos], -d[neg]
+    k = int(arms.argmin())  # the first NaN, if any
+    lhs, bound = float(arms[k]), omega(t, dist)
+    return t, dist, k, lhs, bound, lhs <= bound + max(tol, float(default_tol(d)))
 
 
 @dataclass(frozen=True)

@@ -39,8 +39,8 @@ MAX_STEPS = 1_000_000
 MAX_GRID_N = 65_536
 MAX_STORED_FLOATS = 1 << 25
 # Most samples a check may draw; samples * grid_n is also capped by MAX_STORED_FLOATS.
-# The subtangent, horizon and lipschitz checks hold a few stacks of that many floats at
-# once (tracemalloc: 4x for horizon, 3x for lipschitz), so near 1 GiB at the cap.
+# The subtangent, osl, horizon and lipschitz checks hold a few stacks of that many floats at
+# once (tracemalloc: 6x for osl, 4x for horizon, 3x for lipschitz), so 1-1.5 GiB at the cap.
 MAX_SAMPLES = 100_000
 # Largest magnitude of a set coordinate, of r and of a field parameter (rhs.rate,
 # rhs.delta, omega.rate): far below the float range, so the sums, differences,

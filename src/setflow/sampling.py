@@ -16,6 +16,15 @@ def random_rectangle(rng: np.random.Generator) -> ConvexPolygon:
     return ConvexPolygon.box((cx - wx, cx + wx), (cy - wy, cy + wy))
 
 
+def rectangle_pairs(grid: DirectionGrid, T: float, count: int, rng: np.random.Generator):
+    """Supports (count, 2, n) of count pairs of random_rectangle boxes, and a time each, from
+    the same draws, bit for bit, as random_rectangle, random_rectangle, uniform(0, T) per pair."""
+    (cos, sin), u = grid.directions.T, rng.random((count, 9))
+    c, w = -2.0 + 4.0 * u[:, [0, 1, 4, 5]], 3.0 * u[:, [2, 3, 6, 7]] / 2.0
+    ends = np.stack([c - w, c + w], axis=-1).reshape(count, 2, 2, 2)  # pair, box, axis, end
+    return ends[:, :, 0, 1 * (cos >= 0)] * cos + ends[:, :, 1, 1 * (sin >= 0)] * sin, T * u[:, 8]
+
+
 def random_cone_sample(grid: DirectionGrid, rng: np.random.Generator) -> SupportSample:
     """Support sample of (the hull of) 3 to 8 uniform points in [-1.5, 1.5]^2."""
     pts = rng.uniform(-1.5, 1.5, (int(rng.integers(3, 9)), 2))

@@ -143,9 +143,10 @@ def is_in_cone(values, grid: DirectionGrid) -> bool | np.ndarray:
 
 
 def _require_in_cone(values, grid: DirectionGrid, tol) -> np.ndarray:
-    """The cone limit of each row (one for a scalar tol); NotInCone at the first failing row."""
-    m = cone_margins(values, grid)
+    """The cone limit of each row (one for a scalar tol); NotInCone at the first failing row.
+    An infinite scalar tol admits every row without computing a margin."""
     limit = _cone_limit(values, tol)
+    m = limit if isinstance(tol, float) and tol == math.inf else cone_margins(values, grid)
     bad = m < -limit
     if bad.any():
         k = int(bad.any(axis=-1).argmax()) if bad.ndim > 1 else 0

@@ -275,15 +275,15 @@ def test_osl_witness_csv_prints_17_significant_digits(scenario, tmp_path, capsys
     assert capsys.readouterr().out == (
         "osl: 0/40 pairs satisfied\n"
         f"wrote {wit}\n"
-        "osl witness: a=(-1.759,-0.3823) b=(-0.7084,1.436) index=43 lhs=2.09908 bound=0\n"
+        "osl witness: distance=2.09908 index=43 lhs=2.09908 bound=0\n"
     )
     header, *rows = wit.read_bytes().decode().split("\r\n")[:-1]
-    assert header == "t,ax,ay,bx,by,direction_index,lhs,bound"
+    assert header == "t,distance,direction_index,lhs,bound"
     assert len(rows) == 40
     for row in rows:
         fields = row.split(",")
-        assert fields[5] == str(int(fields[5]))
-        for field in fields[:5] + fields[6:]:
+        assert fields[2] == str(int(fields[2]))
+        for field in fields[:2] + fields[3:]:
             assert field == "%.17g" % float(field)
 
 
@@ -643,6 +643,41 @@ CONTRACT_CASES = {
         {},
         2,
     ),
+    # the grid check at an expand rate near the cap: no overflow, no nan, a plain verdict
+    "osl_expand_rate_near_the_cap": (
+        lambda scen, tmp: [
+            "check", "osl", scen(rhs={"kind": "expand", "rate": 9e99}, omega={"kind": "zero"})
+        ],
+        {},
+        1,
+    ),
+    "osl_shrink_rate_near_the_cap": (
+        lambda scen, tmp: [
+            "check", "osl", scen(rhs={"kind": "expand", "rate": -9e99}, omega={"kind": "zero"})
+        ],
+        {},
+        0,
+    ),
+    # a large field value that cancels in f(x) - f(y) must not widen the verdict's slack:
+    # d = 0 against a bound of -|x - y|, and d = -(x - y) against -2 |x - y|, both violate
+    "osl_large_constant_delta_against_a_negative_omega": (
+        lambda scen, tmp: [
+            "check", "osl",
+            scen(rhs={"kind": "constant", "delta": [1e10] * 64},
+                 omega={"kind": "linear", "rate": -1.0}),
+        ],
+        {},
+        1,
+    ),
+    "osl_far_relax_target_against_a_steeper_omega": (
+        lambda scen, tmp: [
+            "check", "osl",
+            scen(rhs={"kind": "relax_to", "target": {"box": [[1e10, 1e10 + 1]] * 2}},
+                 omega={"kind": "linear", "rate": -2.0}),
+        ],
+        {},
+        1,
+    ),
     "omega_kind_unknown": (
         lambda scen, tmp: ["check", "osl", scen(omega={"kind": "quadratic"})], {}, 2
     ),
@@ -712,6 +747,7 @@ def test_integrate_overflow_is_reported_only_by_its_exit_line(scenario, capsys, 
     assert json.loads(err)["error"] == "integration"
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
 def test_bad_input_exit_code_and_one_json_line(
     case, scenario, tmp_path, capsys, monkeypatch
@@ -722,6 +758,11 @@ def test_bad_input_exit_code_and_one_json_line(
     argv = build(scenario, tmp_path)
     capsys.readouterr()
     assert main(argv) == code
-    lines = capsys.readouterr().err.splitlines()
+    out, err = capsys.readouterr()
+    if code <= 1:  # a run that finished: a verdict on stdout, nothing on stderr
+        assert err == ""
+        assert code == 1 or "nan" not in out
+        return
+    lines = err.splitlines()
     assert len(lines) == 1
     assert "error" in json.loads(lines[0])

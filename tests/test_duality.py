@@ -102,6 +102,36 @@ def test_non_finite_values_leave_semi_inner_undefined(bad):
         sf.semi_inner(sf.SupportDelta(grid, np.zeros(8)), sf.SupportDelta(grid, g))
 
 
+@pytest.mark.parametrize("mpos", [1.0, 0.0])
+def test_nan_at_one_extremal_index_is_not_dropped(mpos):
+    # min(mpos, nan) keeps mpos: this returned 4 * mpos instead of raising
+    grid = sf.DirectionGrid(8)
+    g = np.array([4.0, 0, 0, 0, -4.0, 0, 0, 0])  # E+ = {0}, E- = {4}
+    f = np.zeros(8)
+    f[0], f[4] = mpos, np.nan
+    with pytest.raises(sf.NonFiniteValue):
+        sf.semi_inner(sf.SupportDelta(grid, f), sf.SupportDelta(grid, g))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize(
+    "fn",
+    [
+        lambda g: sf.semi_inner(sf.SupportDelta(g.grid, np.ones(g.grid.n)), g),
+        sf.extremal_sets,
+        sf.dual_representatives,
+    ],
+    ids=["semi_inner", "extremal_sets", "dual_representatives"],
+)
+def test_non_finite_g_is_not_the_zero_function(fn, bad):
+    # an infinite norm passed norm <= 1e-9 * norm: semi_inner gave 0.0, extremal_sets
+    # the whole grid twice and dual_representatives raised ZeroFunction
+    g = np.zeros(8)
+    g[2] = bad
+    with pytest.raises(sf.NonFiniteValue):
+        fn(sf.SupportDelta(sf.DirectionGrid(8), g))
+
+
 def test_grid_mismatch():
     with pytest.raises(sf.GridMismatch):
         sf.semi_inner(

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import setflow as sf
+from setflow.dynamics import osl_row
 from setflow.support import default_tol
 
 G64 = sf.DirectionGrid(64)
@@ -193,6 +194,32 @@ def test_expanding_field_violates_zero_growth():
 
 def test_degenerate_pair_rejected():
     assert sf.osl_check(RELAX, Q, Q, 0.0, sf.linear_growth(1.0)) is None
+
+
+@pytest.mark.parametrize("mpos", [1.0, 0.0])
+def test_osl_row_nan_at_an_extremal_index_is_a_violation(mpos):
+    # g = x - y = (4, 0, 0, 0, -4, 0, 0, 0): E+ = {0}, E- = {4}; d = mpos at 0, NaN at 4
+    grid = sf.DirectionGrid(8)
+    xy = np.zeros((2, 8))
+    xy[0, 0], xy[1, 4] = 4.0, 4.0
+    poison = np.array([mpos / 4.0, 1, 1, 1, np.nan, 1, 1, 1])
+    field = sf.RhsField(grid, lambda t, y: poison * y)
+    t, dist, index, lhs, bound, satisfied = osl_row(field, xy, 0.5, sf.linear_growth(1.0))
+    assert (t, dist, index, bound, satisfied) == (0.5, 4.0, 4, 4.0, False)
+    assert math.isnan(lhs)
+
+
+def test_osl_row_skips_coinciding_sets_and_keeps_the_lowest_index():
+    grid = sf.DirectionGrid(16)
+    square = sup(Q, grid).values
+    shifted = sup(sf.ConvexPolygon.box((0, 2), (-1, 1)), grid).values
+    pairs = np.array([[square, square], [shifted, square], [square, shifted]])
+    field, omega = sf.expansion_field(grid, 2.0), sf.linear_growth(1.5)
+    rows = [osl_row(field, xy, 0.0, omega) for xy in pairs]
+    assert rows[0] is None
+    # g = +-u_x: E+ and E- are {0} and {8} (or {8} and {0}), d = 2 g gives lhs 2 at both,
+    # and the lower index wins the tie
+    assert rows[1] == rows[2] == (0.0, 1.0, 0, 2.0, 1.5, False)
 
 
 # -------------------------------------------------------------------- integrate

@@ -14,10 +14,16 @@ pairwise-vertex brute force (the clipping loop it replaced was not maximal),
 computed in long double and compared within a fixed tolerance.
 """
 
+import contextlib
+import copy
 import csv
+import io
+import json
 import math
+import tempfile
 import tracemalloc
 from collections import deque
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -27,8 +33,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import setflow as sf
-from setflow import HukuharaClass, OslCase, OslReport, dynamics, formats, support, svg
+from setflow import HukuharaClass, OslCase, OslReport, cli, dynamics, formats, support, svg
 from setflow.cli import EXAMPLE_RECTS, EXAMPLE_TARGET, _frame_indices
+from setflow.dynamics import osl_row
+from setflow.sampling import random_rectangle, rectangle_pairs
 from setflow.support import default_tol
 
 TOL_REL = 1e-9
@@ -628,6 +636,136 @@ def test_osl_check_reaches_every_outcome():
     for a, b, error in ((corner, square, sf.AsymmetricDistance), (square, big, sf.Contained)):
         assert outcome(sf.hausdorff_realizing_directions, a, b, grid) is error
         assert outcome(reference_realizing_directions, a, b, grid) is error
+
+
+# ------------------------------------------------ the one-sided Lipschitz check on the grid
+#
+# check osl draws its rectangle pairs in batches (rectangle_pairs) and checks each on
+# its support vectors (osl_row); the references are the sequential draw loop and the
+# polygon check above, reference_osl_check.
+
+class UniformStream:
+    """A Generator stand-in serving prepared uniforms in order, as numpy's Generator
+    consumes its stream: random(size) hands them out, uniform(low, high, size) hands
+    out low + (high - low) * each."""
+
+    def __init__(self, u):
+        self.u, self.used = np.asarray(u, dtype=float), 0
+
+    def random(self, size):
+        k = int(np.prod(size))
+        out = self.u[self.used : self.used + k].reshape(size)
+        self.used += k
+        return out
+
+    def uniform(self, low, high, size=None):
+        x = low + (high - low) * self.random(() if size is None else size)
+        return float(x) if size is None else x
+
+
+def corner_supports(box, grid):
+    """Support values of a polygon as Python floats: the largest x cos + y sin over its vertices."""
+    corners = box.vertices.tolist()
+    return [max(x * c + y * s for x, y in corners) for c, s in grid.directions.tolist()]
+
+
+@settings(max_examples=50)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([4, 8, 64, 256]),
+    st.floats(1e-3, 10.0),
+    st.integers(1, 12),
+)
+def test_rectangle_pairs_replay_the_sequential_draws(seed, n, T, count):
+    grid = sf.DirectionGrid(n)
+    batched, sequential = np.random.default_rng(seed), np.random.default_rng(seed)
+    stream = UniformStream(np.random.default_rng(seed).random(9 * count))
+    pairs, ts = rectangle_pairs(grid, T, count, batched)
+    for k in range(count):
+        boxes = random_rectangle(sequential), random_rectangle(sequential)
+        t = sequential.uniform(0.0, T)
+        assert same_bits(ts[k], t)
+        for box, got in zip(boxes, pairs[k]):
+            assert same_bits(got, corner_supports(box, grid))
+        # the stand-in draws what the Generator draws
+        streamed = random_rectangle(stream), random_rectangle(stream)
+        assert all(same_bits(p.vertices, q.vertices) for p, q in zip(streamed, boxes))
+        assert same_bits(stream.uniform(0.0, T), t)
+    assert batched.random() == sequential.random()
+
+
+@settings(max_examples=25)
+@given(st.integers(0, 2**32 - 1), st.sets(st.integers(0, 29), max_size=10), st.integers(1, 20))
+def test_check_osl_draws_as_the_sequential_loop_skipped_pairs_included(seed, repeats, samples):
+    # a pair whose second box repeats the first has distance 0: both loops skip it and
+    # draw on, and a batch with a skipped pair comes up short and draws the remainder
+    u = np.random.default_rng(seed).random((40, 9))
+    for k in repeats:
+        u[k, 4:8] = u[k, 0:4]
+    scenario = {
+        "grid_n": 16, "T": 1.5, "h": 0.1, "rhs": {"kind": "expand", "rate": 1.0},
+        "omega": {"kind": "zero"}, "samples": samples,
+    }
+    stream = UniformStream(u.ravel())
+    with tempfile.TemporaryDirectory() as tmp:
+        wit = Path(tmp) / "wit.csv"
+        config = Path(tmp) / "scen.json"
+        config.write_text(json.dumps(dict(scenario, output={"witnesses": str(wit)})))
+        cfg = formats.load_scenario(config)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli._check_osl(cfg, stream) == 1  # expand 1 against omega 0: all violate
+        got = [float(row.split(",")[0]) for row in wit.read_text().splitlines()[1:]]
+    assert out.getvalue().startswith(f"osl: 0/{samples} pairs satisfied\n")
+    sequential, want = UniformStream(u.ravel()), []
+    while len(want) < samples:
+        a, b = random_rectangle(sequential), random_rectangle(sequential)
+        t = sequential.uniform(0.0, 1.5)
+        if reference_osl_check(cfg.field, a, b, t, cfg.omega) is not None:
+            want.append(t)
+    assert same_bits(got, want)
+    drawn = [k for k in range(40) if k not in repeats][samples - 1] + 1  # to the last kept pair
+    assert stream.used == sequential.used == 9 * drawn
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([16, 64, 256]),
+    st.sampled_from(["relax_to", "expand", "constant"]),
+    st.floats(-2.0, 3.0),
+    st.one_of(st.none(), st.floats(-1.0, 3.0)),
+)
+def test_osl_row_matches_the_polygon_reference(seed, n, kind, rate, omega_rate):
+    grid = sf.DirectionGrid(n)
+    rng = np.random.default_rng(seed)
+    if kind == "relax_to":
+        field = sf.relax_to(sf.support_of_polygon(random_rectangle(rng), grid))
+    elif kind == "expand":
+        field = sf.expansion_field(grid, rate)
+    else:
+        field = sf.constant_field(sf.SupportDelta(grid, rate * rng.standard_normal(n)))
+    omega = sf.zero_growth() if omega_rate is None else sf.linear_growth(omega_rate)
+    twin = copy.deepcopy(rng)
+    pairs, ts = rectangle_pairs(grid, 2.0, 16, rng)
+    for (x, y), t_batched in zip(pairs, ts.tolist()):
+        row = osl_row(field, np.array([x, y]), t_batched, omega)
+        a, b = random_rectangle(twin), random_rectangle(twin)
+        t = twin.uniform(0.0, 2.0)
+        ref = reference_osl_check(field, a, b, t, omega)
+        if ref is None or row is None:
+            assert ref is row is None  # random boxes never coincide
+            continue
+        _, dist, _, lhs, bound, satisfied = row
+        tol = default_tol(np.concatenate([x, y, field.eval(t, x) - field.eval(t, y)]))  # the slack
+        assert dist <= ref.hausdorff + tol  # the grid distance is a lower bound
+        if all(c.snap_error <= 1e-12 for c in ref.cases):  # realizing directions on the grid
+            assert abs(lhs - min(c.lhs for c in ref.cases)) <= tol
+        if satisfied != ref.satisfied:
+            # the one exception: lhs lies between omega(t, grid distance), the bound of
+            # the grid check, and omega(t, exact distance), that of the polygon check
+            lo, hi = sorted((bound, ref.cases[0].bound))
+            assert lo - tol <= lhs <= hi + tol
 
 
 # -------------------------------------------------------------------- regularize

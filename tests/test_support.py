@@ -109,6 +109,15 @@ def test_sample_constructor_validates():
         sf.SupportSample(G64, vals)
 
 
+@pytest.mark.filterwarnings("error")
+def test_infinite_tolerance_admits_without_margins():
+    # the margins of 1e308 entries overflowed (RuntimeWarning) although inf admits them
+    vals = np.full(8, 1e308)
+    vals[3] = -1e308  # far outside the cone
+    s = sf.SupportSample(sf.DirectionGrid(8), vals, tol=math.inf)
+    assert np.array_equal(s.values, vals)
+
+
 # ------------------------------------------------------------------ reconstruction
 
 def test_reconstruct_square_round_trip():
