@@ -22,7 +22,6 @@ from .dynamics import (
     OslCase,
     OslReport,
     RhsField,
-    SubtangentResult,
     Trajectory,
     constant_field,
     existence_horizon,

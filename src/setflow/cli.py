@@ -179,17 +179,15 @@ def _ball_centre(cfg) -> SupportSample:
 def _check_subtangent(cfg, rng) -> int:
     sigma0 = _ball_centre(cfg)
     points = np.vstack([sigma0.values, ball_draws(sigma0, cfg.r, cfg.samples - 1, rng)])
-    points.setflags(write=False)  # rows in the cone by construction, wrapped without a test
-    results = [subtangent_feasible(cfg.field.eval(float(rng.uniform(0.0, cfg.T)), y),
-                                   SupportSample._checked(cfg.grid, y)) for y in points]
-    feasible = [r for r in results if r.feasible]
+    ts = rng.uniform(0.0, cfg.T, len(points)).tolist()
+    v = np.array([cfg.field.eval(t, y) for t, y in zip(ts, points)])
+    ok, lam_min, lam_max = subtangent_feasible(v, points, cfg.grid)
+    feasible = int(ok.sum())
     if feasible:
-        lam_lo = max(r.lam_min for r in feasible)
-        lam_hi = min(r.lam_max for r in feasible)  # inf prints as "inf"
-        print(f"subtangent: {len(feasible)}/{len(results)} feasible; "
-              f"common lambda interval [{lam_lo:.6g}, {lam_hi:.6g}]")
-    if len(feasible) < len(results):
-        print(f"subtangent: {len(results) - len(feasible)} infeasible points witnessed")
+        print(f"subtangent: {feasible}/{len(ok)} feasible; common lambda interval "
+              f"[{lam_min[ok].max():.6g}, {lam_max[ok].min():.6g}]")  # inf prints as "inf"
+    if feasible < len(ok):
+        print(f"subtangent: {len(ok) - feasible} infeasible points witnessed")
         return 1
     return 0
 

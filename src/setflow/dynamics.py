@@ -105,39 +105,30 @@ def zero_growth() -> GrowthFunction:
     return lambda t, s: 0.0
 
 
-@dataclass(frozen=True)
-class SubtangentResult:
-    """Feasible lambda interval for v + lambda*sigma to lie in the cone."""
-
-    feasible: bool
-    lam_min: float
-    lam_max: float
-
-
-def subtangent_feasible(v, sigma: SupportSample) -> SubtangentResult:
+def subtangent_feasible(v, sigma, grid: DirectionGrid):
     """Decide whether v lies in the tangent cone to the support cone at sigma.
 
-    Each grid index contributes a linear constraint a_i + lambda*b_i >= -tol
+    v and sigma are raw value vectors (n,) or stacks (..., n), decided row by
+    row.  Each grid index contributes a linear constraint a_i + lambda*b_i >= -tol
     on lambda >= 0, where a and b are the three-term margins of v and sigma
     and tol is default_tol(v).
     The margins of sigma are nonnegative (up to rounding), so the feasible
-    set is a closed interval computed exactly.
+    set is a closed interval computed exactly.  Returns (feasible, lam_min,
+    lam_max): a bool and two floats, or arrays over the leading axes of a
+    stack; both bounds are NaN on an infeasible row.
     """
-    vvals = np.asarray(getattr(v, "values", v), dtype=float)
-    grid = sigma.grid
-    a = cone_margins(vvals, grid)
-    b = cone_margins(sigma.values, grid)
-    tol = default_tol(vvals)
-    flat = _FLAT_REL * _scale(sigma.values)
+    a, b = cone_margins(v, grid), cone_margins(sigma, grid)
+    tol = default_tol(v)[..., None]
+    flat = _FLAT_REL * _scale(sigma)[..., None]
     up, down = b > flat, b < -flat
-    if np.any(a[~(up | down)] < -tol):
-        return SubtangentResult(False, math.nan, math.nan)
-    # NaN bounds are skipped; max(0.0, .) also turns a -0.0 bound into 0.0
-    lam_min = max(0.0, float(np.fmax.reduce((-tol - a[up]) / b[up], initial=0.0)))
-    lam_max = float(np.fmin.reduce((-tol - a[down]) / b[down], initial=math.inf))
-    if lam_min > lam_max:
-        return SubtangentResult(False, math.nan, math.nan)
-    return SubtangentResult(True, lam_min, lam_max)
+    q = -tol - a
+    np.divide(q, b, out=q, where=up | down)
+    # NaN bounds are skipped; the clamp also turns a -0.0 bound into 0.0
+    lo = np.fmax.reduce(q, axis=-1, where=up, initial=0.0)
+    lam_min = np.where(lo > 0.0, lo, 0.0)
+    lam_max = np.fmin.reduce(q, axis=-1, where=down, initial=math.inf)
+    ok = ~(a < -tol).any(axis=-1, where=~(up | down)) & (lam_min <= lam_max)
+    return ok[()], np.where(ok, lam_min, math.nan)[()], np.where(ok, lam_max, math.nan)[()]
 
 
 def existence_horizon(

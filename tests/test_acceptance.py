@@ -177,8 +177,10 @@ def test_criterion_09_subtangent_feasibility():
     ok = True
     for _ in range(1000):
         sigma = sf.random_cone_sample(GRID, rng)
-        res = sf.subtangent_feasible(RELAX(0.0, sigma), sigma)
-        ok = ok and res.feasible and res.lam_min <= 1.0 <= res.lam_max
+        feasible, lam_min, lam_max = sf.subtangent_feasible(
+            RELAX(0.0, sigma).values, sigma.values, GRID
+        )
+        ok = ok and feasible and lam_min <= 1.0 <= lam_max
     report(9, "relaxation field subtangent with lambda = 1 at 1000 cone points", ok)
 
 

@@ -249,6 +249,20 @@ def test_check_subtangent_witnesses(scenario, capsys):
     assert capsys.readouterr().out == "subtangent: 40 infeasible points witnessed\n"
 
 
+def test_check_subtangent_mixed_outcome(scenario, capsys):
+    # the negated support of a small box is tangent at the initial box and at
+    # most of its cone ball, but not at every draw: both lines print, and the
+    # common interval is taken over the feasible points only
+    grid = sf.DirectionGrid(64)
+    box = sf.support_of_polygon(sf.ConvexPolygon.box((0, 0.5), (0, 0.5)), grid)
+    path = scenario(rhs={"kind": "constant", "delta": (-box.values).tolist()}, r=2.0)
+    assert main(["check", "subtangent", path]) == 1
+    assert capsys.readouterr().out == (
+        "subtangent: 33/40 feasible; common lambda interval [37.4006, inf]\n"
+        "subtangent: 7 infeasible points witnessed\n"
+    )
+
+
 def test_check_osl_ok(scenario):
     assert main(["check", "osl", scenario()]) == 0
 

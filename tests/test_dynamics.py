@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import setflow as sf
+from setflow.cli import _check_subtangent
 from setflow.dynamics import osl_row
 from setflow.support import default_tol
 
@@ -29,14 +31,16 @@ def test_relaxation_field_always_feasible_lambda_one():
     rng = np.random.default_rng(43)
     for _ in range(50):
         sigma = sf.random_cone_sample(G64, rng)
-        res = sf.subtangent_feasible(RELAX(0.0, sigma), sigma)
-        assert res.feasible and res.lam_min <= 1.0 <= res.lam_max
+        feasible, lam_min, lam_max = sf.subtangent_feasible(
+            RELAX(0.0, sigma).values, sigma.values, G64
+        )
+        assert feasible and lam_min <= 1.0 <= lam_max
 
 
 def test_cone_element_feasible_at_zero():
     v = sf.SupportDelta(G64, sup(sf.ConvexPolygon.box((0, 1), (0, 2))).values)
-    res = sf.subtangent_feasible(v, sup(A1))
-    assert res.feasible and res.lam_min == 0.0
+    feasible, lam_min, _ = sf.subtangent_feasible(v.values, sup(A1).values, G64)
+    assert feasible and lam_min == 0.0
 
 
 def test_flat_direction_infeasibility():
@@ -46,8 +50,8 @@ def test_flat_direction_infeasibility():
     segment = sf.ConvexPolygon.from_points([[-1, 0], [1, 0]])
     sigma = sup(segment)
     v = sf.SupportDelta(G64, -SQ.values)
-    res = sf.subtangent_feasible(v, sigma)
-    assert not res.feasible
+    feasible, _, _ = sf.subtangent_feasible(v.values, sigma.values, G64)
+    assert not feasible
     # brute-force lambda sweep confirms
     assert not any(
         sf.is_in_cone(v.values + lam * sigma.values, G64)
@@ -123,16 +127,23 @@ def test_ball_draws_memory_is_bounded():
         tracemalloc.stop()
     assert draws.shape == (count, grid.n)
     assert peak < 4 * count * grid.n * 8
-    # the sampled checks hold a few budget * n stacks at once (measured 4.0x and 3.0x)
+    # the sampled checks hold a few budget * n stacks at once (measured 4.0x, 3.0x and,
+    # for the stacked subtangent pass with its field values and margins, 6.0x)
     budget, relax = 1024, sf.relax_to(sup(Q, grid))
-    for check in (sf.existence_horizon, sf.lipschitz_estimate):
+    cfg = SimpleNamespace(field=relax, grid=grid, initial=A1, r=1.0, T=1.0, samples=budget)
+    runs = [
+        (sf.existence_horizon, (relax, sigma0, 1.0, 1.0, budget), 4.5),
+        (sf.lipschitz_estimate, (relax, sigma0, 1.0, 1.0, budget), 4.5),
+        (_check_subtangent, (cfg, np.random.default_rng(0)), 6.5),
+    ]
+    for check, args, factor in runs:
         tracemalloc.start()
         try:
-            check(relax, sigma0, 1.0, 1.0, budget=budget)
+            check(*args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4.5 * budget * grid.n * 8, check.__name__
+        assert peak < factor * budget * grid.n * 8, check.__name__
 
 
 @pytest.mark.parametrize("n", [16, 64, 256])

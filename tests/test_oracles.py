@@ -72,13 +72,11 @@ def reference_classify_step(c, k) -> HukuharaClass:
     return HukuharaClass.NEITHER
 
 
-def reference_subtangent(v, sigma):
-    vvals = np.asarray(getattr(v, "values", v), dtype=float)
-    grid = sigma.grid
-    a = roll_margins(vvals, grid)
-    b = roll_margins(sigma.values, grid)
-    tol = TOL_REL * max(1.0, float(np.max(np.abs(vvals))))
-    flat = 1e-12 * max(1.0, float(np.max(np.abs(sigma.values))))
+def reference_subtangent(v, sigma, grid):
+    a = roll_margins(v, grid)
+    b = roll_margins(sigma, grid)
+    tol = TOL_REL * max(1.0, float(np.max(np.abs(v))))
+    flat = 1e-12 * max(1.0, float(np.max(np.abs(sigma))))
     lam_min, lam_max = 0.0, math.inf
     for ai, bi in zip(a, b):
         if bi > flat:
@@ -150,9 +148,10 @@ def test_classification_matches_four_test_reference():
 # ------------------------------------------------------------------- subtangent
 
 def assert_same_interval(res, ref):
-    assert res.feasible == ref[0]
-    assert bits(res.lam_min) == bits(ref[1])
-    assert bits(res.lam_max) == bits(ref[2])
+    feasible, lam_min, lam_max = res
+    assert np.ndim(feasible) == 0 and bool(feasible) == ref[0]
+    assert bits(lam_min) == bits(ref[1])
+    assert bits(lam_max) == bits(ref[2])
 
 
 def test_subtangent_matches_loop_on_random_cone_pairs():
@@ -160,27 +159,79 @@ def test_subtangent_matches_loop_on_random_cone_pairs():
     for n in (8, 64, 257):
         grid = sf.DirectionGrid(n)
         for _ in range(40):
-            sigma = sf.random_cone_sample(grid, rng)
-            other = sf.random_cone_sample(grid, rng)
-            for v in (
-                other.values - sigma.values,
-                other.values,
-                -other.values,
-                rng.normal(size=n),
-            ):
-                ref = reference_subtangent(v, sigma)
-                assert_same_interval(sf.subtangent_feasible(v, sigma), ref)
+            sigma = sf.random_cone_sample(grid, rng).values
+            other = sf.random_cone_sample(grid, rng).values
+            for v in (other - sigma, other, -other, rng.normal(size=n)):
+                ref = reference_subtangent(v, sigma, grid)
+                assert_same_interval(sf.subtangent_feasible(v, sigma, grid), ref)
 
 
 def test_subtangent_matches_loop_on_flat_margin_violation():
     grid = sf.DirectionGrid(64)
-    sigma = sf.support_of_polygon(sf.ConvexPolygon.box((-1, 1), (-2, 0)), grid)
+    sigma = sf.support_of_polygon(sf.ConvexPolygon.box((-1, 1), (-2, 0)), grid).values
     v = np.zeros(64)
     v[5] = 1.0  # margin -2cos(delta) at index 5, where the box has no edge
-    assert abs(roll_margins(sigma.values, grid)[5]) <= 1e-12
-    ref = reference_subtangent(v, sigma)
+    assert abs(roll_margins(sigma, grid)[5]) <= 1e-12
+    ref = reference_subtangent(v, sigma, grid)
     assert ref[0] is False
-    assert_same_interval(sf.subtangent_feasible(v, sigma), ref)
+    assert_same_interval(sf.subtangent_feasible(v, sigma, grid), ref)
+
+
+def subtangent_row(grid, rng, sigma_kind, v_kind):
+    """One (v, sigma) row.  Box sigmas have flat margins, dented ones a few negative
+    margins (an upper bound on lambda), huge ones margins that overflow (to +inf
+    for n = 8, so that a bound (-tol - a) / b is -0.0); nan kinds hold a NaN entry."""
+    n = grid.n
+    if sigma_kind == "box":
+        sigma = sf.support_of_polygon(sf.ConvexPolygon.box((-1, 1), (-2, 0)), grid).values
+    elif sigma_kind == "huge":  # a disc of radius 8e307 plus a set, up to 1.37e308
+        sigma = 8e307 * (1.0 + sf.random_cone_sample(grid, rng).values / 3.0)
+    else:
+        sigma = sf.random_cone_sample(grid, rng).values.copy()
+        if sigma_kind == "dented":
+            sigma[rng.integers(n)] -= 0.1 * default_tol(sigma)
+        elif sigma_kind == "nan":
+            sigma[rng.integers(n)] = np.nan
+    if v_kind == "zero":
+        return np.zeros(n), sigma
+    if v_kind == "bump":
+        v = np.zeros(n)
+        v[rng.integers(n)] = 1.0
+        return v, sigma
+    if v_kind == "cone":  # w - kappa * sigma, kappa = 0 for a huge sigma (no overflow)
+        kappa = rng.uniform(0.0, 4.0) if sigma_kind != "huge" else 0.0
+        return sf.random_cone_sample(grid, rng).values - kappa * sigma, sigma
+    v = rng.normal(size=n)
+    if v_kind == "nan":
+        v[rng.integers(n)] = np.nan
+    return v, sigma
+
+
+@st.composite
+def subtangent_stacks(draw):
+    """(v, sigma, grid) with v and sigma stacks of shape (k, n) or (j, k, n)."""
+    grid = sf.DirectionGrid(draw(st.sampled_from([3, 8, 64, 257])))
+    lead = draw(st.sampled_from([(), (2,), (3,)])) + (draw(st.integers(1, 6)),)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sigma_kinds = st.sampled_from(["cone", "dented", "box", "huge", "nan"])
+    v_kinds = st.sampled_from(["zero", "bump", "cone", "noise", "nan"])
+    rows = [subtangent_row(grid, rng, draw(sigma_kinds), draw(v_kinds))
+            for _ in range(math.prod(lead))]
+    v, sigma = (np.array(r).reshape(lead + (grid.n,)) for r in zip(*rows))
+    return v, sigma, grid
+
+
+@settings(max_examples=150)
+@given(subtangent_stacks())
+def test_stacked_subtangent_matches_rows_and_loop(case):
+    v, sigma, grid = case
+    with np.errstate(over="ignore", invalid="ignore"):  # the huge rows overflow
+        feasible, lam_min, lam_max = sf.subtangent_feasible(v, sigma, grid)
+        assert feasible.shape == lam_min.shape == lam_max.shape == v.shape[:-1]
+        for i in np.ndindex(v.shape[:-1]):
+            ref = reference_subtangent(v[i], sigma[i], grid)
+            assert_same_interval(sf.subtangent_feasible(v[i], sigma[i], grid), ref)
+            assert_same_interval((feasible[i], lam_min[i], lam_max[i]), ref)
 
 
 # ------------------------------------------------------- nearest points on polygons

@@ -99,11 +99,11 @@ def test_subtangent_interval_ends_pass_the_cone_test(case):
     used, default_tol(v), at lam_min and at a finite lam_max; the allowance
     beyond it is the rounding of the sum and of its margins."""
     v, sigma = case
-    res = sf.subtangent_feasible(v, sigma)
-    if not res.feasible:
+    feasible, lam_min, lam_max = sf.subtangent_feasible(v, sigma.values, sigma.grid)
+    if not feasible:
         return
     tol = default_tol(v)
-    for lam in (res.lam_min, res.lam_max):
+    for lam in (lam_min, lam_max):
         if math.isfinite(lam):
             rounding = 16 * EPS * (np.max(np.abs(v)) + lam * sigma.norm_inf)
             margins = sf.cone_margins(v + lam * sigma.values, sigma.grid)
