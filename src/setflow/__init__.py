@@ -18,7 +18,6 @@ from .duality import (
     semi_inner,
 )
 from .dynamics import (
-    GrowthFunction,
     OslCase,
     OslReport,
     RhsField,
@@ -28,14 +27,12 @@ from .dynamics import (
     expansion_field,
     integrate,
     integrate_stack,
-    linear_growth,
     lipschitz_estimate,
     osl_check,
     relax_to,
     relaxation_closed_form,
     relaxation_curve,
     subtangent_feasible,
-    zero_growth,
 )
 from .errors import (
     AsymmetricDistance,
@@ -56,7 +53,6 @@ from .hukuhara import (
     classify_step,
     difference_quotients,
     hukuhara_difference,
-    quotient_gap,
     second_type_differential,
     time_reverse,
 )
@@ -80,7 +76,6 @@ from .support import (
     hausdorff_onesided,
     is_in_cone,
     minkowski_add,
-    point_to_polygon,
     project_point,
     reconstruct_polygon,
     regularize,

@@ -62,10 +62,6 @@ class RhsField:
         # an (n,) result is copied to each row: arithmetic on a broadcast view is slow
         return out if out.shape == values.shape else np.broadcast_to(out, values.shape).copy()
 
-    def __call__(self, t: float, sigma: SupportSample) -> SupportDelta:
-        _require_same_grid(sigma, self)
-        return SupportDelta(self.grid, self.eval(t, sigma.values))
-
 
 def relax_to(target: SupportSample) -> RhsField:
     """Field sigma' = sigma_target - sigma: exponential relaxation to target."""
@@ -91,18 +87,6 @@ def expansion_field(grid: DirectionGrid, rate: float) -> RhsField:
         return rate * y
 
     return RhsField(grid, fn, name="expand", lipschitz=abs(rate))
-
-
-# Comparison growth bound omega(t, s).
-GrowthFunction = Callable[[float, float], float]
-
-
-def linear_growth(rate: float) -> GrowthFunction:
-    return lambda t, s: rate * s
-
-
-def zero_growth() -> GrowthFunction:
-    return lambda t, s: 0.0
 
 
 def subtangent_feasible(v, sigma, grid: DirectionGrid):
@@ -180,14 +164,14 @@ class OslReport:
 
 
 def osl_check(
-    f: RhsField, a: ConvexPolygon, b: ConvexPolygon, t: float, omega: GrowthFunction
+    f: RhsField, a: ConvexPolygon, b: ConvexPolygon, t: float, rate: float
 ) -> OslReport | None:
     """Check the relative-velocity bound at the Hausdorff-realizing direction.
 
     For each one-sided distance that attains dist_H(A, B), the realizing pair
     gives a critical direction p (snapped to the nearest grid index, with the
     snap error recorded), and the scalar inequality
-    f(t, sigma_A)(p) - f(t, sigma_B)(p) <= omega(t, dist_H) is evaluated
+    f(t, sigma_A)(p) - f(t, sigma_B)(p) <= rate * dist_H is evaluated
     there (with roles swapped for the reverse order).  The report is
     satisfied when at least one applicable case holds.  Every comparison is
     made at default_tol of the vertices of A and B.  None when an order that
@@ -203,7 +187,7 @@ def osl_check(
     if any(peaks[i] <= tol for i in orders):
         return None
     fvals = [f.eval(t, support_of_polygon(s, f.grid).values) for s in sets]
-    bound = omega(t, dh)
+    bound = rate * dh
     cases = []
     for i in orders:
         dist, near = nearest[i]
@@ -217,10 +201,10 @@ def osl_check(
     return OslReport(any(c.satisfied for c in cases), dh, tuple(cases))
 
 
-def osl_row(f: RhsField, xy: np.ndarray, t: float, omega: GrowthFunction):
+def osl_row(f: RhsField, xy: np.ndarray, t: float, rate: float):
     """One-sided Lipschitz check in the Banach space of a (2, n) pair x, y at time t: g = x - y,
     d = f(t, x) - f(t, y), lhs = [d, g]_- / |g|_inf, the least of d on E+ and of -d on E- of g (NaN
-    if d is NaN there).  (t, |g|_inf, the lowest index of lhs, lhs, bound = omega(t, |g|_inf), lhs
+    if d is NaN there).  (t, |g|_inf, the lowest index of lhs, lhs, bound = rate * |g|_inf, lhs
     <= bound + default_tol of x, y and d), or None if |g|_inf <= default_tol of x and y."""
     dist, pos, neg = _extremal(xy[0] - xy[1])
     if dist is None or dist <= (tol := float(default_tol(xy.ravel()))):
@@ -229,7 +213,7 @@ def osl_row(f: RhsField, xy: np.ndarray, t: float, omega: GrowthFunction):
     arms = np.full(len(d), math.inf)
     arms[pos], arms[neg] = d[pos], -d[neg]
     k = int(arms.argmin())  # the first NaN, if any
-    lhs, bound = float(arms[k]), omega(t, dist)
+    lhs, bound = float(arms[k]), rate * dist
     return t, dist, k, lhs, bound, lhs <= bound + max(tol, float(default_tol(d)))
 
 

@@ -12,14 +12,11 @@ import numpy as np
 from .dynamics import (
     METHODS,
     POLICIES,
-    GrowthFunction,
     RhsField,
     Trajectory,
     constant_field,
     expansion_field,
-    linear_growth,
     relax_to,
-    zero_growth,
 )
 from .errors import ConfigError, GridMismatch
 from .sampling import DEFAULT_SEED
@@ -40,7 +37,7 @@ MAX_GRID_N = 65_536
 MAX_STORED_FLOATS = 1 << 25
 # Most samples a check may draw; samples * grid_n is also capped by MAX_STORED_FLOATS.
 # The subtangent, osl, horizon and lipschitz checks hold a few stacks of that many floats at
-# once (tracemalloc: 6x subtangent and osl, 4x horizon, 3x lipschitz): 1-1.5 GiB at the cap.
+# once (tracemalloc: 6x osl, 5.5x subtangent, 4x horizon, 3x lipschitz): 1-1.5 GiB at the cap.
 MAX_SAMPLES = 100_000
 # Largest magnitude of a set coordinate, of r and of a field parameter (rhs.rate,
 # rhs.delta, omega.rate): far below the float range, so the sums, differences,
@@ -146,7 +143,7 @@ class ScenarioConfig:
     method: str
     policy: str
     field: RhsField
-    omega: GrowthFunction
+    omega: float  # the rate of the growth bound omega(t, s) = omega * s
     initial: ConvexPolygon | None
     output: dict
     seed: int | None
@@ -295,15 +292,15 @@ def build_field(rhs: dict, grid: DirectionGrid) -> RhsField:
     raise ConfigError("bad_value", f"unknown rhs kind {kind!r}")
 
 
-def build_omega(omega) -> GrowthFunction:
-    """Instantiate the omega descriptor, linear with rate 1 by default."""
+def build_omega(omega) -> float:
+    """The rate of the omega descriptor: linear with rate 1 by default, 0.0 for zero."""
     if not isinstance(omega, dict):
         raise ConfigError("bad_value", "omega must be an object")
     kind = omega.get("kind", "linear")
     if kind == "linear":
-        return linear_growth(_number(omega.get("rate", 1.0), "omega.rate", capped=True))
+        return _number(omega.get("rate", 1.0), "omega.rate", capped=True)
     if kind == "zero":
-        return zero_growth()
+        return 0.0
     raise ConfigError("bad_value", f"unknown omega kind {kind!r}")
 
 

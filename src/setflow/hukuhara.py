@@ -118,12 +118,6 @@ def difference_quotients(c: SetCurve, k: int) -> tuple[SupportDelta, SupportDelt
     return SupportDelta._checked(c.grid, fwd), SupportDelta._checked(c.grid, bwd)
 
 
-def quotient_gap(c: SetCurve, k: int) -> float:
-    """Sup-norm disagreement of the two one-sided quotients at index k."""
-    fwd, bwd = difference_quotients(c, k)
-    return (fwd - bwd).norm_inf
-
-
 _CLASSES = {
     (True, True): HukuharaClass.BOTH,
     (True, False): HukuharaClass.FIRST_TYPE,

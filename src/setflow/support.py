@@ -120,8 +120,12 @@ def cone_margins(values, grid: DirectionGrid) -> np.ndarray:
     vector of shape (n,) or a stack of shape (..., n), one vector per row.
     """
     s = _grid_values(values, grid, stacked=True)
-    ring = np.concatenate([s[..., -1:], s, s[..., :1]], axis=-1)
-    return ring[..., :-2] + ring[..., 2:] - grid.two_cos_delta * s
+    m = np.empty_like(s)  # s_{i-1} + s_{i+1}, the wrap-around columns apart
+    np.add(s[..., :-2], s[..., 2:], out=m[..., 1:-1])
+    np.add(s[..., -1], s[..., 1], out=m[..., 0])
+    np.add(s[..., -2], s[..., 0], out=m[..., -1])
+    m -= grid.two_cos_delta * s
+    return m
 
 
 def cone_residual(values, grid: DirectionGrid):
@@ -244,64 +248,6 @@ class ConvexPolygon:
     def __len__(self) -> int:
         return len(self.vertices)
 
-    def contains(self, x) -> bool:
-        """x in the polygon, up to default_tol of the vertices and x."""
-        x = np.asarray(x, dtype=float)
-        tol = default_tol(np.append(self.vertices, x))
-        v = self.vertices
-        if len(v) == 1:
-            return bool(np.max(np.abs(x - v[0])) <= tol)
-        if len(v) == 2:
-            return point_to_polygon(x, self) <= tol
-        return bool(_inside(x.reshape(1, 2), v, _edge_frame(v))[0])
-
-
-def _wrap_checked(cls, grid: DirectionGrid, values: np.ndarray):
-    """An instance of cls over a read-only vector of grid.n floats, without a copy or test."""
-    s = object.__new__(cls)
-    object.__setattr__(s, "grid", grid)
-    object.__setattr__(s, "values", values)
-    return s
-
-
-@dataclass(frozen=True, eq=False)
-class SupportSample:
-    """Support values of a convex compact set on a direction grid.
-
-    Construction validates the three-term cone condition and raises
-    NotInCone otherwise; tol defaults to the scale-aware cone tolerance but
-    integrated states, accepted at their drift limit, pass that limit through.
-    """
-
-    grid: DirectionGrid
-    values: np.ndarray
-    tol: InitVar[float | None] = None
-
-    def __post_init__(self, tol):
-        vals = _grid_values(self.values, self.grid).copy()
-        _require_in_cone(vals, self.grid, tol)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    # A sample of a read-only vector that already passed the cone test.
-    _checked = classmethod(_wrap_checked)
-
-    @property
-    def norm_inf(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-    def __add__(self, other: "SupportSample") -> "SupportSample":
-        return minkowski_add(self, other)
-
-    def __sub__(self, other: "SupportSample") -> "SupportDelta":
-        _require_same_grid(self, other)
-        return SupportDelta(self.grid, self.values - other.values)
-
-    def __mul__(self, lam: float) -> "SupportSample":
-        return scale(self, lam)
-
-    __rmul__ = __mul__
-
 
 @dataclass(frozen=True, eq=False)
 class SupportDelta:
@@ -315,8 +261,14 @@ class SupportDelta:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    # A delta of a read-only vector, such as a row of SetCurve.quotients.
-    _checked = classmethod(_wrap_checked)
+    @classmethod
+    def _checked(cls, grid: DirectionGrid, values: np.ndarray):
+        """An instance over a read-only vector of grid.n floats, without a copy or test: a
+        row of SetCurve.quotients, or for a sample a vector that passed the cone test."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "grid", grid)
+        object.__setattr__(s, "values", values)
+        return s
 
     @property
     def norm_inf(self) -> float:
@@ -335,6 +287,31 @@ class SupportDelta:
 
     def __mul__(self, lam: float) -> "SupportDelta":
         return SupportDelta(self.grid, float(lam) * self.values)
+
+    __rmul__ = __mul__
+
+
+@dataclass(frozen=True, eq=False)
+class SupportSample(SupportDelta):
+    """Support values of a convex compact set on a direction grid: a delta in the cone.
+
+    Construction validates the three-term cone condition and raises
+    NotInCone otherwise; tol defaults to the scale-aware cone tolerance but
+    integrated states, accepted at their drift limit, pass that limit through.
+    Minkowski + and nonnegative * stay in the cone; - and negation give deltas.
+    """
+
+    tol: InitVar[float | None] = None
+
+    def __post_init__(self, tol):
+        super().__post_init__()
+        _require_in_cone(self.values, self.grid, tol)
+
+    def __add__(self, other: "SupportSample") -> "SupportSample":
+        return minkowski_add(self, other)
+
+    def __mul__(self, lam: float) -> "SupportSample":
+        return scale(self, lam)
 
     __rmul__ = __mul__
 
@@ -559,11 +536,6 @@ def _nearest_points(x, p: ConvexPolygon) -> tuple[np.ndarray, np.ndarray]:
 def project_point(x, p: ConvexPolygon) -> np.ndarray:
     """Nearest point of p to x (the metric projection; 1-Lipschitz in x)."""
     return _nearest_points(x, p)[1][0]
-
-
-def point_to_polygon(x, p: ConvexPolygon) -> float:
-    """Euclidean distance from x to the polygon."""
-    return float(_nearest_points(x, p)[0][0])
 
 
 def hausdorff_onesided(p: ConvexPolygon, q: ConvexPolygon) -> float:

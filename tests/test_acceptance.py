@@ -178,7 +178,7 @@ def test_criterion_09_subtangent_feasibility():
     for _ in range(1000):
         sigma = sf.random_cone_sample(GRID, rng)
         feasible, lam_min, lam_max = sf.subtangent_feasible(
-            RELAX(0.0, sigma).values, sigma.values, GRID
+            RELAX.eval(0.0, sigma.values), sigma.values, GRID
         )
         ok = ok and feasible and lam_min <= 1.0 <= lam_max
     report(9, "relaxation field subtangent with lambda = 1 at 1000 cone points", ok)
@@ -186,7 +186,7 @@ def test_criterion_09_subtangent_feasibility():
 
 def test_criterion_10_osl_sampling():
     rng = np.random.default_rng(127)
-    omega = sf.linear_growth(1.0)
+    omega = 1.0
     satisfied = checked = 0
     while checked < 1000:
         a, b = sf.random_rectangle(rng), sf.random_rectangle(rng)
@@ -196,7 +196,7 @@ def test_criterion_10_osl_sampling():
         checked += 1
         satisfied += rep.satisfied
     expand = sf.expansion_field(GRID, 1.0)
-    rep = sf.osl_check(expand, RECTS[1], Q, 0.0, sf.zero_growth())
+    rep = sf.osl_check(expand, RECTS[1], Q, 0.0, 0.0)
     w = rep.witness
     gap_ok = False
     if w is not None:

@@ -32,7 +32,7 @@ def test_relaxation_field_always_feasible_lambda_one():
     for _ in range(50):
         sigma = sf.random_cone_sample(G64, rng)
         feasible, lam_min, lam_max = sf.subtangent_feasible(
-            RELAX(0.0, sigma).values, sigma.values, G64
+            RELAX.eval(0.0, sigma.values), sigma.values, G64
         )
         assert feasible and lam_min <= 1.0 <= lam_max
 
@@ -128,13 +128,13 @@ def test_ball_draws_memory_is_bounded():
     assert draws.shape == (count, grid.n)
     assert peak < 4 * count * grid.n * 8
     # the sampled checks hold a few budget * n stacks at once (measured 4.0x, 3.0x and,
-    # for the stacked subtangent pass with its field values and margins, 6.0x)
+    # for the stacked subtangent pass with its field values and margins, 5.5x)
     budget, relax = 1024, sf.relax_to(sup(Q, grid))
     cfg = SimpleNamespace(field=relax, grid=grid, initial=A1, r=1.0, T=1.0, samples=budget)
     runs = [
         (sf.existence_horizon, (relax, sigma0, 1.0, 1.0, budget), 4.5),
         (sf.lipschitz_estimate, (relax, sigma0, 1.0, 1.0, budget), 4.5),
-        (_check_subtangent, (cfg, np.random.default_rng(0)), 6.5),
+        (_check_subtangent, (cfg, np.random.default_rng(0)), 6.0),
     ]
     for check, args, factor in runs:
         tracemalloc.start()
@@ -164,7 +164,7 @@ def test_horizon_sees_a_shift_blind_field(n):
 
 def test_relaxation_field_osl_satisfied():
     rng = np.random.default_rng(47)
-    omega = sf.linear_growth(1.0)
+    omega = 1.0
     checked = 0
     while checked < 100:
         a = sf.random_rectangle(rng)
@@ -183,14 +183,14 @@ def test_translation_invariant_field_on_points():
         sf.ConvexPolygon.point((2, 0)),
         sf.ConvexPolygon.point((0, 0)),
         0.0,
-        sf.zero_growth(),
+        0.0,
     )
     assert rep.satisfied
 
 
 def test_expanding_field_violates_zero_growth():
     f = sf.expansion_field(G64, 1.0)
-    rep = sf.osl_check(f, A1, Q, 0.0, sf.zero_growth())
+    rep = sf.osl_check(f, A1, Q, 0.0, 0.0)
     assert not rep.satisfied
     w = rep.witness
     # the violated inequality gap matches a direct evaluation at the witness index
@@ -204,7 +204,7 @@ def test_expanding_field_violates_zero_growth():
 
 
 def test_degenerate_pair_rejected():
-    assert sf.osl_check(RELAX, Q, Q, 0.0, sf.linear_growth(1.0)) is None
+    assert sf.osl_check(RELAX, Q, Q, 0.0, 1.0) is None
 
 
 @pytest.mark.parametrize("mpos", [1.0, 0.0])
@@ -215,7 +215,7 @@ def test_osl_row_nan_at_an_extremal_index_is_a_violation(mpos):
     xy[0, 0], xy[1, 4] = 4.0, 4.0
     poison = np.array([mpos / 4.0, 1, 1, 1, np.nan, 1, 1, 1])
     field = sf.RhsField(grid, lambda t, y: poison * y)
-    t, dist, index, lhs, bound, satisfied = osl_row(field, xy, 0.5, sf.linear_growth(1.0))
+    t, dist, index, lhs, bound, satisfied = osl_row(field, xy, 0.5, 1.0)
     assert (t, dist, index, bound, satisfied) == (0.5, 4.0, 4, 4.0, False)
     assert math.isnan(lhs)
 
@@ -225,7 +225,7 @@ def test_osl_row_skips_coinciding_sets_and_keeps_the_lowest_index():
     square = sup(Q, grid).values
     shifted = sup(sf.ConvexPolygon.box((0, 2), (-1, 1)), grid).values
     pairs = np.array([[square, square], [shifted, square], [square, shifted]])
-    field, omega = sf.expansion_field(grid, 2.0), sf.linear_growth(1.5)
+    field, omega = sf.expansion_field(grid, 2.0), 1.5
     rows = [osl_row(field, xy, 0.0, omega) for xy in pairs]
     assert rows[0] is None
     # g = +-u_x: E+ and E- are {0} and {8} (or {8} and {0}), d = 2 g gives lhs 2 at both,

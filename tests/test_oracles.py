@@ -357,7 +357,7 @@ def reference_realizing_directions(a, b, grid):
     return tuple(sorted(indices))
 
 
-def reference_osl_check(f, a, b, t, omega):
+def reference_osl_check(f, a, b, t, rate):
     tol = default_tol(np.append(a.vertices, b.vertices))
     d_ab = reference_hausdorff_onesided(a, b)
     d_ba = reference_hausdorff_onesided(b, a)
@@ -367,7 +367,7 @@ def reference_osl_check(f, a, b, t, omega):
     grid = f.grid
     fa = f.eval(t, sf.support_of_polygon(a, grid).values)
     fb = f.eval(t, sf.support_of_polygon(b, grid).values)
-    bound = omega(t, dh)
+    bound = rate * dh
     cases = []
     try:
         forward = reference_farthest_realizer(a, b) if d_ab >= dh - tol else None
@@ -443,8 +443,6 @@ def test_projection_matches_vertex_loop_bit_for_bit(data):
         assert same_bits(nk, ref)
         assert same_bits(sf.project_point(x, p), ref)
         assert same_bits(dk, reference_point_to_polygon(x, p))
-        assert same_bits(sf.point_to_polygon(x, p), reference_point_to_polygon(x, p))
-        assert p.contains(x) == reference_contains(p, x)
         if len(p) >= 3:  # the inside kernel on its own
             inside = support._inside(x[None], p.vertices, support._edge_frame(p.vertices))
             assert inside[0] == reference_contains(p, x)
@@ -589,7 +587,8 @@ def test_inside_rule_scales_with_vertices_and_point():
     # 5e-4 below the long edge: inside at default_tol(vertices, x) * max(1, radius, |x|)
     tri = sf.ConvexPolygon.from_points([[0.0, 0.0], [1000.0, 0.0], [0.0, 1.0]])
     x = np.array([0.5, -5e-7])
-    assert tri.contains(x) and reference_contains(tri, x)
+    inside = support._inside(x[None], tri.vertices, support._edge_frame(tri.vertices))
+    assert inside[0] and reference_contains(tri, x)
     assert same_bits(sf.project_point(x, tri), x)
     # a fixed tolerance scaled by max(1, radius, |x|) alone rejects it
     assert not reference_contains(tri, x, 1e-9)
@@ -660,7 +659,7 @@ def test_osl_check_matches_two_branch_reference(pair, n, kind, t):
         field = sf.expansion_field(grid, 2.0)
     else:
         field = sf.relax_to(sf.support_of_polygon(sf.ConvexPolygon.box((-1, 1), (0, 2)), grid))
-    for omega in (sf.zero_growth(), sf.linear_growth(1.0)):
+    for omega in (0.0, 1.0):
         got = outcome(sf.osl_check, field, a, b, t, omega)
         assert_same_report(got, outcome(reference_osl_check, field, a, b, t, omega))
 
@@ -669,7 +668,7 @@ def test_osl_check_reaches_every_outcome():
     """Both orders, a contained realizer, asymmetric and degenerate pairs all occur."""
     grid = sf.DirectionGrid(16)
     field = sf.expansion_field(grid, 2.0)
-    omega = sf.zero_growth()
+    omega = 0.0
     square = sf.ConvexPolygon.box((-1, 1), (-1, 1))
     shifted = sf.ConvexPolygon.box((0, 2), (-1, 1))
     report = sf.osl_check(field, square, shifted, 0.5, omega)
@@ -796,7 +795,7 @@ def test_osl_row_matches_the_polygon_reference(seed, n, kind, rate, omega_rate):
         field = sf.expansion_field(grid, rate)
     else:
         field = sf.constant_field(sf.SupportDelta(grid, rate * rng.standard_normal(n)))
-    omega = sf.zero_growth() if omega_rate is None else sf.linear_growth(omega_rate)
+    omega = 0.0 if omega_rate is None else omega_rate
     twin = copy.deepcopy(rng)
     pairs, ts = rectangle_pairs(grid, 2.0, 16, rng)
     for (x, y), t_batched in zip(pairs, ts.tolist()):
@@ -813,8 +812,8 @@ def test_osl_row_matches_the_polygon_reference(seed, n, kind, rate, omega_rate):
         if all(c.snap_error <= 1e-12 for c in ref.cases):  # realizing directions on the grid
             assert abs(lhs - min(c.lhs for c in ref.cases)) <= tol
         if satisfied != ref.satisfied:
-            # the one exception: lhs lies between omega(t, grid distance), the bound of
-            # the grid check, and omega(t, exact distance), that of the polygon check
+            # the one exception: lhs lies between omega * grid distance, the bound of
+            # the grid check, and omega * exact distance, that of the polygon check
             lo, hi = sorted((bound, ref.cases[0].bound))
             assert lo - tol <= lhs <= hi + tol
 

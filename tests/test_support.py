@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import setflow as sf
+from setflow import support
 
 G64 = sf.DirectionGrid(64)
 Q = sf.ConvexPolygon.box((-1, 1), (-1, 1))
@@ -275,6 +276,38 @@ def test_algebra_outputs_stay_in_cone():
         assert sf.cone_residual(out2.values, G64) < 1e-13 * max(1.0, out2.norm_inf + 1)
 
 
+def test_sample_is_a_delta_and_the_algebra_keeps_the_cone_where_it_can():
+    a, b = sup(A1), sup(Q)
+    assert isinstance(a, sf.SupportDelta)
+    total = a + b
+    assert type(total) is sf.SupportSample
+    assert np.array_equal(total.values, a.values + b.values)
+    diff = a - b
+    assert type(diff) is sf.SupportDelta
+    assert np.array_equal(diff.values, a.values - b.values)
+    for scaled in (2.5 * a, a * 2.5):
+        assert type(scaled) is sf.SupportSample
+        assert np.array_equal(scaled.values, 2.5 * a.values)
+    with pytest.raises(sf.NegativeScalar):
+        a * -1.0
+    with pytest.raises(sf.NegativeScalar):
+        -1.0 * a
+    mixed = diff + b
+    assert type(mixed) is sf.SupportDelta
+    assert np.array_equal(mixed.values, diff.values + b.values)
+    neg = -a
+    assert type(neg) is sf.SupportDelta
+    assert np.array_equal(neg.values, -a.values)
+
+
+@pytest.mark.parametrize("cls", [sf.SupportSample, sf.SupportDelta])
+def test_checked_wraps_without_copying(cls):
+    vals = sup(Q).values
+    out = cls._checked(G64, vals)
+    assert type(out) is cls
+    assert out.grid is G64 and out.values is vals
+
+
 def test_grid_mismatch():
     with pytest.raises(sf.GridMismatch):
         sf.minkowski_add(sup(Q), sf.support_of_polygon(Q, sf.DirectionGrid(32)))
@@ -310,7 +343,8 @@ def test_far_point_is_outside_a_small_polygon():
     # the short edges must not widen the inside test: the point is 1.4e6 away, not inside
     tri = sf.ConvexPolygon.from_points([[0, 0], [1e-4, 0], [0, 1e-4]])
     far = sf.ConvexPolygon.point((1e6, 1e6))
-    assert not tri.contains((1e6, 1e6))
+    frame = support._edge_frame(tri.vertices)
+    assert not support._inside(np.array([[1e6, 1e6]]), tri.vertices, frame)[0]
     assert sf.hausdorff_exact(tri, far) == pytest.approx(math.sqrt(2) * 1e6)
 
 
