@@ -346,8 +346,11 @@ def _finite_values(values, grid: DirectionGrid) -> np.ndarray:
     return s
 
 
-def _deque_pass(s: np.ndarray, grid: DirectionGrid) -> tuple[np.ndarray, np.ndarray]:
-    """One pass of the sorted-angle deque algorithm over <u_i, x> <= s_i.
+def _deque_pass(
+    s: np.ndarray, grid: DirectionGrid, keep: list[int] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """One pass of the sorted-angle deque algorithm over <u_i, x> <= s_i, for the
+    increasing grid indices i in keep (all n when None).
 
     A vertex is outside a line when it lies strictly beyond it.  Lines
     through one point (every grid line between two edges of a polygon's
@@ -363,7 +366,7 @@ def _deque_pass(s: np.ndarray, grid: DirectionGrid) -> tuple[np.ndarray, np.ndar
     lines: deque[int] = deque()
     vx: deque[float] = deque()  # vertex k, (vx[k], vy[k]), joins lines[k] and lines[k + 1]
     vy: deque[float] = deque()
-    for j in range(n):
+    for j in range(n) if keep is None else keep:
         c, d, e = cs[j], sn[j], sv[j]
         while vx and c * vx[-1] + d * vy[-1] > e:
             lines.pop()
@@ -402,7 +405,9 @@ def _deque_pass(s: np.ndarray, grid: DirectionGrid) -> tuple[np.ndarray, np.ndar
     return np.array(lines), np.column_stack((vx, vy))
 
 
-def _active_lines(s: np.ndarray, grid: DirectionGrid) -> tuple[np.ndarray, np.ndarray]:
+def _active_lines(
+    s: np.ndarray, grid: DirectionGrid, m: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Active lines of the halfplanes <u_i, x> <= s_i in CCW order, and the vertices.
 
     The sorted-angle deque algorithm for halfplane intersection (de Berg et
@@ -410,11 +415,29 @@ def _active_lines(s: np.ndarray, grid: DirectionGrid) -> tuple[np.ndarray, np.nd
     sorted, so a pass costs O(n).  vertices[k] is where lines[k] meets
     lines[k + 1], cyclically.  A pass finds the intersection empty when two
     consecutive kept lines span an angle of pi or more, or fewer than 3 lines
-    survive.  Rounding can do that to a point or a segment, so an empty first
-    pass is repeated with every line moved out by _FLAT_REL * max(1, |s|_inf,
-    r0), r0 bounding the radius of the intersection; EmptyIntersection if
-    that is empty too.
+    survive.
+
+    Only the lines of positive margin m = cone_margins(s, grid) enter the
+    first pass.  The others are redundant when consecutive entering lines a
+    and b are less than pi apart: with p the corner of a and b, e_j = s_j -
+    <u_j, p> has the margins of s, which are <= 0 on the lines between a and
+    b, and e vanishes at a and b, so e >= 0 between them (a discrete maximum
+    principle, comparing e with sin(theta_j - theta_a) > 0).  Each dropped
+    halfplane thus contains the wedge of a and b, and its line meets that
+    wedge at most at p.  When fewer than 3 lines enter, two consecutive ones
+    are pi or more apart, or the pruned pass finds the intersection empty,
+    every line goes through the pass.
+    Rounding can empty that pass for a point or a segment, so it is repeated
+    with every line moved out by _FLAT_REL * max(1, |s|_inf, r0), r0
+    bounding the radius of the intersection; EmptyIntersection if that is
+    empty too.
     """
+    keep = np.flatnonzero(m > 0)
+    if len(keep) >= 3 and 2 * np.diff(keep, append=keep[0] + grid.n).max() < grid.n:
+        try:
+            return _deque_pass(s, grid, keep.tolist())
+        except EmptyIntersection:
+            pass
     try:
         return _deque_pass(s, grid)
     except EmptyIntersection:
@@ -430,7 +453,8 @@ def halfplane_intersection(values, grid: DirectionGrid) -> ConvexPolygon:
     by the sorted-angle deque algorithm.  Raises EmptyIntersection when the
     intersection is empty and NonFiniteValue for a non-finite entry.
     """
-    return ConvexPolygon(_active_lines(_finite_values(values, grid), grid)[1])
+    s = _finite_values(values, grid)
+    return ConvexPolygon(_active_lines(s, grid, cone_margins(s, grid))[1])
 
 
 def regularize(values, grid: DirectionGrid) -> SupportSample:
@@ -443,10 +467,10 @@ def regularize(values, grid: DirectionGrid) -> SupportSample:
     map idempotent.  Raises NonFiniteValue for a non-finite entry.
     """
     s = _finite_values(values, grid)
-    noise = _ULP_REL * _scale(s)
-    if float(cone_margins(s, grid).min()) >= -noise:
+    m = cone_margins(s, grid)
+    if float(m.min()) >= -_ULP_REL * _scale(s):
         return SupportSample(grid, s)
-    lines, verts = _active_lines(s, grid)
+    lines, verts = _active_lines(s, grid, m)
     i = np.arange(grid.n)
     k = np.searchsorted(lines, i, side="right") - 1  # -1: past the last line
     u = grid.directions

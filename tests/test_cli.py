@@ -10,6 +10,7 @@ import pytest
 import setflow as sf
 from setflow.cli import _frame_indices, main
 from setflow.dynamics import _drift_limit
+from setflow.support import default_tol
 
 
 def write_json(path, obj):
@@ -157,6 +158,34 @@ def test_integrate_failure_exit_code(scenario, capsys):
     with np.errstate(over="ignore"):
         assert main(["integrate", path]) == 3
     assert json.loads(capsys.readouterr().err)["error"] == "integration"
+
+
+def test_integrate_repairs_every_step_of_a_shrinking_box(tmp_path):
+    # the box [-2, 2]^2 minus t times a unit segment at 30 degrees, Euler h = 0.01:
+    # every step leaves the cone; each repair stays in the cone, below its input and
+    # above the exact Minkowski difference
+    n, h, u = 256, 0.01, np.array([math.cos(math.pi / 6), math.sin(math.pi / 6)])
+    grid = sf.DirectionGrid(n)
+    delta = -0.5 * np.abs(grid.directions @ u)
+    path = write_json(tmp_path / "repair.json", {
+        "grid_n": n, "T": 0.5, "h": h, "method": "euler", "policy": "on_violation",
+        "rhs": {"kind": "constant", "delta": delta.tolist()},
+        "initial": {"box": [[-2, 2], [-2, 2]]},
+        "output": {"trajectory": str(tmp_path / "repair.csv")},
+    })
+    assert main(["integrate", path]) == 0
+    header, rows = _table(tmp_path / "repair.csv")
+    table = np.array(rows, dtype=float)
+    times, flags, states = table[:, 0], table[:, 2], table[:, 3:]
+    assert header[:3] == ["t", "residual", "regularized"] and states.shape == (51, n)
+    assert np.all(flags[1:] == 1)
+    tol = default_tol(states)[:, None]
+    assert np.all(sf.cone_margins(states, grid) >= -tol)
+    assert np.all(states[1:] <= states[:-1] + h * delta + tol[1:])
+    for t, s, tol_k in zip(times, states, tol):
+        lo, hi = -2.0 + 0.5 * t * u, 2.0 - 0.5 * t * u
+        floor = sf.support_of_polygon(sf.ConvexPolygon.box((lo[0], hi[0]), (lo[1], hi[1])), grid)
+        assert np.all(s >= floor.values - tol_k)
 
 
 # ------------------------------------------------------------------------ example

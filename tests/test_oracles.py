@@ -9,9 +9,10 @@ that picked trajectory frames, the deque pass with its vertex and outside
 helpers, the csv.writer table writers and the point-at-a-time support
 profile loop.  The kernels keep the same floating-point operations in the
 same order, so the comparisons are exact, not approximate (for the writers,
-byte for byte).  The one exception is regularize: its reference is the
-pairwise-vertex brute force (the clipping loop it replaced was not maximal),
-computed in long double and compared within a fixed tolerance.
+byte for byte).  The one exception is regularize: its references are the
+pairwise-vertex brute force (the clipping loop it replaced was not maximal)
+and, at large n, the deque pass, both computed in long double and compared
+within a fixed tolerance.
 """
 
 import contextlib
@@ -892,8 +893,9 @@ def test_regularize_matches_pairwise_vertex_brute_force(case):
     assert sf.is_in_cone(r, grid)
 
 
-def reference_deque_pass(s, grid):
-    """The deque pass with its vertex and outside helpers, one vertex tuple per entry."""
+def reference_deque_pass(s, grid, keep=None):
+    """The deque pass with its vertex and outside helpers, one vertex tuple per entry,
+    over the increasing grid indices in keep (all n when None)."""
     n = grid.n
     cs, sn = grid.directions.T.tolist()
     sv = s.tolist()
@@ -912,7 +914,7 @@ def reference_deque_pass(s, grid):
 
     lines = deque()
     verts = deque()
-    for j in range(n):
+    for j in range(n) if keep is None else keep:
         while verts and outside(verts[-1], j):
             lines.pop()
             verts.pop()
@@ -936,9 +938,9 @@ def reference_deque_pass(s, grid):
     return np.array(lines), np.array(verts)
 
 
-def assert_same_pass(s, grid):
-    got = outcome(support._deque_pass, s, grid)
-    ref = outcome(reference_deque_pass, s, grid)
+def assert_same_pass(s, grid, *keep):
+    got = outcome(support._deque_pass, s, grid, *keep)
+    ref = outcome(reference_deque_pass, s, grid, *keep)
     if got is sf.EmptyIntersection or ref is sf.EmptyIntersection:
         assert got is ref
         return
@@ -953,6 +955,20 @@ def test_deque_pass_matches_helper_version_bit_for_bit(case):
     assert_same_pass(s, grid)
     # the retry pass of an empty first pass moves every line out
     assert_same_pass(s + 1e-12 * max(1.0, float(np.max(np.abs(s)))), grid)
+
+
+def assert_same_pruned_pass(s, grid):
+    """The pass over the positive-margin lines that _active_lines tries first."""
+    keep = np.flatnonzero(sf.cone_margins(s, grid) > 0).tolist()
+    if len(keep) >= 3:  # with fewer, _active_lines goes straight to the full pass
+        assert_same_pass(s, grid, keep)
+
+
+@settings(max_examples=400)
+@given(raw_vectors())
+def test_pruned_deque_pass_matches_helper_version_bit_for_bit(case):
+    grid, s = case
+    assert_same_pruned_pass(s, grid)
 
 
 def test_deque_pass_keeps_the_lines_through_a_point():
@@ -983,15 +999,28 @@ def test_deque_pass_trims_the_front_when_it_closes():
     assert_same_pass(s.values, grid)
 
 
-@pytest.mark.parametrize("n", [256, 1024, 4096])
-def test_deque_pass_matches_helper_version_on_noisy_ellipses(n):
-    grid = sf.DirectionGrid(n)
+def noisy_ellipses(grid):
+    """Three ellipse supports with uniform noise of 1e-9, 1e-6 and 1e-3 on every entry."""
     u = grid.directions
-    rng = np.random.default_rng(n)
+    rng = np.random.default_rng(grid.n)
     for noise in (1e-9, 1e-6, 1e-3):
         axes = rng.uniform(0.1, 2.0, 2)
         s = np.hypot(axes[0] * u[:, 0], axes[1] * u[:, 1]) + u @ rng.normal(size=2)
-        assert_same_pass(s + noise * rng.uniform(-1.0, 1.0, n), grid)
+        yield s + noise * rng.uniform(-1.0, 1.0, grid.n)
+
+
+@pytest.mark.parametrize("n", [256, 1024, 4096])
+def test_deque_pass_matches_helper_version_on_noisy_ellipses(n):
+    grid = sf.DirectionGrid(n)
+    for s in noisy_ellipses(grid):
+        assert_same_pass(s, grid)
+
+
+@pytest.mark.parametrize("n", [256, 1024, 4096])
+def test_pruned_deque_pass_matches_helper_version_on_noisy_ellipses(n):
+    grid = sf.DirectionGrid(n)
+    for s in noisy_ellipses(grid):
+        assert_same_pruned_pass(s, grid)
 
 
 def test_regularize_keeps_a_short_edge():
@@ -1006,6 +1035,158 @@ def test_regularize_keeps_a_short_edge():
     expected[2] = (s[1] + s[3]) / grid.two_cos_delta
     assert np.max(np.abs(r - reference_regularize(s, grid))) <= 1e-15
     assert np.max(np.abs(r - expected)) <= 1e-15
+
+
+def longdouble_regularize(s, grid):
+    """Support of the halfplane intersection of s, None if empty: the deque pass in long
+    double, where a vertex on a line also counts as outside it (so a line that touches
+    the polygon at a single point drops out), read as the largest <u_i, v> over the
+    vertices v.  The grid directions are the float ones, the halfplanes regularize sees."""
+    n = grid.n
+    u = grid.directions.astype(np.longdouble)
+    cs, sn, sv = list(u[:, 0]), list(u[:, 1]), list(np.asarray(s, dtype=np.longdouble))
+
+    def vertex(i, j):
+        det = cs[i] * sn[j] - sn[i] * cs[j]
+        return (sv[i] * sn[j] - sv[j] * sn[i]) / det, (sv[j] * cs[i] - sv[i] * cs[j]) / det
+
+    def outside(v, j):
+        return cs[j] * v[0] + sn[j] * v[1] >= sv[j]
+
+    lines, verts = deque(), deque()
+    for j in range(n):
+        while verts and outside(verts[-1], j):
+            lines.pop()
+            verts.pop()
+        while verts and 2 * (j - lines[0]) > n and outside(verts[0], j):
+            if 2 * ((lines[1] - j) % n) >= n:
+                return None
+            lines.popleft()
+            verts.popleft()
+        if lines:
+            if 2 * ((j - lines[-1]) % n) >= n:
+                return None
+            verts.append(vertex(lines[-1], j))
+        lines.append(j)
+    while len(verts) >= 2 and outside(verts[-1], lines[0]):
+        lines.pop()
+        verts.pop()
+    while len(verts) >= 2 and outside(verts[0], lines[-1]):
+        lines.popleft()
+        verts.popleft()
+    if len(lines) < 3 or 2 * ((lines[0] - lines[-1]) % n) >= n:
+        return None
+    verts.append(vertex(lines[-1], lines[0]))
+    v = np.array(verts, dtype=np.longdouble)
+    return np.concatenate([  # blocks of 256 directions bound the (256, vertices) products
+        (u[a : a + 256, :1] * v[:, 0] + u[a : a + 256, 1:] * v[:, 1]).max(axis=1)
+        for a in range(0, n, 256)
+    ])
+
+
+def large_regularize_inputs(grid, rng):
+    """Noisy ellipses (axis ratio 1e-3..1), boxes, points and segments at scale 1e-2..1e2.
+    Ellipses and boxes get noise of 1e-8..1e-1 of their smallest width on 20..100% of
+    the entries; points and segments get 1e-8..1e-1 of the scale on every entry, outward
+    only, so that every intersection keeps an interior."""
+    u = grid.directions
+    for kind in ("ellipse",) * 5 + ("box", "point", "segment"):
+        scale = 10.0 ** rng.uniform(-2.0, 2.0)
+        c = scale * rng.normal(size=2)
+        noise = 10.0 ** rng.uniform(-8.0, -1.0) * rng.uniform(-1.0, 1.0, grid.n)
+        if kind == "ellipse":
+            a = scale * rng.uniform(0.1, 2.0)
+            b = a * 10.0 ** rng.uniform(-3.0, 0.0)
+            phi = rng.uniform(0.0, np.pi)
+            w = u @ np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
+            base = np.hypot(a * w[:, 0], b * w[:, 1]) + u @ c
+            noise *= b * (rng.random(grid.n) < rng.uniform(0.2, 1.0))
+        elif kind == "box":
+            half = scale * rng.uniform(0.1, 2.0, 2)
+            x, y = c[:, None] + half[:, None] * [-1.0, 1.0]
+            base = sf.support_of_polygon(sf.ConvexPolygon.box(x, y), grid).values
+            noise *= half.min() * (rng.random(grid.n) < rng.uniform(0.2, 1.0))
+        else:
+            d = scale * rng.normal(size=2) if kind == "segment" else np.zeros(2)
+            base = np.maximum(u @ (c + d), u @ (c - d))
+            noise = scale * np.abs(noise)
+        yield base + noise
+
+
+def repair_inputs(grid, steps):
+    """Euler steps of the box [-2, 2]^2 under minus the support of a unit segment at
+    30 degrees, h = 0.01, before their repair: every one leaves the cone."""
+    u = grid.directions
+    delta = -0.5 * np.abs(u @ np.array([math.cos(math.pi / 6), math.sin(math.pi / 6)]))
+    box = sf.support_of_polygon(sf.ConvexPolygon.box((-2.0, 2.0), (-2.0, 2.0)), grid)
+    field = dynamics.constant_field(sf.SupportDelta(grid, delta))
+    traj = sf.integrate(field, box, 0.01 * steps, 0.01, method="euler")
+    assert traj.regularized[1:].all()
+    return traj.states[:-1] + 0.01 * delta
+
+
+@pytest.mark.parametrize("n", [256, 1024, 4096])
+def test_regularize_matches_long_double_pass_at_large_n(n):
+    # a vector outside the cone goes through one pass, which sees only the
+    # positive-margin lines: no input here takes a fallback
+    grid = sf.DirectionGrid(n)
+    rng = np.random.default_rng(n)
+    passes = 0
+    for s in [*large_regularize_inputs(grid, rng), *repair_inputs(grid, 50)[::10]]:
+        scale = max(1.0, float(np.max(np.abs(s))))
+        m = sf.cone_margins(s, grid)
+        with mock.patch.object(support, "_deque_pass", wraps=support._deque_pass) as spy:
+            r = sf.regularize(s, grid).values
+        if float(m.min()) < -support._ULP_REL * scale:
+            assert spy.call_count == 1 and spy.call_args.args[2] == np.flatnonzero(m > 0).tolist()
+            passes += 1
+        else:
+            assert spy.call_count == 0
+        assert np.max(np.abs(r - longdouble_regularize(s, grid))) <= 1e-12 * scale
+    assert passes >= 8
+
+
+def test_regularize_of_a_point_with_lines_a_half_turn_apart_takes_the_full_pass():
+    # the origin's support with lines 1 and 31 moved out: only lines 0, 2, 30 and 32
+    # have positive margins, and line 0 follows line 32 by pi, which the prune's
+    # exactness argument excludes; the full pass finds the origin
+    grid = sf.DirectionGrid(64)
+    s = np.zeros(64)
+    s[[1, 31]] = 1e-3
+    assert np.flatnonzero(sf.cone_margins(s, grid) > 0).tolist() == [0, 2, 30, 32]
+    with mock.patch.object(support, "_deque_pass", wraps=support._deque_pass) as spy:
+        r = sf.regularize(s, grid).values
+        p = sf.halfplane_intersection(s, grid)
+    assert [c.args[2:] for c in spy.call_args_list] == [(), ()]  # one full pass each
+    assert np.array_equal(r, np.zeros(64)) and np.array_equal(p.vertices, [[0.0, 0.0]])
+
+
+def test_regularize_of_a_noisy_point_falls_back_from_an_empty_pruned_pass():
+    # noise of 1e-12 both ways empties the point, pruned or not; the full pass
+    # moved out by the _FLAT_REL shift finds it again
+    grid = sf.DirectionGrid(16)
+    rng = np.random.default_rng(0)
+    p = rng.uniform(-1.0, 1.0, 2)
+    s = grid.directions @ p + 1e-12 * rng.uniform(-1.0, 1.0, 16)
+    keep = np.flatnonzero(sf.cone_margins(s, grid) > 0).tolist()
+    with mock.patch.object(support, "_deque_pass", wraps=support._deque_pass) as spy:
+        r = sf.regularize(s, grid).values
+    assert [c.args[2:] for c in spy.call_args_list] == [(keep,), (), ()]
+    assert np.max(np.abs(r - grid.directions @ p)) <= 1e-11
+
+
+def test_regularize_of_a_thin_ellipse_stays_within_the_readme_bound():
+    # an ellipse of semi-axes 52.5 and 4.4e-7 at n = 4096 with noise 1.3e-11 on 57% of
+    # the entries: the full pass alone is 5.0e-11 * scale from the long-double pass on
+    # this seed, the pruned pass 1.8e-15 (1.0e-11 the worst of seeds 0-9)
+    grid = sf.DirectionGrid(4096)
+    u = grid.directions
+    rng = np.random.default_rng(4)
+    s = np.hypot(52.5 * u[:, 0], 4.4e-7 * u[:, 1]) + u @ np.array([-88.5, -32.4])
+    s = s + 1.3e-11 * rng.uniform(-1.0, 1.0, 4096) * (rng.random(4096) < 0.57)
+    r = sf.regularize(s, grid).values
+    scale = float(np.max(np.abs(s)))
+    assert np.max(np.abs(r - longdouble_regularize(s, grid))) <= 2e-11 * scale
 
 
 # ------------------------------------------------------------------ frame choice
