@@ -117,8 +117,9 @@ def _example_one(
     whole, steps = classify_curve(curve)
     quotients, inner = curve.quotients, curve.times[1:-1]
     deltas = 0.5 * (quotients[1:] + quotients[:-1])
+    deltas.setflags(write=False)
     gaps = np.max(np.abs(quotients[1:] - quotients[:-1]), axis=-1)
-    first = [(t, SupportSample(grid, d))
+    first = [(t, SupportSample._checked(grid, d))  # rows of the stacked cone test
              for t, d, ok in zip(inner, deltas, is_in_cone(deltas, grid)) if ok]
     second = [(t, s) for t, d in zip(inner, deltas)
               if (s := second_type_differential(SupportDelta(grid, d))) is not None]

@@ -347,10 +347,10 @@ def _finite_values(values, grid: DirectionGrid) -> np.ndarray:
 
 
 def _deque_pass(
-    s: np.ndarray, grid: DirectionGrid, keep: list[int] | None = None
+    s: np.ndarray, grid: DirectionGrid, keep: list[int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """One pass of the sorted-angle deque algorithm over <u_i, x> <= s_i, for the
-    increasing grid indices i in keep (all n when None).
+    increasing grid indices i in keep.
 
     A vertex is outside a line when it lies strictly beyond it.  Lines
     through one point (every grid line between two edges of a polygon's
@@ -366,7 +366,7 @@ def _deque_pass(
     lines: deque[int] = deque()
     vx: deque[float] = deque()  # vertex k, (vx[k], vy[k]), joins lines[k] and lines[k + 1]
     vy: deque[float] = deque()
-    for j in range(n) if keep is None else keep:
+    for j in keep:
         c, d, e = cs[j], sn[j], sv[j]
         while vx and c * vx[-1] + d * vy[-1] > e:
             lines.pop()
@@ -417,32 +417,30 @@ def _active_lines(
     consecutive kept lines span an angle of pi or more, or fewer than 3 lines
     survive.
 
-    Only the lines of positive margin m = cone_margins(s, grid) enter the
-    first pass.  The others are redundant when consecutive entering lines a
-    and b are less than pi apart: with p the corner of a and b, e_j = s_j -
-    <u_j, p> has the margins of s, which are <= 0 on the lines between a and
-    b, and e vanishes at a and b, so e >= 0 between them (a discrete maximum
-    principle, comparing e with sin(theta_j - theta_a) > 0).  Each dropped
-    halfplane thus contains the wedge of a and b, and its line meets that
-    wedge at most at p.  When fewer than 3 lines enter, two consecutive ones
-    are pi or more apart, or the pruned pass finds the intersection empty,
-    every line goes through the pass.
-    Rounding can empty that pass for a point or a segment, so it is repeated
-    with every line moved out by _FLAT_REL * max(1, |s|_inf, r0), r0
+    The pass sees only the lines of positive margin m = cone_margins(s, grid)
+    when there are at least 3 and consecutive ones are less than pi apart.
+    The others are then redundant: for consecutive kept lines a and b with
+    corner p, e_j = s_j - <u_j, p> has the margins of s, which are <= 0 on
+    the lines between a and b, and e vanishes at a and b, so e >= 0 between
+    them (a discrete maximum principle, comparing e with sin(theta_j -
+    theta_a) > 0).  Each dropped halfplane thus contains the wedge of a and
+    b, and its line meets that wedge at most at p.  Otherwise every line
+    goes through the pass.
+    Rounding can empty the pass for a point or a segment, so it is retried
+    once over every line moved out by _FLAT_REL * max(1, |s|_inf, r0), r0
     bounding the radius of the intersection; EmptyIntersection if that is
-    empty too.
+    empty too.  A pass over every line unmoved could not help: more
+    halfplanes can only cut a subset of the pruned intersection.
     """
     keep = np.flatnonzero(m > 0)
-    if len(keep) >= 3 and 2 * np.diff(keep, append=keep[0] + grid.n).max() < grid.n:
-        try:
-            return _deque_pass(s, grid, keep.tolist())
-        except EmptyIntersection:
-            pass
+    if len(keep) < 3 or 2 * np.diff(keep, append=keep[0] + grid.n).max() >= grid.n:
+        keep = np.arange(grid.n)
     try:
-        return _deque_pass(s, grid)
+        return _deque_pass(s, grid, keep.tolist())
     except EmptyIntersection:
         r0 = max(float(s.max()), 0.0) / math.cos(grid.delta / 2.0) + 1.0
-        return _deque_pass(s + _FLAT_REL * max(float(_scale(s)), r0), grid)
+        shift = _FLAT_REL * max(float(_scale(s)), r0)
+        return _deque_pass(s + shift, grid, list(range(grid.n)))
 
 
 def halfplane_intersection(values, grid: DirectionGrid) -> ConvexPolygon:

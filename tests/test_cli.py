@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import time
@@ -223,6 +224,66 @@ def test_example_third_curve_delta_fails_cone_both_ways(tmp_path):
     vals = np.asarray(rows[0].split(",")[1:], dtype=float)
     assert not sf.is_in_cone(vals, grid)
     assert not sf.is_in_cone(-vals, grid)
+
+
+# sha256 of every file `setflow example OUT` writes with the defaults (numpy on x86-64);
+# a refactor must leave these bytes alone, a deliberate change of output re-pins them
+EXAMPLE_SHA256 = {
+    "curve1_classification.csv": "c90b70bf428a87d55af657bed0794eb63d09aed557bcb5846aacef29488387f7",
+    "curve1_delta_support.svg": "fcfc0c26b5b3bde7bf6a7991e982c3068e7ba72f2374392c8e6e32380e9502b4",
+    "curve1_differentials.svg": "594ba9e2c2600fee1b58fea510d8712ef1b4fd35d6d95f15f7e4e4876a448840",
+    "curve1_frechet_delta.csv": "983a0facd0db1d3376d8e20f525cb7c41d8a7de2d7c9fdc17d19ccfa795762cc",
+    "curve1_hukuhara_differentials.csv": "983a0facd0db1d3376d8e20f525cb7c41d8a7de2d7c9fdc17d19ccfa795762cc",
+    "curve1_sets.svg": "38d2dda264fe1cc7f5583ea8d303258bf59c9d0ca096a6b5dbc0f5dadeaec43b",
+    "curve1_support.svg": "4b26881408135c31952b1ab3e69519f2de04fd6e80b044303cc98228b47b5520",
+    "curve1_trajectory.csv": "2cae03eea46afee08e96533ba5eb9c5781acba2313433097546271c8f82a9a3f",
+    "curve2_classification.csv": "bcbc995192ae0f47551c8c703c88c47feb7a7ccf62e41686f5a2d00deaa1633c",
+    "curve2_delta_support.svg": "69a5b06d111af81490fa96c7b77dc5d5d5e2426d83aa101566b84c2df0ce522b",
+    "curve2_differentials.svg": "b6b08f83c57327d23223bc0785f43d2f1f990b89de7674e5197f3a26cabcec83",
+    "curve2_frechet_delta.csv": "7247b60e2f9fd65e33a9aa76cb0675bc3e999dbbe229552c6cfdcebda1a35577",
+    "curve2_second_type_differentials.csv": "ad5ee4b10a2fd8cfde4b18a4e5b6b06b96a53d2cbedc83ad782fbf132bde9e3f",
+    "curve2_sets.svg": "8a07d05d76eeb80b31f12286d61abbd836f3e40402757e7f6672a2125c1e7097",
+    "curve2_support.svg": "550828d8d861488fc2c74869d20d5e98cfb48a46a09cc88d6efbeb2d588a4e44",
+    "curve2_trajectory.csv": "d1b6c95aeb1d0e1e34632067688edeb7705dd4dafe8a1ce2e1617827ac9d37d7",
+    "curve3_classification.csv": "2fa7dced71af0fcde25e53943323089fb2f0648757c544684c75df3709266a52",
+    "curve3_delta_support.svg": "99f8f3c5c5a3b138dd1d925653b3c911e702eb613b33e66620195bc9df98cd3a",
+    "curve3_frechet_delta.csv": "726f14374872f89ed844d0b3b420078cd04196f4693a3766ca1d97d4a01ae01b",
+    "curve3_sets.svg": "97f5c8e271536a6ef1aca544bad2b9b5188a23dd05f17cd8b261fb43951f391e",
+    "curve3_support.svg": "c0d18af7fb320504d6367449542933a2a11cda10ee893e56f1c8184bea2df085",
+    "curve3_trajectory.csv": "cc4a1dacbd730d88df4b06339bdf7dc1fbe6b7baf7e4b1690698c20ed7ba3205",
+}
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_example_output_bytes_are_pinned(tmp_path, capsys):
+    out = tmp_path / "demo"
+    assert main(["example", str(out)]) == 0
+    assert {p.name: _sha256(p) for p in out.iterdir()} == EXAMPLE_SHA256
+    assert capsys.readouterr().out == (
+        "curve 1: FirstType\ncurve 2: SecondType\ncurve 3: Neither\n"
+        "curve 1 max |numeric - closed form| = 1.115e-10\n"
+        "curve 2 max |numeric - closed form| = 9.002e-11\n"
+        "curve 3 max |numeric - closed form| = 7.728e-11\n"
+    )
+
+
+def test_repair_trajectory_bytes_are_pinned(tmp_path):
+    # n 1024, Euler: the box [-2, 2]^2 minus the support of a unit segment at 30
+    # degrees, where all 50 steps leave the cone and regularize repairs them
+    n, u = 1024, [math.cos(math.radians(30.0)), math.sin(math.radians(30.0))]
+    delta = -0.5 * np.abs(sf.DirectionGrid(n).directions @ u)
+    path = write_json(tmp_path / "repair.json", {
+        "grid_n": n, "T": 0.5, "h": 0.01, "method": "euler", "policy": "on_violation",
+        "rhs": {"kind": "constant", "delta": delta.tolist()},
+        "initial": {"box": [[-2, 2], [-2, 2]]},
+        "output": {"trajectory": str(tmp_path / "repair.csv")},
+    })
+    assert main(["integrate", path]) == 0
+    digest = "5365e7b15868d0150036eed96cf213ddf1ab3ab9c0197d58fefd3bde4d424c66"
+    assert _sha256(tmp_path / "repair.csv") == digest
 
 
 def test_example_tables_match_the_library_per_step(tmp_path):

@@ -938,9 +938,11 @@ def reference_deque_pass(s, grid, keep=None):
     return np.array(lines), np.array(verts)
 
 
-def assert_same_pass(s, grid, *keep):
-    got = outcome(support._deque_pass, s, grid, *keep)
-    ref = outcome(reference_deque_pass, s, grid, *keep)
+def assert_same_pass(s, grid, keep=None):
+    """_deque_pass against reference_deque_pass over keep (every line when None)."""
+    keep = list(range(grid.n)) if keep is None else keep
+    got = outcome(support._deque_pass, s, grid, keep)
+    ref = outcome(reference_deque_pass, s, grid, keep)
     if got is sf.EmptyIntersection or ref is sf.EmptyIntersection:
         assert got is ref
         return
@@ -960,7 +962,7 @@ def test_deque_pass_matches_helper_version_bit_for_bit(case):
 def assert_same_pruned_pass(s, grid):
     """The pass over the positive-margin lines that _active_lines tries first."""
     keep = np.flatnonzero(sf.cone_margins(s, grid) > 0).tolist()
-    if len(keep) >= 3:  # with fewer, _active_lines goes straight to the full pass
+    if len(keep) >= 3:  # with fewer, _active_lines passes every line
         assert_same_pass(s, grid, keep)
 
 
@@ -982,7 +984,7 @@ def test_deque_pass_keeps_the_lines_through_a_point():
         -0.0024920994157670035, -0.012884276560085142, -0.015729019236871172,
         -0.00935991576752538, 0.002492099415767001,
     ])
-    lines, verts = support._deque_pass(s, grid)
+    lines, verts = support._deque_pass(s, grid, list(range(8)))
     assert lines.tolist() == [0, 1, 2, 4, 5, 6, 7]
     assert_same_pass(s, grid)
 
@@ -994,7 +996,7 @@ def test_deque_pass_trims_the_front_when_it_closes():
     # so the closing front trim drops line 2; no property-test input gets there
     grid = sf.DirectionGrid(12)
     s = sf.support_of_polygon(sf.ConvexPolygon.from_points([[0.5, 0.8], [-0.6, 0.8]]), grid)
-    lines, verts = support._deque_pass(s.values, grid)
+    lines, verts = support._deque_pass(s.values, grid, list(range(12)))
     assert lines.tolist() == [3, 4, 9, 10]
     assert_same_pass(s.values, grid)
 
@@ -1021,6 +1023,67 @@ def test_pruned_deque_pass_matches_helper_version_on_noisy_ellipses(n):
     grid = sf.DirectionGrid(n)
     for s in noisy_ellipses(grid):
         assert_same_pruned_pass(s, grid)
+
+
+def reference_active_lines(s, grid, m):
+    """_active_lines as a chain of three passes: the pruned pass when it applies, then,
+    when that pass is absent or finds the intersection empty, a pass over every line,
+    then that pass with every line moved out."""
+    keep = np.flatnonzero(m > 0)
+    if len(keep) >= 3 and 2 * np.diff(keep, append=keep[0] + grid.n).max() < grid.n:
+        try:
+            return reference_deque_pass(s, grid, keep.tolist())
+        except sf.EmptyIntersection:
+            pass
+    try:
+        return reference_deque_pass(s, grid)
+    except sf.EmptyIntersection:
+        r0 = max(float(s.max()), 0.0) / math.cos(grid.delta / 2.0) + 1.0
+        return reference_deque_pass(s + support._FLAT_REL * max(float(support._scale(s)), r0), grid)
+
+
+@st.composite
+def degenerate_vectors(draw):
+    """Supports of a point, a segment or a thin triangle on n in {16, 64, 256} directions
+    at scale 1e-3..1e3 with noise of 1e-14..1e-10 of the scale on every entry, or a raw
+    vector of normal draws at that scale: inputs whose pruned pass can come out empty."""
+    grid = sf.DirectionGrid(draw(st.sampled_from([16, 64, 256])))
+    u = grid.directions
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["point", "segment", "thin triangle", "normal"]))
+    if kind == "normal":
+        return grid, scale * rng.normal(size=grid.n)
+    pts = scale * rng.uniform(-1.0, 1.0, (3, 2))
+    if kind == "thin triangle":  # the third vertex 1e-12..1e-4 of the scale off the middle
+        d = pts[1] - pts[0]
+        width = scale * 10.0 ** draw(st.floats(-12.0, -4.0))
+        pts[2] = 0.5 * (pts[0] + pts[1]) + width * np.array([-d[1], d[0]]) / np.hypot(*d)
+    count = {"point": 1, "segment": 2, "thin triangle": 3}[kind]
+    noise = scale * 10.0 ** draw(st.floats(-14.0, -10.0))
+    return grid, (u @ pts[:count].T).max(axis=1) + noise * rng.uniform(-1.0, 1.0, grid.n)
+
+
+def regularize_and_polygon(s, grid):
+    """regularize values and halfplane_intersection vertices of s, or EmptyIntersection."""
+    return [outcome(lambda: sf.regularize(s, grid).values),
+            outcome(lambda: sf.halfplane_intersection(s, grid).vertices)]
+
+
+@settings(max_examples=400)
+@given(degenerate_vectors())
+def test_active_lines_matches_the_three_pass_chain_bit_for_bit(case):
+    # a pruned pass that finds the intersection empty goes straight to the shifted
+    # pass: a pass over every line can only cut a subset of the pruned intersection
+    grid, s = case
+    got = regularize_and_polygon(s, grid)
+    with mock.patch.object(support, "_active_lines", reference_active_lines):
+        ref = regularize_and_polygon(s, grid)
+    for x, y in zip(got, ref):
+        if x is sf.EmptyIntersection or y is sf.EmptyIntersection:
+            assert x is y
+        else:
+            assert x.shape == y.shape and same_bits(x, y)
 
 
 def test_regularize_keeps_a_short_edge():
@@ -1157,13 +1220,14 @@ def test_regularize_of_a_point_with_lines_a_half_turn_apart_takes_the_full_pass(
     with mock.patch.object(support, "_deque_pass", wraps=support._deque_pass) as spy:
         r = sf.regularize(s, grid).values
         p = sf.halfplane_intersection(s, grid)
-    assert [c.args[2:] for c in spy.call_args_list] == [(), ()]  # one full pass each
+    every = (list(range(64)),)
+    assert [c.args[2:] for c in spy.call_args_list] == [every, every]  # one pass each
     assert np.array_equal(r, np.zeros(64)) and np.array_equal(p.vertices, [[0.0, 0.0]])
 
 
 def test_regularize_of_a_noisy_point_falls_back_from_an_empty_pruned_pass():
-    # noise of 1e-12 both ways empties the point, pruned or not; the full pass
-    # moved out by the _FLAT_REL shift finds it again
+    # noise of 1e-12 both ways empties the pruned pass; the pass over every line
+    # moved out by the _FLAT_REL shift finds the point again
     grid = sf.DirectionGrid(16)
     rng = np.random.default_rng(0)
     p = rng.uniform(-1.0, 1.0, 2)
@@ -1171,7 +1235,7 @@ def test_regularize_of_a_noisy_point_falls_back_from_an_empty_pruned_pass():
     keep = np.flatnonzero(sf.cone_margins(s, grid) > 0).tolist()
     with mock.patch.object(support, "_deque_pass", wraps=support._deque_pass) as spy:
         r = sf.regularize(s, grid).values
-    assert [c.args[2:] for c in spy.call_args_list] == [(keep,), (), ()]
+    assert [c.args[2:] for c in spy.call_args_list] == [(keep,), (list(range(16)),)]
     assert np.max(np.abs(r - grid.directions @ p)) <= 1e-11
 
 
