@@ -444,6 +444,37 @@ def test_hausdorff_identical_sets(tmp_path, capsys):
     assert float(lines[1].split(":")[1]) == 0.0
 
 
+def _hausdorff_pairs():
+    """50 seeded set pairs, then the two box pairs above.  Points, segments and polygons of
+    3 to 9 vertices at scales 1e-3 .. 1e3: unrelated, one shrunk into the other, or shifted."""
+    rng = np.random.default_rng(1508)
+    pairs = []
+    for k in range(50):
+        scale = 10.0 ** int(rng.integers(-3, 4))
+        p = scale * rng.uniform(-1.0, 1.0, (int(rng.integers(1, 10)), 2))
+        if k % 3 == 0:
+            q = scale * rng.uniform(-1.0, 1.0, (int(rng.integers(1, 10)), 2))
+        elif k % 3 == 1:
+            c = p.mean(axis=0)
+            q = c + rng.uniform(0.0, 0.9) * (p - c)
+        else:
+            q = p + 0.1 * scale * rng.uniform(-1.0, 1.0, 2)
+        pairs.append(({"vertices": p.tolist()}, {"vertices": q.tolist()}))
+    square = {"vertices": [[-1, -1], [1, -1], [1, 1], [-1, 1]]}
+    return pairs + [({"box": [[2, 3], [1, 2]]}, square), ({"box": [[0, 1], [0, 1]]},) * 2]
+
+
+def test_hausdorff_output_bytes_are_pinned(tmp_path, capsys):
+    # sha256 of the stdout of `setflow hausdorff` on every pair at --n 8, 64, 256 and 1024
+    digest = hashlib.sha256()
+    for k, (a, b) in enumerate(_hausdorff_pairs()):
+        a, b = write_json(tmp_path / f"a{k}.json", a), write_json(tmp_path / f"b{k}.json", b)
+        for n in (8, 64, 256, 1024):
+            assert main(["hausdorff", a, b, "--n", str(n)]) == 0
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == "61b38ee103129b4ba4f008e12747a7990d65d1a9367cf49c20e8ca60117282e3"
+
+
 def test_hausdorff_parse_failure(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("[1,2")
