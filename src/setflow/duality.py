@@ -20,7 +20,7 @@ from .support import (
     ConvexPolygon,
     DirectionGrid,
     SupportDelta,
-    _nearest_points,
+    _excess_candidates,
     _require_same_grid,
     default_tol,
     hausdorff_onesided,
@@ -114,16 +114,17 @@ def dual_representatives(g: SupportDelta) -> list[DiscreteMeasure]:
 def hausdorff_realizing_directions(
     a: ConvexPolygon, b: ConvexPolygon, grid: DirectionGrid
 ) -> tuple[int, ...]:
-    """Grid indices nearest to the directions (a* - b*) of farthest pairs.
+    """Grid indices nearest to the directions u that attain dist(A, B) = max(0, max_u
+    sigma_A(u) - sigma_B(u)) within default_tol of both vertex sets.
 
     Requires dist(A, B) > 0 and dist(A, B) = dist_H(A, B); otherwise raises
     Contained or AsymmetricDistance (swap the arguments in the latter case).
     Each returned index lies within one grid step of a maximizer of
-    sigma_A - sigma_B.  Distances are compared at default_tol of both vertex sets.
+    sigma_A - sigma_B.  Distances are compared at the same default_tol.
     """
     tol = default_tol(np.append(a.vertices, b.vertices))
-    dist, near = _nearest_points(a.vertices, b)
-    d_ab = float(np.max(dist))
+    vals, dirs, _ = _excess_candidates(a, b)
+    d_ab = float(vals.max())
     d_ba = hausdorff_onesided(b, a)
     if d_ab <= tol:
         raise Contained("A is contained in B; no realizing direction")
@@ -131,5 +132,4 @@ def hausdorff_realizing_directions(
         raise AsymmetricDistance(
             "dist(A, B) < dist_H(A, B); swap the arguments to characterize E^N"
         )
-    far = np.flatnonzero(dist >= d_ab - tol)
-    return tuple(sorted({grid.nearest_index(a.vertices[k] - near[k])[0] for k in far}))
+    return tuple(sorted({grid.nearest_index(u)[0] for u in dirs[vals >= d_ab - tol]}))

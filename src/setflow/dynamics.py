@@ -27,7 +27,7 @@ from .support import (
     SupportDelta,
     SupportSample,
     _grid_values,
-    _nearest_points,
+    _realizer,
     _require_same_grid,
     _scale,
     cone_margins,
@@ -180,8 +180,8 @@ def osl_check(
     """
     tol = default_tol(np.append(a.vertices, b.vertices))
     sets = (a, b)
-    nearest = [_nearest_points(sets[i].vertices, sets[1 - i]) for i in (0, 1)]
-    peaks = [float(np.max(dist)) for dist, _ in nearest]
+    realizers = [_realizer(sets[i], sets[1 - i]) for i in (0, 1)]
+    peaks = [dist for dist, _, _ in realizers]
     dh = max(peaks)
     orders = [i for i in (0, 1) if peaks[i] >= dh - tol]  # the orders attaining dist_H
     if any(peaks[i] <= tol for i in orders):
@@ -190,9 +190,7 @@ def osl_check(
     bound = rate * dh
     cases = []
     for i in orders:
-        dist, near = nearest[i]
-        k = int(np.argmax(dist))  # the smallest index on ties
-        far, proj = sets[i].vertices[k].copy(), near[k]
+        _, far, proj = realizers[i]
         idx, err = f.grid.nearest_index(far - proj)
         lhs = float(fvals[i][idx] - fvals[1 - i][idx])
         pa, pb = (far, proj) if i == 0 else (proj, far)

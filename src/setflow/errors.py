@@ -30,7 +30,7 @@ class NegativeScalar(SetflowError):
 
 
 class Contained(SetflowError):
-    """One set is contained in the other; no farthest realizer exists."""
+    """dist(P, Q) is within default_tol of zero: no farthest realizer or realizing direction."""
 
 
 class AsymmetricDistance(SetflowError):

@@ -499,89 +499,70 @@ def hausdorff_grid(a: SupportSample, b: SupportSample) -> float:
     return float(np.max(np.abs(a.values - b.values)))
 
 
-# Point-edge pairs per block of the nearest-point kernel; bounds its memory.
-_BLOCK_PAIRS = 1 << 16
+def _normal_fan(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normal fan of the CCW vertices v: its outward edge normals' angles in [0, 2 pi), increasing,
+    and the vertex maximizing <x, u> from each angle to the next.  A point has the angle 0."""
+    e = np.diff(v, axis=0, append=v[:1])
+    ang = np.arctan2(-e[:, 0], e[:, 1]) % (2.0 * math.pi)
+    i = np.argsort(ang, kind="stable")  # a hull turns left: two sorted runs, merged in O(m)
+    return ang[i], (i + 1) % len(v)
 
 
-def _edge_frame(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Edge vectors of the CCW vertices v, their lengths, max |coordinate|, max(1, radius)."""
-    e = np.roll(v, -1, axis=0) - v
-    radius = float(np.max(np.hypot(v[:, 0], v[:, 1])))
-    return e, np.hypot(e[:, 0], e[:, 1]), np.max(np.abs(v)), max(1.0, radius)
+def _excess_candidates(p: ConvexPolygon, q: ConvexPolygon):
+    """Candidates for the maximum of h_P - h_Q on the unit circle, in O(m + k) memory: their
+    values, unit directions (K, 2) and the vertex of P each belongs to.
 
-
-def _inside(x: np.ndarray, v: np.ndarray, frame) -> np.ndarray:
-    """Rows of x (K, 2) on the inner side of every edge of the CCW vertices v (>= 3), up to
-    tol * min(edge length, max(1, radius, |row|_inf)), so never more than tol outside an
-    edge line; frame is _edge_frame(v) and tol is default_tol(vertices, row)."""
-    e, length, vmax, rad = frame
-    tol = default_tol(np.column_stack([np.full(len(x), vmax), x]))
-    scale = np.maximum(rad, np.max(np.abs(x), axis=1))
-    limit = -tol[:, None] * np.minimum(length, scale[:, None])
-    crosses = e[:, 0] * (x[:, 1, None] - v[:, 1]) - e[:, 1] * (x[:, 0, None] - v[:, 0])
-    return np.all(crosses >= limit, axis=1)
-
-
-def _nearest_points(x, p: ConvexPolygon) -> tuple[np.ndarray, np.ndarray]:
-    """Distances from the rows of x (K, 2) to p, and the nearest points of p.
-
-    A row inside p (>= 3 vertices) is its own nearest point; any other is
-    clamped onto each edge (one segment if p has 2 vertices) and the first
-    edge of least distance wins.  Rows go through in blocks of at most
-    _BLOCK_PAIRS point-edge pairs, so memory does not grow with K * len(p).
-    """
-    x = np.asarray(x, dtype=float).reshape(-1, 2)
-    v = p.vertices
-    if len(v) == 1:
-        near = np.broadcast_to(v[0], x.shape).copy()
-    else:
-        near = x.copy()
-        frame = _edge_frame(v)
-        a = v if len(v) >= 3 else v[:1]
-        d = frame[0][: len(a)]
-        dd = np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]  # > 0 on hull edges
-        step = max(1, _BLOCK_PAIRS // len(v))
-        for i in range(0, len(x), step):
-            blk = near[i : i + step]  # a view: rows are projected in place
-            out = ~_inside(blk, v, frame) if len(v) >= 3 else np.ones(len(blk), dtype=bool)
-            r = blk[out, None, :] - a
-            t = np.matmul(r[..., None, :], d[:, :, None])[..., 0, 0] / dd
-            t = np.where(t > 0.0, t, 0.0)  # max(0, t), then min(1, t); NaN -> 0
-            cand = a + np.where(t < 1.0, t, 1.0)[..., None] * d
-            gap = blk[out, None, :] - cand
-            best = np.argmin(np.hypot(gap[..., 0], gap[..., 1]), axis=1)
-            blk[out] = cand[np.arange(len(best)), best]
-    gap = x - near
-    return np.hypot(gap[:, 0], gap[:, 1]), near
+    On each arc of the merged normal fans one vertex a of P and one b of Q attain the
+    supports, so h_P - h_Q = <w, u> with w = a - b: its maximum there is at an end, or |w|
+    at u = w / |w| inside the arc.  Both ends count, so an edge normal of P is a candidate
+    of both vertices of the edge."""
+    ap, ip = _normal_fan(p.vertices)
+    aq, iq = _normal_fan(q.vertices)
+    ang = np.sort(np.concatenate([ap, aq]), kind="stable")  # merges the two sorted runs
+    a = ip[np.searchsorted(ap, ang, side="right") - 1]  # -1: the arc wraps past 2 pi
+    w = p.vertices[a] - q.vertices[iq[np.searchsorted(aq, ang, side="right") - 1]]
+    u = np.column_stack([np.cos(ang), np.sin(ang)])
+    end = np.concatenate([u[1:], u[:1]])
+    r = np.hypot(w[:, 0], w[:, 1])
+    width = np.diff(ang, append=ang[0] + 2.0 * math.pi)
+    inside = ((np.arctan2(w[:, 1], w[:, 0]) - ang) % (2.0 * math.pi) < width) & (r > 0.0)
+    vals = [(w * u).sum(axis=1), (w * end).sum(axis=1), np.where(inside, r, -math.inf)]
+    dirs = [u, end, w / np.where(inside, r, 1.0)[:, None]]
+    return np.concatenate(vals), np.concatenate(dirs), np.tile(a, 3)
 
 
 def project_point(x, p: ConvexPolygon) -> np.ndarray:
-    """Nearest point of p to x (the metric projection; 1-Lipschitz in x)."""
-    return _nearest_points(x, p)[1][0]
+    """Nearest point of p to x (1-Lipschitz in x): x - e u* for the excess e of {x} over p and
+    a direction u* attaining it, or x when e = 0.  ValueError unless x is two finite numbers."""
+    point = ConvexPolygon.point(x)
+    vals, dirs, _ = _excess_candidates(point, p)
+    c = int(vals.argmax())
+    return point.vertices[0] - vals[c] * dirs[c] if vals[c] > 0.0 else point.vertices[0].copy()
 
 
 def hausdorff_onesided(p: ConvexPolygon, q: ConvexPolygon) -> float:
-    """dist(P, Q) = max over vertices v of P of dist(v, Q).
-
-    Valid because x -> dist(x, Q) is convex, so its maximum over a polytope
-    is attained at a vertex.
-    """
-    return float(np.max(_nearest_points(p.vertices, q)[0]))
+    """dist(P, Q) = max(0, max over unit u of h_P(u) - h_Q(u)), exact for polygons."""
+    return max(float(_excess_candidates(p, q)[0].max()), 0.0)
 
 
 def hausdorff_exact(p: ConvexPolygon, q: ConvexPolygon) -> float:
-    """Symmetric Hausdorff distance via vertex-to-polygon distances."""
+    """Symmetric Hausdorff distance: the sup norm of h_P - h_Q on the unit circle."""
     return max(hausdorff_onesided(p, q), hausdorff_onesided(q, p))
 
 
-def farthest_realizer(p: ConvexPolygon, q: ConvexPolygon) -> tuple[np.ndarray, np.ndarray]:
-    """Pair (a*, b*) with a* in P farthest from Q and b* its projection.
+def _realizer(p: ConvexPolygon, q: ConvexPolygon) -> tuple[float, np.ndarray, np.ndarray]:
+    """(dist(P, Q), a*, b*): a* is the least vertex index of P on the faces at the
+    candidates within default_tol of the largest, and b* = project_point(a*, Q)."""
+    vals, _, owner = _excess_candidates(p, q)
+    top = float(vals.max())
+    a = p.vertices[owner[vals >= top - default_tol(np.append(p.vertices, q.vertices))].min()]
+    return max(top, 0.0), a.copy(), project_point(a, q)
 
-    Raises Contained when dist(P, Q) is within default_tol of both vertex
-    sets (P inside Q).  Ties between vertices break toward the smallest index.
-    """
-    dist, near = _nearest_points(p.vertices, q)
-    k = int(np.argmax(dist))
-    if dist[k] <= default_tol(np.append(p.vertices, q.vertices)):
+
+def farthest_realizer(p: ConvexPolygon, q: ConvexPolygon) -> tuple[np.ndarray, np.ndarray]:
+    """Pair (a*, b*) with a* in P farthest from Q and b* its projection (see _realizer).
+    Raises Contained when dist(P, Q) is within default_tol of both vertex sets."""
+    dist, a, b = _realizer(p, q)
+    if dist <= default_tol(np.append(p.vertices, q.vertices)):
         raise Contained("dist(P, Q) vanishes; no realizing direction")
-    return p.vertices[k].copy(), near[k]
+    return a, b

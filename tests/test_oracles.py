@@ -9,10 +9,11 @@ that picked trajectory frames, the deque pass with its vertex and outside
 helpers, the csv.writer table writers and the point-at-a-time support
 profile loop.  The kernels keep the same floating-point operations in the
 same order, so the comparisons are exact, not approximate (for the writers,
-byte for byte).  The one exception is regularize: its references are the
+byte for byte).  Two exceptions: regularize, whose references are the
 pairwise-vertex brute force (the clipping loop it replaced was not maximal)
 and, at large n, the deque pass, both computed in long double and compared
-within a fixed tolerance.
+within a fixed tolerance; and the distances, which now read support
+functions and so meet their point-to-polygon loops within default_tol.
 """
 
 import contextlib
@@ -285,21 +286,13 @@ def reference_convex_hull(points, tol):
     return np.array(hull)
 
 
-def reference_contains(p, x, tol=None) -> bool:
-    x = np.asarray(x, dtype=float)
-    if tol is None:
-        tol = default_tol(np.append(p.vertices, x))
+def reference_contains(p, x) -> bool:
+    """x on the inner side of every edge line of p (>= 3 vertices), exactly: within a
+    tolerance of every edge line is not within it of p, as p may be thin."""
     v = p.vertices
-    if len(v) == 1:
-        return bool(np.max(np.abs(x - v[0])) <= tol)
-    if len(v) == 2:
-        return float(np.hypot(*(x - reference_segment_nearest(x, v[0], v[1])))) <= tol
     e = np.roll(v, -1, axis=0) - v
-    r = x - v
-    crosses = e[:, 0] * r[:, 1] - e[:, 1] * r[:, 0]
-    radius = float(np.max(np.hypot(v[:, 0], v[:, 1])))
-    scale = max(1.0, radius, float(np.max(np.abs(x))))
-    return bool(np.all(crosses >= -tol * np.minimum(np.hypot(e[:, 0], e[:, 1]), scale)))
+    r = np.asarray(x, dtype=float) - v
+    return bool(np.all(e[:, 0] * r[:, 1] - e[:, 1] * r[:, 0] >= 0.0))
 
 
 def reference_project_point(x, p):
@@ -333,10 +326,10 @@ def reference_hausdorff_onesided(p, q) -> float:
 
 def reference_farthest_realizer(p, q):
     tol = default_tol(np.append(p.vertices, q.vertices))
-    dists = [reference_point_to_polygon(v, q) for v in p.vertices]
-    k = int(np.argmax(dists))
-    if dists[k] <= tol:
+    dists = np.array([reference_point_to_polygon(v, q) for v in p.vertices])
+    if dists.max() <= tol:
         raise sf.Contained("dist(P, Q) vanishes; no realizing direction")
+    k = int(np.flatnonzero(dists >= dists.max() - tol)[0])  # the least index within tol
     a = p.vertices[k].copy()
     return a, reference_project_point(a, q)
 
@@ -433,31 +426,20 @@ def probes(draw, p, scale):
     return x + hair * np.array(draw(points))
 
 
+def close(x, y, tol) -> bool:
+    return bool(np.all(np.abs(np.asarray(x) - np.asarray(y)) <= tol))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_projection_matches_vertex_loop_bit_for_bit(data):
+def test_projection_matches_vertex_loop(data):
     p, scale = data.draw(scaled_polygons())
-    xs = np.array([data.draw(probes(p, scale)) for _ in range(data.draw(st.integers(1, 6)))])
-    dist, near = support._nearest_points(xs, p)
-    for x, dk, nk in zip(xs, dist, near):
-        ref = reference_project_point(x, p)
-        assert same_bits(nk, ref)
-        assert same_bits(sf.project_point(x, p), ref)
-        assert same_bits(dk, reference_point_to_polygon(x, p))
-        if len(p) >= 3:  # the inside kernel on its own
-            inside = support._inside(x[None], p.vertices, support._edge_frame(p.vertices))
-            assert inside[0] == reference_contains(p, x)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_projection_blocks_do_not_change_results(data):
-    p, scale = data.draw(scaled_polygons())
-    xs = np.array([data.draw(probes(p, scale)) for _ in range(data.draw(st.integers(1, 12)))])
-    whole = support._nearest_points(xs, p)
-    with mock.patch.object(support, "_BLOCK_PAIRS", data.draw(st.integers(1, 7))):
-        blocked = support._nearest_points(xs, p)
-    assert same_bits(blocked[0], whole[0]) and same_bits(blocked[1], whole[1])
+    for _ in range(data.draw(st.integers(1, 6))):
+        x = data.draw(probes(p, scale))
+        tol = default_tol(np.append(p.vertices, x))
+        assert close(sf.project_point(x, p), reference_project_point(x, p), tol)
+        point = sf.ConvexPolygon.point(x)
+        assert close(sf.hausdorff_onesided(point, p), reference_point_to_polygon(x, p), tol)
 
 
 @settings(max_examples=200, deadline=None)
@@ -560,6 +542,22 @@ def test_hull_of_points_segments_and_collinear_runs_matches_point_loop(scale):
         assert_hull_matches_point_loop(scale * np.asarray(pts))
 
 
+@pytest.mark.xfail(strict=True, reason="the hull sorts points by dedup cell, not by x")
+def test_hull_of_a_thin_reconstruction_is_simple():
+    # the corners of an ellipse of semi-axes 2 and 0.01 at n = 4096: near each tip one
+    # dedup cell of x (default_tol wide) holds corners of both sides, in y order, so the
+    # chain zigzags; today the polygon has 4,104 vertices (4,096 distinct) and winds 9
+    # times, and the distances, which read its normal fan, are wrong on it
+    grid = sf.DirectionGrid(4096)
+    u = grid.directions
+    p = sf.reconstruct_polygon(sf.SupportSample(grid, np.hypot(2.0 * u[:, 0], 0.01 * u[:, 1])))
+    assert len(np.unique(p.vertices, axis=0)) == len(p) <= 4096
+    e = np.diff(p.vertices, axis=0, append=p.vertices[:1])
+    heading = np.arctan2(e[:, 1], e[:, 0])
+    turns = (np.diff(heading, append=heading[:1]) + math.pi) % (2.0 * math.pi) - math.pi
+    assert turns.sum() == pytest.approx(2.0 * math.pi)
+
+
 @pytest.mark.parametrize(
     "pts, message",
     [
@@ -574,25 +572,6 @@ def test_hull_of_points_segments_and_collinear_runs_matches_point_loop(scale):
 def test_hull_rejects_non_finite_and_empty_input(pts, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         sf.ConvexPolygon.from_points(pts)
-
-
-def test_projection_clamps_like_max_then_min():
-    # t < 0 clamps to +0.0 as max(0.0, t) did, so a - 0.0 * d keeps the -0.0 of a
-    seg = sf.ConvexPolygon.from_points([[-1.0, -0.0], [1.0, -2.0]])
-    x = np.array([-3.0, 0.0])
-    assert same_bits(sf.project_point(x, seg), reference_project_point(x, seg))
-    assert bits(sf.project_point(x, seg))[1] == bits(-0.0)
-
-
-def test_inside_rule_scales_with_vertices_and_point():
-    # 5e-4 below the long edge: inside at default_tol(vertices, x) * max(1, radius, |x|)
-    tri = sf.ConvexPolygon.from_points([[0.0, 0.0], [1000.0, 0.0], [0.0, 1.0]])
-    x = np.array([0.5, -5e-7])
-    inside = support._inside(x[None], tri.vertices, support._edge_frame(tri.vertices))
-    assert inside[0] and reference_contains(tri, x)
-    assert same_bits(sf.project_point(x, tri), x)
-    # a fixed tolerance scaled by max(1, radius, |x|) alone rejects it
-    assert not reference_contains(tri, x, 1e-9)
 
 
 @st.composite
@@ -616,34 +595,87 @@ def polygon_pairs(draw):
 @given(polygon_pairs())
 def test_distances_and_realizers_match_vertex_loops(pair):
     p, q = pair
-    assert same_bits(sf.hausdorff_onesided(p, q), reference_hausdorff_onesided(p, q))
-    assert same_bits(
+    tol = default_tol(np.append(p.vertices, q.vertices))
+    assert close(sf.hausdorff_onesided(p, q), reference_hausdorff_onesided(p, q), tol)
+    assert close(
         sf.hausdorff_exact(p, q),
         max(reference_hausdorff_onesided(p, q), reference_hausdorff_onesided(q, p)),
+        tol,
     )
     got = outcome(sf.farthest_realizer, p, q)
     ref = outcome(reference_farthest_realizer, p, q)
     if isinstance(ref, type):
         assert got is ref is sf.Contained
     else:
-        assert same_bits(got[0], ref[0]) and same_bits(got[1], ref[1])
+        assert same_bits(got[0], ref[0]) and close(got[1], ref[1], tol)
     for n in (8, 64):
         grid = sf.DirectionGrid(n)
         got = outcome(sf.hausdorff_realizing_directions, p, q, grid)
         assert got == outcome(reference_realizing_directions, p, q, grid)
 
 
-def assert_same_report(got, ref):
+@st.composite
+def wide_range_pairs(draw):
+    """A thin polygon at a scale 1e-6 .. 1e6, or the 4096-gon reconstructed from an ellipse
+    of axis ratio 0.1 .. 1 at a scale 1 .. 1e6, and a polygon of scaled_polygons at that
+    scale.  Below scale 1 the hull's dedup cells (1e-9) hold several corners of such a
+    4096-gon, and the hull winds (see test_hull_of_a_thin_reconstruction_is_simple)."""
+    angle = draw(st.floats(0.0, math.pi))
+    d = np.array([math.cos(angle), math.sin(angle)])
+    e = np.array([-d[1], d[0]])
+    if draw(st.booleans()):
+        scale = 10.0 ** draw(st.integers(-6, 6))
+        count = draw(st.integers(3, 9))
+        t, s = np.array(draw(st.lists(points, min_size=count, max_size=count))).T
+        s *= 10.0 ** draw(st.integers(-6, -2))  # the width, relative to the length
+        p = sf.ConvexPolygon.from_points(scale * (np.outer(t, d) + np.outer(s, e) + draw(points)))
+    else:
+        scale = 10.0 ** draw(st.integers(0, 6))
+        grid = sf.DirectionGrid(4096)
+        u = grid.directions
+        width = scale * np.hypot(u @ d, draw(st.floats(0.1, 1.0)) * (u @ e))
+        p = sf.reconstruct_polygon(sf.SupportSample(grid, width + scale * (u @ draw(points))))
+    q, _ = draw(scaled_polygons(scale))
+    return (p, q) if draw(st.booleans()) else (q, p)
+
+
+@settings(max_examples=10, deadline=None)
+@given(wide_range_pairs())
+def test_distances_match_vertex_loops_on_thin_sets_and_4096_gons(pair):
+    # the realizer may take another vertex within default_tol of the distance than the
+    # loop does, and a direction one grid step away, as more vertices tie on dense sets
+    p, q = pair
+    tol = default_tol(np.append(p.vertices, q.vertices))
+    to_q = np.array([reference_point_to_polygon(v, q) for v in p.vertices])
+    assert close(sf.hausdorff_onesided(p, q), to_q.max(), tol)
+    assert close(sf.hausdorff_onesided(q, p), reference_hausdorff_onesided(q, p), tol)
+    got = outcome(sf.farthest_realizer, p, q)
+    if to_q.max() <= tol:
+        assert got is sf.Contained
+    else:
+        (k,) = np.flatnonzero((p.vertices == got[0]).all(axis=1))
+        assert to_q[k] >= to_q.max() - tol
+        assert close(got[1], reference_project_point(got[0], q), tol)
+    grid = sf.DirectionGrid(64)
+    got = outcome(sf.hausdorff_realizing_directions, p, q, grid)
+    ref = outcome(reference_realizing_directions, p, q, grid)
+    if isinstance(ref, type):
+        assert got is ref
+    else:
+        assert all(any(min((i - j) % 64, (j - i) % 64) <= 1 for j in ref) for i in got)
+
+
+def assert_same_report(got, ref, tol):
     if not isinstance(ref, OslReport):  # None, or the class of an error
         assert got is ref
         return
     assert got.satisfied == ref.satisfied
-    assert same_bits(got.hausdorff, ref.hausdorff)
+    assert close(got.hausdorff, ref.hausdorff, tol)
     assert len(got.cases) == len(ref.cases)
     for c, r in zip(got.cases, ref.cases):
         assert (c.order, c.direction_index, c.satisfied) == (r.order, r.direction_index, r.satisfied)
         for name in ("a", "b", "snap_error", "lhs", "bound"):
-            assert same_bits(getattr(c, name), getattr(r, name))
+            assert close(getattr(c, name), getattr(r, name), tol)
 
 
 @settings(max_examples=200, deadline=None)
@@ -660,9 +692,10 @@ def test_osl_check_matches_two_branch_reference(pair, n, kind, t):
         field = sf.expansion_field(grid, 2.0)
     else:
         field = sf.relax_to(sf.support_of_polygon(sf.ConvexPolygon.box((-1, 1), (0, 2)), grid))
+    tol = default_tol(np.append(a.vertices, b.vertices))
     for omega in (0.0, 1.0):
         got = outcome(sf.osl_check, field, a, b, t, omega)
-        assert_same_report(got, outcome(reference_osl_check, field, a, b, t, omega))
+        assert_same_report(got, outcome(reference_osl_check, field, a, b, t, omega), tol)
 
 
 def test_osl_check_reaches_every_outcome():
@@ -674,7 +707,8 @@ def test_osl_check_reaches_every_outcome():
     shifted = sf.ConvexPolygon.box((0, 2), (-1, 1))
     report = sf.osl_check(field, square, shifted, 0.5, omega)
     assert [c.order for c in report.cases] == ["forward", "reverse"]
-    assert_same_report(report, reference_osl_check(field, square, shifted, 0.5, omega))
+    tol = default_tol(np.append(square.vertices, shifted.vertices))
+    assert_same_report(report, reference_osl_check(field, square, shifted, 0.5, omega), tol)
     for a, b in (
         (square, square),
         # dist(A, B) = 0.8 tol attains dist_H = 1.5 tol within tol (= 1e-9), yet vanishes

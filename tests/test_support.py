@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import setflow as sf
-from setflow import support
 
 G64 = sf.DirectionGrid(64)
 Q = sf.ConvexPolygon.box((-1, 1), (-1, 1))
@@ -340,12 +339,23 @@ def test_hausdorff_exact_values():
 
 
 def test_far_point_is_outside_a_small_polygon():
-    # the short edges must not widen the inside test: the point is 1.4e6 away, not inside
+    # a polygon with short edges does not hide a point 1.4e6 away
     tri = sf.ConvexPolygon.from_points([[0, 0], [1e-4, 0], [0, 1e-4]])
     far = sf.ConvexPolygon.point((1e6, 1e6))
-    frame = support._edge_frame(tri.vertices)
-    assert not support._inside(np.array([[1e6, 1e6]]), tri.vertices, frame)[0]
     assert sf.hausdorff_exact(tri, far) == pytest.approx(math.sqrt(2) * 1e6)
+
+
+def test_a_point_beyond_a_thin_polygon_is_outside():
+    # x lies within 1e-10 of every edge line of the thin quadrilateral q, yet 1e-2 past its
+    # end: a tolerance on each edge line would call it inside, at distance 0
+    d, e = np.array([0.6, 0.8]), np.array([-0.8, 0.6])
+    q = sf.ConvexPolygon.from_points(
+        [t * d + s * e for t, s in ((0.0, 0.0), (5e-3, -5e-12), (2e-2, 0.0), (1.5e-2, 5e-12))]
+    )
+    x = 3e-2 * d
+    assert len(q) == 4
+    assert sf.hausdorff_onesided(sf.ConvexPolygon.point(x), q) == pytest.approx(1e-2, abs=1e-15)
+    assert np.allclose(sf.project_point(x, q), 2e-2 * d, rtol=0.0, atol=1e-15)
 
 
 def test_hausdorff_exact_memory_is_bounded():
@@ -381,6 +391,16 @@ def test_grid_below_exact_and_scales():
 
 def test_project_inside_is_identity():
     assert np.allclose(sf.project_point((0.2, -0.3), Q), (0.2, -0.3))
+
+
+@pytest.mark.parametrize(
+    "x, message",
+    [([1.0, 2.0, 3.0, 4.0], "cannot reshape"), ([math.nan, 0.0], "vertices must be finite")],
+)
+def test_project_rejects_a_malformed_point(x, message):
+    # four numbers are not a point, and NaN is not finite: neither is projected
+    with pytest.raises(ValueError, match=message):
+        sf.project_point(x, Q)
 
 
 def test_project_corner_and_face():
