@@ -114,16 +114,12 @@ def dual_representatives(g: SupportDelta) -> list[DiscreteMeasure]:
 def hausdorff_realizing_directions(
     a: ConvexPolygon, b: ConvexPolygon, grid: DirectionGrid
 ) -> tuple[int, ...]:
-    """Grid indices nearest to the directions u that attain dist(A, B) = max(0, max_u
-    sigma_A(u) - sigma_B(u)) within default_tol of both vertex sets.
-
-    Requires dist(A, B) > 0 and dist(A, B) = dist_H(A, B); otherwise raises
-    Contained or AsymmetricDistance (swap the arguments in the latter case).
-    Each returned index lies within one grid step of a maximizer of
-    sigma_A - sigma_B.  Distances are compared at the same default_tol.
-    """
+    """Grid indices nearest to the local maximizers u of sigma_A - sigma_B whose value is
+    within default_tol (of both vertex sets) of dist(A, B) = max(0, max_u sigma_A - sigma_B).
+    Requires dist(A, B) > 0 and dist(A, B) = dist_H(A, B), compared at the same tolerance;
+    otherwise raises Contained or AsymmetricDistance (swap the arguments in the latter case)."""
     tol = default_tol(np.append(a.vertices, b.vertices))
-    vals, dirs, _ = _excess_candidates(a, b)
+    vals, dirs, _, peak = _excess_candidates(a, b)
     d_ab = float(vals.max())
     d_ba = hausdorff_onesided(b, a)
     if d_ab <= tol:
@@ -132,4 +128,4 @@ def hausdorff_realizing_directions(
         raise AsymmetricDistance(
             "dist(A, B) < dist_H(A, B); swap the arguments to characterize E^N"
         )
-    return tuple(sorted({grid.nearest_index(u)[0] for u in dirs[vals >= d_ab - tol]}))
+    return tuple(sorted({grid.nearest_index(u)[0] for u in dirs[peak & (vals >= d_ab - tol)]}))

@@ -25,6 +25,7 @@ from .errors import (
     NegativeScalar,
     NonFiniteValue,
     NotInCone,
+    SetflowError,
 )
 
 # Relative tolerances, each scaled by max(1, |x|_inf) where it is used.
@@ -500,22 +501,23 @@ def hausdorff_grid(a: SupportSample, b: SupportSample) -> float:
 
 
 def _normal_fan(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normal fan of the CCW vertices v: its outward edge normals' angles in [0, 2 pi), increasing,
-    and the vertex maximizing <x, u> from each angle to the next.  A point has the angle 0."""
+    """Normal fan of the CCW hull v: its edge normals' angles in [0, 2 pi), increasing, and the
+    vertex maximizing <x, u> from each to the next (a point: 0).  SetflowError if v winds."""
     e = np.diff(v, axis=0, append=v[:1])
     ang = np.arctan2(-e[:, 0], e[:, 1]) % (2.0 * math.pi)
+    if np.count_nonzero(np.diff(ang, append=ang[:1]) < 0.0) > 1:  # hull angles fall once
+        raise SetflowError(f"the {len(v)} polygon vertices wind more than once around it")
     i = np.argsort(ang, kind="stable")  # a hull turns left: two sorted runs, merged in O(m)
     return ang[i], (i + 1) % len(v)
 
 
 def _excess_candidates(p: ConvexPolygon, q: ConvexPolygon):
-    """Candidates for the maximum of h_P - h_Q on the unit circle, in O(m + k) memory: their
-    values, unit directions (K, 2) and the vertex of P each belongs to.
-
-    On each arc of the merged normal fans one vertex a of P and one b of Q attain the
-    supports, so h_P - h_Q = <w, u> with w = a - b: its maximum there is at an end, or |w|
-    at u = w / |w| inside the arc.  Both ends count, so an edge normal of P is a candidate
-    of both vertices of the edge."""
+    """Candidates for the maximum of h_P - h_Q on the unit circle, in O(m + k) memory: values
+    (-inf for none), unit directions (K, 2), the vertex of P of each, and which are local maxima.
+    On an arc of the merged normal fans, h_P - h_Q = <w, u> with w = a - b (a in P, b in Q)
+    peaks at an end or at u = w / |w| inside; an edge normal of P is an end of both its vertices.
+    Only local maxima give directions (an end on a slope may be within default_tol of a far
+    peak); the slopes' signs and the interior test share w's angle, so each rise ends in one."""
     ap, ip = _normal_fan(p.vertices)
     aq, iq = _normal_fan(q.vertices)
     ang = np.sort(np.concatenate([ap, aq]), kind="stable")  # merges the two sorted runs
@@ -523,20 +525,23 @@ def _excess_candidates(p: ConvexPolygon, q: ConvexPolygon):
     w = p.vertices[a] - q.vertices[iq[np.searchsorted(aq, ang, side="right") - 1]]
     u = np.column_stack([np.cos(ang), np.sin(ang)])
     end = np.concatenate([u[1:], u[:1]])
-    r = np.hypot(w[:, 0], w[:, 1])
-    width = np.diff(ang, append=ang[0] + 2.0 * math.pi)
-    inside = ((np.arctan2(w[:, 1], w[:, 0]) - ang) % (2.0 * math.pi) < width) & (r > 0.0)
+    r, width = np.hypot(w[:, 0], w[:, 1]), np.diff(ang, append=ang[0] + 2.0 * math.pi)
+    t = np.where(r > 0.0, (np.arctan2(w[:, 1], w[:, 0]) - ang) % (2.0 * math.pi), np.nan)
+    inside = t < width  # t: the angle of w past the start; nan for w = 0, which is flat
+    rise, fall = (t > 0.0) & (t < math.pi), inside & (t > width - math.pi) | (t > width + math.pi)
+    peak = ~rise & ~np.roll(fall, 1)  # at the start of each arc: no arc rises from it
     vals = [(w * u).sum(axis=1), (w * end).sum(axis=1), np.where(inside, r, -math.inf)]
     dirs = [u, end, w / np.where(inside, r, 1.0)[:, None]]
-    return np.concatenate(vals), np.concatenate(dirs), np.tile(a, 3)
+    peaks = np.concatenate([peak, np.roll(peak, -1), inside])
+    return np.concatenate(vals), np.concatenate(dirs), np.tile(a, 3), peaks
 
 
 def project_point(x, p: ConvexPolygon) -> np.ndarray:
     """Nearest point of p to x (1-Lipschitz in x): x - e u* for the excess e of {x} over p and
     a direction u* attaining it, or x when e = 0.  ValueError unless x is two finite numbers."""
     point = ConvexPolygon.point(x)
-    vals, dirs, _ = _excess_candidates(point, p)
-    c = int(vals.argmax())
+    vals, dirs, _, peak = _excess_candidates(point, p)
+    c = int(np.where(peak, vals, -math.inf).argmax())
     return point.vertices[0] - vals[c] * dirs[c] if vals[c] > 0.0 else point.vertices[0].copy()
 
 
@@ -553,7 +558,7 @@ def hausdorff_exact(p: ConvexPolygon, q: ConvexPolygon) -> float:
 def _realizer(p: ConvexPolygon, q: ConvexPolygon) -> tuple[float, np.ndarray, np.ndarray]:
     """(dist(P, Q), a*, b*): a* is the least vertex index of P on the faces at the
     candidates within default_tol of the largest, and b* = project_point(a*, Q)."""
-    vals, _, owner = _excess_candidates(p, q)
+    vals, _, owner, _ = _excess_candidates(p, q)
     top = float(vals.max())
     a = p.vertices[owner[vals >= top - default_tol(np.append(p.vertices, q.vertices))].min()]
     return max(top, 0.0), a.copy(), project_point(a, q)

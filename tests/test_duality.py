@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -201,6 +203,16 @@ def test_point_pair_direction():
         sf.ConvexPolygon.point((2, 0)), sf.ConvexPolygon.point((0, 0)), G64
     )
     assert idx == (0,)
+
+
+@pytest.mark.parametrize("n, degrees, gap, expected", [(1024, 2.0, 1e-6, 6), (64, 20.0, 1e-8, 4)])
+def test_close_points_give_only_the_direction_between_them(n, degrees, gap, expected):
+    # h_A - h_B = gap cos(theta - degrees) is within default_tol (1e-9) of its peak up to
+    # acos(1 - 1e-9 / gap) from it, which takes in the fan's arc end at 0 degrees
+    t = math.radians(degrees)
+    a = sf.ConvexPolygon.point((gap * math.cos(t), gap * math.sin(t)))
+    idx = sf.hausdorff_realizing_directions(a, sf.ConvexPolygon.point((0, 0)), sf.DirectionGrid(n))
+    assert idx == (expected,)
 
 
 def test_contained_rejected():

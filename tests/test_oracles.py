@@ -558,6 +558,19 @@ def test_hull_of_a_thin_reconstruction_is_simple():
     assert turns.sum() == pytest.approx(2.0 * math.pi)
 
 
+def test_distances_to_a_winding_polygon_raise():
+    # the polygon of test_hull_of_a_thin_reconstruction_is_simple: its normal fan is not
+    # sorted once around, so no distance is read from it
+    grid = sf.DirectionGrid(4096)
+    u = grid.directions
+    p = sf.reconstruct_polygon(sf.SupportSample(grid, np.hypot(2.0 * u[:, 0], 0.01 * u[:, 1])))
+    box = sf.ConvexPolygon.box((-1, 1), (-0.001, 0.001))
+    calls = (sf.hausdorff_exact, sf.farthest_realizer, lambda q, _: sf.project_point((0, 0), q))
+    for call in calls:
+        with pytest.raises(sf.SetflowError, match="vertices wind more than once"):
+            call(p, box)
+
+
 @pytest.mark.parametrize(
     "pts, message",
     [

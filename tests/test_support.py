@@ -408,6 +408,14 @@ def test_project_corner_and_face():
     assert np.allclose(sf.project_point((0, 5), Q), (0, 1))
 
 
+@pytest.mark.parametrize("angle", [1e-8, 1e-7, math.pi / 2 - 1e-8])
+def test_project_onto_a_corner_near_an_edge_normal(angle):
+    # x - (1, 1) is within 1e-8 rad of an edge normal of Q: the edge line's distance
+    # rounds to |x - (1, 1)|, yet its foot lies 1e-8 past the corner
+    x = np.array([1.0 + math.cos(angle), 1.0 + math.sin(angle)])
+    assert np.allclose(sf.project_point(x, Q), (1, 1), rtol=0.0, atol=1e-15)
+
+
 def test_project_satisfies_variational_inequality():
     rng = np.random.default_rng(19)
     for _ in range(30):
