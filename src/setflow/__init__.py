@@ -75,11 +75,9 @@ from .support import (
     hausdorff_grid,
     hausdorff_onesided,
     is_in_cone,
-    minkowski_add,
     project_point,
     reconstruct_polygon,
     regularize,
-    scale,
     support_of_polygon,
 )
 

@@ -52,10 +52,9 @@ class DiscreteMeasure:
             self, "atoms", tuple((int(i), float(w)) for i, w in self.atoms)
         )
 
-    def __call__(self, f) -> float:
-        """Pairing mu(f); accepts a delta/sample or a raw value vector."""
-        vals = np.asarray(getattr(f, "values", f), dtype=float)
-        return float(sum(w * vals[i] for i, w in self.atoms))
+    def __call__(self, f: SupportDelta) -> float:
+        """Pairing mu(f) with a delta or sample."""
+        return float(sum(w * f.values[i] for i, w in self.atoms))
 
 
 def _extremal(vals: np.ndarray):
@@ -71,9 +70,9 @@ def _extremal(vals: np.ndarray):
     return norm, (vals >= norm - tol).nonzero()[0], (vals <= -norm + tol).nonzero()[0]
 
 
-def extremal_sets(f) -> ExtremalSets:
+def extremal_sets(f: SupportDelta) -> ExtremalSets:
     """Indices attaining the sup-norm of f from above and below, within default_tol."""
-    _, pos, neg = _extremal(np.asarray(getattr(f, "values", f), dtype=float))
+    _, pos, neg = _extremal(f.values)
     return ExtremalSets(tuple(pos.tolist()), tuple(neg.tolist()))
 
 

@@ -34,9 +34,9 @@ TOL_REL = 1e-9
 # regularize: margins this close to zero are rounding noise (keeps it idempotent).
 _ULP_REL = 1e-13
 # subtangent_feasible: margins this small count as zero.  _convex_hull: a point
-# this close to the chord of its neighbours is on it.  halfplane_intersection
-# and regularize: how far every line moves out (relative to max(1, |s|_inf, r0))
-# when rounding leaves the exact intersection of a point or segment empty.
+# this close to the chord of its neighbours is on it.  regularize: how far every
+# line moves out (relative to max(1, |s|_inf, r0)) when rounding leaves the exact
+# intersection of a point or segment empty.
 _FLAT_REL = 1e-12
 # integrate: a time grid this close to T (relative to max(1, T)) is snapped onto T.
 _TIME_SNAP_REL = 1e-9
@@ -277,7 +277,7 @@ class SupportDelta:
 
     def __add__(self, other: "SupportDelta") -> "SupportDelta":
         _require_same_grid(self, other)
-        return SupportDelta(self.grid, self.values + other.values)
+        return type(self)(self.grid, self.values + other.values)
 
     def __sub__(self, other: "SupportDelta") -> "SupportDelta":
         _require_same_grid(self, other)
@@ -287,7 +287,7 @@ class SupportDelta:
         return SupportDelta(self.grid, -self.values)
 
     def __mul__(self, lam: float) -> "SupportDelta":
-        return SupportDelta(self.grid, float(lam) * self.values)
+        return type(self)(self.grid, float(lam) * self.values)
 
     __rmul__ = __mul__
 
@@ -299,7 +299,8 @@ class SupportSample(SupportDelta):
     Construction validates the three-term cone condition and raises
     NotInCone otherwise; tol defaults to the scale-aware cone tolerance but
     integrated states, accepted at their drift limit, pass that limit through.
-    Minkowski + and nonnegative * stay in the cone; - and negation give deltas.
+    Minkowski + and nonnegative * give samples (sample + delta runs the cone test
+    too); delta + sample, - and negation give deltas.
     """
 
     tol: InitVar[float | None] = None
@@ -308,11 +309,12 @@ class SupportSample(SupportDelta):
         super().__post_init__()
         _require_in_cone(self.values, self.grid, tol)
 
-    def __add__(self, other: "SupportSample") -> "SupportSample":
-        return minkowski_add(self, other)
-
     def __mul__(self, lam: float) -> "SupportSample":
-        return scale(self, lam)
+        if lam < 0.0:
+            raise NegativeScalar(
+                "negative scaling leaves the support cone; use SupportDelta arithmetic"
+            )
+        return super().__mul__(lam)
 
     __rmul__ = __mul__
 
@@ -337,14 +339,6 @@ def reconstruct_polygon(s: SupportSample) -> ConvexPolygon:
     """Polygon cut out by the supporting lines of a cone-consistent sample: the hull of
     its _line_corners.  Its support values reproduce s up to rounding."""
     return ConvexPolygon.from_points(_line_corners(s.values, s.grid))
-
-
-def _finite_values(values, grid: DirectionGrid) -> np.ndarray:
-    """_grid_values for a raw vector whose entries must all be finite."""
-    s = _grid_values(values, grid)
-    if not np.all(np.isfinite(s)):
-        raise NonFiniteValue("halfplane values must be finite")
-    return s
 
 
 def _deque_pass(
@@ -444,18 +438,6 @@ def _active_lines(
         return _deque_pass(s + shift, grid, list(range(grid.n)))
 
 
-def halfplane_intersection(values, grid: DirectionGrid) -> ConvexPolygon:
-    """Intersection of the halfplanes <u_i, x> <= values_i for a raw vector.
-
-    Unlike reconstruct_polygon this does not assume the cone condition: the
-    polygon has the vertices between consecutive active lines, found in O(n)
-    by the sorted-angle deque algorithm.  Raises EmptyIntersection when the
-    intersection is empty and NonFiniteValue for a non-finite entry.
-    """
-    s = _finite_values(values, grid)
-    return ConvexPolygon(_active_lines(s, grid, cone_margins(s, grid))[1])
-
-
 def regularize(values, grid: DirectionGrid) -> SupportSample:
     """Largest support sample pointwise below a raw value vector.
 
@@ -463,9 +445,12 @@ def regularize(values, grid: DirectionGrid) -> SupportSample:
     direction i takes its value from the vertex whose normal cone holds u_i,
     an active line from the larger of its two vertices.  Vectors already in
     the cone (up to rounding noise) pass through unchanged, which makes the
-    map idempotent.  Raises NonFiniteValue for a non-finite entry.
+    map idempotent.  Raises NonFiniteValue for a non-finite entry and
+    EmptyIntersection when the intersection is empty.
     """
-    s = _finite_values(values, grid)
+    s = _grid_values(values, grid)
+    if not np.all(np.isfinite(s)):
+        raise NonFiniteValue("halfplane values must be finite")
     m = cone_margins(s, grid)
     if float(m.min()) >= -_ULP_REL * _scale(s):
         return SupportSample(grid, s)
@@ -478,26 +463,16 @@ def regularize(values, grid: DirectionGrid) -> SupportSample:
     return SupportSample(grid, np.where(lines[k] == i, np.maximum(vals, prev), vals))
 
 
-def minkowski_add(a: SupportSample, b: SupportSample) -> SupportSample:
-    """Support sample of the Minkowski sum: values add componentwise."""
-    _require_same_grid(a, b)
-    return SupportSample(a.grid, a.values + b.values)
-
-
-def scale(a: SupportSample, lam: float) -> SupportSample:
-    """Support sample of lam*A for lam >= 0."""
-    lam = float(lam)
-    if lam < 0.0:
-        raise NegativeScalar(
-            "negative scaling leaves the support cone; use SupportDelta arithmetic"
-        )
-    return SupportSample(a.grid, lam * a.values)
+def halfplane_intersection(values, grid: DirectionGrid) -> ConvexPolygon:
+    """Intersection of the halfplanes <u_i, x> <= values_i for a raw vector, which need
+    not be in the cone: reconstruct_polygon(regularize(values, grid)), as regularize is
+    the support of that intersection.  Raises what regularize raises."""
+    return reconstruct_polygon(regularize(values, grid))
 
 
 def hausdorff_grid(a: SupportSample, b: SupportSample) -> float:
     """Sup-norm distance of the samples: a grid lower bound on dist_H."""
-    _require_same_grid(a, b)
-    return float(np.max(np.abs(a.values - b.values)))
+    return (a - b).norm_inf
 
 
 def _normal_fan(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

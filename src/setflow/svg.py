@@ -82,8 +82,8 @@ def polygon_filmstrip(frames, path, title: str = "") -> None:
 
 
 def support_profiles(frames, angles, path, title: str = "") -> None:
-    """Overlay one polyline per (t, values) frame: value against angle."""
-    frames = [(t, np.asarray(getattr(v, "values", v), dtype=float)) for t, v in frames]
+    """Overlay one polyline per (t, values) frame, values a float row: value against angle."""
+    frames = list(frames)
     width, height = 560, 340
     plot_w, plot_h = width - 2 * MARGIN - 40, height - 2 * MARGIN - 20
     x0, y0 = MARGIN + 40, MARGIN + 10

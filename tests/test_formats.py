@@ -113,7 +113,7 @@ def test_filmstrip_one_polygon_per_frame(tmp_path):
 
 def test_profiles_one_polyline_per_frame(tmp_path):
     s = sf.support_of_polygon(Q, G64)
-    frames = [(0.0, s), (1.0, s)]
+    frames = [(0.0, s.values), (1.0, s.values)]
     path = tmp_path / "prof.svg"
     svg.support_profiles(frames, G64.angles, path)
     root = ET.parse(path).getroot()

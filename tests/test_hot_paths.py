@@ -196,9 +196,9 @@ def test_extremal_sets_and_semi_inner_match_reference(data):
     g = data.draw(extremal_vectors(grid.n))
     f = data.draw(extremal_vectors(grid.n))
     gnorm, pos, neg = reference_extremal(g)
-    es = sf.extremal_sets(g)
-    assert (es.positive, es.negative) == (tuple(pos.tolist()), tuple(neg.tolist()))
     fd, gd = sf.SupportDelta(grid, f), sf.SupportDelta(grid, g)
+    es = sf.extremal_sets(gd)
+    assert (es.positive, es.negative) == (tuple(pos.tolist()), tuple(neg.tolist()))
     inner = sf.semi_inner(fd, gd)
     assert bits(inner) == bits(reference_semi_inner(f, g))
     if gnorm is None:

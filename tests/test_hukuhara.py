@@ -59,7 +59,7 @@ def test_existence_matches_interval_criterion():
         c = sf.hukuhara_difference(a, b)
         assert (c is not None) == predicted
         if c is not None:
-            recomposed = sf.minkowski_add(b, c)
+            recomposed = b + c
             assert np.max(np.abs(recomposed.values - a.values)) <= 8 * np.spacing(
                 np.max(np.abs(a.values))
             )

@@ -551,7 +551,26 @@ def test_hull_of_a_thin_reconstruction_is_simple():
     grid = sf.DirectionGrid(4096)
     u = grid.directions
     p = sf.reconstruct_polygon(sf.SupportSample(grid, np.hypot(2.0 * u[:, 0], 0.01 * u[:, 1])))
-    assert len(np.unique(p.vertices, axis=0)) == len(p) <= 4096
+    assert len(p) <= 4096
+    assert_turns_once(p)
+
+
+@pytest.mark.xfail(strict=True, reason="the hull sorts points by dedup cell, not by x")
+def test_hull_of_a_noisy_segment_is_simple():
+    # the same defect off thin dense ellipses: the intersection of the halfplanes of a
+    # segment 86 long, each moved by up to 1e-10 of the scale, at n = 257; today its
+    # polygon has 7 vertices (6 distinct) and winds twice
+    grid = sf.DirectionGrid(257)
+    rng = np.random.default_rng(4)
+    pts = rng.uniform(-1.0, 1.0, (2, 2)) * 100.0
+    s = (grid.directions @ pts.T).max(axis=1)
+    s += 1e-10 * np.abs(s).max() * rng.uniform(-1.0, 1.0, grid.n)
+    assert_turns_once(sf.halfplane_intersection(s, grid))
+
+
+def assert_turns_once(p):
+    """p's vertices are distinct and its edges turn once around, counterclockwise."""
+    assert len(np.unique(p.vertices, axis=0)) == len(p)
     e = np.diff(p.vertices, axis=0, append=p.vertices[:1])
     heading = np.arctan2(e[:, 1], e[:, 0])
     turns = (np.diff(heading, append=heading[:1]) + math.pi) % (2.0 * math.pi) - math.pi
@@ -1133,6 +1152,43 @@ def test_active_lines_matches_the_three_pass_chain_bit_for_bit(case):
             assert x.shape == y.shape and same_bits(x, y)
 
 
+@st.composite
+def noisy_polygons(draw):
+    """Supports of 1 to 8 points on n = 3..1024 directions at scale 1e-4..1e4, with noise
+    of 1e-14..1e-1 of the scale either way on every entry."""
+    grid = sf.DirectionGrid(draw(st.integers(3, 1024)))
+    scale = 10.0 ** draw(st.floats(-4.0, 4.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = scale * rng.uniform(-1.0, 1.0, (draw(st.integers(1, 8)), 2))
+    noise = scale * 10.0 ** draw(st.floats(-14.0, -1.0))
+    return grid, (grid.directions @ pts.T).max(axis=1) + noise * rng.uniform(-1.0, 1.0, grid.n)
+
+
+def reference_halfplane_intersection(s, grid):
+    """The polygon of the deque pass's own vertices, even for a vector in the cone: what
+    halfplane_intersection returned before it became the polygon of regularize."""
+    return sf.ConvexPolygon(support._active_lines(s, grid, sf.cone_margins(s, grid))[1])
+
+
+DENSE_DIRECTIONS = sf.DirectionGrid(2048).directions
+
+
+@settings(max_examples=300)
+@given(degenerate_vectors() | noisy_polygons())
+def test_halfplane_intersection_matches_the_deque_pass_polygon(case):
+    # the same set, so the same support within default_tol; the vertices differ at
+    # rounding level, and a distance would raise on the polygons that wind
+    grid, s = case
+    got = outcome(sf.halfplane_intersection, s, grid)
+    ref = outcome(reference_halfplane_intersection, s, grid)
+    if got is sf.EmptyIntersection or ref is sf.EmptyIntersection:
+        assert got is ref
+    else:
+        u = np.vstack([grid.directions, DENSE_DIRECTIONS])
+        gap = (u @ got.vertices.T).max(axis=1) - (u @ ref.vertices.T).max(axis=1)
+        assert np.abs(gap).max() <= default_tol(s)
+
+
 def test_regularize_keeps_a_short_edge():
     # line 2 lies 8.2e-6 beyond the corner of lines 1 and 3, so the
     # intersection is a quadrilateral with edges near 1e-5 long; the hull
@@ -1466,17 +1522,12 @@ def test_values_csv_matches_csv_writer_byte_for_byte(tmp_path_factory, data, n, 
 
 
 @settings(max_examples=150)
-@given(
-    st.data(),
-    st.integers(3, 64),
-    st.integers(1, 5),
-    st.sampled_from(["array", "sample", "delta"]),
-)
-def test_support_profiles_match_point_loop(tmp_path_factory, data, n, m, kind):
+@given(st.data(), st.integers(3, 64), st.integers(1, 5))
+def test_support_profiles_match_point_loop(tmp_path_factory, data, n, m):
     grid = sf.DirectionGrid(n)
     times = np.arange(m) * 0.25
     values = data.draw(hnp.arrays(np.float64, (m, n), elements=csv_floats))
-    frames = list(zip(times, as_rows(values, kind)))
+    frames = list(zip(times, values))
     out = tmp_path_factory.mktemp("svg")
     with np.errstate(all="ignore"):
         svg.support_profiles(frames, grid.angles, out / "new.svg", title="t")
@@ -1609,7 +1660,7 @@ def stack_cases(draw):
     sizes = draw(st.lists(st.sampled_from([0.0]) | st.floats(0.05, 3.0), min_size=1, max_size=4))
     # size 0: the point at the origin, whose margins are all exactly zero
     origin = sf.SupportSample(grid, np.zeros(n))
-    sigmas = [sf.scale(sf.random_cone_sample(grid, rng), r / 1.5) if r else origin for r in sizes]
+    sigmas = [r / 1.5 * sf.random_cone_sample(grid, rng) if r else origin for r in sizes]
     h = draw(st.floats(0.01, 0.3))
     T = h * draw(st.floats(0.5, 30.0))
     if kind == "creep":  # h times the dent is a share of the drift limit at scale 1

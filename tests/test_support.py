@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import tracemalloc
 
 import numpy as np
@@ -225,13 +226,13 @@ def test_regularize_rejects_non_finite(fn, bad):
 def test_minkowski_unit_squares():
     b01 = sf.ConvexPolygon.box((0, 1), (0, 1))
     b02 = sf.ConvexPolygon.box((0, 2), (0, 2))
-    assert np.allclose(sf.minkowski_add(sup(b01), sup(b01)).values, sup(b02).values)
+    assert np.allclose((sup(b01) + sup(b01)).values, sup(b02).values)
 
 
 def test_minkowski_identity():
     zero = sf.SupportSample(G64, np.zeros(64))
     s = sup(A1)
-    assert np.array_equal(sf.minkowski_add(s, zero).values, s.values)
+    assert np.array_equal((s + zero).values, s.values)
 
 
 def test_minkowski_matches_vertex_convolution():
@@ -239,7 +240,7 @@ def test_minkowski_matches_vertex_convolution():
     for _ in range(15):
         p = sf.ConvexPolygon.from_points(rng.uniform(-2, 2, (6, 2)))
         q = sf.ConvexPolygon.from_points(rng.uniform(-2, 2, (5, 2)))
-        lhs = sf.minkowski_add(sup(p), sup(q)).values
+        lhs = (sup(p) + sup(q)).values
         rhs = sup(minkowski_vertices(p, q)).values
         assert np.max(np.abs(lhs - rhs)) < 1e-13 * max(1.0, np.max(np.abs(rhs)))
 
@@ -251,17 +252,17 @@ def test_relaxation_combination_matches_set_level():
     set_level = minkowski_vertices(
         sf.ConvexPolygon(w * A1.vertices), sf.ConvexPolygon((1 - w) * Q.vertices)
     )
-    combo = sf.minkowski_add(sf.scale(sup(A1), w), sf.scale(sup(Q), 1 - w))
+    combo = w * sup(A1) + (1 - w) * sup(Q)
     assert np.max(np.abs(combo.values - sup(set_level).values)) < 1e-13
 
 
 def test_scale_edge_cases():
     s = sup(Q)
-    assert np.all(sf.scale(s, 0.0).values == 0.0)
-    assert np.array_equal(sf.scale(s, 1.0).values, s.values)
-    assert np.allclose(sf.scale(s, 2.0).values, sup(sf.ConvexPolygon.box((-2, 2), (-2, 2))).values)
+    assert np.all((0.0 * s).values == 0.0)
+    assert np.array_equal((1.0 * s).values, s.values)
+    assert np.allclose((2.0 * s).values, sup(sf.ConvexPolygon.box((-2, 2), (-2, 2))).values)
     with pytest.raises(sf.NegativeScalar):
-        sf.scale(s, -1.0)
+        -1.0 * s
 
 
 def test_algebra_outputs_stay_in_cone():
@@ -269,9 +270,9 @@ def test_algebra_outputs_stay_in_cone():
     for _ in range(20):
         p = sup(sf.ConvexPolygon.from_points(rng.uniform(-2, 2, (6, 2))))
         q = sup(sf.ConvexPolygon.from_points(rng.uniform(-2, 2, (6, 2))))
-        out = sf.minkowski_add(p, q)
+        out = p + q
         assert sf.cone_residual(out.values, G64) < 1e-13 * max(1.0, out.norm_inf)
-        out2 = sf.scale(p, float(rng.uniform(0, 3)))
+        out2 = float(rng.uniform(0, 3)) * p
         assert sf.cone_residual(out2.values, G64) < 1e-13 * max(1.0, out2.norm_inf + 1)
 
 
@@ -299,6 +300,44 @@ def test_sample_is_a_delta_and_the_algebra_keeps_the_cone_where_it_can():
     assert np.array_equal(neg.values, -a.values)
 
 
+@pytest.mark.parametrize("n", [3, 8, 64, 257])
+def test_operators_keep_the_type_of_the_left_operand_and_the_bits(n):
+    grid = sf.DirectionGrid(n)
+    rng = np.random.default_rng(n)
+    s, t = (sup(sf.ConvexPolygon.from_points(rng.uniform(-2, 2, (5, 2))), grid) for _ in "st")
+    d, e = sf.SupportDelta(grid, t.values), sf.SupportDelta(grid, rng.normal(size=n))
+    sample, delta = sf.SupportSample, sf.SupportDelta
+    cases = [
+        (s + t, sample, s.values + t.values), (t + s, sample, t.values + s.values),
+        (s + d, sample, s.values + d.values), (d + s, delta, d.values + s.values),
+        (d + e, delta, d.values + e.values), (e + d, delta, e.values + d.values),
+        (2.5 * s, sample, 2.5 * s.values), (s * 2.5, sample, 2.5 * s.values),
+        (0.0 * s, sample, 0.0 * s.values), (-2.5 * e, delta, -2.5 * e.values),
+        (e * -2.5, delta, -2.5 * e.values), (s - t, delta, s.values - t.values),
+        (d - s, delta, d.values - s.values), (-s, delta, -s.values), (-e, delta, -e.values),
+    ]
+    for got, cls, values in cases:
+        assert type(got) is cls and got.grid is grid
+        assert got.values.tobytes() == values.tobytes()
+    dent = np.zeros(n)
+    dent[0] = -10.0 * (1.0 + s.norm_inf)  # lowers margin 1 (every margin at n = 3)
+    with pytest.raises(sf.NotInCone):
+        s + sf.SupportDelta(grid, dent)
+    assert type(sf.SupportDelta(grid, dent) + s) is delta
+    for lam in (-1.0, -1e-300):
+        with pytest.raises(sf.NegativeScalar):
+            s * lam
+        with pytest.raises(sf.NegativeScalar):
+            lam * s
+    other = sf.DirectionGrid(n + 1)
+    for x, y in itertools.product((s, d), (sup(Q, other), sf.SupportDelta(other, np.ones(n + 1)))):
+        for op in (operator.add, operator.sub):
+            with pytest.raises(sf.GridMismatch):
+                op(x, y)
+            with pytest.raises(sf.GridMismatch):
+                op(y, x)
+
+
 @pytest.mark.parametrize("cls", [sf.SupportSample, sf.SupportDelta])
 def test_checked_wraps_without_copying(cls):
     vals = sup(Q).values
@@ -309,7 +348,7 @@ def test_checked_wraps_without_copying(cls):
 
 def test_grid_mismatch():
     with pytest.raises(sf.GridMismatch):
-        sf.minkowski_add(sup(Q), sf.support_of_polygon(Q, sf.DirectionGrid(32)))
+        sup(Q) + sf.support_of_polygon(Q, sf.DirectionGrid(32))
 
 
 # --------------------------------------------------------------------- distances
@@ -383,7 +422,7 @@ def test_grid_below_exact_and_scales():
         grid_d = sf.hausdorff_grid(sup(p), sup(q))
         assert grid_d <= sf.hausdorff_exact(p, q) + 1e-12
         lam = float(rng.uniform(0, 2))
-        scaled = sf.hausdorff_grid(sf.scale(sup(p), lam), sf.scale(sup(q), lam))
+        scaled = sf.hausdorff_grid(lam * sup(p), lam * sup(q))
         assert scaled == pytest.approx(lam * grid_d, abs=1e-12)
 
 
