@@ -257,7 +257,7 @@ def cmd_hausdorff(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="setflow",
         description="Set-valued dynamics via support functions on a direction grid",
@@ -285,8 +285,14 @@ def main(argv=None) -> int:
     p_hd.add_argument("set_b")
     p_hd.add_argument("--n", type=int, default=256)
     p_hd.set_defaults(fn=cmd_hausdorff)
+    return parser
 
-    args = parser.parse_args(argv)
+
+_PARSER = _parser()  # built once: a process may call main for many commands
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
     # the one place an error becomes an exit code: 1 (a violation) is returned, never raised
     try:
         return args.fn(args)

@@ -48,8 +48,8 @@ class RhsField:
     fn gets one vector (n,) or a stack (B, n) and must act row by row; a
     result of shape (n,) is broadcast over the stack.  fn must be pure:
     integrate may evaluate it on states past the first one that is
-    non-finite or needs repair, and then discards them.  lipschitz is an
-    optional declared constant used only for reporting.
+    non-finite or needs repair, or of a truncated row, and then discards
+    them.  lipschitz is an optional declared constant used only for reporting.
     """
 
     grid: DirectionGrid
@@ -278,10 +278,11 @@ def integrate_stack(
     per row: "never" keeps the raw state, "on_violation" regularizes when the
     residual exceeds the drift limit (10x the scale-aware cone tolerance),
     "always" always does.  A row whose repair finds the halfplane
-    intersection empty leaves the stack alone: its trajectory ends at its last
-    kept state, completed False, with the failure.  Non-finite states raise
-    NonFiniteValue, the only report of an overflow: the steps run with numpy's
-    overflow and invalid-value warnings off.
+    intersection empty is truncated: its trajectory ends at its last kept
+    state, completed False, with the failure, and it steps on unchecked and
+    unrepaired.  A non-finite state of any other row raises NonFiniteValue,
+    the only report of an overflow: the steps run with numpy's overflow and
+    invalid-value warnings off.
 
     States are checked in stacked blocks: a clean block is kept whole and the
     next is twice as long; otherwise the states before its first non-finite or
@@ -313,43 +314,36 @@ def integrate_stack(
     states[:, 0], residuals[:, 0] = y, cone_residual(y, grid)
     ends = [len(times)] * len(y)  # stored states per row
     failures: list[str | None] = [None] * len(y)
-    live = np.arange(len(y))  # rows still in the stack, in the order of y
+    live = np.ones(len(y), dtype=bool)  # rows not truncated; the others step on unchecked
     k, span, start = 1, 1, 1  # first unchecked step, next block's length, start of this run
     with np.errstate(over="ignore", invalid="ignore"):  # NonFiniteValue reports these
-        while k < len(times):
-            rows = live if len(live) < len(ends) else slice(None)
+        while k < len(times) and live.any():
             stop = min(k + span, len(times))
             for j in range(k, stop):
                 y = step(f, times[j - 1], y, times[j] - times[j - 1])
-                states[rows, j] = y
-            block = states[rows, k:stop]  # (rows, steps, n): one check for the whole block
+                states[:, j] = y
+            block = states[:, k:stop]  # (B, steps, n): one check for the whole block
             # residuals past the first event are stored again when their steps are redone
-            res = residuals[rows, k:stop] = cone_residual(block, grid)
+            res = residuals[:, k:stop] = cone_residual(block, grid)
             finite = np.isfinite(block).all(axis=-1)
             fix = (res > _drift_limit(block) if policy == "on_violation"
                    else np.full(res.shape, policy == "always"))
-            events = (fix | ~finite).any(axis=0)
+            events = (fix | ~finite)[live].any(axis=0)
             e = int(events.argmax())
             if not events[e]:
                 k, span = stop, 2 * span
                 continue
             j = k + e
-            if not finite[:, e].all():
+            if not finite[live, e].all():
                 raise NonFiniteValue(f"non-finite state at t = {times[j]} under field '{f.name}'")
-            y, fix = states[rows, j].copy(), fix[:, e]
+            y, fix = states[:, j].copy(), fix[:, e] & live
             for i in fix.nonzero()[0]:
                 try:
                     y[i] = regularize(y[i], grid).values
                 except EmptyIntersection:
-                    ends[live[i]] = j
-                    failures[live[i]] = f"empty halfplane intersection at t = {times[j]}"
-            if j in ends:
-                keep = np.array([ends[b] > j for b in live])
-                y, fix, live = y[keep], fix[keep], live[keep]
-                if not len(live):
-                    break
-                rows = live
-            states[rows, j], regularized[rows, j] = y, fix
+                    live[i], ends[i] = False, j
+                    failures[i] = f"empty halfplane intersection at t = {times[j]}"
+            states[:, j], regularized[:, j] = y, fix
             k, span, start = j + 1, j - start + 1, j + 1  # expect the last run again
     return tuple(
         Trajectory(grid, np.array(times[:end], dtype=float), states[b, :end],

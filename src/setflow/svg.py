@@ -36,6 +36,12 @@ def _write_svg(path, width: int, height: int, title: str, body, backdrop=()) -> 
         fh.write("\n".join(parts))
 
 
+def _points(xs: np.ndarray, ys: np.ndarray) -> str:
+    """The x,y pairs to two decimals, space-separated: an SVG points attribute."""
+    pattern = " ".join(["%.2f,%.2f"] * len(xs))
+    return pattern % tuple(np.column_stack((xs, ys)).ravel().tolist())
+
+
 def polygon_filmstrip(frames, path, title: str = "") -> None:
     """Write one square cell per (t, polygon) frame, all on a shared scale."""
     frames = list(frames)
@@ -52,11 +58,6 @@ def polygon_filmstrip(frames, path, title: str = "") -> None:
     width = MARGIN + cols * (CELL + MARGIN)
     height = MARGIN + 20 + rows * (CELL + MARGIN + 16)
 
-    def to_cell(xy, cx, cy):
-        x = cx + (xy[0] - lo[0]) / span * CELL
-        y = cy + CELL - (xy[1] - lo[1]) / span * CELL
-        return x, y
-
     parts = []
     for i, (t, poly) in enumerate(frames):
         cx = MARGIN + (i % cols) * (CELL + MARGIN)
@@ -65,10 +66,9 @@ def polygon_filmstrip(frames, path, title: str = "") -> None:
             f'<rect x="{cx}" y="{cy}" width="{CELL}" height="{CELL}" '
             f'fill="none" stroke="#cccccc"/>'
         )
-        coords = " ".join(
-            f"{x:.2f},{y:.2f}"
-            for x, y in (to_cell(v, cx, cy) for v in poly.vertices)
-        )
+        v = poly.vertices
+        coords = _points(cx + (v[:, 0] - lo[0]) / span * CELL,
+                         cy + CELL - (v[:, 1] - lo[1]) / span * CELL)
         parts.append(
             f'<polygon points="{coords}" fill="none" '
             f'stroke="{_color(i, len(frames))}" stroke-width="1.5"/>'
@@ -101,10 +101,8 @@ def support_profiles(frames, angles, path, title: str = "") -> None:
             f'stroke="#eeeeee"/>'
         )
     xs = x0 + np.asarray(angles, dtype=float) / amax * plot_w
-    pattern = " ".join(["%.2f,%.2f"] * len(xs))
     for i, (t, vals) in enumerate(frames):
-        ys = y0 + plot_h - (vals - vmin) / (vmax - vmin) * plot_h
-        coords = pattern % tuple(np.column_stack((xs, ys)).ravel().tolist())
+        coords = _points(xs, y0 + plot_h - (vals - vmin) / (vmax - vmin) * plot_h)
         parts.append(
             f'<polyline points="{coords}" fill="none" '
             f'stroke="{_color(i, len(frames))}" stroke-width="1.2"/>'

@@ -1710,7 +1710,7 @@ def test_a_truncating_row_stops_alone():
 
 def test_a_dropped_row_cannot_raise_non_finite():
     """The field is NaN on a row with a negative width, as a raw state past
-    emptiness has; a truncated row must not be stepped again."""
+    emptiness has; a truncated row must not be checked again."""
     grid = sf.DirectionGrid(16)
 
     def fn(t, y):
@@ -1724,6 +1724,47 @@ def test_a_dropped_row_cannot_raise_non_finite():
     assert not small_traj.completed and large_traj.completed
     with pytest.raises(sf.NonFiniteValue):
         reference_integrate(field, small, 1.0, 0.1, "euler", "never")
+
+
+def test_a_truncated_row_steps_on_unchecked(monkeypatch):
+    """Row 1 empties after a few steps; its raw state, still stepped with the
+    stack, then overflows to inf or NaN.  Rows 0 and 2 finish, and row 1 is
+    neither checked for finiteness nor repaired past its end.  The field blows
+    up only below a width of -0.5: a kept state has width >= 0 and each step
+    takes at most 2h = 0.1 from it, so the per-set loop never gets there."""
+    grid = sf.DirectionGrid(16)
+    seen_non_finite = []
+
+    def fn(t, y):
+        seen_non_finite.append(not np.isfinite(y).all())
+        widths = y + np.roll(y, -8, axis=-1)
+        return np.where(widths.min(axis=-1, keepdims=True) < -0.5, 1e200 * y, -np.ones_like(y))
+
+    field = sf.RhsField(grid, fn, name="blowup_past_emptiness")
+    small, large = (sf.support_of_polygon(sf.ConvexPolygon.box((-r, r), (-r, r)), grid)
+                    for r in (0.2, 3.0))
+    sigmas = (large, small, 1.5 * large)
+    calls = []
+
+    def counting(values, grid):
+        calls.append(np.isfinite(values).all())
+        return support.regularize(values, grid)
+
+    monkeypatch.setattr(dynamics, "regularize", counting)
+    for method in ("euler", "rk4"):
+        for policy in ("on_violation", "always"):
+            seen_non_finite.clear()
+            calls.clear()
+            with np.errstate(over="ignore", invalid="ignore"):
+                refs = [reference_integrate(field, s, 1.0, 0.05, method, policy) for s in sigmas]
+            got = sf.integrate_stack(field, sigmas, 1.0, 0.05, method, policy)
+            assert any(seen_non_finite)
+            for traj, ref in zip(got, refs):
+                assert_same_trajectory(traj, ref)
+            assert [t.completed for t in got] == [True, False, True]
+            # one call per kept repair, and the one that found row 1 empty
+            assert len(calls) == sum(int(t.regularized.sum()) for t in got) + 1
+            assert all(calls)
 
 
 def test_drift_limit_is_per_row():

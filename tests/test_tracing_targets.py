@@ -6,6 +6,7 @@ kernel sweep are neither imported nor run."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -65,6 +66,40 @@ def test_probes_are_on_traced_names():
     keys = [ast.literal_eval(k).partition(".") for k in probes.keys]
     unwrapped = [f"{layer}.{name}" for layer, _, name in keys if name not in targets.get(layer, ())]
     assert unwrapped == []
+
+
+def _probe_reads() -> list[tuple[str, int, str]]:
+    """(traced name, position, parameter name) of each argument a probe reads:
+    _bytes_at(k) reads "path" at k, a probe function what its _arg calls name."""
+    functions = {node.name: node for node in ast.parse(TRACING.read_text()).body
+                 if isinstance(node, ast.FunctionDef)}
+    probes = _assigned("PROBES")
+    reads = []
+    for key, value in zip(probes.keys, probes.values):
+        name = ast.literal_eval(key)
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "_bytes_at":
+            reads.append((name, ast.literal_eval(value.args[0]), "path"))
+        elif isinstance(value, ast.Name):
+            for call in ast.walk(functions[value.id]):
+                if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_arg":
+                    reads.append((name, *map(ast.literal_eval, call.args[2:])))
+    return reads
+
+
+def test_probes_read_arguments_where_the_signatures_put_them():
+    # a probe swallows the IndexError or KeyError of a moved argument, and its
+    # counters then vanish from traced runs without a failure
+    reads = _probe_reads()
+    assert {("svg.polygon_filmstrip", 1, "path"), ("support.regularize", 0, "values"),
+            ("support.regularize", 1, "grid")} <= set(reads)
+    moved = []
+    for name, pos, param in reads:
+        layer, _, attr = name.partition(".")
+        fn = getattr(importlib.import_module(f"setflow.{layer}"), attr)
+        params = list(inspect.signature(fn).parameters)
+        if params[pos:pos + 1] != [param]:
+            moved.append((name, pos, param, params))
+    assert moved == []
 
 
 def _layer_attributes(path: Path) -> set[str]:
