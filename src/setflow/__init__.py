@@ -11,7 +11,6 @@ dynamics on the support cone with feasibility and uniqueness diagnostics.
 
 from .duality import (
     DiscreteMeasure,
-    ExtremalSets,
     dual_representatives,
     extremal_sets,
     hausdorff_realizing_directions,

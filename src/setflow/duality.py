@@ -28,17 +28,6 @@ from .support import (
 
 
 @dataclass(frozen=True)
-class ExtremalSets:
-    """Grid indices where a delta attains +||f|| (positive) or -||f|| (negative).
-
-    For the zero function both sets are the whole grid by convention.
-    """
-
-    positive: tuple[int, ...]
-    negative: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class DiscreteMeasure:
     """Finite signed combination of point masses on grid indices."""
 
@@ -70,10 +59,11 @@ def _extremal(vals: np.ndarray):
     return norm, (vals >= norm - tol).nonzero()[0], (vals <= -norm + tol).nonzero()[0]
 
 
-def extremal_sets(f: SupportDelta) -> ExtremalSets:
-    """Indices attaining the sup-norm of f from above and below, within default_tol."""
+def extremal_sets(f: SupportDelta) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(E+, E-): the indices where f attains +||f|| and -||f||, within default_tol.
+    For the zero function both are the whole grid by convention."""
     _, pos, neg = _extremal(f.values)
-    return ExtremalSets(tuple(pos.tolist()), tuple(neg.tolist()))
+    return tuple(pos.tolist()), tuple(neg.tolist())
 
 
 def semi_inner(f: SupportDelta, g: SupportDelta) -> float:

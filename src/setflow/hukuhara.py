@@ -11,6 +11,7 @@ the two classes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -45,16 +46,15 @@ class SetCurve:
     """Sampled curve of convex sets: strictly increasing times, one support vector each.
 
     The rows of values pass one stacked cone test at tol (a scalar or one per
-    row; default_tol per row when None), kept per row as limits; samples are
-    built from them on first use, without a second test.  Row j of quotients
-    is the difference quotient from sample j to sample j + 1.
+    row; default_tol per row when None); samples are built from them on first
+    use, without a second test.  Row j of quotients is the difference quotient
+    from sample j to sample j + 1.
     """
 
     grid: DirectionGrid
     times: np.ndarray
     values: np.ndarray
     tol: InitVar[float | np.ndarray | None] = None
-    limits: np.ndarray = field(init=False, repr=False)
     quotients: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, tol):
@@ -66,9 +66,9 @@ class SetCurve:
             raise ValueError("a curve needs at least two samples")
         if np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly increasing")
-        limits = np.broadcast_to(_require_in_cone(values, self.grid, tol), times.shape).copy()
+        _require_in_cone(values, self.grid, tol)
         quotients = np.diff(values, axis=0) / np.diff(times)[:, None]
-        arrays = {"times": times, "values": values, "limits": limits, "quotients": quotients}
+        arrays = {"times": times, "values": values, "quotients": quotients}
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -158,8 +158,8 @@ def classify_curve(c: SetCurve) -> tuple[HukuharaClass, list[HukuharaClass]]:
 
 
 def time_reverse(c: SetCurve) -> SetCurve:
-    """The curve t -> A(-t): times negated and reversed, rows reversed."""
-    return SetCurve(c.grid, -c.times[::-1], c.values[::-1], tol=c.limits[::-1])
+    """The curve t -> A(-t): times negated and reversed, rows reversed; c already tested them."""
+    return SetCurve(c.grid, -c.times[::-1], c.values[::-1], tol=math.inf)
 
 
 def second_type_differential(delta: SupportDelta) -> SupportSample | None:

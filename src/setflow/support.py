@@ -147,18 +147,17 @@ def is_in_cone(values, grid: DirectionGrid) -> bool | np.ndarray:
     return ~(margins < -_cone_limit(values, None)).any(axis=-1)[()]
 
 
-def _require_in_cone(values, grid: DirectionGrid, tol) -> np.ndarray:
-    """The cone limit of each row (one for a scalar tol); NotInCone at the first failing row.
+def _require_in_cone(values, grid: DirectionGrid, tol) -> None:
+    """NotInCone at the first failing row of a vector or a stack (tol a scalar or one per row).
     An infinite scalar tol admits every row without computing a margin."""
     limit = _cone_limit(values, tol)
     m = limit if isinstance(tol, float) and tol == math.inf else cone_margins(values, grid)
     bad = m < -limit
     if bad.any():
-        k = int(bad.any(axis=-1).argmax()) if bad.ndim > 1 else 0
+        k = int(bad.reshape(-1, grid.n).any(axis=-1).argmax())
         m, limit = m.reshape(-1, grid.n)[k], limit.reshape(-1)[k % limit.size]
         i = int(np.nanargmin(m))
         raise NotInCone(i, float(m[i]), float(limit))
-    return limit[..., 0]
 
 
 def _monotone_chain(points, flat: float) -> list[tuple[float, float]]:

@@ -153,6 +153,19 @@ def test_integrate_frame_spacing(scenario, tmp_path, capsys):
     assert len(polys) == 3  # frames at 0, .5, 1
 
 
+def test_integrate_draws_figures_from_a_single_frame(scenario, tmp_path, capsys):
+    # T < frame_spacing / 2: the only frame is t = 0
+    traj, film, supp = tmp_path / "t.csv", tmp_path / "f.svg", tmp_path / "s.svg"
+    output = {"trajectory": str(traj), "filmstrip": str(film), "support": str(supp)}
+    assert main(["integrate", scenario(T=0.1, h=0.05, output=output)]) == 0
+    assert capsys.readouterr().out == (
+        f"wrote {traj} (2 steps, method=rk4)\nwrote {film}\nwrote {supp}\n"
+    )
+    polys = ET.parse(film).getroot().findall(".//{http://www.w3.org/2000/svg}polygon")
+    lines = ET.parse(supp).getroot().findall(".//{http://www.w3.org/2000/svg}polyline")
+    assert len(polys) == len(lines) == 1
+
+
 def test_integrate_failure_exit_code(scenario, capsys):
     # explosive growth overflows to inf within the first rk4 step
     path = scenario(rhs={"kind": "expand", "rate": 1e80}, initial={"box": [[1, 2], [1, 2]]})
@@ -423,6 +436,49 @@ def test_check_horizon_degenerate_field(scenario, capsys):
 def test_check_bad_config(tmp_path):
     missing = tmp_path / "nope.json"
     assert main(["check", "osl", str(missing)]) == 2
+
+
+def _check_scenarios(tmp_path):
+    """12 seeded scenarios, grid_n 18, 64, 256 and 1000 under each rhs kind: random boxes,
+    rates, deltas, omega rates and seeds, 100 samples, and a witness CSV path."""
+    rng = np.random.default_rng(2024)
+
+    def box():
+        lo, size = rng.uniform(-3.0, 2.0, 2), rng.uniform(0.1, 3.0, 2)
+        return {"box": [[lo[0], lo[0] + size[0]], [lo[1], lo[1] + size[1]]]}
+
+    for n in (18, 64, 256, 1000):
+        for kind in ("relax_to", "expand", "constant"):
+            rhs = {"kind": kind}
+            if kind == "relax_to":
+                rhs["target"] = box()
+            elif kind == "expand":
+                rhs["rate"] = rng.uniform(-2.0, 2.0)
+            else:
+                rhs["delta"] = rng.normal(0.0, 0.5, n).tolist()
+            witnesses = tmp_path / f"w_{n}_{kind}.csv"
+            path = write_json(tmp_path / f"s_{n}_{kind}.json", {
+                "grid_n": n, "T": 1.0, "h": 0.01, "rhs": rhs, "initial": box(),
+                "omega": {"kind": "linear", "rate": rng.uniform(-1.5, 1.5)},
+                "seed": int(rng.integers(2**31)), "samples": 100, "r": rng.uniform(0.1, 2.0),
+                "output": {"witnesses": str(witnesses)},
+            })
+            yield path, witnesses
+
+
+def test_check_output_bytes_are_pinned(tmp_path, capsys, monkeypatch):
+    # sha256 of the exit code, stdout, stderr and witness CSV of every check on each
+    # scenario above, with the seed taken from the scenario
+    monkeypatch.delenv("SETFLOW_SEED", raising=False)
+    digest = hashlib.sha256()
+    for path, witnesses in _check_scenarios(tmp_path):
+        for check in ("subtangent", "osl", "horizon", "lipschitz"):
+            code = main(["check", check, path])
+            out, err = capsys.readouterr()
+            written = witnesses.read_bytes() if witnesses.exists() else b""
+            digest.update(f"{code}\n{out.replace(str(tmp_path), 'TMP')}\n{err}\n".encode())
+            digest.update(written)
+    assert digest.hexdigest() == "9897ea72feffb6237790184e72db6f8f3594aaa97133f51033ce6ff03169d3da"
 
 
 # ---------------------------------------------------------------------- hausdorff

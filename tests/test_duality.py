@@ -33,22 +33,22 @@ def random_delta(rng, grid):
 # ----------------------------------------------------------------- extremal sets
 
 def test_zero_function_full_extremal_sets():
-    es = sf.extremal_sets(delta(Q, Q))
-    assert es.positive == tuple(range(64))
-    assert es.negative == tuple(range(64))
+    pos, neg = sf.extremal_sets(delta(Q, Q))
+    assert pos == tuple(range(64))
+    assert neg == tuple(range(64))
 
 
 def test_strict_subset_has_empty_positive():
-    es = sf.extremal_sets(delta(sf.ConvexPolygon.point((0, 0)), Q))
-    assert es.positive == ()
+    pos, neg = sf.extremal_sets(delta(sf.ConvexPolygon.point((0, 0)), Q))
+    assert pos == ()
     # the farthest corners of Q are the diagonal directions
-    assert set(es.negative) == {8, 24, 40, 56}
+    assert set(neg) == {8, 24, 40, 56}
 
 
 def test_cosine_extrema():
-    es = sf.extremal_sets(as_delta(sup(sf.ConvexPolygon.point((1, 0)))))
-    assert es.positive == (0,)
-    assert es.negative == (32,)
+    pos, neg = sf.extremal_sets(as_delta(sup(sf.ConvexPolygon.point((1, 0)))))
+    assert pos == (0,)
+    assert neg == (32,)
 
 
 # --------------------------------------------------------------- semi inner product

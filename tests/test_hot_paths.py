@@ -198,7 +198,8 @@ def test_extremal_sets_and_semi_inner_match_reference(data):
     gnorm, pos, neg = reference_extremal(g)
     fd, gd = sf.SupportDelta(grid, f), sf.SupportDelta(grid, g)
     es = sf.extremal_sets(gd)
-    assert (es.positive, es.negative) == (tuple(pos.tolist()), tuple(neg.tolist()))
+    assert es == (tuple(pos.tolist()), tuple(neg.tolist()))
+    assert all(type(i) is int for i in es[0] + es[1])
     inner = sf.semi_inner(fd, gd)
     assert bits(inner) == bits(reference_semi_inner(f, g))
     if gnorm is None:

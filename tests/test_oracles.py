@@ -1857,13 +1857,13 @@ def test_horizon_bound_matches_per_state_loop(kind):
 
 
 def reference_semi_inner(f, g):
-    es = sf.extremal_sets(g)
+    pos, neg = sf.extremal_sets(g)
     tol = default_tol(g.values)
     gnorm = float(np.max(np.abs(g.values)))
     if gnorm <= tol:
         return 0.0
-    mpos = float(np.min(f.values[list(es.positive)])) if es.positive else math.inf
-    mneg = float(np.min(-f.values[list(es.negative)])) if es.negative else math.inf
+    mpos = float(np.min(f.values[list(pos)])) if pos else math.inf
+    mneg = float(np.min(-f.values[list(neg)])) if neg else math.inf
     return gnorm * min(mpos, mneg)
 
 
@@ -1872,8 +1872,8 @@ def reference_representatives(g):
     gnorm = float(np.max(np.abs(g.values)))
     if gnorm <= tol:
         return None
-    es = sf.extremal_sets(g)
-    return [((i, gnorm),) for i in es.positive] + [((i, -gnorm),) for i in es.negative]
+    pos, neg = sf.extremal_sets(g)
+    return [((i, gnorm),) for i in pos] + [((i, -gnorm),) for i in neg]
 
 
 # ties at the extremes and values within a tolerance of them are the cases that matter

@@ -1,8 +1,8 @@
-"""Every name bench/tracing.py wraps and bench/kernels.py times still exists, and the
-tracer can patch it.
+"""Every name bench/tracing.py wraps, bench/kernels.py times and bench/workloads.py
+calls still exists, and the tracer can patch it.
 
-Both files are read from the source with ast, so the benchmark's tracer and
-kernel sweep are neither imported nor run."""
+The files are read from the source with ast, so the benchmark's tracer, kernel
+sweep and workloads are neither imported nor run."""
 
 import ast
 import importlib
@@ -12,7 +12,9 @@ from pathlib import Path
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACING = BENCH / "tracing.py"
 KERNELS = BENCH / "kernels.py"
+WORKLOADS = BENCH / "workloads.py"
 KERNEL_LAYERS = ("support", "dynamics", "hukuhara")
+WORKLOAD_LAYERS = ("cli", "duality", "dynamics", "hukuhara", "support")
 
 
 def _assigned(name: str) -> ast.expr:
@@ -102,22 +104,20 @@ def test_probes_read_arguments_where_the_signatures_put_them():
     assert moved == []
 
 
-def _layer_attributes(path: Path) -> set[str]:
-    """Every dotted chain layer.name[.attr...] in the file, for the KERNEL_LAYERS."""
+def _layer_attributes(path: Path, layers=KERNEL_LAYERS) -> set[str]:
+    """Every dotted chain layer.name[.attr...] in the file, for the given layers."""
     chains = set()
     for node in ast.walk(ast.parse(path.read_text())):
         parts = []
         while isinstance(node, ast.Attribute):
             parts.append(node.attr)
             node = node.value
-        if parts and isinstance(node, ast.Name) and node.id in KERNEL_LAYERS:
+        if parts and isinstance(node, ast.Name) and node.id in layers:
             chains.add(".".join([node.id, *reversed(parts)]))
     return chains
 
 
-def test_kernel_sweep_names_resolve():
-    chains = _layer_attributes(KERNELS)
-    assert "dynamics._rk4_step" in chains
+def _unresolved(chains: set[str]) -> list[str]:
     missing = []
     for chain in sorted(chains):
         layer, *names = chain.split(".")
@@ -126,4 +126,17 @@ def test_kernel_sweep_names_resolve():
             obj = getattr(obj, name, None)
         if obj is None:
             missing.append(f"setflow.{chain}")
-    assert missing == []
+    return missing
+
+
+def test_kernel_sweep_names_resolve():
+    chains = _layer_attributes(KERNELS)
+    assert "dynamics._rk4_step" in chains
+    assert _unresolved(chains) == []
+
+
+def test_workload_names_resolve():
+    # the end-to-end workloads reach setflow only through these attributes
+    chains = _layer_attributes(WORKLOADS, WORKLOAD_LAYERS)
+    assert {"hukuhara.time_reverse", "duality.semi_inner", "cli.EXAMPLE_RECTS"} <= chains
+    assert _unresolved(chains) == []
