@@ -96,8 +96,7 @@ def cmd_integrate(args) -> int:
         )
         print(f"wrote {out['support']}")
     if not traj.completed:
-        _error("integration", traj.failure or "trajectory truncated")
-        return 3
+        raise SetflowError(traj.failure)
     return 0
 
 

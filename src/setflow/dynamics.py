@@ -221,6 +221,8 @@ class Trajectory:
 
     residuals[k] is the worst cone violation of the raw step before the
     regularization policy ran; regularized[k] flags whether it did run.
+    failure is None for a run that reached T; a truncated run stops before
+    the step whose repair failed and names its time in failure.
     """
 
     grid: DirectionGrid
@@ -228,13 +230,14 @@ class Trajectory:
     states: np.ndarray
     residuals: np.ndarray
     regularized: np.ndarray
-    method: str
-    policy: str
-    completed: bool = True
     failure: str | None = None
 
     def __len__(self) -> int:
         return len(self.times)
+
+    @property
+    def completed(self) -> bool:
+        return self.failure is None
 
     def sample(self, k: int) -> SupportSample:
         state = self.states[k]
@@ -279,9 +282,9 @@ def integrate_stack(
     residual exceeds the drift limit (10x the scale-aware cone tolerance),
     "always" always does.  A row whose repair finds the halfplane
     intersection empty is truncated: its trajectory ends at its last kept
-    state, completed False, with the failure, and it steps on unchecked and
-    unrepaired.  A non-finite state of any other row raises NonFiniteValue,
-    the only report of an overflow: the steps run with numpy's overflow and
+    state, with its failure set, and it steps on unchecked and unrepaired.
+    A non-finite state of any other row raises NonFiniteValue, the only
+    report of an overflow: the steps run with numpy's overflow and
     invalid-value warnings off.
 
     States are checked in stacked blocks: a clean block is kept whole and the
@@ -312,12 +315,10 @@ def integrate_stack(
     states, residuals = np.empty(shape + (grid.n,)), np.empty(shape)
     regularized = np.zeros(shape, dtype=bool)
     states[:, 0], residuals[:, 0] = y, cone_residual(y, grid)
-    ends = [len(times)] * len(y)  # stored states per row
-    failures: list[str | None] = [None] * len(y)
-    live = np.ones(len(y), dtype=bool)  # rows not truncated; the others step on unchecked
+    ends = np.full(len(y), len(times))  # states kept per row; a truncated row steps on unchecked
     k, span, start = 1, 1, 1  # first unchecked step, next block's length, start of this run
     with np.errstate(over="ignore", invalid="ignore"):  # NonFiniteValue reports these
-        while k < len(times) and live.any():
+        while k < len(times) and (live := ends == len(times)).any():
             stop = min(k + span, len(times))
             for j in range(k, stop):
                 y = step(f, times[j - 1], y, times[j] - times[j - 1])
@@ -341,15 +342,14 @@ def integrate_stack(
                 try:
                     y[i] = regularize(y[i], grid).values
                 except EmptyIntersection:
-                    live[i], ends[i] = False, j
-                    failures[i] = f"empty halfplane intersection at t = {times[j]}"
+                    ends[i] = j
             states[:, j], regularized[:, j] = y, fix
             k, span, start = j + 1, j - start + 1, j + 1  # expect the last run again
     return tuple(
-        Trajectory(grid, np.array(times[:end], dtype=float), states[b, :end],
-                   residuals[b, :end], regularized[b, :end], method, policy,
-                   end == len(times), failures[b])
-        for b, end in enumerate(ends)
+        Trajectory(grid, np.array(times[:end], dtype=float), states[b, :end], residuals[b, :end],
+                   regularized[b, :end], None if end == len(times)
+                   else f"empty halfplane intersection at t = {times[end]}")
+        for b, end in enumerate(ends.tolist())
     )
 
 

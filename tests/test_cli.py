@@ -1,16 +1,23 @@
+import ast
+import contextlib
 import hashlib
+import io
 import json
 import math
+import re
 import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import setflow as sf
-from setflow.cli import _frame_indices, main
-from setflow.dynamics import _drift_limit
+from setflow import cli
+from setflow.cli import CHECKS, _frame_indices, main
+from setflow.dynamics import METHODS, _drift_limit
 from setflow.support import default_tol
 
 
@@ -957,3 +964,41 @@ def test_bad_input_exit_code_and_one_json_line(
     lines = err.splitlines()
     assert len(lines) == 1
     assert "error" in json.loads(lines[0])
+
+
+def test_only_main_turns_an_error_into_an_exit_code():
+    """A command or check returns 0, 1 or what a call returns; codes 2, 3 and 4 come
+    from main alone, which maps each raised error to one."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    handlers = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                and node.name.startswith(("cmd_", "_check_"))]
+    assert len(handlers) == len(CHECKS) + 4  # the four commands and every check
+
+    def allowed(value):  # a call, or the literal 0 or 1 (not True or False)
+        return isinstance(value, ast.Call) or (
+            isinstance(value, ast.Constant) and repr(value.value) in ("0", "1"))
+
+    bad = [(fn.name, node.lineno) for fn in handlers for node in ast.walk(fn)
+           if isinstance(node, ast.Return) and not allowed(node.value)]
+    assert bad == []
+
+
+@settings(max_examples=200)
+@given(st.floats(0.05, 6.0), st.sampled_from(METHODS), st.integers(2, 32))
+def test_example_exits_0_or_3_with_one_json_line(tmp_path_factory, h, method, half_n):
+    """A long step can overshoot the target so far that a repair finds the halfplane
+    intersection empty: that is exit 3, named by curve, and nothing is written."""
+    out, err = tmp_path_factory.mktemp("example") / "demo", io.StringIO()
+    argv = ["example", str(out), "--h", repr(h), "--method", method, "--grid-n", str(2 * half_n)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 3)
+    if code == 0:
+        assert err.getvalue() == ""
+        return
+    line, = err.getvalue().splitlines()
+    report = json.loads(line)
+    assert sorted(report) == ["error", "message"] and report["error"] == "integration"
+    t = re.fullmatch(r"curve [123]: empty halfplane intersection at t = (\S+)", report["message"])
+    assert t and 0.0 < float(t[1]) <= 4.0
+    assert not out.exists()
