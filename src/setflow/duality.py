@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import AsymmetricDistance, Contained, NonFiniteValue, ZeroFunction
 from .support import (
-    TOL_REL,
     ConvexPolygon,
     DirectionGrid,
     SupportDelta,
@@ -37,32 +36,24 @@ class DiscreteMeasure:
         idx = [i for i, _ in self.atoms]
         if len(set(idx)) != len(idx):
             raise ValueError("atoms must have distinct indices")
-        object.__setattr__(
-            self, "atoms", tuple((int(i), float(w)) for i, w in self.atoms)
-        )
+        object.__setattr__(self, "atoms", tuple((int(i), float(w)) for i, w in self.atoms))
+
+    @classmethod
+    def _trusted(cls, atoms: tuple[tuple[int, float], ...]) -> "DiscreteMeasure":
+        """An instance over atoms of distinct Python ints and floats, without a test or copy."""
+        mu = object.__new__(cls)
+        object.__setattr__(mu, "atoms", atoms)
+        return mu
 
     def __call__(self, f: SupportDelta) -> float:
         """Pairing mu(f) with a delta or sample."""
-        return float(sum(w * f.values[i] for i, w in self.atoms))
-
-
-def _extremal(vals: np.ndarray):
-    """(||vals||, indices within default_tol of +||vals||, and of -||vals||).  A norm
-    within default_tol of zero is None, with the whole grid twice; NonFiniteValue if not finite."""
-    norm = float(np.abs(vals).max())
-    if not math.isfinite(norm):
-        raise NonFiniteValue("non-finite values of g")
-    tol = TOL_REL * max(1.0, norm)  # default_tol(vals), bit for bit
-    if norm <= tol:
-        full = np.arange(len(vals))
-        return None, full, full
-    return norm, (vals >= norm - tol).nonzero()[0], (vals <= -norm + tol).nonzero()[0]
+        return float(sum(w * f.values.item(i) for i, w in self.atoms))
 
 
 def extremal_sets(f: SupportDelta) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(E+, E-): the indices where f attains +||f|| and -||f||, within default_tol.
     For the zero function both are the whole grid by convention."""
-    _, pos, neg = _extremal(f.values)
+    _, pos, neg = f._extrema
     return tuple(pos.tolist()), tuple(neg.tolist())
 
 
@@ -74,7 +65,7 @@ def semi_inner(f: SupportDelta, g: SupportDelta) -> float:
     non-finite g, or a non-finite f at an extremal index, leaves it undefined.
     """
     _require_same_grid(f, g)
-    gnorm, pos, neg = _extremal(g.values)
+    gnorm, pos, neg = g._extrema
     if gnorm is None:
         return 0.0
     fvals = f.values
@@ -92,11 +83,11 @@ def dual_representatives(g: SupportDelta) -> list[DiscreteMeasure]:
     Every returned measure mu has total variation ||g|| and pairs with g to
     ||g||^2.  The minimum of mu(f) over the list equals semi_inner(f, g).
     """
-    gnorm, pos, neg = _extremal(g.values)
+    gnorm, pos, neg = g._extrema
     if gnorm is None:
         raise ZeroFunction("the zero function has no normalized representatives")
-    reps = [DiscreteMeasure(((i, gnorm),)) for i in pos.tolist()]
-    reps += [DiscreteMeasure(((i, -gnorm),)) for i in neg.tolist()]
+    reps = [DiscreteMeasure._trusted(((i, gnorm),)) for i in pos.tolist()]
+    reps += [DiscreteMeasure._trusted(((i, -gnorm),)) for i in neg.tolist()]
     return reps
 
 

@@ -15,7 +15,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .duality import _extremal
 from .errors import EmptyIntersection, NonFiniteValue
 from .hukuhara import SetCurve
 from .sampling import ball_draws
@@ -26,6 +25,7 @@ from .support import (
     DirectionGrid,
     SupportDelta,
     SupportSample,
+    _extremal,
     _grid_values,
     _realizer,
     _require_same_grid,
@@ -58,9 +58,12 @@ class RhsField:
     lipschitz: float | None = None
 
     def eval(self, t: float, values: np.ndarray) -> np.ndarray:
-        out = _grid_values(self.fn(t, values), self.grid, stacked=values.ndim > 1)
-        # an (n,) result is copied to each row: arithmetic on a broadcast view is slow
-        return out if out.shape == values.shape else np.broadcast_to(out, values.shape).copy()
+        out = self.fn(t, values)
+        if type(out) is not np.ndarray or out.dtype != np.float64 or out.shape != values.shape:
+            out = _grid_values(out, self.grid, stacked=values.ndim > 1)
+            # an (n,) result is copied to each row: arithmetic on a broadcast view is slow
+            out = out if out.shape == values.shape else np.broadcast_to(out, values.shape).copy()
+        return out
 
 
 def relax_to(target: SupportSample) -> RhsField:
@@ -262,11 +265,19 @@ def _euler_step(f: RhsField, t: float, y: np.ndarray, h: float) -> np.ndarray:
 
 
 def _rk4_step(f: RhsField, t: float, y: np.ndarray, h: float) -> np.ndarray:
+    """y + (h/6) * (k1 + 2 k2 + 2 k3 + k4) bit for bit, its stage states in z and its sum in acc:
+    it writes only these two (a field's arrays stay intact), each after reading its slope."""
+    half = h / 2.0
     k1 = f.eval(t, y)
-    k2 = f.eval(t + h / 2.0, y + (h / 2.0) * k1)
-    k3 = f.eval(t + h / 2.0, y + (h / 2.0) * k2)
-    k4 = f.eval(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    z = y + half * k1
+    k2 = f.eval(t + half, z)
+    acc = k1 + 2.0 * k2
+    k3 = f.eval(t + half, np.add(y, np.multiply(k2, half, out=z), out=z))
+    acc += 2.0 * k3
+    acc += f.eval(t + h, np.add(y, np.multiply(k3, h, out=z), out=z))
+    acc *= h / 6.0
+    acc += y  # + and * commute exactly: y + (h/6) * sum
+    return acc
 
 
 def integrate_stack(

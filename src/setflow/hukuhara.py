@@ -22,11 +22,11 @@ from .support import (
     DirectionGrid,
     SupportDelta,
     SupportSample,
-    _cone_limit,
     _grid_values,
     _require_in_cone,
     _require_same_grid,
     cone_margins,
+    default_tol,
     is_in_cone,
 )
 
@@ -45,10 +45,10 @@ class HukuharaClass(Enum):
 class SetCurve:
     """Sampled curve of convex sets: strictly increasing times, one support vector each.
 
-    The rows of values pass one stacked cone test at tol (a scalar or one per
-    row; default_tol per row when None); samples are built from them on first
-    use, without a second test.  Row j of quotients is the difference quotient
-    from sample j to sample j + 1.
+    The rows of values pass one stacked cone test at tol (a scalar or one per row;
+    default_tol per row when None); samples are built from them on first use, without
+    a second test.  Row j of quotients is the difference quotient from sample j to
+    sample j + 1; deltas holds the rows as SupportDeltas, built once on first use.
     """
 
     grid: DirectionGrid
@@ -77,6 +77,10 @@ class SetCurve:
     def samples(self) -> tuple[SupportSample, ...]:
         return tuple(SupportSample._checked(self.grid, v) for v in self.values)
 
+    @cached_property
+    def deltas(self) -> tuple[SupportDelta, ...]:
+        return tuple(SupportDelta._checked(self.grid, q) for q in self.quotients)
+
     def __len__(self) -> int:
         return len(self.times)
 
@@ -100,22 +104,22 @@ def hukuhara_difference(a: SupportSample, b: SupportSample) -> SupportSample | N
     return _sample_or_none(a.grid, a.values - b.values)
 
 
-def _quotients_around(c: SetCurve, k: int) -> np.ndarray:
-    """Backward and forward quotients (two rows) at interior index k."""
+def _around(c: SetCurve, k: int) -> slice:
+    """The backward and forward quotients (two rows) at interior index k."""
     if not 0 < k < len(c) - 1:
         raise IndexError(f"index {k} is not interior to the curve")
-    return c.quotients[k - 1 : k + 1]
+    return slice(k - 1, k + 1)
 
 
 def difference_quotients(c: SetCurve, k: int) -> tuple[SupportDelta, SupportDelta]:
     """Forward and backward difference quotients at interior index k.
 
-    Always well-defined as deltas, even when the corresponding Hukuhara
-    differences do not exist.  The deltas are read-only views of rows of
-    c.quotients, not copies.
+    Always well-defined as deltas, even when the corresponding Hukuhara differences do
+    not exist.  They are items of c.deltas, shared: the forward one at k is the backward
+    one at k + 1, so each computes its extremal sets once.
     """
-    bwd, fwd = _quotients_around(c, k)
-    return SupportDelta._checked(c.grid, fwd), SupportDelta._checked(c.grid, bwd)
+    bwd, fwd = c.deltas[_around(c, k)]
+    return fwd, bwd
 
 
 _CLASSES = {
@@ -134,16 +138,15 @@ def _step_types(grid, quotients: np.ndarray):
     are; the margins of -q are exactly -margins(q), so one margin pass over
     the stack decides both, each quotient tested once at its default_tol.
     """
-    m = cone_margins(quotients, grid)
-    limit = _cone_limit(quotients, None)
-    grows = ~np.any(m < -limit, axis=-1)
-    shrinks = ~np.any(m > limit, axis=-1)
+    m, tol = cone_margins(quotients, grid), default_tol(quotients)
+    grows = ~(np.fmin.reduce(m, axis=-1) < -tol)  # NaN margins pass, as in is_in_cone
+    shrinks = ~(np.fmax.reduce(m, axis=-1) > tol)
     return grows[:-1] & grows[1:], shrinks[:-1] & shrinks[1:]
 
 
 def classify_step(c: SetCurve, k: int) -> HukuharaClass:
     """Differentiability type at interior index k from the one-sided quotients."""
-    first, second = _step_types(c.grid, _quotients_around(c, k))
+    first, second = _step_types(c.grid, c.quotients[_around(c, k)])
     return _CLASSES[bool(first[0]), bool(second[0])]
 
 

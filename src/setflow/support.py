@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -59,6 +60,7 @@ class DirectionGrid:
     n: int
     angles: np.ndarray = field(init=False, repr=False, compare=False)
     directions: np.ndarray = field(init=False, repr=False, compare=False)
+    two_cos_delta: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 3:
@@ -69,14 +71,11 @@ class DirectionGrid:
         directions.setflags(write=False)
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "directions", directions)
+        object.__setattr__(self, "two_cos_delta", 2.0 * math.cos(self.delta))
 
     @property
     def delta(self) -> float:
         return 2.0 * math.pi / self.n
-
-    @property
-    def two_cos_delta(self) -> float:
-        return 2.0 * math.cos(self.delta)
 
     @property
     def is_even(self) -> bool:
@@ -135,23 +134,21 @@ def cone_residual(values, grid: DirectionGrid):
     return np.where(worst > 0.0, worst, 0.0)[()]  # max(0.0, worst): NaN and -0.0 give 0.0
 
 
-def _cone_limit(values, tol) -> np.ndarray:
-    """tol, or default_tol per vector when None, shaped to broadcast over margins."""
-    return np.asarray(default_tol(values) if tol is None else tol)[..., None]
-
-
 def is_in_cone(values, grid: DirectionGrid) -> bool | np.ndarray:
-    """The discrete cone condition at default_tol: a bool, or a bool array over the
-    leading axes of a stack (..., n), tested row by row.  NaN margins pass."""
-    margins = cone_margins(values, grid)
-    return ~(margins < -_cone_limit(values, None)).any(axis=-1)[()]
+    """The discrete cone condition at default_tol: a bool, or a bool array over the leading
+    axes of a stack (..., n), tested row by row.  NaN margins pass (fmin skips them)."""
+    return ~(np.fmin.reduce(cone_margins(values, grid), axis=-1) < -default_tol(values))
 
 
 def _require_in_cone(values, grid: DirectionGrid, tol) -> None:
-    """NotInCone at the first failing row of a vector or a stack (tol a scalar or one per row).
-    An infinite scalar tol admits every row without computing a margin."""
-    limit = _cone_limit(values, tol)
-    m = limit if isinstance(tol, float) and tol == math.inf else cone_margins(values, grid)
+    """NonFiniteValue for a non-finite entry, else NotInCone at the first failing row of a vector
+    or a stack (tol a scalar or one per row).  An infinite scalar tol admits every row untested."""
+    if isinstance(tol, float) and tol == math.inf:
+        return
+    if not np.isfinite(values).all():
+        raise NonFiniteValue("support values must be finite")
+    limit = np.asarray(default_tol(values) if tol is None else tol)[..., None]
+    m = cone_margins(values, grid)
     bad = m < -limit
     if bad.any():
         k = int(bad.reshape(-1, grid.n).any(axis=-1).argmax())
@@ -249,6 +246,19 @@ class ConvexPolygon:
         return len(self.vertices)
 
 
+def _extremal(vals: np.ndarray):
+    """(||vals||, indices within default_tol of +||vals||, and of -||vals||).  A norm
+    within default_tol of zero is None, with the whole grid twice; NonFiniteValue if not finite."""
+    norm = float(np.abs(vals).max())
+    if not math.isfinite(norm):
+        raise NonFiniteValue("non-finite values of g")
+    tol = TOL_REL * max(1.0, norm)  # default_tol(vals), bit for bit
+    if norm <= tol:
+        full = np.arange(len(vals))
+        return None, full, full
+    return norm, (vals >= norm - tol).nonzero()[0], (vals <= -norm + tol).nonzero()[0]
+
+
 @dataclass(frozen=True, eq=False)
 class SupportDelta:
     """Difference of two support functions; a full vector space on the grid."""
@@ -270,9 +280,14 @@ class SupportDelta:
         object.__setattr__(s, "values", values)
         return s
 
+    @cached_property
+    def _extrema(self):
+        """_extremal of values, computed once: values is read-only.  A raise is not cached."""
+        return _extremal(self.values)
+
     @property
     def norm_inf(self) -> float:
-        return float(np.max(np.abs(self.values)))
+        return float(np.abs(self.values).max())
 
     def __add__(self, other: "SupportDelta") -> "SupportDelta":
         _require_same_grid(self, other)

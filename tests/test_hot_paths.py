@@ -1,10 +1,13 @@
-"""The per-step Hukuhara and duality calls against the code they replaced.
+"""The per-step Hukuhara, duality and integrator calls against the code they replaced.
 
 hukuhara_difference and second_type_differential decide existence with one
 is_in_cone test and never build a NotInCone; the reference builds the
-SupportSample and catches NotInCone, as both functions once did.  The
-extremal sets and the semi-inner product are compared with a reference that
-takes default_tol and np.flatnonzero.  All comparisons are exact.
+SupportSample and catches NotInCone, as both functions once did.  is_in_cone
+is held to the compare-and-any form it replaced.  The extremal sets and the
+semi-inner product are compared with a reference that takes default_tol and
+np.flatnonzero, and the cached sets of a curve's shared quotient deltas with
+fresh copies.  The RK4 step is held to its textbook expression.  All
+comparisons are exact.
 """
 
 import math
@@ -16,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import setflow as sf
-from setflow import hukuhara
-from setflow.errors import NotInCone, ZeroFunction
+from setflow import dynamics, hukuhara, support
+from setflow.errors import NonFiniteValue, NotInCone, ZeroFunction
 from setflow.support import TOL_REL, default_tol
 
 
@@ -222,3 +225,205 @@ def test_difference_quotients_are_read_only_views_of_the_curve():
         for d in (fwd, bwd):
             with pytest.raises(ValueError):
                 d.values[0] = 0.0
+
+
+# ------------------------------------------------------------------ cone test
+
+def reference_cone_test(margins, values):
+    """The compare / any / reshaped-limit form that is_in_cone replaced."""
+    limit = np.asarray(default_tol(values))[..., None]
+    return ~(margins < -limit).any(axis=-1)[()]
+
+
+@st.composite
+def margin_stacks(draw):
+    """Values of shape (n,), (B, n) or (A, B, n) and margins for them: random ones
+    around the limit, NaN, +-inf, +-0.0, exactly -default_tol, one ulp either side,
+    and rows of only NaN.  The values hold NaN and +-inf entries too."""
+    n = draw(st.sampled_from([3, 8, 64, 257]))
+    lead = draw(st.sampled_from([(), (1,), (4,), (2, 3), (3, 1)]))
+    shape = lead + (n,)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, size=lead + (1,))
+    odd = rng.random(shape) < draw(st.sampled_from([0.0, 0.01, 0.1]))
+    values[odd] = rng.choice([math.nan, math.inf, -math.inf], size=odd.sum())
+    limit = np.broadcast_to(np.asarray(default_tol(values))[..., None], shape)
+    picks = [
+        rng.standard_normal(shape) * 4.0 * limit,
+        np.full(shape, math.nan), np.full(shape, math.inf), np.full(shape, -math.inf),
+        np.full(shape, -0.0), np.zeros(shape), -limit,
+        np.nextafter(-limit, -math.inf), np.nextafter(-limit, math.inf),
+    ]
+    weights = np.array(draw(st.lists(st.integers(0, 4), min_size=9, max_size=9))) + 0.01
+    kind = rng.choice(len(picks), size=shape, p=weights / weights.sum())
+    margins = np.choose(kind, picks)
+    if lead and draw(st.booleans()):
+        margins.reshape(-1, n)[rng.integers(0, margins.size // n)] = math.nan
+    return sf.DirectionGrid(n), values, margins
+
+
+@settings(max_examples=300)
+@given(margin_stacks())
+def test_cone_test_reduction_matches_compare_and_any(case):
+    grid, values, margins = case
+    ref = reference_cone_test(margins, values)
+    with mock.patch.object(support, "cone_margins", return_value=margins):
+        got = sf.is_in_cone(values, grid)
+    if margins.ndim == 1:
+        assert type(got) is np.bool_ and type(ref) is np.bool_
+    else:
+        assert type(got) is np.ndarray and got.dtype == bool and got.shape == margins.shape[:-1]
+    assert np.array_equal(got, ref)
+    with np.errstate(invalid="ignore"):  # inf - inf in the margins of infinite entries
+        real = sf.is_in_cone(values, grid)
+        assert np.array_equal(real, reference_cone_test(sf.cone_margins(values, grid), values))
+
+
+def test_cone_test_limit_is_inclusive_and_nan_passes():
+    grid, values = sf.DirectionGrid(8), np.ones(8)
+    margins = np.zeros(8)
+    with mock.patch.object(support, "cone_margins", return_value=margins):
+        for at, passes in ((-default_tol(values), True), (-0.0, True), (math.nan, True),
+                           (np.nextafter(-default_tol(values), -math.inf), False)):
+            margins[3] = at
+            assert sf.is_in_cone(values, grid) is np.bool_(passes)
+        margins[:] = math.nan
+        assert sf.is_in_cone(values, grid) is np.True_
+
+
+# ---------------------------------------------------- shared quotient deltas
+
+def analyze_curve():
+    """An analyze-style curve: 400 RK4 steps at n 64, relaxing a box to a square."""
+    grid = sf.DirectionGrid(64)
+    target = sf.support_of_polygon(sf.ConvexPolygon.box((-1, 1), (-1, 1)), grid)
+    start = sf.support_of_polygon(sf.ConvexPolygon.box((0, 3.5), (-1.5, 2.5)), grid)
+    return sf.integrate(sf.relax_to(target), start, 4.0, 0.01, method="rk4").curve()
+
+
+def banded_curve():
+    """Zero quotients (repeated rows), constant ones (every index extremal) and box
+    growth (ties at the corners of the normal fan), shrinking and growing."""
+    grid = sf.DirectionGrid(16)
+    box = sf.support_of_polygon(sf.ConvexPolygon.box((0, 2), (0, 1)), grid).values
+    wide = sf.support_of_polygon(sf.ConvexPolygon.box((-1, 3), (0, 1)), grid).values
+    rows = [box, box, box + 0.5, box + 1.0, wide + 1.0, wide + 1.0, box, box + 1e-12, box]
+    return sf.SetCurve(grid, np.arange(len(rows)) * 0.25, rows)
+
+
+def fresh(d):
+    return sf.SupportDelta(d.grid, d.values.copy())
+
+
+def duality_results(f, g):
+    try:
+        reps = [mu.atoms for mu in sf.dual_representatives(g)]
+    except ZeroFunction:
+        reps = None
+    return bits(sf.semi_inner(f, g)).tobytes(), reps, sf.extremal_sets(g)
+
+
+def test_extremal_sets_run_once_per_distinct_delta():
+    curve = analyze_curve()
+    steps = range(1, len(curve) - 1)
+    assert len(steps) == 399
+    with mock.patch.object(support, "_extremal", wraps=support._extremal) as spy:
+        for k in steps:
+            fwd, bwd = hukuhara.difference_quotients(curve, k)
+            sf.hukuhara_difference(curve.samples[k + 1], curve.samples[k])
+            inner = sf.semi_inner(fwd, bwd)
+            assert min(mu(fwd) for mu in sf.dual_representatives(bwd)) == inner
+    assert spy.call_count == 399  # one per backward quotient, none repeated
+    for k in steps[1:]:
+        assert hukuhara.difference_quotients(curve, k)[1] is (
+            hukuhara.difference_quotients(curve, k - 1)[0])
+
+
+@pytest.mark.parametrize("make", [analyze_curve, banded_curve])
+def test_shared_deltas_give_the_bits_of_fresh_copies(make):
+    curve = make()
+    for _ in range(2):  # the second pass reads the sets cached by the first
+        for k in range(1, len(curve) - 1):
+            fwd, bwd = hukuhara.difference_quotients(curve, k)
+            for f, g in ((fwd, bwd), (bwd, fwd)):
+                assert duality_results(f, g) == duality_results(fresh(f), fresh(g))
+            for d in (fwd, bwd):
+                with pytest.raises(ValueError):
+                    d.values[0] = 0.0
+
+
+def test_banded_curve_has_zero_and_flat_quotients():
+    deltas = banded_curve().deltas
+    sets = [sf.extremal_sets(d) for d in deltas]
+    assert sets[0] == (tuple(range(16)), tuple(range(16)))  # zero: the whole grid twice
+    assert sets[1] == (tuple(range(16)), ())  # constant: every index in E+
+    assert 1 < len(sets[3][0]) < 16  # box growth: a band of ties
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_delta_raises_on_every_call(bad):
+    grid = sf.DirectionGrid(8)
+    g = sf.SupportDelta(grid, np.where(np.arange(8) == 2, bad, 1.0))
+    f = sf.SupportDelta(grid, np.ones(8))
+    with mock.patch.object(support, "_extremal", wraps=support._extremal) as spy:
+        for _ in range(2):
+            for call in (lambda: sf.semi_inner(f, g), lambda: sf.dual_representatives(g),
+                         lambda: sf.extremal_sets(g)):
+                with pytest.raises(NonFiniteValue):
+                    call()
+    assert spy.call_count == 6  # the error is never cached
+
+
+# ------------------------------------------------------------------ RK4 step
+
+def reference_rk4_step(f, t, y, h):
+    k1 = f.eval(t, y)
+    k2 = f.eval(t + h / 2.0, y + (h / 2.0) * k1)
+    k3 = f.eval(t + h / 2.0, y + (h / 2.0) * k2)
+    k4 = f.eval(t + h, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def random_field(grid, rng, kind):
+    """A row-by-row field: affine and nonlinear, a row result broadcast, or the input itself."""
+    m = rng.standard_normal((grid.n, grid.n)) / grid.n
+    b = rng.standard_normal(grid.n)
+    fns = {
+        "affine": lambda t, y: y @ m.T + math.sin(t) * b,
+        "nonlinear": lambda t, y: np.tanh(y) * b - 0.5 * y * np.abs(y) + t,
+        "row": lambda t, y: math.cos(t) * b,
+        "identity": lambda t, y: y,
+    }
+    return sf.RhsField(grid, fns[kind])
+
+
+@settings(max_examples=200)
+@given(
+    st.sampled_from([3, 8, 64]), st.integers(1, 4), st.integers(0, 2**32 - 1),
+    st.sampled_from(["affine", "nonlinear", "row", "identity"]),
+    st.floats(1e-3, 1.0), st.floats(-2.0, 2.0),
+)
+def test_rk4_step_matches_the_textbook_expression(n, rows, seed, kind, h, t):
+    grid = sf.DirectionGrid(n)
+    rng = np.random.default_rng(seed)
+    f = random_field(grid, rng, kind)
+    y = rng.standard_normal((rows, n))
+    before = y.copy()
+    got = dynamics._rk4_step(f, t, y, h)
+    assert got.tobytes() == reference_rk4_step(f, t, y, h).tobytes()
+    assert y.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 16), (16,)])
+def test_a_stored_field_array_is_never_written(shape):
+    grid = sf.DirectionGrid(16)
+    stored = np.random.default_rng(3).standard_normal(shape)
+    kept = stored.copy()
+    f = sf.RhsField(grid, lambda t, y: stored)
+    sigma0 = sf.support_of_polygon(sf.ConvexPolygon.box((-1, 1), (-1, 1)), grid)
+    traj = sf.integrate(f, sigma0, 1.0, 0.1, method="rk4", policy="never")
+    assert stored.tobytes() == kept.tobytes()
+    y = sigma0.values[None, :]
+    for j in range(1, len(traj)):
+        y = reference_rk4_step(f, traj.times[j - 1], y, traj.times[j] - traj.times[j - 1])
+        assert traj.states[j].tobytes() == y[0].tobytes()

@@ -94,6 +94,18 @@ def test_curve_rejects_one_out_of_cone_row():
     assert np.array_equal(curve.values, [good, bad, good])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_curve_rejects_a_non_finite_row(bad):
+    # all-NaN rows passed the cone test, and classify_curve then called the curve Both
+    good = sup(Q).values
+    one = good.copy()
+    one[9] = bad
+    for rows in ([good, one, good], np.full((3, 64), bad)):
+        for tol in (None, 1e-3, np.array([1e-9, 1.0, 1e-9])):
+            with pytest.raises(sf.NonFiniteValue):
+                sf.SetCurve(G64, [0.0, 1.0, 2.0], rows, tol)
+
+
 def test_reversal_reuses_the_checked_rows_without_a_second_cone_test():
     # the middle row is 5e-9 outside the cone: accepted at 1e-8, not at default_tol
     good = sup(Q).values

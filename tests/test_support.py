@@ -110,6 +110,18 @@ def test_sample_constructor_validates():
         sf.SupportSample(G64, vals)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sample_rejects_a_non_finite_entry(bad):
+    # NaN margins pass the cone test, so a NaN vector was a sample; an infinite
+    # entry passed too, with a RuntimeWarning from inf - inf in cone_margins
+    one = sup(Q).values.copy()
+    one[5] = bad
+    for vals in (one, np.full(64, bad)):
+        for tol in (None, 1e-3):
+            with pytest.raises(sf.NonFiniteValue):
+                sf.SupportSample(G64, vals, tol=tol)
+
+
 @pytest.mark.filterwarnings("error")
 def test_infinite_tolerance_admits_without_margins():
     # the margins of 1e308 entries overflowed (RuntimeWarning) although inf admits them
