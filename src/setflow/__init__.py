@@ -22,6 +22,7 @@ from .dynamics import (
     RhsField,
     Trajectory,
     constant_field,
+    exact_flow,
     existence_horizon,
     expansion_field,
     integrate,

@@ -13,15 +13,16 @@ import numpy as np
 from . import formats, svg
 from .dynamics import (
     METHODS,
+    RhsField,
     Trajectory,
     _drift_limit,
+    exact_flow,
     existence_horizon,
     integrate,
     integrate_stack,
     lipschitz_estimate,
     osl_row,
     relax_to,
-    relaxation_values,
     subtangent_feasible,
 )
 from .errors import ConfigError, SetflowError
@@ -100,16 +101,15 @@ def cmd_integrate(args) -> int:
     return 0
 
 
-def _example_one(
-    k: int, a0: ConvexPolygon, q: ConvexPolygon, traj: Trajectory, outdir: Path
-) -> tuple[HukuharaClass, float]:
+def _example_one(k: int, field: RhsField, traj: Trajectory,
+                 outdir: Path) -> tuple[HukuharaClass, float]:
     """Demo curve k: classify its frames, take the mean of the two quotients around
     each interior frame as the derivative, and write its tables and figures.
 
     Returns the class of the whole curve and max |numeric - closed form|.
     """
     grid = traj.grid
-    err = float(np.max(np.abs(traj.states - relaxation_values(a0, q, traj.times, grid))))
+    err = float(np.max(np.abs(traj.states - exact_flow(field, traj.states[0], traj.times))))
     frames = _frame_indices(traj.times, FRAME_SPACING)
     states = traj.states[frames]
     curve = SetCurve(grid, traj.times[frames], states, _drift_limit(states))
@@ -161,8 +161,7 @@ def cmd_example(args) -> int:
             raise SetflowError(f"curve {k}: {traj.failure}")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    results = [_example_one(k, a0, q, traj, outdir)
-               for k, a0, traj in zip(EXAMPLE_RECTS, starts, trajs)]
+    results = [_example_one(k, field, traj, outdir) for k, traj in zip(EXAMPLE_RECTS, trajs)]
     for k, (whole, _) in zip(EXAMPLE_RECTS, results):
         print(f"curve {k}: {whole}")
     for k, (_, err) in zip(EXAMPLE_RECTS, results):

@@ -10,7 +10,7 @@ last a semi-inner product of support vectors, osl_row) are sampled estimates, no
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,13 +49,18 @@ class RhsField:
     result of shape (n,) is broadcast over the stack.  fn must be pure:
     integrate may evaluate it on states past the first one that is
     non-finite or needs repair, or of a truncated row, and then discards
-    them.  lipschitz is an optional declared constant used only for reporting.
+    them.  affine = (rate, offset) declares fn = rate*sigma + offset, offset
+    a float or (n,) values; lipschitz and exact_flow follow from it.
     """
 
     grid: DirectionGrid
     fn: Callable[[float, np.ndarray], np.ndarray]
     name: str = "field"
-    lipschitz: float | None = None
+    affine: tuple[float, float | np.ndarray] | None = field(default=None, compare=False)
+
+    @property
+    def lipschitz(self) -> float | None:
+        return None if self.affine is None else abs(self.affine[0])
 
     def eval(self, t: float, values: np.ndarray) -> np.ndarray:
         out = self.fn(t, values)
@@ -68,19 +73,18 @@ class RhsField:
 
 def relax_to(target: SupportSample) -> RhsField:
     """Field sigma' = sigma_target - sigma: exponential relaxation to target."""
-    tvals = target.values
 
     def fn(t, y):
-        return tvals - y
+        return target.values - y
 
-    return RhsField(target.grid, fn, name="relax_to", lipschitz=1.0)
+    return RhsField(target.grid, fn, name="relax_to", affine=(-1.0, target.values))
 
 
 def constant_field(delta: SupportDelta) -> RhsField:
     def fn(t, y):
-        return delta.values.copy()
+        return delta.values
 
-    return RhsField(delta.grid, fn, name="constant", lipschitz=0.0)
+    return RhsField(delta.grid, fn, name="constant", affine=(0.0, delta.values))
 
 
 def expansion_field(grid: DirectionGrid, rate: float) -> RhsField:
@@ -89,7 +93,20 @@ def expansion_field(grid: DirectionGrid, rate: float) -> RhsField:
     def fn(t, y):
         return rate * y
 
-    return RhsField(grid, fn, name="expand", lipschitz=abs(rate))
+    return RhsField(grid, fn, name="expand", affine=(rate, 0.0))
+
+
+def exact_flow(f: RhsField, sigma0, times) -> np.ndarray:
+    """States of an affine f from values sigma0 (n,) at times t >= 0, one row each: exp(rate t)
+    sigma0 + t phi(rate t) offset, t phi(rate t) = expm1(rate t) / rate (t when rate == 0)."""
+    ts = np.asarray(times, dtype=float)
+    if f.affine is None:
+        raise ValueError(f"field '{f.name}' declares no affine form")
+    if np.any(ts < 0):
+        raise ValueError("t must be nonnegative")
+    rate, offset = f.affine
+    gain = ts if rate == 0 else np.expm1(rate * ts) / rate
+    return np.exp(rate * ts)[:, None] * sigma0 + gain[:, None] * offset
 
 
 def subtangent_feasible(v, sigma, grid: DirectionGrid):
@@ -372,35 +389,17 @@ def integrate(
     return integrate_stack(f, [sigma0], T, h, method, policy)[0]
 
 
-def relaxation_values(
-    a0: ConvexPolygon, q: ConvexPolygon, times, grid: DirectionGrid
-) -> np.ndarray:
-    """Exact states of the relaxation field at times t >= 0, one row per time.
-
-    The solution is the Minkowski combination exp(-t)*A0 + (1 - exp(-t))*Q,
-    so its support values are the same convex combination of the endpoint
-    samples.
-    """
-    ts = np.asarray(times, dtype=float)
-    if np.any(ts < 0):
-        raise ValueError("t must be nonnegative")
-    w = np.array([math.exp(-t) for t in ts])[:, None]
-    sa = support_of_polygon(a0, grid).values
-    sq = support_of_polygon(q, grid).values
-    return w * sa + (1.0 - w) * sq
+def relaxation_closed_form(a0: ConvexPolygon, q: ConvexPolygon, t: float,
+                           grid: DirectionGrid) -> SupportSample:
+    """exact_flow of relax_to(q) from a0 at t >= 0; kept while bench/tracing.py TARGETS names it."""
+    f = relax_to(support_of_polygon(q, grid))
+    return SupportSample(grid, exact_flow(f, support_of_polygon(a0, grid).values, [t])[0])
 
 
-def relaxation_closed_form(
-    a0: ConvexPolygon, q: ConvexPolygon, t: float, grid: DirectionGrid
-) -> SupportSample:
-    """Exact state of the relaxation field at time t >= 0."""
-    return SupportSample(grid, relaxation_values(a0, q, [t], grid)[0])
-
-
-def relaxation_curve(
-    a0: ConvexPolygon, q: ConvexPolygon, times, grid: DirectionGrid
-) -> SetCurve:
-    return SetCurve(grid, times, relaxation_values(a0, q, times, grid))
+def relaxation_curve(a0: ConvexPolygon, q: ConvexPolygon, times, grid: DirectionGrid) -> SetCurve:
+    """exact_flow of relax_to(q) from a0 as a SetCurve; kept while bench/kernels.py calls it."""
+    f = relax_to(support_of_polygon(q, grid))
+    return SetCurve(grid, times, exact_flow(f, support_of_polygon(a0, grid).values, times))
 
 
 def lipschitz_estimate(

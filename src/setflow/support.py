@@ -142,11 +142,11 @@ def is_in_cone(values, grid: DirectionGrid) -> bool | np.ndarray:
 
 def _require_in_cone(values, grid: DirectionGrid, tol) -> None:
     """NonFiniteValue for a non-finite entry, else NotInCone at the first failing row of a vector
-    or a stack (tol a scalar or one per row).  An infinite scalar tol admits every row untested."""
-    if isinstance(tol, float) and tol == math.inf:
-        return
+    or a stack (tol a scalar or one per row).  An infinite scalar tol skips the margins."""
     if not np.isfinite(values).all():
         raise NonFiniteValue("support values must be finite")
+    if isinstance(tol, float) and tol == math.inf:
+        return
     limit = np.asarray(default_tol(values) if tol is None else tol)[..., None]
     m = cone_margins(values, grid)
     bad = m < -limit

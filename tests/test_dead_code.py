@@ -1,13 +1,18 @@
 """No dead code in src/setflow: every imported name is used by the module that imports
-it, and every private module-level name is referenced somewhere in the package."""
+it, every private module-level name is referenced somewhere in the package, and every
+public function or class is reached by the package or the benchmark, or listed as test-only."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "setflow"
 TREES = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+BENCH = SRC.parents[1] / "bench"
+# paper objects that only the tests reach: exported, but no module or benchmark calls them
+TEST_ONLY = ("hausdorff_realizing_directions",)
 
 
 def imported_names(tree):
@@ -64,3 +69,19 @@ def test_every_private_name_is_referenced():
         if name not in used
     ]
     assert dead == []
+
+
+def test_every_public_name_has_a_caller():
+    # a caller is a read in the package (a definition or an import is none) or any mention
+    # in bench/ (the tracer's TARGETS strings, kernels.py, workloads.py); else it is TEST_ONLY
+    bench = re.findall(r"\w+", "".join(p.read_text() for p in sorted(BENCH.glob("*.py"))))
+    called = set(bench).union(*map(read_names, TREES.values()))
+    uncalled = [
+        node.name
+        for tree in TREES.values()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in called
+    ]
+    assert sorted(uncalled) == sorted(TEST_ONLY)

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import setflow as sf
@@ -413,6 +414,77 @@ def test_closed_form_distance_decay():
     for t in (0.3, 1.0, 2.5):
         st = sf.relaxation_closed_form(A1, Q, t, G64)
         assert sf.hausdorff_grid(st, SQ) == pytest.approx(d0 * math.exp(-t), rel=1e-12)
+
+
+# -------------------------------------------------------------------- exact flow
+
+EXPAND = {rate: sf.expansion_field(G64, rate) for rate in (0.5, -0.7)}
+CONSTANT = sf.constant_field(sf.SupportDelta(G64, np.cos(3 * G64.angles) + 0.5))
+
+
+def old_relaxation_values(a0, q, times, grid):
+    """The closed form exact_flow replaced: exp(-t) sigma_A0 + (1 - exp(-t)) sigma_Q."""
+    w = np.array([math.exp(-t) for t in times])[:, None]
+    return w * sup(a0, grid).values + (1.0 - w) * sup(q, grid).values
+
+
+@st.composite
+def boxes_and_polygons(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return sf.random_rectangle(rng)
+    return sf.ConvexPolygon.from_points(rng.uniform(-3.0, 3.0, (int(rng.integers(1, 9)), 2)))
+
+
+@settings(max_examples=200)
+@given(boxes_and_polygons(), boxes_and_polygons(), st.sampled_from([3, 8, 64]),
+       st.lists(st.floats(0.0, 50.0), min_size=1, max_size=5))
+def test_exact_flow_of_relaxation_is_the_convex_combination(a0, q, n, ts):
+    grid = sf.DirectionGrid(n)
+    times = [0.0] + ts
+    flow = sf.exact_flow(sf.relax_to(sup(q, grid)), sup(a0, grid).values, times)
+    old = old_relaxation_values(a0, q, times, grid)
+    assert np.array_equal(flow[0], old[0])
+    assert np.all(np.abs(flow - old) <= default_tol(old)[:, None])
+
+
+@pytest.mark.parametrize("field", [CONSTANT, *EXPAND.values()], ids=["constant", "0.5", "-0.7"])
+def test_exact_flow_matches_a_fine_rk4_run(field):
+    traj = sf.integrate(field, sup(A1), T=2.0, h=1 / 512, policy="never")
+    exact = sf.exact_flow(field, traj.states[0], traj.times)
+    assert np.max(np.abs(traj.states - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("field", [RELAX, *EXPAND.values()], ids=["relax_to", "0.5", "-0.7"])
+@pytest.mark.parametrize("method, p", [("euler", 1), ("rk4", 4)])
+def test_error_against_the_exact_flow_falls_by_two_to_the_order(field, method, p):
+    # constant is left out: Euler and RK4 are both exact on it
+    errs = []
+    for h in 0.2 / 2.0 ** np.arange(6):  # 0.2 down to 0.00625
+        traj = sf.integrate(field, sup(A1), T=2.0, h=h, method=method, policy="never")
+        errs.append(np.max(np.abs(traj.states - sf.exact_flow(field, traj.states[0], traj.times))))
+    orders = np.log2(np.array(errs[:-1]) / errs[1:])
+    assert np.all(np.abs(orders - p) <= 0.3), orders
+
+
+def test_exact_flow_needs_a_declared_form_and_nonnegative_times():
+    with pytest.raises(ValueError, match="declares no affine form"):
+        sf.exact_flow(sf.RhsField(G64, lambda t, y: -y), SQ.values, [1.0])
+    with pytest.raises(ValueError, match="nonnegative"):
+        sf.exact_flow(RELAX, SQ.values, [0.0, -1e-300])
+
+
+def test_lipschitz_is_derived_from_the_declared_form():
+    assert [f.name for f in dataclasses.fields(sf.RhsField)] == ["grid", "fn", "name", "affine"]
+    assert (RELAX.lipschitz, CONSTANT.lipschitz) == (1.0, 0.0)
+    assert (EXPAND[0.5].lipschitz, EXPAND[-0.7].lipschitz) == (0.5, 0.7)
+    assert sf.RhsField(G64, lambda t, y: y).lipschitz is None
+    assert len({RELAX, CONSTANT, *EXPAND.values()}) == 4  # an array offset leaves it hashable
+
+
+def test_constant_field_returns_its_delta_without_a_copy():
+    delta = sf.SupportDelta(G64, np.cos(3 * G64.angles))
+    assert np.shares_memory(sf.constant_field(delta).eval(0.0, SQ.values), delta.values)
 
 
 # -------------------------------------------------------------------- lipschitz

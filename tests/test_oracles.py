@@ -1479,8 +1479,8 @@ def as_rows(values, kind):
     if kind == "array" or values.shape[1] < 3:
         return list(values)
     grid = sf.DirectionGrid(values.shape[1])
-    if kind == "sample":  # an infinite tolerance admits any vector
-        return [sf.SupportSample(grid, v, tol=math.inf) for v in values]
+    if kind == "sample":  # built untested: the rows may hold NaN and inf
+        return [sf.SupportSample._checked(grid, v) for v in values]
     return [sf.SupportDelta(grid, v) for v in values]
 
 

@@ -131,6 +131,17 @@ def test_infinite_tolerance_admits_without_margins():
     assert np.array_equal(s.values, vals)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_infinite_tolerance_still_rejects_a_non_finite_entry(bad):
+    # an infinite tol skipped every test, the finiteness check included
+    vals = sup(Q).values.copy()
+    vals[5] = bad
+    with pytest.raises(sf.NonFiniteValue):
+        sf.SupportSample(G64, vals, tol=math.inf)
+    with pytest.raises(sf.NonFiniteValue):
+        sf.SetCurve(G64, [0.0, 1.0, 2.0], [sup(Q).values, vals, sup(Q).values], tol=math.inf)
+
+
 # ------------------------------------------------------------------ reconstruction
 
 def test_reconstruct_square_round_trip():
