@@ -21,7 +21,7 @@ from .dynamics import (
     integrate,
     integrate_stack,
     lipschitz_estimate,
-    osl_row,
+    osl_rows,
     relax_to,
     subtangent_feasible,
 )
@@ -178,8 +178,9 @@ def _ball_centre(cfg) -> SupportSample:
 def _check_subtangent(cfg, rng) -> int:
     sigma0 = _ball_centre(cfg)
     points = np.vstack([sigma0.values, ball_draws(sigma0, cfg.r, cfg.samples - 1, rng)])
-    ts = rng.uniform(0.0, cfg.T, len(points)).tolist()
-    v = np.array([cfg.field.eval(t, y) for t, y in zip(ts, points)])
+    v = np.empty_like(points)
+    for t, k in cfg.field._evaluations(rng.uniform(0.0, cfg.T, len(points)).tolist()):
+        v[k] = cfg.field.eval(t, points[k])
     ok, lam_min, lam_max = subtangent_feasible(v, points, cfg.grid)
     feasible = int(ok.sum())
     if feasible:
@@ -195,8 +196,7 @@ def _check_osl(cfg, rng) -> int:
     checked = []  # (t, distance, direction_index, lhs, bound, satisfied) of each pair
     while len(checked) < cfg.samples:  # skipped pairs are drawn again
         pairs, ts = rectangle_pairs(cfg.grid, cfg.T, cfg.samples - len(checked), rng)
-        rows = (osl_row(cfg.field, xy, t, cfg.omega) for t, xy in zip(ts.tolist(), pairs))
-        checked += [row for row in rows if row]
+        checked += osl_rows(cfg.field, pairs, ts.tolist(), cfg.omega)
     witnesses = [row[:5] for row in checked if not row[5]]
     print(f"osl: {len(checked) - len(witnesses)}/{len(checked)} pairs satisfied")
     if witnesses and "witnesses" in cfg.output:

@@ -4,7 +4,7 @@ A right-hand side maps (t, support sample) to a delta.  Solutions stay in the co
 field values are subtangent to it, on the grid a one-parameter family of linear inequalities
 solved in closed form.  The integrator is fixed-step explicit (Euler or classical RK4) with a
 stated drift-repair policy.  Existence-horizon, Lipschitz and one-sided-Lipschitz checks (the
-last a semi-inner product of support vectors, osl_row) are sampled estimates, not certificates.
+last a semi-inner product of support vectors, osl_rows) are sampled estimates, not certificates.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .support import (
     DirectionGrid,
     SupportDelta,
     SupportSample,
-    _extremal,
     _grid_values,
     _realizer,
     _require_same_grid,
@@ -45,12 +44,12 @@ POLICIES = ("never", "on_violation", "always")
 class RhsField:
     """Right-hand side f(t, sigma) -> delta, evaluated on raw value vectors.
 
-    fn gets one vector (n,) or a stack (B, n) and must act row by row; a
-    result of shape (n,) is broadcast over the stack.  fn must be pure:
-    integrate may evaluate it on states past the first one that is
-    non-finite or needs repair, or of a truncated row, and then discards
-    them.  affine = (rate, offset) declares fn = rate*sigma + offset, offset
-    a float or (n,) values; lipschitz and exact_flow follow from it.
+    fn gets one vector (n,) or a stack (..., n) and must act row by row; a result of shape (n,)
+    is broadcast over the stack.  fn must be pure: integrate may evaluate it on states past the
+    first one that is non-finite or needs repair, or of a truncated row, and then discards them.
+    affine = (rate, offset) declares fn = rate*sigma + offset, offset a float or (n,) values,
+    and so no t-dependence: lipschitz, exact_flow and the one evaluation a sampled check makes
+    of such a field for all its times follow from it.
     """
 
     grid: DirectionGrid
@@ -69,6 +68,11 @@ class RhsField:
             # an (n,) result is copied to each row: arithmetic on a broadcast view is slow
             out = out if out.shape == values.shape else np.broadcast_to(out, values.shape).copy()
         return out
+
+    def _evaluations(self, ts: list) -> list:
+        """(t, k): evaluate row k at t = ts[k]; if affine, (ts[0], ...): all rows at once."""
+        rows = [...] if self.affine is not None else range(len(ts))
+        return list(zip(ts, rows))
 
 
 def relax_to(target: SupportSample) -> RhsField:
@@ -140,21 +144,19 @@ def existence_horizon(
 ) -> tuple[float, float]:
     """Sampled field bound c on [0, T] x (cone ball of radius r) and b = min(T, r/c).
 
-    The states are sigma0, sigma0 + r and the budget rows of ball_draws around
-    sigma0 (widened and shrunk sets), each at 9 equally spaced times on
-    [0, T].  The bound is a lower-confidence estimate from this sweep, not a
-    certified supremum.  A field that is zero on every sample gives c = 0 and
-    b = T.
+    The states are sigma0, sigma0 + r and the budget rows of ball_draws around sigma0 (widened
+    and shrunk sets), each at 9 equally spaced times on [0, T], or at 0 alone for an affine f.
+    The bound is a lower-confidence estimate from this sweep, not a certified supremum.  A
+    field that is zero on every sample gives c = 0 and b = T.
     """
     if r <= 0 or T <= 0:
         raise ValueError("r and T must be positive")
     draws = ball_draws(sigma0, r, budget, np.random.default_rng(seed))
     stack = np.vstack([sigma0.values, sigma0.values + r, draws])
     c = 0.0
-    for t in np.linspace(0.0, T, 9):
+    for t, _ in f._evaluations(np.linspace(0.0, T, 9).tolist()):
         # the max over each state's |f|, skipping NaN rows like max(c, nan) does
-        peaks = np.max(np.abs(f.eval(float(t), stack)), axis=-1)
-        c = float(np.fmax.reduce(peaks, initial=c))
+        c = float(np.fmax.reduce(np.abs(f.eval(t, stack)).max(axis=-1), initial=c))
     return c, (T if c == 0.0 else min(T, r / c))
 
 
@@ -219,20 +221,27 @@ def osl_check(
     return OslReport(any(c.satisfied for c in cases), dh, tuple(cases))
 
 
-def osl_row(f: RhsField, xy: np.ndarray, t: float, rate: float):
-    """One-sided Lipschitz check in the Banach space of a (2, n) pair x, y at time t: g = x - y,
-    d = f(t, x) - f(t, y), lhs = [d, g]_- / |g|_inf, the least of d on E+ and of -d on E- of g (NaN
-    if d is NaN there).  (t, |g|_inf, the lowest index of lhs, lhs, bound = rate * |g|_inf, lhs
-    <= bound + default_tol of x, y and d), or None if |g|_inf <= default_tol of x and y."""
-    dist, pos, neg = _extremal(xy[0] - xy[1])
-    if dist is None or dist <= (tol := float(default_tol(xy.ravel()))):
-        return None
-    d = np.subtract(*f.eval(t, xy))
-    arms = np.full(len(d), math.inf)
-    arms[pos], arms[neg] = d[pos], -d[neg]
-    k = int(arms.argmin())  # the first NaN, if any
-    lhs, bound = float(arms[k]), rate * dist
-    return t, dist, k, lhs, bound, lhs <= bound + max(tol, float(default_tol(d)))
+def osl_rows(f: RhsField, pairs: np.ndarray, ts: list, rate: float) -> list[tuple]:
+    """One-sided Lipschitz check in the Banach space of each pair x, y of a (B, 2, n) stack at its
+    time ts[k]: g = x - y, d = f(t, x) - f(t, y), lhs = [d, g]_- / |g|_inf, the least of d on E+
+    and of -d on E- of g (NaN if d is NaN there).  Rows (t, |g|_inf, the lowest index of lhs, lhs,
+    bound = rate * |g|_inf, lhs <= bound + default_tol of x, y and d) of the pairs, in order, whose
+    |g|_inf exceeds default_tol of x and y (hence of g); NonFiniteValue if g is not finite."""
+    g = pairs[:, 0] - pairs[:, 1]  # then d, then the arms of lhs: one buffer
+    if not np.isfinite(dist := np.abs(g).max(axis=-1)).all():
+        raise NonFiniteValue("non-finite values of g")
+    near, tol = default_tol(dist[:, None]), default_tol(pairs).max(axis=-1)
+    pos, neg = g >= (dist - near)[:, None], g <= (-dist + near)[:, None]  # E+, E- of g
+    for t, k in f._evaluations(ts):
+        np.subtract(*np.moveaxis(f.eval(t, pairs[k]), -2, 0), out=g[k])
+    slack = np.fmax(tol, default_tol(g))
+    np.negative(g, out=g, where=neg)
+    np.copyto(g, math.inf, where=~(pos | neg))
+    index = g.argmin(axis=-1)  # the first NaN, if any
+    lhs, bound = g[np.arange(len(g)), index], rate * dist
+    rows = zip(ts, dist.tolist(), index.tolist(), lhs.tolist(), bound.tolist(),
+               (lhs <= bound + slack).tolist())
+    return [row for row, kept in zip(rows, (dist > tol).tolist()) if kept]
 
 
 @dataclass(frozen=True)
@@ -407,18 +416,17 @@ def lipschitz_estimate(
 ) -> float:
     """Empirical sup of the field's difference quotients on [0, T] x (cone ball of radius r).
 
-    The pairs are consecutive rows of budget + 1 ball_draws around sigma0, a
-    widened set and a shrunk one, and the field is evaluated on all rows at
-    the same 9 times as existence_horizon.  A lower bound on any Lipschitz
-    constant of f in its second argument on that set.
+    The pairs are consecutive rows of budget + 1 ball_draws around sigma0, a widened set and a
+    shrunk one, and the field is evaluated on all rows at the times of existence_horizon.  A
+    lower bound on any Lipschitz constant of f in its second argument on that set.
     """
     if budget < 1 or r <= 0 or T <= 0:
         raise ValueError("budget must be at least 1, and r and T positive")
     ys = ball_draws(sigma0, r, budget + 1, np.random.default_rng(seed))
     den = np.max(np.abs(np.diff(ys, axis=0)), axis=-1)
     best = 0.0
-    for t in np.linspace(0.0, T, 9):
-        num = np.max(np.abs(np.diff(f.eval(float(t), ys), axis=0)), axis=-1)
+    for t, _ in f._evaluations(np.linspace(0.0, T, 9).tolist()):
+        num = np.max(np.abs(np.diff(f.eval(t, ys), axis=0)), axis=-1)
         # pairs that coincide and NaN quotients are skipped, like max(best, nan) does
         best = float(np.fmax.reduce(num[den > 0.0] / den[den > 0.0], initial=best))
     return best

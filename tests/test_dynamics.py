@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import setflow as sf
-from setflow.cli import _check_subtangent
-from setflow.dynamics import osl_row
+from setflow.cli import _check_osl, _check_subtangent
+from setflow.dynamics import osl_rows
+from setflow.errors import NonFiniteValue
 from setflow.support import default_tol
 
 G64 = sf.DirectionGrid(64)
@@ -129,13 +130,16 @@ def test_ball_draws_memory_is_bounded():
     assert draws.shape == (count, grid.n)
     assert peak < 4 * count * grid.n * 8
     # the sampled checks hold a few budget * n stacks at once (measured 4.0x, 3.0x and,
-    # for the stacked subtangent pass with its field values and margins, 5.5x)
+    # for the stacked subtangent pass with its field values and margins, 5.5x; osl, 6.0x,
+    # peaks while rectangle_pairs draws, and its stacked check of the pairs then holds 5.4x)
     budget, relax = 1024, sf.relax_to(sup(Q, grid))
-    cfg = SimpleNamespace(field=relax, grid=grid, initial=A1, r=1.0, T=1.0, samples=budget)
+    cfg = SimpleNamespace(field=relax, grid=grid, initial=A1, r=1.0, T=1.0, samples=budget,
+                          omega=1.0, output={})
     runs = [
         (sf.existence_horizon, (relax, sigma0, 1.0, 1.0, budget), 4.5),
         (sf.lipschitz_estimate, (relax, sigma0, 1.0, 1.0, budget), 4.5),
         (_check_subtangent, (cfg, np.random.default_rng(0)), 6.0),
+        (_check_osl, (cfg, np.random.default_rng(0)), 6.5),
     ]
     for check, args, factor in runs:
         tracemalloc.start()
@@ -216,7 +220,7 @@ def test_osl_row_nan_at_an_extremal_index_is_a_violation(mpos):
     xy[0, 0], xy[1, 4] = 4.0, 4.0
     poison = np.array([mpos / 4.0, 1, 1, 1, np.nan, 1, 1, 1])
     field = sf.RhsField(grid, lambda t, y: poison * y)
-    t, dist, index, lhs, bound, satisfied = osl_row(field, xy, 0.5, 1.0)
+    [(t, dist, index, lhs, bound, satisfied)] = osl_rows(field, xy[None], [0.5], 1.0)
     assert (t, dist, index, bound, satisfied) == (0.5, 4.0, 4, 4.0, False)
     assert math.isnan(lhs)
 
@@ -227,11 +231,36 @@ def test_osl_row_skips_coinciding_sets_and_keeps_the_lowest_index():
     shifted = sup(sf.ConvexPolygon.box((0, 2), (-1, 1)), grid).values
     pairs = np.array([[square, square], [shifted, square], [square, shifted]])
     field, omega = sf.expansion_field(grid, 2.0), 1.5
-    rows = [osl_row(field, xy, 0.0, omega) for xy in pairs]
-    assert rows[0] is None
+    rows = osl_rows(field, pairs, [0.0, 0.0, 0.0], omega)
+    assert len(rows) == 2  # the first pair is skipped
     # g = +-u_x: E+ and E- are {0} and {8} (or {8} and {0}), d = 2 g gives lhs 2 at both,
     # and the lower index wins the tie
-    assert rows[1] == rows[2] == (0.0, 1.0, 0, 2.0, 1.5, False)
+    assert rows[0] == rows[1] == (0.0, 1.0, 0, 2.0, 1.5, False)
+    assert osl_rows(field, pairs[:0], [], omega) == []
+
+
+def test_osl_rows_slack_is_the_larger_of_the_tolerances_of_x_y_and_of_d():
+    # x, y of norm 1 give a slack of 1e-9, d = 1e6 g one of 1e-3: lhs - bound = 1e-6 is let pass
+    grid = sf.DirectionGrid(8)
+    pairs = np.zeros((1, 2, 8))
+    pairs[0, 0, 0] = 1.0
+    field = sf.expansion_field(grid, 1e6)
+    assert osl_rows(field, pairs, [0.0], 1e6 - 1e-6)[0][5] is True
+    assert osl_rows(field, pairs, [0.0], 1e6 - 1e-2)[0][5] is False
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_osl_rows_raise_on_a_non_finite_row(bad):
+    # one poisoned entry of one pair: its g is not finite, as in the per-pair check
+    grid = sf.DirectionGrid(8)
+    pairs = np.zeros((3, 2, 8))
+    pairs[:, 0, 0] = 1.0
+    pairs[2, 1, 5] = bad
+    with pytest.raises(NonFiniteValue, match="non-finite values of g"):
+        osl_rows(sf.expansion_field(grid, 1.0), pairs, [0.0, 0.5, 1.0], 1.0)
+    pairs[2, :, 5] = np.inf  # inf - inf is NaN
+    with pytest.raises(NonFiniteValue), np.errstate(invalid="ignore"):
+        osl_rows(sf.expansion_field(grid, 1.0), pairs, [0.0, 0.5, 1.0], 1.0)
 
 
 # -------------------------------------------------------------------- integrate

@@ -7,9 +7,14 @@ is held to the compare-and-any form it replaced.  The extremal sets and the
 semi-inner product are compared with a reference that takes default_tol and
 np.flatnonzero, and the cached sets of a curve's shared quotient deltas with
 fresh copies.  The RK4 step is held to its textbook expression.  All
-comparisons are exact.
+comparisons are exact.  The sampled checks evaluate a declared affine field
+once, and any other field at every sampled time.
 """
 
+import contextlib
+import dataclasses
+import io
+import json
 import math
 from unittest import mock
 
@@ -19,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import setflow as sf
-from setflow import dynamics, hukuhara, support
+from setflow import cli, dynamics, formats, hukuhara, support
 from setflow.errors import NonFiniteValue, NotInCone, ZeroFunction
 from setflow.support import TOL_REL, default_tol
 
@@ -427,3 +432,100 @@ def test_a_stored_field_array_is_never_written(shape):
     for j in range(1, len(traj)):
         y = reference_rk4_step(f, traj.times[j - 1], y, traj.times[j] - traj.times[j - 1])
         assert traj.states[j].tobytes() == y[0].tobytes()
+
+
+# --------------------------------------- one evaluation of a declared affine field
+
+def counted(field):
+    """field with its fn wrapped by a spy, and the list of times the spy was called at."""
+    calls = []
+
+    def fn(t, y):
+        calls.append(t)
+        return field.fn(t, y)
+
+    return dataclasses.replace(field, fn=fn), calls
+
+
+def undeclared(field):
+    return dataclasses.replace(field, affine=None)
+
+
+GRID16 = sf.DirectionGrid(16)
+TARGET16 = sf.support_of_polygon(sf.ConvexPolygon.box((-1, 1), (-1, 1)), GRID16)
+START16 = sf.support_of_polygon(sf.ConvexPolygon.box((2, 3), (1, 2)), GRID16)
+AFFINE16 = [sf.relax_to(TARGET16), sf.expansion_field(GRID16, 0.5),
+            sf.constant_field(sf.SupportDelta(GRID16, np.linspace(-1.0, 1.0, 16)))]
+
+
+@pytest.mark.parametrize("field", AFFINE16, ids=lambda f: f.name)
+def test_horizon_and_lipschitz_evaluate_an_affine_field_once(field):
+    for check in (sf.existence_horizon, sf.lipschitz_estimate):
+        once, calls = counted(field)
+        every, every_calls = counted(undeclared(field))
+        got = check(once, START16, 1.0, 2.0, 32, seed=3)
+        want = check(every, START16, 1.0, 2.0, 32, seed=3)
+        assert (len(calls), len(every_calls)) == (1, 9), check.__name__
+        assert got == want, check.__name__  # the same bits at every time
+
+
+def test_an_undeclared_field_still_takes_its_bound_at_t_equal_T():
+    # (1 + t) y grows with t: evaluated at t = 0 alone it would give a smaller c and L
+    T = 2.0
+    grow = sf.RhsField(GRID16, lambda t, y: (1.0 + t) * y)
+    at_T = sf.RhsField(GRID16, lambda t, y: (1.0 + T) * y, affine=(1.0 + T, 0.0))
+    at_0 = sf.RhsField(GRID16, lambda t, y: y, affine=(1.0, 0.0))
+    c, _ = sf.existence_horizon(grow, START16, 1.0, T, seed=5)
+    assert c == sf.existence_horizon(at_T, START16, 1.0, T, seed=5)[0]
+    assert c > sf.existence_horizon(at_0, START16, 1.0, T, seed=5)[0]
+    lip = sf.lipschitz_estimate(grow, START16, 1.0, T, seed=5)
+    assert lip == sf.lipschitz_estimate(at_T, START16, 1.0, T, seed=5) > 1.0 + 1e-9
+
+
+class SkipFirstPair:
+    """A Generator stand-in whose first rectangle pair draws one box twice: check osl skips
+    that pair and draws a second batch of one pair."""
+
+    def __init__(self, seed):
+        self.rng, self.first = np.random.default_rng(seed), True
+
+    def random(self, size):
+        u = self.rng.random(size)
+        if self.first:
+            u[0, 4:8], self.first = u[0, 0:4], False
+        return u
+
+
+def run_check(check, cfg, rng):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = check(cfg, rng)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("rhs", [
+    {"kind": "relax_to", "target": {"box": [[-1, 1], [-1, 1]]}},
+    {"kind": "expand", "rate": 0.5},
+    {"kind": "constant", "delta": [0.25] * 16},
+], ids=lambda rhs: rhs["kind"])
+def test_check_osl_and_subtangent_evaluate_an_affine_field_once_per_batch(tmp_path, rhs):
+    samples = 12
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({"grid_n": 16, "T": 1.5, "h": 0.1, "rhs": rhs,
+                                  "initial": {"box": [[2, 3], [1, 2]]}, "samples": samples}))
+    cfg = formats.load_scenario(config)
+    once, calls = counted(cfg.field)
+    every, every_calls = counted(undeclared(cfg.field))
+    with mock.patch.object(cli, "rectangle_pairs", wraps=cli.rectangle_pairs) as batches:
+        got = run_check(cli._check_osl, dataclasses.replace(cfg, field=once), SkipFirstPair(7))
+    assert (batches.call_count, len(calls)) == (2, 2)
+    want = run_check(cli._check_osl, dataclasses.replace(cfg, field=every), SkipFirstPair(7))
+    assert len(every_calls) == samples + 1  # the skipped pair is evaluated too
+    assert got == want
+    calls.clear(), every_calls.clear()
+    got = run_check(cli._check_subtangent, dataclasses.replace(cfg, field=once),
+                    np.random.default_rng(7))
+    want = run_check(cli._check_subtangent, dataclasses.replace(cfg, field=every),
+                     np.random.default_rng(7))
+    assert (len(calls), len(every_calls)) == (1, samples)
+    assert got == want

@@ -37,7 +37,7 @@ from hypothesis.extra import numpy as hnp
 import setflow as sf
 from setflow import HukuharaClass, OslCase, OslReport, cli, dynamics, formats, support, svg
 from setflow.cli import EXAMPLE_RECTS, EXAMPLE_TARGET, _frame_indices
-from setflow.dynamics import osl_row
+from setflow.dynamics import osl_rows
 from setflow.sampling import random_rectangle, rectangle_pairs
 from setflow.support import default_tol
 
@@ -757,8 +757,9 @@ def test_osl_check_reaches_every_outcome():
 
 # ------------------------------------------------ the one-sided Lipschitz check on the grid
 #
-# check osl draws its rectangle pairs in batches (rectangle_pairs) and checks each on
-# its support vectors (osl_row); the references are the sequential draw loop and the
+# check osl draws its rectangle pairs in batches (rectangle_pairs) and checks each batch
+# on its support vectors in one stacked pass (osl_rows); the references are the
+# sequential draw loop, the per-pair check it replaced (reference_osl_row) and the
 # polygon check above, reference_osl_check.
 
 class UniformStream:
@@ -865,8 +866,10 @@ def test_osl_row_matches_the_polygon_reference(seed, n, kind, rate, omega_rate):
     omega = 0.0 if omega_rate is None else omega_rate
     twin = copy.deepcopy(rng)
     pairs, ts = rectangle_pairs(grid, 2.0, 16, rng)
+    assert len(set(ts.tolist())) == 16  # a kept row is found by its time
+    rows = {row[0]: row for row in osl_rows(field, pairs, ts.tolist(), omega)}
     for (x, y), t_batched in zip(pairs, ts.tolist()):
-        row = osl_row(field, np.array([x, y]), t_batched, omega)
+        row = rows.get(t_batched)
         a, b = random_rectangle(twin), random_rectangle(twin)
         t = twin.uniform(0.0, 2.0)
         ref = reference_osl_check(field, a, b, t, omega)
@@ -883,6 +886,75 @@ def test_osl_row_matches_the_polygon_reference(seed, n, kind, rate, omega_rate):
             # the grid check, and omega * exact distance, that of the polygon check
             lo, hi = sorted((bound, ref.cases[0].bound))
             assert lo - tol <= lhs <= hi + tol
+
+
+def reference_osl_row(f, xy, t, rate):
+    """The per-pair check that osl_rows replaced, as it was: its row, or None for a skipped pair."""
+    dist, pos, neg = support._extremal(xy[0] - xy[1])
+    if dist is None or dist <= (tol := float(default_tol(xy.ravel()))):
+        return None
+    d = np.subtract(*f.eval(t, xy))
+    arms = np.full(len(d), math.inf)
+    arms[pos], arms[neg] = d[pos], -d[neg]
+    k = int(arms.argmin())  # the first NaN, if any
+    lhs, bound = float(arms[k]), rate * dist
+    return t, dist, k, lhs, bound, lhs <= bound + max(tol, float(default_tol(d)))
+
+
+def osl_field(kind, grid, rate, rng):
+    """A field of the given kind; the NaN kinds put a NaN into d = f(t, x) - f(t, y) at index 0."""
+    n = grid.n
+    if kind == "relax_to":
+        return sf.relax_to(sf.support_of_polygon(random_rectangle(rng), grid))
+    if kind == "expand":
+        return sf.expansion_field(grid, rate)
+    if kind == "constant":
+        return sf.constant_field(sf.SupportDelta(grid, rate * rng.standard_normal(n)))
+    if kind == "t_dependent":  # no declared form: evaluated pair by pair, each at its own t
+        return sf.RhsField(grid, lambda t, y: (1.0 + t) * rate * y)
+    poison = np.r_[np.nan, rng.standard_normal(n - 1)]
+    if kind == "nan_affine":  # declared, so evaluated once on the whole stack
+        return sf.RhsField(grid, lambda t, y: poison - y, affine=(-1.0, poison))
+    return sf.RhsField(grid, lambda t, y: (1.0 + t) * poison * y)  # "nan_t_dependent"
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([3, 8, 64, 257]),
+    st.integers(1, 20),
+    st.sampled_from(["relax_to", "expand", "constant", "t_dependent", "nan_affine",
+                     "nan_t_dependent"]),
+    st.floats(-2.0, 3.0),
+    st.floats(-1.0, 3.0),
+)
+def test_osl_rows_match_the_per_pair_check_bit_for_bit(seed, n, count, kind, rate, omega):
+    grid = sf.DirectionGrid(n)
+    rng = np.random.default_rng(seed)
+    field = osl_field(kind, grid, rate, rng)
+    pairs, ts = rectangle_pairs(grid, 2.0, count, rng)
+    for xy, shape in zip(pairs, rng.integers(0, 6, count).tolist()):
+        i, j = rng.choice(n, 2, replace=False).tolist()
+        if shape == 1:  # coinciding sets: skipped
+            xy[0] = xy[1]
+        elif shape == 2:  # g = +1.5 at i and -1.5 at j exactly: a +-|g| tie
+            xy[0] = xy[1]
+            xy[:, i], xy[:, j] = (2.5, 1.0), (-0.5, 1.0)
+        elif shape == 3:  # |g| peaks at index 0 alone, where the NaN kinds have a NaN
+            xy[0] = xy[1]
+            xy[:, 0] = (rng.choice([-2.0, 2.0]), 0.0)
+        elif shape == 4:  # vectors of no set, on a random scale
+            xy[:] = rng.standard_normal((2, n)) * 10.0 ** rng.integers(-3, 4)
+        elif shape == 5:  # large vectors 1e-4 apart: skipped by the tolerance of x and y alone
+            xy[1] = 1e6 * rng.standard_normal(n)
+            xy[0] = xy[1] + 1e-4 * rng.standard_normal(n)
+    want = [reference_osl_row(field, xy, t, omega) for xy, t in zip(pairs, ts.tolist())]
+    got = osl_rows(field, pairs, ts.tolist(), omega)
+    want = [row for row in want if row is not None]
+    assert len(got) == len(want)
+    for row, ref in zip(got, want):
+        assert [type(v) for v in row] == [type(v) for v in ref]
+        assert same_bits(row, ref)
 
 
 # -------------------------------------------------------------------- regularize
