@@ -22,6 +22,7 @@ from .support import (
     DirectionGrid,
     SupportDelta,
     SupportSample,
+    _extremal,
     _grid_values,
     _require_in_cone,
     _require_same_grid,
@@ -45,10 +46,10 @@ class HukuharaClass(Enum):
 class SetCurve:
     """Sampled curve of convex sets: strictly increasing times, one support vector each.
 
-    The rows of values pass one stacked cone test at tol (a scalar or one per row;
-    default_tol per row when None); samples are built from them on first use, without
-    a second test.  Row j of quotients is the difference quotient from sample j to
-    sample j + 1; deltas holds the rows as SupportDeltas, built once on first use.
+    The rows of values pass one stacked cone test at tol (a scalar or one per row; default_tol
+    per row when None).  Row j of quotients is the difference quotient from sample j to j + 1.
+    samples and deltas hold the rows, built once by stacked passes (no second cone test): sample
+    j knows if the Hukuhara difference of j + 1 and j exists; each finite delta, its extremal sets.
     """
 
     grid: DirectionGrid
@@ -75,19 +76,24 @@ class SetCurve:
 
     @cached_property
     def samples(self) -> tuple[SupportSample, ...]:
-        return tuple(SupportSample._checked(self.grid, v) for v in self.values)
+        samples = tuple(SupportSample._checked(self.grid, v) for v in self.values)
+        exists = is_in_cone(np.diff(self.values, axis=0), self.grid).tolist()
+        for a, b, e in zip(samples, samples[1:], exists):  # rows of b - a, bit for bit
+            object.__setattr__(a, "_successor", (b.values, e))  # a row, not a chain of samples
+        return samples
 
     @cached_property
     def deltas(self) -> tuple[SupportDelta, ...]:
-        return tuple(SupportDelta._checked(self.grid, q) for q in self.quotients)
+        sets = _extremal(self.quotients)  # None for a non-finite row: it raises on every call
+        return tuple(SupportDelta._checked(self.grid, q, e) for q, e in zip(self.quotients, sets))
 
     def __len__(self) -> int:
         return len(self.times)
 
 
-def _sample_or_none(grid: DirectionGrid, values: np.ndarray) -> SupportSample | None:
-    """A fresh vector as a sample when it passes is_in_cone (default_tol), else None."""
-    if not is_in_cone(values, grid):
+def _sample_or_none(grid: DirectionGrid, values: np.ndarray, exists=None) -> SupportSample | None:
+    """A fresh vector as a sample when it passes is_in_cone (default_tol; exists, if known)."""
+    if not (is_in_cone(values, grid) if exists is None else exists):
         return None
     values.setflags(write=False)
     return SupportSample._checked(grid, values)
@@ -98,10 +104,11 @@ def hukuhara_difference(a: SupportSample, b: SupportSample) -> SupportSample | N
 
     The only candidate is the componentwise difference (uniqueness of C in
     B + C = A); it is accepted exactly when it passes the cone test at
-    default_tol of the difference.
+    default_tol of the difference (decided already for consecutive samples of a SetCurve).
     """
     _require_same_grid(a, b)
-    return _sample_or_none(a.grid, a.values - b.values)
+    successor, exists = getattr(b, "_successor", (None, None))
+    return _sample_or_none(a.grid, a.values - b.values, exists if successor is a.values else None)
 
 
 def _around(c: SetCurve, k: int) -> slice:
@@ -116,7 +123,7 @@ def difference_quotients(c: SetCurve, k: int) -> tuple[SupportDelta, SupportDelt
 
     Always well-defined as deltas, even when the corresponding Hukuhara differences do
     not exist.  They are items of c.deltas, shared: the forward one at k is the backward
-    one at k + 1, so each computes its extremal sets once.
+    one at k + 1, and each keeps the extremal sets of the curve's stacked pass.
     """
     bwd, fwd = c.deltas[_around(c, k)]
     return fwd, bwd

@@ -20,9 +20,10 @@ def rectangle_pairs(grid: DirectionGrid, T: float, count: int, rng: np.random.Ge
     """Supports (count, 2, n) of count pairs of random_rectangle boxes, and a time each, from
     the same draws, bit for bit, as random_rectangle, random_rectangle, uniform(0, T) per pair."""
     (cos, sin), u = grid.directions.T, rng.random((count, 9))
-    c, w = -2.0 + 4.0 * u[:, [0, 1, 4, 5]], 3.0 * u[:, [2, 3, 6, 7]] / 2.0
-    ends = np.stack([c - w, c + w], axis=-1).reshape(count, 2, 2, 2)  # pair, box, axis, end
-    return ends[:, :, 0, 1 * (cos >= 0)] * cos + ends[:, :, 1, 1 * (sin >= 0)] * sin, T * u[:, 8]
+    c, w = -2.0 + 4.0 * u.take([0, 1, 4, 5], 1), 3.0 * u.take([2, 3, 6, 7], 1) / 2.0  # C order
+    lo, hi = (c - w).reshape(count, 2, 2, 1), (c + w).reshape(count, 2, 2, 1)  # pair, box, axis
+    x, y = (np.where(d >= 0, hi[:, :, i], lo[:, :, i]) for i, d in enumerate((cos, sin)))
+    return np.add(np.multiply(x, cos, out=x), np.multiply(y, sin, out=y), out=x), T * u[:, 8]
 
 
 def random_cone_sample(grid: DirectionGrid, rng: np.random.Generator) -> SupportSample:

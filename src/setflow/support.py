@@ -41,6 +41,7 @@ _ULP_REL = 1e-13
 _FLAT_REL = 1e-12
 # integrate: a time grid this close to T (relative to max(1, T)) is snapped onto T.
 _TIME_SNAP_REL = 1e-9
+_PRODUCT_FLOATS = 1 << 20  # support_of_polygon: most products per block (8 MiB; it holds two)
 
 
 def _scale(x):
@@ -249,6 +250,17 @@ class ConvexPolygon:
 def _extremal(vals: np.ndarray):
     """(||vals||, indices within default_tol of +||vals||, and of -||vals||).  A norm
     within default_tol of zero is None, with the whole grid twice; NonFiniteValue if not finite."""
+    if vals.ndim > 1:  # a stack: a list of these over its rows, read-only, None if not finite
+        rows = vals.reshape(-1, vals.shape[-1])
+        norm = np.abs(rows).max(axis=-1)
+        tol = TOL_REL * norm.clip(1.0, np.finfo(float).max)  # finite: no inf - inf below
+        lim = (norm - tol)[:, None]  # and -lim is -norm + tol, bit for bit
+        mask = np.stack([rows >= lim, rows <= -lim]) | (norm <= tol)[:, None]  # zero: all twice
+        idx, ends = mask.nonzero()[-1], np.cumsum(mask.sum(axis=-1)).tolist()
+        idx.setflags(write=False)
+        sets = [idx[a:b] for a, b in zip([0] + ends, ends)]  # E+ of each row, then E-
+        return [(x if x > t else None, p, q) if math.isfinite(x) else None for x, t, p, q in
+                zip(norm.tolist(), tol.tolist(), sets, sets[len(rows):])]
     norm = float(np.abs(vals).max())
     if not math.isfinite(norm):
         raise NonFiniteValue("non-finite values of g")
@@ -272,12 +284,14 @@ class SupportDelta:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def _checked(cls, grid: DirectionGrid, values: np.ndarray):
-        """An instance over a read-only vector of grid.n floats, without a copy or test: a
-        row of SetCurve.quotients, or for a sample a vector that passed the cone test."""
+    def _checked(cls, grid: DirectionGrid, values: np.ndarray, extrema=None):
+        """An instance over a read-only vector of grid.n floats, without a copy or test: a row of
+        SetCurve.quotients with its _extremal (kept unless None), or a sample's in-cone vector."""
         s = object.__new__(cls)
         object.__setattr__(s, "grid", grid)
         object.__setattr__(s, "values", values)
+        if extrema is not None:
+            vars(s)["_extrema"] = extrema
         return s
 
     @cached_property
@@ -334,9 +348,12 @@ class SupportSample(SupportDelta):
 
 
 def support_of_polygon(p: ConvexPolygon, grid: DirectionGrid) -> SupportSample:
-    """Support values max_v <direction_i, v> over the vertices of p."""
-    vals = (grid.directions @ p.vertices.T).max(axis=1)
-    return SupportSample(grid, vals)
+    """Support values max_v <direction_i, v> over the vertices of p, in blocks of vertices."""
+    u, v, step = grid.directions, p.vertices, max(2, _PRODUCT_FLOATS // grid.n)
+    vals = u @ v[:step].T
+    for i in range(step, len(v), step):  # the last block overlaps: one vertex takes other bits
+        np.maximum(vals, u @ v[min(i, len(v) - step):i + step].T, out=vals)
+    return SupportSample(grid, vals.max(axis=1))
 
 
 def _line_corners(vals: np.ndarray, grid: DirectionGrid) -> np.ndarray:

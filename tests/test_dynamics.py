@@ -12,6 +12,7 @@ import setflow as sf
 from setflow.cli import _check_osl, _check_subtangent
 from setflow.dynamics import osl_rows
 from setflow.errors import NonFiniteValue
+from setflow.sampling import rectangle_pairs
 from setflow.support import default_tol
 
 G64 = sf.DirectionGrid(64)
@@ -130,8 +131,9 @@ def test_ball_draws_memory_is_bounded():
     assert draws.shape == (count, grid.n)
     assert peak < 4 * count * grid.n * 8
     # the sampled checks hold a few budget * n stacks at once (measured 4.0x, 3.0x and,
-    # for the stacked subtangent pass with its field values and margins, 5.5x; osl, 6.0x,
-    # peaks while rectangle_pairs draws, and its stacked check of the pairs then holds 5.4x)
+    # for the stacked subtangent pass with its field values and margins, 5.5x; osl, 5.3x,
+    # peaks in its stacked check of the pairs; rectangle_pairs draws them at 4.1x: the
+    # (budget, 2, n) result and one more stack of its size)
     budget, relax = 1024, sf.relax_to(sup(Q, grid))
     cfg = SimpleNamespace(field=relax, grid=grid, initial=A1, r=1.0, T=1.0, samples=budget,
                           omega=1.0, output={})
@@ -139,7 +141,8 @@ def test_ball_draws_memory_is_bounded():
         (sf.existence_horizon, (relax, sigma0, 1.0, 1.0, budget), 4.5),
         (sf.lipschitz_estimate, (relax, sigma0, 1.0, 1.0, budget), 4.5),
         (_check_subtangent, (cfg, np.random.default_rng(0)), 6.0),
-        (_check_osl, (cfg, np.random.default_rng(0)), 6.5),
+        (_check_osl, (cfg, np.random.default_rng(0)), 5.75),
+        (rectangle_pairs, (grid, 1.0, budget, np.random.default_rng(0)), 4.5),
     ]
     for check, args, factor in runs:
         tracemalloc.start()

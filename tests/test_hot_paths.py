@@ -6,16 +6,23 @@ SupportSample and catches NotInCone, as both functions once did.  is_in_cone
 is held to the compare-and-any form it replaced.  The extremal sets and the
 semi-inner product are compared with a reference that takes default_tol and
 np.flatnonzero, and the cached sets of a curve's shared quotient deltas with
-fresh copies.  The RK4 step is held to its textbook expression.  All
-comparisons are exact.  The sampled checks evaluate a declared affine field
-once, and any other field at every sampled time.
+fresh copies.  A curve computes the extremal sets of its quotients in one
+stacked pass, held row by row to the per-row pass, and whether the Hukuhara
+difference of each two consecutive samples exists in one stacked cone test,
+held to the per-pair test.  The RK4 step is held to its textbook expression.
+All comparisons are exact.  The sampled checks evaluate a declared affine
+field once, and any other field at every sampled time.
 """
 
 import contextlib
+import copy
 import dataclasses
+import gc
 import io
 import json
 import math
+import pickle
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -329,16 +336,19 @@ def duality_results(f, g):
 
 
 def test_extremal_sets_run_once_per_distinct_delta():
+    # one stacked _extremal call per curve, when its deltas are built, and no call per row
     curve = analyze_curve()
     steps = range(1, len(curve) - 1)
     assert len(steps) == 399
-    with mock.patch.object(support, "_extremal", wraps=support._extremal) as spy:
+    with mock.patch.object(hukuhara, "_extremal", wraps=support._extremal) as stacked, \
+            mock.patch.object(support, "_extremal", wraps=support._extremal) as per_row:
         for k in steps:
             fwd, bwd = hukuhara.difference_quotients(curve, k)
             sf.hukuhara_difference(curve.samples[k + 1], curve.samples[k])
             inner = sf.semi_inner(fwd, bwd)
             assert min(mu(fwd) for mu in sf.dual_representatives(bwd)) == inner
-    assert spy.call_count == 399  # one per backward quotient, none repeated
+    assert stacked.call_count == 1 and stacked.call_args.args[0] is curve.quotients
+    assert per_row.call_count == 0
     for k in steps[1:]:
         assert hukuhara.difference_quotients(curve, k)[1] is (
             hukuhara.difference_quotients(curve, k - 1)[0])
@@ -377,6 +387,144 @@ def test_a_non_finite_delta_raises_on_every_call(bad):
                 with pytest.raises(NonFiniteValue):
                     call()
     assert spy.call_count == 6  # the error is never cached
+
+
+# ------------------------------------------------------ stacked passes of a curve
+
+@st.composite
+def extremal_stacks(draw):
+    """A stack (1, n), (6, n) or (2, 3, n), n in {3, 8, 64, 257}, of rows with planted ties
+    within 0, 0.5, 1 or 2 tolerances of the norm, flat bands at the norm, zero rows, rows
+    within the tolerance of zero or exactly at it, and rows with NaN or +-inf entries."""
+    n = draw(st.sampled_from([3, 8, 64, 257]))
+    lead = draw(st.sampled_from([(1,), (6,), (2, 3)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = rng.uniform(-1.0, 1.0, lead + (n,))
+    for row in stack.reshape(-1, n):
+        kind = rng.choice(["ties", "band", "zero", "tiny", "edge", "nan", "inf", "-inf"])
+        norm = 10.0 ** rng.integers(-6, 7) * rng.uniform(1.0, 2.0)
+        tol = TOL_REL * max(1.0, norm)
+        if kind == "zero":
+            row[:] = 0.0
+        elif kind == "tiny":  # the norm is within default_tol of zero
+            row *= TOL_REL * rng.uniform(0.0, 1.0)
+        elif kind == "edge":  # the norm is default_tol exactly: still the zero function
+            row /= np.abs(row).max()
+            row *= TOL_REL
+        elif kind in ("nan", "inf", "-inf"):
+            row *= norm
+            row[rng.integers(0, n, size=rng.integers(1, 4))] = float(kind)
+        else:
+            row *= norm * rng.uniform(0.0, 1.0)
+            sign = rng.choice([1.0, -1.0])
+            if kind == "band":  # a run of equal entries at the norm, wrapping around
+                row[np.arange(rng.integers(0, n), n + rng.integers(0, n)) % n] = sign * norm
+            for i in rng.integers(0, n, size=rng.integers(1, 7)):
+                row[i] = rng.choice([1.0, -1.0]) * (norm - rng.choice([0.0, 0.5, 1.0, 2.0]) * tol)
+            row[rng.integers(0, n)] = sign * norm
+    return stack
+
+
+@settings(max_examples=300)
+@given(extremal_stacks())
+def test_stacked_extremal_sets_match_the_per_row_calls(stack):
+    before = stack.copy()
+    got = support._extremal(stack)
+    rows = stack.reshape(-1, stack.shape[-1])
+    assert type(got) is list and len(got) == len(rows)
+    assert np.array_equal(bits(stack), bits(before))
+    for row, sets in zip(rows, got):
+        try:
+            norm, pos, neg = support._extremal(row)
+        except NonFiniteValue:
+            assert sets is None  # left to the per-row call, which raises every time
+            continue
+        if norm is None:
+            assert sets[0] is None
+        else:
+            assert type(sets[0]) is float and bits(sets[0]) == bits(norm)
+        for a, b in zip(sets[1:], (pos, neg)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert not a.flags.writeable
+
+
+def test_a_non_finite_quotient_of_a_curve_raises_on_every_call():
+    grid = sf.DirectionGrid(16)
+    box = sf.support_of_polygon(sf.ConvexPolygon.box((0, 2), (0, 1)), grid).values
+    wide = sf.support_of_polygon(sf.ConvexPolygon.box((-1, 3), (0, 1)), grid).values
+    with np.errstate(over="ignore"):  # a step of 5e-324 sends the growth to inf
+        curve = sf.SetCurve(grid, [0.0, 5e-324, 1.0], [box, wide, wide])
+    assert np.isinf(curve.quotients[0]).any()
+    inf, zero = curve.deltas
+    assert sf.extremal_sets(zero) == (tuple(range(16)), tuple(range(16)))
+    with mock.patch.object(support, "_extremal", wraps=support._extremal) as spy:
+        for _ in range(2):
+            for call in (lambda: sf.semi_inner(zero, inf), lambda: sf.dual_representatives(inf),
+                         lambda: sf.extremal_sets(inf)):
+                with pytest.raises(NonFiniteValue):
+                    call()
+            assert sf.semi_inner(inf, zero) == 0.0
+    assert spy.call_count == 6  # the unseeded row, per call; the seeded one never
+
+
+def curves_and_reversals():
+    curves = [analyze_curve(), banded_curve()]
+    return curves + [hukuhara.time_reverse(c) for c in curves]
+
+
+def test_consecutive_samples_read_the_stacked_hukuhara_test():
+    found = set()
+    for curve in curves_and_reversals():
+        s = curve.samples
+        refs = [hukuhara._sample_or_none(curve.grid, b.values - a.values) for a, b in zip(s, s[1:])]
+        with mock.patch.object(hukuhara, "is_in_cone", wraps=support.is_in_cone) as spy:
+            got = [sf.hukuhara_difference(b, a) for a, b in zip(s, s[1:])]
+        assert spy.call_count == 0
+        for d, ref in zip(got, refs):
+            assert same_result(d, ref)
+            assert d is None or (not d.values.flags.writeable and d.grid is curve.grid)
+            found.add(d is None)
+    assert found == {True, False}  # both answers are read from the kept bits
+
+
+def test_other_pairs_of_samples_take_the_per_pair_test():
+    # the reversed order, a step of two, equal values from another curve, fresh samples
+    for curve, twin in zip(curves_and_reversals(), curves_and_reversals()):
+        s, t = curve.samples, twin.samples
+        fresh = [sf.SupportSample(curve.grid, a.values.copy()) for a in s]
+        pairs = [p for k in range(len(s) - 2) for p in (
+            (s[k], s[k + 1]), (s[k + 2], s[k]), (s[k + 1], t[k]), (fresh[k + 1], fresh[k]))]
+        refs = [hukuhara._sample_or_none(curve.grid, a.values - b.values) for a, b in pairs]
+        with mock.patch.object(hukuhara, "is_in_cone", wraps=support.is_in_cone) as spy:
+            got = [sf.hukuhara_difference(a, b) for a, b in pairs]
+        assert spy.call_count == len(pairs)
+        assert all(same_result(d, ref) for d, ref in zip(got, refs))
+
+
+def test_a_curve_sample_copies_and_pickles_alone():
+    # a sample keeps its successor's values, not the successor: no chain of samples to copy
+    for curve in curves_and_reversals():
+        s = curve.samples
+        for a, b in ((s[1], s[0]), (s[-1], s[-2])):
+            for b2 in (copy.deepcopy(b), pickle.loads(pickle.dumps(b))):
+                assert b2._successor[1] == b._successor[1]
+                assert np.array_equal(bits(b2._successor[0]), bits(a.values))
+                assert same_result(sf.hukuhara_difference(a, b2), sf.hukuhara_difference(a, b))
+
+
+@pytest.mark.parametrize("make", [analyze_curve, banded_curve])
+def test_a_curve_dies_with_its_last_reference(make):
+    # its samples link forward to their successors, never back to the curve: no cycle
+    curve = make()
+    assert sf.hukuhara_difference(curve.samples[1], curve.samples[0]) is not curve
+    assert len(curve.deltas) == len(curve) - 1
+    ref = weakref.ref(curve)
+    gc.disable()
+    try:
+        del curve
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # ------------------------------------------------------------------ RK4 step

@@ -2,11 +2,15 @@ import itertools
 import math
 import operator
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import setflow as sf
+from setflow import support
 
 G64 = sf.DirectionGrid(64)
 Q = sf.ConvexPolygon.box((-1, 1), (-1, 1))
@@ -67,6 +71,44 @@ def test_support_single_point_origin():
 def test_support_rect_up_direction():
     # support of [2,3]x[1,2] in +y is the top edge height
     assert sup(A1).values[16] == pytest.approx(2.0)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([3, 8, 64, 257]), st.integers(1, 60), st.integers(1, 9),
+       st.sampled_from(["round", "cloud", "lattice"]), st.integers(0, 2**32 - 1))
+def test_blocked_support_values_have_the_bits_of_the_whole_product(n, m, block, kind, seed):
+    # blocks of max(2, block) vertices; the last one overlaps rather than hold one vertex
+    grid, rng = sf.DirectionGrid(n), np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-6, 7)
+    if kind == "round":  # every point a vertex
+        theta = np.sort(rng.uniform(0.0, 2.0 * np.pi, m))
+        pts = np.column_stack([np.cos(theta), 0.5 * np.sin(theta)]) + rng.uniform(-2, 2, 2)
+    elif kind == "cloud":
+        pts = rng.standard_normal((m, 2))
+    else:  # exact and signed zeros, repeated coordinates
+        pts = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5, -2.0], size=(m, 2))
+    p = sf.ConvexPolygon.from_points(scale * pts)
+    whole = (grid.directions @ p.vertices.T).max(axis=1)
+    with mock.patch.object(support, "_PRODUCT_FLOATS", block * n):
+        got = sf.support_of_polygon(p, grid).values
+    assert np.array_equal(got.view(np.uint64), whole.view(np.uint64))
+
+
+def test_support_of_polygon_memory_is_bounded():
+    # the whole 65536 x 4096 product of directions and vertices would ask for 2 GiB
+    grid = sf.DirectionGrid(65536)
+    theta = 2.0 * np.pi * np.arange(4096) / 4096
+    p = sf.ConvexPolygon.from_points(np.column_stack([2.0 * np.cos(theta), np.sin(theta)]))
+    assert len(p) == 4096
+    tracemalloc.start()
+    try:
+        s = sf.support_of_polygon(p, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    u = grid.directions  # the ellipse's own support, up to the chords of the polygon
+    assert np.allclose(s.values, np.hypot(2.0 * u[:, 0], u[:, 1]), rtol=0.0, atol=1e-6)
 
 
 def test_support_samples_pass_cone_check():
