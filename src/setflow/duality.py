@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AsymmetricDistance, Contained, NonFiniteValue, ZeroFunction
+from .errors import AsymmetricDistance, Contained, ZeroFunction
 from .support import (
     ConvexPolygon,
     DirectionGrid,
@@ -58,12 +58,8 @@ def extremal_sets(f: SupportDelta) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def semi_inner(f: SupportDelta, g: SupportDelta) -> float:
-    """One-sided pairing ||g|| * min{min_{E+} f, min_{E-} -f}, min over empty = inf.
-
-    For finite g at least one extremal set is nonempty; for g == 0 the
-    result is 0 by the full-grid convention.  Raises NonFiniteValue when a
-    non-finite g, or a non-finite f at an extremal index, leaves it undefined.
-    """
+    """One-sided pairing ||g|| * min{min_{E+} f, min_{E-} -f}, min over empty = inf (an
+    extremal set of g is nonempty); 0 for g == 0 by the full-grid convention."""
     _require_same_grid(f, g)
     gnorm, pos, neg = g._extrema
     if gnorm is None:
@@ -71,10 +67,7 @@ def semi_inner(f: SupportDelta, g: SupportDelta) -> float:
     fvals = f.values
     mpos = float(fvals[pos].min()) if len(pos) else math.inf
     mneg = float((-fvals[neg]).min()) if len(neg) else math.inf
-    m = min(mpos, mneg)
-    if not math.isfinite(m) or math.isnan(mneg):  # min(x, nan) drops the nan
-        raise NonFiniteValue("non-finite values of g, or of f at an extremal index of g")
-    return gnorm * m
+    return gnorm * min(mpos, mneg)
 
 
 def dual_representatives(g: SupportDelta) -> list[DiscreteMeasure]:

@@ -20,7 +20,6 @@ from .hukuhara import SetCurve
 from .sampling import ball_draws
 from .support import (
     _FLAT_REL,
-    _TIME_SNAP_REL,
     ConvexPolygon,
     DirectionGrid,
     SupportDelta,
@@ -38,6 +37,8 @@ from .support import (
 
 METHODS = ("euler", "rk4")
 POLICIES = ("never", "on_violation", "always")
+# integrate: a time grid this close to T (relative to max(1, T)) is snapped onto T.
+_TIME_SNAP_REL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,7 @@ def exact_flow(f: RhsField, sigma0, times) -> np.ndarray:
     ts = np.asarray(times, dtype=float)
     if f.affine is None:
         raise ValueError(f"field '{f.name}' declares no affine form")
-    if np.any(ts < 0):
+    if not (ts >= 0).all():  # NaN fails too
         raise ValueError("t must be nonnegative")
     rate, offset = f.affine
     gain = ts if rate == 0 else np.expm1(rate * ts) / rate
@@ -149,7 +150,7 @@ def existence_horizon(
     The bound is a lower-confidence estimate from this sweep, not a certified supremum.  A
     field that is zero on every sample gives c = 0 and b = T.
     """
-    if r <= 0 or T <= 0:
+    if not (r > 0 and T > 0):  # NaN fails too
         raise ValueError("r and T must be positive")
     draws = ball_draws(sigma0, r, budget, np.random.default_rng(seed))
     stack = np.vstack([sigma0.values, sigma0.values + r, draws])
@@ -333,7 +334,7 @@ def integrate_stack(
         raise ValueError(f"method must be one of {METHODS}")
     if policy not in POLICIES:
         raise ValueError(f"policy must be one of {POLICIES}")
-    if h <= 0 or T <= 0:
+    if not (h > 0 and T > 0):  # NaN fails too
         raise ValueError("T and h must be positive")
     step = _euler_step if method == "euler" else _rk4_step
     grid = f.grid
@@ -420,7 +421,7 @@ def lipschitz_estimate(
     shrunk one, and the field is evaluated on all rows at the times of existence_horizon.  A
     lower bound on any Lipschitz constant of f in its second argument on that set.
     """
-    if budget < 1 or r <= 0 or T <= 0:
+    if budget < 1 or not (r > 0 and T > 0):  # NaN fails too
         raise ValueError("budget must be at least 1, and r and T positive")
     ys = ball_draws(sigma0, r, budget + 1, np.random.default_rng(seed))
     den = np.max(np.abs(np.diff(ys, axis=0)), axis=-1)

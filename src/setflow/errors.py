@@ -43,7 +43,7 @@ class ZeroFunction(SetflowError):
 
 
 class NonFiniteValue(SetflowError):
-    """A field evaluation produced NaN or infinite entries."""
+    """A support vector, a difference quotient or a field value has a NaN or infinite entry."""
 
 
 class ConfigError(SetflowError):

@@ -18,6 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import NonFiniteValue
 from .support import (
     DirectionGrid,
     SupportDelta,
@@ -44,12 +45,13 @@ class HukuharaClass(Enum):
 
 @dataclass(frozen=True, eq=False)
 class SetCurve:
-    """Sampled curve of convex sets: strictly increasing times, one support vector each.
+    """Sampled curve of convex sets: finite, strictly increasing times, one support vector each.
 
-    The rows of values pass one stacked cone test at tol (a scalar or one per row; default_tol
-    per row when None).  Row j of quotients is the difference quotient from sample j to j + 1.
-    samples and deltas hold the rows, built once by stacked passes (no second cone test): sample
-    j knows if the Hukuhara difference of j + 1 and j exists; each finite delta, its extremal sets.
+    Row j of quotients is the difference quotient from sample j to j + 1: NonFiniteValue unless
+    all are finite, so are the rows, which then pass one stacked cone test at tol (a scalar or
+    one per row; default_tol per row when None).  samples and deltas hold the rows, built once by
+    stacked passes: sample j knows if the Hukuhara difference of j + 1 and j exists; each delta,
+    its extremal sets.
     """
 
     grid: DirectionGrid
@@ -65,10 +67,14 @@ class SetCurve:
             raise ValueError("times and values must have matching lengths")
         if len(times) < 2:
             raise ValueError("a curve needs at least two samples")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("times must be strictly increasing")
+        with np.errstate(all="ignore"):  # non-finite steps and quotients raise below
+            steps = np.diff(times)
+            quotients = np.diff(values, axis=0) / steps[:, None]
+        if not ((steps > 0) & (steps < math.inf)).all():  # NaN fails both
+            raise ValueError("times must be finite and strictly increasing")
+        if not np.isfinite(quotients).all():
+            raise NonFiniteValue("non-finite values in the difference quotients")
         _require_in_cone(values, self.grid, tol)
-        quotients = np.diff(values, axis=0) / np.diff(times)[:, None]
         arrays = {"times": times, "values": values, "quotients": quotients}
         for name, arr in arrays.items():
             arr.setflags(write=False)
@@ -84,7 +90,7 @@ class SetCurve:
 
     @cached_property
     def deltas(self) -> tuple[SupportDelta, ...]:
-        sets = _extremal(self.quotients)  # None for a non-finite row: it raises on every call
+        sets = _extremal(self.quotients)
         return tuple(SupportDelta._checked(self.grid, q, e) for q, e in zip(self.quotients, sets))
 
     def __len__(self) -> int:
@@ -104,11 +110,15 @@ def hukuhara_difference(a: SupportSample, b: SupportSample) -> SupportSample | N
 
     The only candidate is the componentwise difference (uniqueness of C in
     B + C = A); it is accepted exactly when it passes the cone test at
-    default_tol of the difference (decided already for consecutive samples of a SetCurve).
-    """
+    default_tol of the difference (decided already for consecutive samples of a SetCurve, whose
+    finite quotients make it finite).  NonFiniteValue if the difference overflows."""
     _require_same_grid(a, b)
     successor, exists = getattr(b, "_successor", (None, None))
-    return _sample_or_none(a.grid, a.values - b.values, exists if successor is a.values else None)
+    if successor is a.values:
+        return _sample_or_none(a.grid, a.values - b.values, exists)
+    with np.errstate(over="ignore"):  # the delta a - b raises NonFiniteValue for an overflow
+        diff = a - b
+    return _sample_or_none(a.grid, diff.values)
 
 
 def _around(c: SetCurve, k: int) -> slice:

@@ -12,6 +12,7 @@ of the Hausdorff distance between the sets.
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
@@ -39,8 +40,6 @@ _ULP_REL = 1e-13
 # line moves out (relative to max(1, |s|_inf, r0)) when rounding leaves the exact
 # intersection of a point or segment empty.
 _FLAT_REL = 1e-12
-# integrate: a time grid this close to T (relative to max(1, T)) is snapped onto T.
-_TIME_SNAP_REL = 1e-9
 _PRODUCT_FLOATS = 1 << 20  # support_of_polygon: most products per block (8 MiB; it holds two)
 
 
@@ -64,6 +63,7 @@ class DirectionGrid:
     two_cos_delta: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "n", operator.index(self.n))  # TypeError unless integral
         if self.n < 3:
             raise ValueError(f"need at least 3 directions, got {self.n}")
         angles = 2.0 * np.pi * np.arange(self.n) / self.n
@@ -142,10 +142,8 @@ def is_in_cone(values, grid: DirectionGrid) -> bool | np.ndarray:
 
 
 def _require_in_cone(values, grid: DirectionGrid, tol) -> None:
-    """NonFiniteValue for a non-finite entry, else NotInCone at the first failing row of a vector
-    or a stack (tol a scalar or one per row).  An infinite scalar tol skips the margins."""
-    if not np.isfinite(values).all():
-        raise NonFiniteValue("support values must be finite")
+    """NotInCone at the first failing row of a finite vector or stack (tol a scalar or one per
+    row).  An infinite scalar tol skips the margins."""
     if isinstance(tol, float) and tol == math.inf:
         return
     limit = np.asarray(default_tol(values) if tol is None else tol)[..., None]
@@ -248,45 +246,40 @@ class ConvexPolygon:
 
 
 def _extremal(vals: np.ndarray):
-    """(||vals||, indices within default_tol of +||vals||, and of -||vals||).  A norm
-    within default_tol of zero is None, with the whole grid twice; NonFiniteValue if not finite."""
-    if vals.ndim > 1:  # a stack: a list of these over its rows, read-only, None if not finite
-        rows = vals.reshape(-1, vals.shape[-1])
-        norm = np.abs(rows).max(axis=-1)
-        tol = TOL_REL * norm.clip(1.0, np.finfo(float).max)  # finite: no inf - inf below
-        lim = (norm - tol)[:, None]  # and -lim is -norm + tol, bit for bit
-        mask = np.stack([rows >= lim, rows <= -lim]) | (norm <= tol)[:, None]  # zero: all twice
-        idx, ends = mask.nonzero()[-1], np.cumsum(mask.sum(axis=-1)).tolist()
-        idx.setflags(write=False)
-        sets = [idx[a:b] for a, b in zip([0] + ends, ends)]  # E+ of each row, then E-
-        return [(x if x > t else None, p, q) if math.isfinite(x) else None for x, t, p, q in
-                zip(norm.tolist(), tol.tolist(), sets, sets[len(rows):])]
-    norm = float(np.abs(vals).max())
-    if not math.isfinite(norm):
-        raise NonFiniteValue("non-finite values of g")
-    tol = TOL_REL * max(1.0, norm)  # default_tol(vals), bit for bit
-    if norm <= tol:
-        full = np.arange(len(vals))
-        return None, full, full
-    return norm, (vals >= norm - tol).nonzero()[0], (vals <= -norm + tol).nonzero()[0]
+    """One (||row||, E+, E-) per row of a finite (..., n) stack (a vector is one row): the
+    indices within default_tol of +||row|| and of -||row||, read-only.  A norm within
+    default_tol of zero is None, with the whole grid twice."""
+    rows = vals.reshape(-1, vals.shape[-1])
+    norm = np.abs(rows).max(axis=-1)
+    tol = TOL_REL * np.maximum(norm, 1.0)  # default_tol of each row, bit for bit
+    lim = np.where(norm > tol, norm - tol, -math.inf)[:, None]  # -lim is -norm + tol, bit for bit
+    mask = np.concatenate([rows >= lim, rows <= -lim])  # a zero row (lim -inf): all twice
+    idx, ends = mask.nonzero()[1], mask.sum(axis=-1).cumsum().tolist()
+    idx.setflags(write=False)
+    sets = [idx[a:b] for a, b in zip([0] + ends, ends)]  # E+ of each row, then E-
+    return [(x if x > t else None, p, q)
+            for x, t, p, q in zip(norm.tolist(), tol.tolist(), sets, sets[len(rows):])]
 
 
 @dataclass(frozen=True, eq=False)
 class SupportDelta:
-    """Difference of two support functions; a full vector space on the grid."""
+    """Difference of two support functions; a full vector space on the grid.  Its values are
+    finite: construction, so every + - * result, raises NonFiniteValue otherwise (an overflow)."""
 
     grid: DirectionGrid
     values: np.ndarray
 
     def __post_init__(self):
         vals = _grid_values(self.values, self.grid).copy()
+        if not np.isfinite(vals).all():
+            raise NonFiniteValue("non-finite values in a support vector")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     @classmethod
     def _checked(cls, grid: DirectionGrid, values: np.ndarray, extrema=None):
-        """An instance over a read-only vector of grid.n floats, without a copy or test: a row of
-        SetCurve.quotients with its _extremal (kept unless None), or a sample's in-cone vector."""
+        """An instance over a read-only finite vector of grid.n floats, without a copy or test: a
+        row of SetCurve.quotients with its _extremal entry, or a sample's in-cone vector."""
         s = object.__new__(cls)
         object.__setattr__(s, "grid", grid)
         object.__setattr__(s, "values", values)
@@ -296,8 +289,8 @@ class SupportDelta:
 
     @cached_property
     def _extrema(self):
-        """_extremal of values, computed once: values is read-only.  A raise is not cached."""
-        return _extremal(self.values)
+        """_extremal of values, computed once: values is read-only."""
+        return _extremal(self.values)[0]
 
     @property
     def norm_inf(self) -> float:

@@ -288,6 +288,13 @@ def test_target_is_fixed_point():
     assert spread <= 8 * np.spacing(SQ.norm_inf)
 
 
+@pytest.mark.parametrize("T, h", [(0.0, 0.1), (1.0, -0.1), (math.nan, 0.1), (1.0, math.nan)])
+def test_integrate_needs_a_positive_horizon_and_step(T, h):
+    # T = nan failed converting NaN to an integer step count
+    with pytest.raises(ValueError, match="must be positive"):
+        sf.integrate(RELAX, SQ, T=T, h=h)
+
+
 def test_final_time_hit_exactly():
     traj = sf.integrate(RELAX, sup(A1), T=1.0, h=0.3)
     assert traj.times[-1] == 1.0
@@ -504,6 +511,8 @@ def test_exact_flow_needs_a_declared_form_and_nonnegative_times():
         sf.exact_flow(sf.RhsField(G64, lambda t, y: -y), SQ.values, [1.0])
     with pytest.raises(ValueError, match="nonnegative"):
         sf.exact_flow(RELAX, SQ.values, [0.0, -1e-300])
+    with pytest.raises(ValueError, match="nonnegative"):  # NaN rows were returned
+        sf.exact_flow(RELAX, SQ.values, [0.0, math.nan])
 
 
 def test_lipschitz_is_derived_from_the_declared_form():
@@ -531,8 +540,11 @@ def test_lipschitz_of_constant_is_zero():
     assert sf.lipschitz_estimate(f, SQ, 0.5, 1.0, budget=20, seed=1) == 0.0
 
 
-@pytest.mark.parametrize("r, T", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
+@pytest.mark.parametrize(
+    "r, T", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0), (math.nan, 1.0), (1.0, math.nan)]
+)
 def test_sampled_bounds_need_a_positive_radius_and_horizon(r, T):
+    # a NaN r gave existence_horizon (0.0, 1.0) and lipschitz_estimate 0.0
     for bound in (sf.existence_horizon, sf.lipschitz_estimate):
         with pytest.raises(ValueError):
             bound(RELAX, SQ, r, T)

@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -104,6 +105,24 @@ def test_curve_rejects_a_non_finite_row(bad):
         for tol in (None, 1e-3, np.array([1e-9, 1.0, 1e-9])):
             with pytest.raises(sf.NonFiniteValue):
                 sf.SetCurve(G64, [0.0, 1.0, 2.0], rows, tol)
+
+
+@pytest.mark.parametrize("times", [[0.0, 1.0, math.inf], [0.0, math.nan, 1.0]])
+def test_curve_rejects_non_finite_times(times):
+    # [0, 1, inf] was FirstType (the shrink over an infinite step is a zero quotient), and
+    # [0, nan, 1] Both
+    grid = sf.DirectionGrid(8)
+    box, wide = (sup(sf.ConvexPolygon.box(xr, (0, 1)), grid).values for xr in ((0, 2), (-1, 3)))
+    with pytest.raises(ValueError, match="finite and strictly increasing"):
+        sf.SetCurve(grid, times, [box, wide, box])
+
+
+def test_an_overflowing_hukuhara_difference_raises():
+    # the difference is inf at direction 0: it was returned as a sample, with warnings
+    grid = sf.DirectionGrid(8)
+    a, b = (sup(sf.ConvexPolygon.point((x, 0.0)), grid) for x in (1e308, -1e308))
+    with pytest.raises(sf.NonFiniteValue, match="non-finite values"):
+        sf.hukuhara_difference(a, b)
 
 
 def test_reversal_reuses_the_checked_rows_without_a_second_cone_test():

@@ -890,7 +890,7 @@ def test_osl_row_matches_the_polygon_reference(seed, n, kind, rate, omega_rate):
 
 def reference_osl_row(f, xy, t, rate):
     """The per-pair check that osl_rows replaced, as it was: its row, or None for a skipped pair."""
-    dist, pos, neg = support._extremal(xy[0] - xy[1])
+    dist, pos, neg = support._extremal(xy[0] - xy[1])[0]  # the stack of one row
     if dist is None or dist <= (tol := float(default_tol(xy.ravel()))):
         return None
     d = np.subtract(*f.eval(t, xy))
@@ -1551,9 +1551,8 @@ def as_rows(values, kind):
     if kind == "array" or values.shape[1] < 3:
         return list(values)
     grid = sf.DirectionGrid(values.shape[1])
-    if kind == "sample":  # built untested: the rows may hold NaN and inf
-        return [sf.SupportSample._checked(grid, v) for v in values]
-    return [sf.SupportDelta(grid, v) for v in values]
+    cls = sf.SupportSample if kind == "sample" else sf.SupportDelta
+    return [cls._checked(grid, v) for v in values]  # built untested: the rows may hold NaN, inf
 
 
 @settings(max_examples=150)

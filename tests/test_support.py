@@ -45,6 +45,18 @@ def test_grid_rejects_tiny():
         sf.DirectionGrid(2)
 
 
+@pytest.mark.parametrize("n", [3.5, 8.0])
+def test_grid_rejects_a_non_integral_size(n):
+    # 3.5 built 4 directions 2 pi / 3.5 apart; 8.0 failed later, in support_of_polygon
+    with pytest.raises(TypeError):
+        sf.DirectionGrid(n)
+
+
+def test_grid_takes_a_numpy_integer_as_an_int():
+    grid = sf.DirectionGrid(np.int64(8))
+    assert type(grid.n) is int and grid == sf.DirectionGrid(8)
+
+
 def test_odd_grid_has_no_antipode():
     g = sf.DirectionGrid(5)
     with pytest.raises(ValueError):
@@ -287,6 +299,43 @@ def test_regularize_rejects_non_finite(fn, bad):
 
 
 # ----------------------------------------------------------------------- algebra
+
+huge = st.sampled_from([-1e308, 1e308]) | st.floats(-1e308, 1e308)  # the ends overflow
+
+
+@st.composite
+def huge_operands(draw):
+    """Two deltas on 3, 8 or 64 directions, or two box samples on 4, with entries up to
+    +-1e308, and a scalar up to 1e308 in size (nonnegative for samples).  On 4 directions the
+    margins of a box [x0, x1] x [y0, y1], values (x1, y1, -x0, -y0), are its widths up to a
+    1e-16 relative term, so no sum or scaling of them leaves the cone."""
+    if draw(st.booleans()):
+        n = draw(st.sampled_from([3, 8, 64]))
+        rows = [draw(st.lists(huge, min_size=n, max_size=n)) for _ in range(2)]
+        return sf.DirectionGrid(n), rows, draw(huge), sf.SupportDelta
+    rows = []
+    for _ in range(2):
+        (x0, x1), (y0, y1) = (sorted(draw(st.lists(huge, min_size=2, max_size=2))) for _ in "xy")
+        rows.append([x1, y1, -x0, -y0])
+    return sf.DirectionGrid(4), rows, draw(st.just(1e308) | st.floats(0.0, 1e308)), sf.SupportSample
+
+
+@settings(max_examples=300)
+@given(huge_operands())
+def test_arithmetic_gives_finite_values_or_raises_non_finite(case):
+    grid, rows, lam, cls = case
+    with np.errstate(over="ignore"):  # the overflows under test; NonFiniteValue reports them
+        a, b = (cls(grid, r) for r in rows)
+        ops = [lambda: a + b, lambda: a - b, lambda: -a, lambda: lam * a]
+        if cls is sf.SupportSample:
+            ops.append(lambda: sf.hukuhara_difference(a, b))
+        for op in ops:
+            try:
+                out = op()
+            except sf.NonFiniteValue:
+                continue
+            assert out is None or np.isfinite(out.values).all()
+
 
 def test_minkowski_unit_squares():
     b01 = sf.ConvexPolygon.box((0, 1), (0, 1))
