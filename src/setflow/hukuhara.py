@@ -156,8 +156,8 @@ def _step_types(grid, quotients: np.ndarray):
     the stack decides both, each quotient tested once at its default_tol.
     """
     m, tol = cone_margins(quotients, grid), default_tol(quotients)
-    grows = ~(np.fmin.reduce(m, axis=-1) < -tol)  # NaN margins pass, as in is_in_cone
-    shrinks = ~(np.fmax.reduce(m, axis=-1) > tol)
+    grows = m.min(axis=-1) >= -tol
+    shrinks = m.max(axis=-1) <= tol
     return grows[:-1] & grows[1:], shrinks[:-1] & shrinks[1:]
 
 

@@ -112,15 +112,7 @@ def _require_same_grid(a, b):
         raise GridMismatch(f"grids of size {a.grid.n} and {b.grid.n}")
 
 
-def cone_margins(values, grid: DirectionGrid) -> np.ndarray:
-    """Cyclic three-term margins m_i = s_{i-1} + s_{i+1} - 2 cos(delta) s_i.
-
-    A vector is a support sample of some nonempty convex compact set exactly
-    when every margin is nonnegative; margin i measures the length (times
-    sin delta) of the contact segment on supporting line i.  Accepts one
-    vector of shape (n,) or a stack of shape (..., n), one vector per row.
-    """
-    s = _grid_values(values, grid, stacked=True)
+def _three_term(s: np.ndarray, grid: DirectionGrid) -> np.ndarray:
     m = np.empty_like(s)  # s_{i-1} + s_{i+1}, the wrap-around columns apart
     np.add(s[..., :-2], s[..., 2:], out=m[..., 1:-1])
     np.add(s[..., -1], s[..., 1], out=m[..., 0])
@@ -129,16 +121,32 @@ def cone_margins(values, grid: DirectionGrid) -> np.ndarray:
     return m
 
 
+def cone_margins(values, grid: DirectionGrid) -> np.ndarray:
+    """Cyclic three-term margins m_i = s_{i-1} + s_{i+1} - 2 cos(delta) s_i.
+
+    A vector is a support sample of some nonempty convex compact set exactly
+    when every margin is nonnegative; margin i measures the length (times
+    sin delta) of the contact segment on supporting line i.  Accepts one
+    vector of shape (n,) or a stack of shape (..., n), one vector per row.
+    An overflowing margin is taken again as 4 * that of s / 4: exact, or +-inf past the range.
+    """
+    s = _grid_values(values, grid, stacked=True)
+    m = _three_term(s, grid)
+    if not np.isfinite(m).all():
+        m = np.where(np.isfinite(m), m, 4.0 * _three_term(0.25 * s, grid))
+    return m
+
+
 def cone_residual(values, grid: DirectionGrid):
-    """Worst violation of the cone condition (0.0 if in the cone), one per row of a stack."""
+    """Worst violation of the cone condition (0.0 in the cone, NaN for a NaN margin), per row."""
     worst = -cone_margins(values, grid).min(axis=-1)
-    return np.where(worst > 0.0, worst, 0.0)[()]  # max(0.0, worst): NaN and -0.0 give 0.0
+    return np.where(worst <= 0.0, 0.0, worst)[()]  # max(0.0, worst): -0.0 gives 0.0, NaN stays
 
 
 def is_in_cone(values, grid: DirectionGrid) -> bool | np.ndarray:
     """The discrete cone condition at default_tol: a bool, or a bool array over the leading
-    axes of a stack (..., n), tested row by row.  NaN margins pass (fmin skips them)."""
-    return ~(np.fmin.reduce(cone_margins(values, grid), axis=-1) < -default_tol(values))
+    axes of a stack (..., n), tested row by row.  A NaN margin fails its row."""
+    return cone_margins(values, grid).min(axis=-1) >= -default_tol(values)
 
 
 def _require_in_cone(values, grid: DirectionGrid, tol) -> None:
@@ -146,14 +154,13 @@ def _require_in_cone(values, grid: DirectionGrid, tol) -> None:
     row).  An infinite scalar tol skips the margins."""
     if isinstance(tol, float) and tol == math.inf:
         return
-    limit = np.asarray(default_tol(values) if tol is None else tol)[..., None]
-    m = cone_margins(values, grid)
-    bad = m < -limit
-    if bad.any():
-        k = int(bad.reshape(-1, grid.n).any(axis=-1).argmax())
-        m, limit = m.reshape(-1, grid.n)[k], limit.reshape(-1)[k % limit.size]
-        i = int(np.nanargmin(m))
-        raise NotInCone(i, float(m[i]), float(limit))
+    limit = np.asarray(default_tol(values) if tol is None else tol).reshape(-1)
+    m = cone_margins(values, grid).reshape(-1, grid.n)
+    ok = m.min(axis=-1) >= -limit
+    if not ok.all():
+        k = int(ok.argmin())
+        i = int(m[k].argmin())
+        raise NotInCone(i, float(m[k, i]), float(limit[k % limit.size]))
 
 
 def _monotone_chain(points, flat: float) -> list[tuple[float, float]]:
@@ -472,12 +479,13 @@ def regularize(values, grid: DirectionGrid) -> SupportSample:
     map idempotent.  Raises NonFiniteValue for a non-finite entry and
     EmptyIntersection when the intersection is empty.
     """
-    s = _grid_values(values, grid)
+    s = _grid_values(values, grid).copy()
     if not np.all(np.isfinite(s)):
         raise NonFiniteValue("halfplane values must be finite")
     m = cone_margins(s, grid)
-    if float(m.min()) >= -_ULP_REL * _scale(s):
-        return SupportSample(grid, s)
+    if float(m.min()) >= -_ULP_REL * _scale(s):  # inside default_tol: the cone test passes
+        s.setflags(write=False)
+        return SupportSample._checked(grid, s)
     lines, verts = _active_lines(s, grid, m)
     i = np.arange(grid.n)
     k = np.searchsorted(lines, i, side="right") - 1  # -1: past the last line

@@ -945,6 +945,21 @@ def test_integrate_overflow_is_reported_only_by_its_exit_line(scenario, capsys, 
     assert json.loads(err)["error"] == "integration"
 
 
+def test_integrate_keeps_huge_valid_states(scenario, tmp_path):
+    # Euler at rate 1 grows the box 1.5-fold per step, to 1.3e308 at T: the sums in its
+    # margins overflow, and every residual must still be a number within the drift limit
+    path = scenario(
+        grid_n=16, T=590.5, h=0.5, method="euler", rhs={"kind": "expand", "rate": 1.0},
+        initial={"box": [[-1e100, 1e100], [-1e100, 1e100]]},
+    )
+    assert main(["integrate", path]) == 0
+    assert "nan" not in (tmp_path / "traj.csv").read_text()
+    _, rows = _table(tmp_path / "traj.csv")
+    table = np.array(rows, dtype=float)
+    assert len(table) == 1182 and np.abs(table[:, 3:]).max() > 1e308
+    assert np.all(table[:, 1] <= _drift_limit(table[:, 3:]))
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
 def test_bad_input_exit_code_and_one_json_line(

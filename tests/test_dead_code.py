@@ -1,6 +1,7 @@
 """No dead code in src/setflow: every imported name is used by the module that imports
 it, every private module-level name is referenced somewhere in the package, and every
-public function or class is reached by the package or the benchmark, or listed as test-only."""
+public function, class, method or property is reached by the package or the benchmark,
+or listed with the reason it stays."""
 
 import ast
 import re
@@ -13,6 +14,12 @@ TREES = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SR
 BENCH = SRC.parents[1] / "bench"
 # paper objects that only the tests reach: exported, but no module or benchmark calls them
 TEST_ONLY = ("hausdorff_realizing_directions",)
+# public methods and properties that no module or benchmark reads, and why each stays
+UNCALLED_MEMBERS = {
+    "DirectionGrid.antipode": "a paper object: the antipodal direction of an even grid",
+    "OslReport.witness": "goes with the polygon osl_check (ROADMAP item 13)",
+    "Trajectory.final": "the README quick start reads it",
+}
 
 
 def imported_names(tree):
@@ -71,11 +78,15 @@ def test_every_private_name_is_referenced():
     assert dead == []
 
 
-def test_every_public_name_has_a_caller():
+def called_names():
     # a caller is a read in the package (a definition or an import is none) or any mention
-    # in bench/ (the tracer's TARGETS strings, kernels.py, workloads.py); else it is TEST_ONLY
+    # in bench/ (the tracer's TARGETS strings, kernels.py, workloads.py)
     bench = re.findall(r"\w+", "".join(p.read_text() for p in sorted(BENCH.glob("*.py"))))
-    called = set(bench).union(*map(read_names, TREES.values()))
+    return set(bench).union(*map(read_names, TREES.values()))
+
+
+def test_every_public_name_has_a_caller():
+    called = called_names()
     uncalled = [
         node.name
         for tree in TREES.values()
@@ -85,3 +96,18 @@ def test_every_public_name_has_a_caller():
         and node.name not in called
     ]
     assert sorted(uncalled) == sorted(TEST_ONLY)
+
+
+def test_every_public_method_and_property_has_a_caller():
+    called = called_names()
+    uncalled = [
+        f"{cls.name}.{node.name}"
+        for tree in TREES.values()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and node.name not in called
+    ]
+    assert sorted(uncalled) == sorted(UNCALLED_MEMBERS)

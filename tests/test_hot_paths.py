@@ -3,15 +3,15 @@
 hukuhara_difference and second_type_differential decide existence with one
 is_in_cone test and never build a NotInCone; the reference builds the
 SupportSample and catches NotInCone, as both functions once did.  is_in_cone
-is held to the compare-and-any form it replaced.  The extremal sets and the
-semi-inner product are compared with a reference that takes default_tol and
-np.flatnonzero, and the cached sets of a curve's shared quotient deltas with
-fresh copies.  A curve computes the extremal sets of its quotients in one
-stacked pass, held row by row to that reference, and whether the Hukuhara
-difference of each two consecutive samples exists in one stacked cone test,
-held to the per-pair test.  The RK4 step is held to its textbook expression.
-All comparisons are exact.  The sampled checks evaluate a declared affine
-field once, and any other field at every sampled time.
+is held to the compare-and-any form it replaced, in which a NaN margin fails.
+The extremal sets and the semi-inner product are compared with a reference
+that takes default_tol and np.flatnonzero, and the cached sets of a curve's
+shared quotient deltas with fresh copies.  A curve computes the extremal sets
+of its quotients in one stacked pass, held row by row to that reference, and
+whether the Hukuhara difference of each two consecutive samples exists in one
+stacked cone test, held to the per-pair test.  The RK4 step is held to its
+textbook expression.  All comparisons are exact.  The sampled checks evaluate
+a declared affine field once, and any other field at every sampled time.
 """
 
 import contextlib
@@ -242,9 +242,10 @@ def test_difference_quotients_are_read_only_views_of_the_curve():
 # ------------------------------------------------------------------ cone test
 
 def reference_cone_test(margins, values):
-    """The compare / any / reshaped-limit form that is_in_cone replaced."""
+    """The compare / any / reshaped-limit form that is_in_cone replaced, where a margin below
+    the limit or NaN fails its row."""
     limit = np.asarray(default_tol(values))[..., None]
-    return ~(margins < -limit).any(axis=-1)[()]
+    return ~((margins < -limit) | np.isnan(margins)).any(axis=-1)[()]
 
 
 @st.composite
@@ -291,16 +292,16 @@ def test_cone_test_reduction_matches_compare_and_any(case):
         assert np.array_equal(real, reference_cone_test(sf.cone_margins(values, grid), values))
 
 
-def test_cone_test_limit_is_inclusive_and_nan_passes():
+def test_cone_test_limit_is_inclusive_and_nan_fails():
     grid, values = sf.DirectionGrid(8), np.ones(8)
     margins = np.zeros(8)
     with mock.patch.object(support, "cone_margins", return_value=margins):
-        for at, passes in ((-default_tol(values), True), (-0.0, True), (math.nan, True),
+        for at, passes in ((-default_tol(values), True), (-0.0, True), (math.nan, False),
                            (np.nextafter(-default_tol(values), -math.inf), False)):
             margins[3] = at
             assert sf.is_in_cone(values, grid) is np.bool_(passes)
         margins[:] = math.nan
-        assert sf.is_in_cone(values, grid) is np.True_
+        assert sf.is_in_cone(values, grid) is np.False_
 
 
 # ---------------------------------------------------- shared quotient deltas

@@ -49,8 +49,13 @@ def bits(x) -> np.ndarray:
 
 
 def roll_margins(values, grid):
+    """The np.roll formula, with each non-finite margin taken again from values / 4 and
+    multiplied by 4 (both exact): no overflow turns a margin of finite values into NaN."""
     s = np.asarray(values, dtype=float)
-    return np.roll(s, 1) + np.roll(s, -1) - grid.two_cos_delta * s
+    m = np.roll(s, 1) + np.roll(s, -1) - grid.two_cos_delta * s
+    q = s / 4.0
+    again = 4.0 * (np.roll(q, 1) + np.roll(q, -1) - grid.two_cos_delta * q)
+    return np.where(np.isfinite(m), m, again)
 
 
 def reference_in_cone(values, grid) -> bool:

@@ -164,6 +164,32 @@ def test_sample_constructor_validates():
         sf.SupportSample(G64, vals)
 
 
+def test_sample_outside_the_cone_is_refused_when_its_margins_overflow():
+    # inf - inf made margin 0 NaN, and the NaN margin passed the cone test
+    grid = sf.DirectionGrid(8)
+    vals = np.array([1.7e308, 1e308, 0, 0, 0, 0, 0, 1e308])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(sf.NotInCone) as err:
+            sf.SupportSample(grid, vals)
+        margin = sf.cone_margins(vals, grid)[0]
+        assert not sf.is_in_cone(vals, grid) and sf.cone_residual(vals, grid) == -margin
+    assert err.value.index == 0 and f"{err.value.margin:.4e}" == "-4.0416e+307"
+    assert margin == err.value.margin == 2.0**1000 * sf.cone_margins(vals * 2.0**-1000, grid)[0]
+
+
+def test_huge_valid_sets_stay_samples():
+    # margins that overflow are exact again, so near the top of the float range a box is a
+    # sample and a point that moves out and back is a curve of both types
+    grid = sf.DirectionGrid(16)
+    box = sf.ConvexPolygon.box((-0.9e308, 0.9e308), (-0.9e308, 0.9e308))
+    p = sf.support_of_polygon(sf.ConvexPolygon.point((1e298, 0.0)), grid).values
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = sf.support_of_polygon(box, grid)
+        curve = sf.SetCurve(grid, [0.0, 1e-10, 2e-10], [np.zeros(16), p, np.zeros(16)])
+        assert sf.is_in_cone(s.values, grid)
+        assert sf.classify_curve(curve)[0] is sf.HukuharaClass.BOTH
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_sample_rejects_a_non_finite_entry(bad):
     # NaN margins pass the cone test, so a NaN vector was a sample; an infinite
@@ -246,6 +272,17 @@ def test_regularize_cone_input_unchanged():
     s = sup(Q)
     r = sf.regularize(s.values, G64)
     assert np.array_equal(r.values, s.values)
+
+
+def test_regularize_passes_a_cone_vector_through_as_a_read_only_copy():
+    # the pass-through computes the margins once: the sample constructor ran them again
+    s = sup(A2).values.copy()
+    with mock.patch.object(support, "cone_margins", wraps=support.cone_margins) as spy:
+        r = sf.regularize(s, G64)
+    assert spy.call_count == 1
+    assert type(r) is sf.SupportSample and not r.values.flags.writeable
+    assert not np.shares_memory(r.values, s)
+    assert np.array_equal(r.values.view(np.uint64), s.view(np.uint64))
 
 
 def test_regularize_idempotent():
