@@ -20,6 +20,7 @@ from .hukuhara import SetCurve
 from .sampling import ball_draws
 from .support import (
     _FLAT_REL,
+    TOL_REL,
     ConvexPolygon,
     DirectionGrid,
     SupportDelta,
@@ -37,8 +38,6 @@ from .support import (
 
 METHODS = ("euler", "rk4")
 POLICIES = ("never", "on_violation", "always")
-# integrate: a time grid this close to T (relative to max(1, T)) is snapped onto T.
-_TIME_SNAP_REL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -124,7 +123,8 @@ def subtangent_feasible(v, sigma, grid: DirectionGrid):
     The margins of sigma are nonnegative (up to rounding), so the feasible
     set is a closed interval computed exactly.  Returns (feasible, lam_min,
     lam_max): a bool and two floats, or arrays over the leading axes of a
-    stack; both bounds are NaN on an infeasible row.
+    stack; both bounds are NaN on an infeasible row.  A row with a NaN or
+    infinite entry in v or sigma, or a NaN bound (inf / inf), is infeasible.
     """
     a, b = cone_margins(v, grid), cone_margins(sigma, grid)
     tol = default_tol(v)[..., None]
@@ -132,11 +132,11 @@ def subtangent_feasible(v, sigma, grid: DirectionGrid):
     up, down = b > flat, b < -flat
     q = -tol - a
     np.divide(q, b, out=q, where=up | down)
-    # NaN bounds are skipped; the clamp also turns a -0.0 bound into 0.0
-    lo = np.fmax.reduce(q, axis=-1, where=up, initial=0.0)
-    lam_min = np.where(lo > 0.0, lo, 0.0)
-    lam_max = np.fmin.reduce(q, axis=-1, where=down, initial=math.inf)
-    ok = ~(a < -tol).any(axis=-1, where=~(up | down)) & (lam_min <= lam_max)
+    lo = np.max(q, axis=-1, where=up, initial=0.0)
+    lam_min = lo + 0.0  # a -0.0 bound becomes 0.0; NaN stays
+    lam_max = np.min(q, axis=-1, where=down, initial=math.inf)
+    finite = np.isfinite(tol[..., 0]) & np.isfinite(flat[..., 0])  # as the rows of v and sigma
+    ok = finite & ~(a < -tol).any(axis=-1, where=~(up | down)) & (lam_min <= lam_max)
     return ok[()], np.where(ok, lam_min, math.nan)[()], np.where(ok, lam_max, math.nan)[()]
 
 
@@ -148,7 +148,8 @@ def existence_horizon(
     The states are sigma0, sigma0 + r and the budget rows of ball_draws around sigma0 (widened
     and shrunk sets), each at 9 equally spaced times on [0, T], or at 0 alone for an affine f.
     The bound is a lower-confidence estimate from this sweep, not a certified supremum.  A
-    field that is zero on every sample gives c = 0 and b = T.
+    field that is zero on every sample gives c = 0 and b = T; NonFiniteValue if a value of
+    the field is NaN or infinite.
     """
     if not (r > 0 and T > 0):  # NaN fails too
         raise ValueError("r and T must be positive")
@@ -156,8 +157,9 @@ def existence_horizon(
     stack = np.vstack([sigma0.values, sigma0.values + r, draws])
     c = 0.0
     for t, _ in f._evaluations(np.linspace(0.0, T, 9).tolist()):
-        # the max over each state's |f|, skipping NaN rows like max(c, nan) does
-        c = float(np.fmax.reduce(np.abs(f.eval(t, stack)).max(axis=-1), initial=c))
+        c = float(np.max(np.abs(f.eval(t, stack)), initial=c))  # NaN, once met, stays
+    if not math.isfinite(c):
+        raise NonFiniteValue(f"non-finite value of field '{f.name}'")
     return c, (T if c == 0.0 else min(T, r / c))
 
 
@@ -226,8 +228,9 @@ def osl_rows(f: RhsField, pairs: np.ndarray, ts: list, rate: float) -> list[tupl
     """One-sided Lipschitz check in the Banach space of each pair x, y of a (B, 2, n) stack at its
     time ts[k]: g = x - y, d = f(t, x) - f(t, y), lhs = [d, g]_- / |g|_inf, the least of d on E+
     and of -d on E- of g (NaN if d is NaN there).  Rows (t, |g|_inf, the lowest index of lhs, lhs,
-    bound = rate * |g|_inf, lhs <= bound + default_tol of x, y and d) of the pairs, in order, whose
-    |g|_inf exceeds default_tol of x and y (hence of g); NonFiniteValue if g is not finite."""
+    bound = rate * |g|_inf, lhs <= bound + default_tol of x, y and d, False if d is not finite) of
+    the pairs, in order, whose |g|_inf exceeds default_tol of x and y (hence of g); NonFiniteValue
+    if g is not finite."""
     g = pairs[:, 0] - pairs[:, 1]  # then d, then the arms of lhs: one buffer
     if not np.isfinite(dist := np.abs(g).max(axis=-1)).all():
         raise NonFiniteValue("non-finite values of g")
@@ -235,13 +238,13 @@ def osl_rows(f: RhsField, pairs: np.ndarray, ts: list, rate: float) -> list[tupl
     pos, neg = g >= (dist - near)[:, None], g <= (-dist + near)[:, None]  # E+, E- of g
     for t, k in f._evaluations(ts):
         np.subtract(*np.moveaxis(f.eval(t, pairs[k]), -2, 0), out=g[k])
-    slack = np.fmax(tol, default_tol(g))
+    slack = np.maximum(tol, default_tol(g))  # finite exactly when d is
     np.negative(g, out=g, where=neg)
     np.copyto(g, math.inf, where=~(pos | neg))
     index = g.argmin(axis=-1)  # the first NaN, if any
     lhs, bound = g[np.arange(len(g)), index], rate * dist
     rows = zip(ts, dist.tolist(), index.tolist(), lhs.tolist(), bound.tolist(),
-               (lhs <= bound + slack).tolist())
+               ((lhs <= bound + slack) & np.isfinite(slack)).tolist())
     return [row for row, kept in zip(rows, (dist > tol).tolist()) if kept]
 
 
@@ -292,19 +295,12 @@ def _euler_step(f: RhsField, t: float, y: np.ndarray, h: float) -> np.ndarray:
 
 
 def _rk4_step(f: RhsField, t: float, y: np.ndarray, h: float) -> np.ndarray:
-    """y + (h/6) * (k1 + 2 k2 + 2 k3 + k4) bit for bit, its stage states in z and its sum in acc:
-    it writes only these two (a field's arrays stay intact), each after reading its slope."""
     half = h / 2.0
     k1 = f.eval(t, y)
-    z = y + half * k1
-    k2 = f.eval(t + half, z)
-    acc = k1 + 2.0 * k2
-    k3 = f.eval(t + half, np.add(y, np.multiply(k2, half, out=z), out=z))
-    acc += 2.0 * k3
-    acc += f.eval(t + h, np.add(y, np.multiply(k3, h, out=z), out=z))
-    acc *= h / 6.0
-    acc += y  # + and * commute exactly: y + (h/6) * sum
-    return acc
+    k2 = f.eval(t + half, y + half * k1)
+    k3 = f.eval(t + half, y + half * k2)
+    k4 = f.eval(t + h, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def integrate_stack(
@@ -341,9 +337,9 @@ def integrate_stack(
     for sigma in sigmas:
         _require_same_grid(sigma, f)
 
-    n_full = int(math.floor(T / h + _TIME_SNAP_REL))
+    n_full = int(math.floor(T / h + TOL_REL))  # a grid time within TOL_REL * max(1, T) is T
     times = [k * h for k in range(n_full + 1)]
-    if T - times[-1] > _TIME_SNAP_REL * max(1.0, T):
+    if T - times[-1] > TOL_REL * max(1.0, T):
         times.append(T)
     else:
         times[-1] = T
@@ -419,7 +415,8 @@ def lipschitz_estimate(
 
     The pairs are consecutive rows of budget + 1 ball_draws around sigma0, a widened set and a
     shrunk one, and the field is evaluated on all rows at the times of existence_horizon.  A
-    lower bound on any Lipschitz constant of f in its second argument on that set.
+    lower bound on any Lipschitz constant of f in its second argument on that set.  Pairs that
+    coincide give none; NonFiniteValue if another's quotient (or a field value in it) is not finite.
     """
     if budget < 1 or not (r > 0 and T > 0):  # NaN fails too
         raise ValueError("budget must be at least 1, and r and T positive")
@@ -428,6 +425,7 @@ def lipschitz_estimate(
     best = 0.0
     for t, _ in f._evaluations(np.linspace(0.0, T, 9).tolist()):
         num = np.max(np.abs(np.diff(f.eval(t, ys), axis=0)), axis=-1)
-        # pairs that coincide and NaN quotients are skipped, like max(best, nan) does
-        best = float(np.fmax.reduce(num[den > 0.0] / den[den > 0.0], initial=best))
+        best = float(np.max(num[den > 0.0] / den[den > 0.0], initial=best))  # NaN stays
+    if not math.isfinite(best):
+        raise NonFiniteValue(f"non-finite difference quotient of field '{f.name}'")
     return best

@@ -44,8 +44,8 @@ _PRODUCT_FLOATS = 1 << 20  # support_of_polygon: most products per block (8 MiB;
 
 
 def _scale(x):
-    """max(1, |x|_inf) of each vector along the last axis, ignoring NaN."""
-    return np.fmax(1.0, np.abs(x).max(axis=-1))
+    """max(1, |x|_inf) of each vector along the last axis: NaN for a vector with a NaN entry."""
+    return np.maximum(1.0, np.abs(x).max(axis=-1))
 
 
 def default_tol(x):
@@ -131,9 +131,10 @@ def cone_margins(values, grid: DirectionGrid) -> np.ndarray:
     An overflowing margin is taken again as 4 * that of s / 4: exact, or +-inf past the range.
     """
     s = _grid_values(values, grid, stacked=True)
-    m = _three_term(s, grid)
-    if not np.isfinite(m).all():
-        m = np.where(np.isfinite(m), m, 4.0 * _three_term(0.25 * s, grid))
+    with np.errstate(over="ignore", invalid="ignore"):  # both passes may overflow; no warning
+        m = _three_term(s, grid)
+        if not np.isfinite(m).all():
+            m = np.where(np.isfinite(m), m, 4.0 * _three_term(0.25 * s, grid))
     return m
 
 
@@ -145,8 +146,9 @@ def cone_residual(values, grid: DirectionGrid):
 
 def is_in_cone(values, grid: DirectionGrid) -> bool | np.ndarray:
     """The discrete cone condition at default_tol: a bool, or a bool array over the leading
-    axes of a stack (..., n), tested row by row.  A NaN margin fails its row."""
-    return cone_margins(values, grid).min(axis=-1) >= -default_tol(values)
+    axes of a stack (..., n), tested row by row.  A NaN margin or an infinite entry fails."""
+    tol = default_tol(values)  # inf for a row with an infinite entry, whose margins pass -inf
+    return (cone_margins(values, grid).min(axis=-1) >= -tol) & (tol < math.inf)
 
 
 def _require_in_cone(values, grid: DirectionGrid, tol) -> None:
@@ -453,8 +455,8 @@ def _active_lines(
     b, and its line meets that wedge at most at p.  Otherwise every line
     goes through the pass.
     Rounding can empty the pass for a point or a segment, so it is retried
-    once over every line moved out by _FLAT_REL * max(1, |s|_inf, r0), r0
-    bounding the radius of the intersection; EmptyIntersection if that is
+    once over every line moved out by _FLAT_REL * max(1, |s|_inf, r0), r0 =
+    max(s) / cos(delta / 2) bounding its points' norms; EmptyIntersection if that is
     empty too.  A pass over every line unmoved could not help: more
     halfplanes can only cut a subset of the pruned intersection.
     """
@@ -464,7 +466,7 @@ def _active_lines(
     try:
         return _deque_pass(s, grid, keep.tolist())
     except EmptyIntersection:
-        r0 = max(float(s.max()), 0.0) / math.cos(grid.delta / 2.0) + 1.0
+        r0 = float(s.max()) / math.cos(grid.delta / 2.0)
         shift = _FLAT_REL * max(float(_scale(s)), r0)
         return _deque_pass(s + shift, grid, list(range(grid.n)))
 

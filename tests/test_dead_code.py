@@ -1,7 +1,8 @@
 """No dead code in src/setflow: every imported name is used by the module that imports
 it, every private module-level name is referenced somewhere in the package, and every
 public function, class, method or property is reached by the package or the benchmark,
-or listed with the reason it stays."""
+or listed with the reason it stays.  And no code skips NaN: the package has one non-finite
+rule, under which a NaN fails its verdict or raises NonFiniteValue."""
 
 import ast
 import re
@@ -20,6 +21,8 @@ UNCALLED_MEMBERS = {
     "OslReport.witness": "goes with the polygon osl_check (ROADMAP item 13)",
     "Trajectory.final": "the README quick start reads it",
 }
+# numpy functions that skip NaN: none may be called, imported or referenced
+NAN_SKIPPING = ("fmax", "fmin", "nanmax", "nanmin", "nanargmax", "nanargmin")
 
 
 def imported_names(tree):
@@ -111,3 +114,15 @@ def test_every_public_method_and_property_has_a_caller():
         and node.name not in called
     ]
     assert sorted(uncalled) == sorted(UNCALLED_MEMBERS)
+
+
+def test_no_reduction_skips_nan():
+    found = [
+        f"{module}:{node.lineno} {name}"
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+        and (name := getattr(node, "id", None) or getattr(node, "attr", None) or node.name)
+        in NAN_SKIPPING
+    ]
+    assert found == []

@@ -62,6 +62,17 @@ def test_flat_direction_infeasibility():
     )
 
 
+def test_a_row_with_a_nan_or_infinite_entry_is_infeasible():
+    # v with a NaN entry was feasible, (True, 0.0, inf): the bounds skipped its NaN margins
+    grid, at3 = sf.DirectionGrid(8), np.arange(8) == 3
+    square = sup(Q, grid).values
+    v = np.array([np.where(at3, np.nan, 0.0), *np.zeros((3, 8))])
+    sigma = np.array([square, *(np.where(at3, bad, square) for bad in (np.nan, np.inf, -np.inf))])
+    for rows in (np.s_[:], *range(4)):  # the stack, then each row alone
+        feasible, lam_min, lam_max = sf.subtangent_feasible(v[rows], sigma[rows], grid)
+        assert not np.any(feasible) and np.isnan(lam_min).all() and np.isnan(lam_max).all()
+
+
 # -------------------------------------------------------------- existence horizon
 
 def test_horizon_at_fixed_point():
@@ -250,6 +261,17 @@ def test_osl_rows_slack_is_the_larger_of_the_tolerances_of_x_y_and_of_d():
     field = sf.expansion_field(grid, 1e6)
     assert osl_rows(field, pairs, [0.0], 1e6 - 1e-6)[0][5] is True
     assert osl_rows(field, pairs, [0.0], 1e6 - 1e-2)[0][5] is False
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_osl_row_with_a_non_finite_d_off_the_extremal_sets_is_a_violation(bad):
+    # g = x - y peaks at index 0 alone (E+ = {0}, E- empty), where d = 0, so lhs = 0 is well
+    # within the bound; d is bad at indices 1 and 7 only, which the slack skipped (NaN) or
+    # turned into an infinite slack (+-inf), so the row passed
+    grid = sf.DirectionGrid(8)
+    x, y = (sup(sf.ConvexPolygon.box(xs, (-1, 1)), grid).values for xs in ((-1, 10), (-1, 1)))
+    field = sf.RhsField(grid, lambda t, s: np.where((s > 5) & (s < 9), bad, 0.0))
+    assert osl_rows(field, np.array([[x, y]]), [0.0], 1.0) == [(0.0, 9.0, 0, 0.0, 9.0, False)]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -548,6 +570,17 @@ def test_sampled_bounds_need_a_positive_radius_and_horizon(r, T):
     for bound in (sf.existence_horizon, sf.lipschitz_estimate):
         with pytest.raises(ValueError):
             bound(RELAX, SQ, r, T)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sampled_bounds_raise_on_a_field_value_they_cannot_bound(bad):
+    # bad above 1.5: for NaN, existence_horizon gave c = 1.498 and lipschitz_estimate 1.0,
+    # skipping the states where the field is undefined; for +-inf, c = inf, b = 0 and inf
+    grid = sf.DirectionGrid(8)
+    f = sf.RhsField(grid, lambda t, y: np.where(y > 1.5, bad, -y), name="bad_above")
+    for bound in (sf.existence_horizon, sf.lipschitz_estimate):
+        with pytest.raises(NonFiniteValue, match="field 'bad_above'"):
+            bound(f, sup(Q, grid), 1.0, 1.0)
 
 
 def test_lipschitz_of_double_field_is_two():

@@ -243,9 +243,9 @@ def test_difference_quotients_are_read_only_views_of_the_curve():
 
 def reference_cone_test(margins, values):
     """The compare / any / reshaped-limit form that is_in_cone replaced, where a margin below
-    the limit or NaN fails its row."""
+    the limit or NaN fails its row, and so does a NaN or infinite entry (a non-finite limit)."""
     limit = np.asarray(default_tol(values))[..., None]
-    return ~((margins < -limit) | np.isnan(margins)).any(axis=-1)[()]
+    return ~((margins < -limit) | np.isnan(margins) | ~np.isfinite(limit)).any(axis=-1)[()]
 
 
 @st.composite

@@ -80,12 +80,16 @@ def reference_classify_step(c, k) -> HukuharaClass:
 
 
 def reference_subtangent(v, sigma, grid):
+    if not (np.isfinite(v).all() and np.isfinite(sigma).all()):
+        return False, math.nan, math.nan
     a = roll_margins(v, grid)
     b = roll_margins(sigma, grid)
     tol = TOL_REL * max(1.0, float(np.max(np.abs(v))))
     flat = 1e-12 * max(1.0, float(np.max(np.abs(sigma))))
     lam_min, lam_max = 0.0, math.inf
     for ai, bi in zip(a, b):
+        if abs(bi) > flat and math.isnan((-tol - ai) / bi):  # inf / inf: no bound
+            return False, math.nan, math.nan
         if bi > flat:
             lam_min = max(lam_min, (-tol - ai) / bi)
         elif bi < -flat:
@@ -894,7 +898,8 @@ def test_osl_row_matches_the_polygon_reference(seed, n, kind, rate, omega_rate):
 
 
 def reference_osl_row(f, xy, t, rate):
-    """The per-pair check that osl_rows replaced, as it was: its row, or None for a skipped pair."""
+    """The per-pair check that osl_rows replaced, a non-finite d failing its row: its row, or
+    None for a skipped pair."""
     dist, pos, neg = support._extremal(xy[0] - xy[1])[0]  # the stack of one row
     if dist is None or dist <= (tol := float(default_tol(xy.ravel()))):
         return None
@@ -903,7 +908,8 @@ def reference_osl_row(f, xy, t, rate):
     arms[pos], arms[neg] = d[pos], -d[neg]
     k = int(arms.argmin())  # the first NaN, if any
     lhs, bound = float(arms[k]), rate * dist
-    return t, dist, k, lhs, bound, lhs <= bound + max(tol, float(default_tol(d)))
+    ok = bool(np.isfinite(d).all()) and lhs <= bound + max(tol, float(default_tol(d)))
+    return t, dist, k, lhs, bound, ok
 
 
 def osl_field(kind, grid, rate, rng):
@@ -1181,7 +1187,7 @@ def reference_active_lines(s, grid, m):
     try:
         return reference_deque_pass(s, grid)
     except sf.EmptyIntersection:
-        r0 = max(float(s.max()), 0.0) / math.cos(grid.delta / 2.0) + 1.0
+        r0 = float(s.max()) / math.cos(grid.delta / 2.0)
         return reference_deque_pass(s + support._FLAT_REL * max(float(support._scale(s)), r0), grid)
 
 
@@ -1920,12 +1926,16 @@ def test_horizon_bound_matches_per_state_loop(kind):
         "relax_to": sf.relax_to(sf.random_cone_sample(grid, rng)),
         "expand": sf.expansion_field(grid, -1.7),
         "constant": sf.constant_field(sf.SupportDelta(grid, rng.normal(size=32))),
-        # NaN on the states above sigma0 + 0.5: the per-state loop skipped them
+        # NaN on the states above sigma0 + 0.5: a field value the bound cannot skip
         "nan_rows": sf.RhsField(
             grid, lambda t, y: np.where(y > sigma0.values + 0.5, np.nan, t - y)
         ),
     }[kind]
     for seed in range(4):
+        if kind == "nan_rows":
+            with pytest.raises(sf.NonFiniteValue, match="field 'field'"):
+                sf.existence_horizon(field, sigma0, 0.8, 2.0, budget=24, seed=seed)
+            continue
         c, _ = sf.existence_horizon(field, sigma0, 0.8, 2.0, budget=24, seed=seed)
         ref = reference_horizon_bound(field, sigma0, 0.8, 2.0, 24, 9, seed)
         assert bits(c) == bits(ref)

@@ -114,8 +114,9 @@ def regularized(s, grid):
 @settings(max_examples=150)
 @given(scaled())
 def test_regularize_keeps_its_bits_under_power_of_two_scaling(case):
-    # a repair whose pruned deque pass comes out empty takes the shifted retry, which does not
-    # scale (the strict xfail below); the property covers the pass-through and the first pass
+    # a repair whose pruned deque pass comes out empty takes the shifted retry, which scales only
+    # where max(|s|_inf, r0) >= 1 (the test below); the property covers the pass-through and
+    # the first pass
     grid, s, k = case
     k = min(k, 996 - top_exponent(s))  # |2**k s|_inf < 2**996 < 1e300
     with mock.patch.object(support, "_deque_pass", wraps=support._deque_pass) as spy:
@@ -127,9 +128,6 @@ def test_regularize_keeps_its_bits_under_power_of_two_scaling(case):
         assert np.array_equal(bits(got), bits(np.ldexp(expected, k)))
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "regularize's retry moves every line out by _FLAT_REL * max(1, |s|_inf, r0) with "
-    "r0 = max(s) / cos(delta / 2) + 1.0, and the + 1.0 does not scale"))
 def test_regularize_retry_keeps_its_bits_under_power_of_two_scaling():
     # a noisy point at n 16: rounding empties the pruned pass, so both calls retry
     s = np.array([
