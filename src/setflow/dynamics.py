@@ -130,8 +130,9 @@ def subtangent_feasible(v, sigma, grid: DirectionGrid):
     tol = default_tol(v)[..., None]
     flat = _FLAT_REL * _scale(sigma)[..., None]
     up, down = b > flat, b < -flat
-    q = -tol - a
-    np.divide(q, b, out=q, where=up | down)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf and inf / inf give NaN bounds
+        q = -tol - a
+        np.divide(q, b, out=q, where=up | down)
     lo = np.max(q, axis=-1, where=up, initial=0.0)
     lam_min = lo + 0.0  # a -0.0 bound becomes 0.0; NaN stays
     lam_max = np.min(q, axis=-1, where=down, initial=math.inf)

@@ -27,7 +27,6 @@ from .errors import (
     NegativeScalar,
     NonFiniteValue,
     NotInCone,
-    SetflowError,
 )
 
 # Relative tolerances, each scaled by max(1, |x|_inf) where it is used.
@@ -36,7 +35,7 @@ TOL_REL = 1e-9
 # regularize: margins this close to zero are rounding noise (keeps it idempotent).
 _ULP_REL = 1e-13
 # subtangent_feasible: margins this small count as zero.  _convex_hull: a point
-# this close to the chord of its neighbours is on it.  regularize: how far every
+# this close to the segment of its neighbours is on it.  regularize: how far every
 # line moves out (relative to max(1, |s|_inf, r0)) when rounding leaves the exact
 # intersection of a point or segment empty.
 _FLAT_REL = 1e-12
@@ -139,8 +138,9 @@ def cone_margins(values, grid: DirectionGrid) -> np.ndarray:
 
 
 def cone_residual(values, grid: DirectionGrid):
-    """Worst violation of the cone condition (0.0 in the cone, NaN for a NaN margin), per row."""
+    """Worst violation of the cone condition per row: 0.0 in the cone, NaN for a non-finite row."""
     worst = -cone_margins(values, grid).min(axis=-1)
+    worst = np.where(np.isfinite(values).all(axis=-1), worst, math.nan)  # default_tol < inf
     return np.where(worst <= 0.0, 0.0, worst)[()]  # max(0.0, worst): -0.0 gives 0.0, NaN stays
 
 
@@ -166,7 +166,7 @@ def _require_in_cone(values, grid: DirectionGrid, tol) -> None:
 
 
 def _monotone_chain(points, flat: float) -> list[tuple[float, float]]:
-    """One half of the hull: each point pops every vertex at most flat to the left of its chord."""
+    """One half of the hull: each point pops every vertex right of or within flat of its segment."""
     out: list[tuple[float, float]] = []
     for b in points:
         bx, by = b
@@ -174,10 +174,12 @@ def _monotone_chain(points, flat: float) -> list[tuple[float, float]]:
             ox, oy = out[-2]
             ax, ay = out[-1]
             dx, dy = bx - ox, by - oy
-            if (ax - ox) * dy - (ay - oy) * dx <= flat * math.hypot(dx, dy):
-                out.pop()
-            else:
-                break
+            cross = (ax - ox) * dy - (ay - oy) * dx  # > 0: a turns left
+            if cross > 0.0 and cross > flat * math.hypot(dx, dy):
+                break  # more than flat off the line through o and b
+            if cross > 0.0 and not 0.0 <= (ax - ox) * dx + (ay - oy) * dy <= dx * dx + dy * dy:
+                break  # near that line, but beyond an end of the segment
+            out.pop()
         out.append(b)
     return out
 
@@ -185,30 +187,25 @@ def _monotone_chain(points, flat: float) -> list[tuple[float, float]]:
 def _convex_hull(coords: list[float], tol: float) -> np.ndarray:
     """Convex hull in CCW order via monotone chain, degenerate-safe.
 
-    coords are the finite coordinates x0, y0, x1, y1, ... as Python floats:
-    on a few points, per-call numpy overhead would cost more than the
-    geometry.  Points are sorted stably and deduplicated on tolerance-quantized
-    keys (rounded half to even; the first point of a key is kept) so that
-    clusters of near-coincident points (ulp noise in either coordinate) cannot
-    scramble the lexicographic order the chain relies on.  A point within
-    _FLAT_REL * max(1, |points|_inf) of the chord between its neighbours is
-    dropped as collinear: a distance, not an area, so small sets and short
-    edges keep their vertices.  The result may have 1 (point) or 2 (segment)
-    vertices and starts at the lexicographically smallest vertex.
+    coords are finite coordinates x0, y0, x1, y1, ... under 2^500 (no product in the chain
+    overflows) as Python floats: on a few points, numpy's per-call cost exceeds the geometry.
+    Points whose coordinates / tol (their default_tol) round, half to even, to one cell merge
+    into the first of them given; the survivors run in exact (x, y) order, so both chains are
+    x-monotone and the polygon turns once.  A point within _FLAT_REL * max(1, |points|_inf)
+    of the segment between its neighbours is dropped as collinear: a distance, not an area,
+    so small sets and short edges keep their vertices.  The result may have 1 (point) or 2
+    (segment) vertices; it starts at the least cell's point, or the least point if that is inside.
     """
     xs, ys = coords[0::2], coords[1::2]
     keys = [(round(x / tol), round(y / tol)) for x, y in zip(xs, ys)]
-    pts: list[tuple[float, float]] = []
-    last = None
-    for i in sorted(range(len(keys)), key=keys.__getitem__):
-        if keys[i] != last:
-            pts.append((xs[i], ys[i]))
-            last = keys[i]
+    cells = dict(zip(reversed(keys), zip(reversed(xs), reversed(ys))))  # the first given wins
+    pts = sorted(cells.values())
     if len(pts) > 1:
+        first = cells[min(cells)]
         flat = _FLAT_REL * max(1.0, max(map(abs, chain.from_iterable(pts))))
         hull = _monotone_chain(pts, flat)[:-1] + _monotone_chain(reversed(pts), flat)[:-1]
-        # fully collinear input collapses to its extremes
-        pts = hull if len(hull) >= 2 else [pts[0], pts[-1]]
+        k = hull.index(first) if first in hull else 0
+        pts = hull[k:] + hull[:k]
     return np.array(list(chain.from_iterable(pts))).reshape(-1, 2)
 
 
@@ -217,8 +214,8 @@ class ConvexPolygon:
     """Convex compact set given by CCW vertices; points and segments allowed.
 
     The constructor canonicalizes any point collection to its convex hull,
-    merging duplicates and collinear runs, starting at the lexicographically
-    smallest vertex.
+    merging duplicates and collinear runs, starting at the point of the
+    least dedup cell (see _convex_hull).
     """
 
     vertices: np.ndarray
@@ -229,8 +226,11 @@ class ConvexPolygon:
             raise ValueError("a polygon needs at least one vertex")
         if not all(map(math.isfinite, coords)):
             raise ValueError("polygon vertices must be finite")
-        # default_tol of the coordinates, bit for bit
-        hull = _convex_hull(coords, TOL_REL * max(1.0, max(map(abs, coords))))
+        top = max(map(abs, coords))
+        e = max(0, math.frexp(top)[1] - 500)  # hulled at the exact scale 2^-e: under 2^500
+        if e:  # cells, flat and every turn scale exactly; coordinates under 2^(e - 1022) round
+            coords = [math.ldexp(c, -e) for c in coords]
+        hull = _convex_hull(coords, TOL_REL * max(1.0, math.ldexp(top, -e))) * 2.0**e
         hull.setflags(write=False)
         object.__setattr__(self, "vertices", hull)
 
@@ -511,11 +511,9 @@ def hausdorff_grid(a: SupportSample, b: SupportSample) -> float:
 
 def _normal_fan(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Normal fan of the CCW hull v: its edge normals' angles in [0, 2 pi), increasing, and the
-    vertex maximizing <x, u> from each to the next (a point: 0).  SetflowError if v winds."""
+    vertex maximizing <x, u> from each to the next (a point: 0)."""
     e = np.diff(v, axis=0, append=v[:1])
     ang = np.arctan2(-e[:, 0], e[:, 1]) % (2.0 * math.pi)
-    if np.count_nonzero(np.diff(ang, append=ang[:1]) < 0.0) > 1:  # hull angles fall once
-        raise SetflowError(f"the {len(v)} polygon vertices wind more than once around it")
     i = np.argsort(ang, kind="stable")  # a hull turns left: two sorted runs, merged in O(m)
     return ang[i], (i + 1) % len(v)
 

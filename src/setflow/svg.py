@@ -46,8 +46,9 @@ def polygon_filmstrip(frames, path, title: str = "") -> None:
     """Write one square cell per (t, polygon) frame, all on a shared scale."""
     frames = list(frames)
     pts = np.vstack([p.vertices for _, p in frames])
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
+    unit = np.ldexp(1.0, min(0, 1021 - np.frexp(np.abs(pts).max())[1]))  # puts pts under 2^1021
+    lo = pts.min(axis=0) * unit  # exactly, so no span overflows; unit is 1.0 for smaller sets
+    hi = pts.max(axis=0) * unit
     span = max(float(np.max(hi - lo)), 1e-9)
     pad = 0.08 * span
     lo = lo - pad
@@ -66,7 +67,7 @@ def polygon_filmstrip(frames, path, title: str = "") -> None:
             f'<rect x="{cx}" y="{cy}" width="{CELL}" height="{CELL}" '
             f'fill="none" stroke="#cccccc"/>'
         )
-        v = poly.vertices
+        v = poly.vertices * unit
         coords = _points(cx + (v[:, 0] - lo[0]) / span * CELL,
                          cy + CELL - (v[:, 1] - lo[1]) / span * CELL)
         parts.append(

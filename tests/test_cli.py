@@ -538,6 +538,19 @@ def test_hausdorff_output_bytes_are_pinned(tmp_path, capsys):
     assert digest.hexdigest() == "61b38ee103129b4ba4f008e12747a7990d65d1a9367cf49c20e8ca60117282e3"
 
 
+def test_hausdorff_of_a_thin_reconstruction(tmp_path, capsys):
+    # the 4,096 corners of the ellipse of semi-axes 2 and 0.01 at n = 4096: ordered by dedup
+    # cell, their hull wound, and the command exited 3; the box's farthest point is the tip
+    grid = sf.DirectionGrid(4096)
+    u = grid.directions
+    corners = sf.support._line_corners(np.hypot(2.0 * u[:, 0], 0.01 * u[:, 1]), grid)
+    thin = write_json(tmp_path / "thin.json", {"vertices": corners.tolist()})
+    box = write_json(tmp_path / "box.json", {"box": [[-1, 1], [-0.001, 0.001]]})
+    assert main(["hausdorff", thin, box, "--n", "64"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.splitlines()[1] == "exact: 1"
+
+
 def test_hausdorff_parse_failure(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("[1,2")
@@ -947,10 +960,14 @@ def test_integrate_overflow_is_reported_only_by_its_exit_line(scenario, capsys, 
 
 def test_integrate_keeps_huge_valid_states(scenario, tmp_path):
     # Euler at rate 1 grows the box 1.5-fold per step, to 1.3e308 at T: the sums in its
-    # margins overflow, and every residual must still be a number within the drift limit
+    # margins overflow, and every residual must still be a number within the drift limit;
+    # the filmstrip's span overflowed to inf, so every coordinate it wrote was nan, and the
+    # hull of 4 of its 7 frames was a diagonal
     path = scenario(
         grid_n=16, T=590.5, h=0.5, method="euler", rhs={"kind": "expand", "rate": 1.0},
         initial={"box": [[-1e100, 1e100], [-1e100, 1e100]]},
+        output={"trajectory": str(tmp_path / "traj.csv"), "filmstrip": str(tmp_path / "f.svg"),
+                "support": str(tmp_path / "s.svg"), "frame_spacing": 100},
     )
     assert main(["integrate", path]) == 0
     assert "nan" not in (tmp_path / "traj.csv").read_text()
@@ -958,6 +975,9 @@ def test_integrate_keeps_huge_valid_states(scenario, tmp_path):
     table = np.array(rows, dtype=float)
     assert len(table) == 1182 and np.abs(table[:, 3:]).max() > 1e308
     assert np.all(table[:, 1] <= _drift_limit(table[:, 3:]))
+    assert "nan" not in (tmp_path / "f.svg").read_text() + (tmp_path / "s.svg").read_text()
+    polys = ET.parse(tmp_path / "f.svg").getroot().findall(".//{http://www.w3.org/2000/svg}polygon")
+    assert [len(p.get("points").split()) for p in polys] == [4] * 7
 
 
 @pytest.mark.filterwarnings("error")

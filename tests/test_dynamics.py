@@ -73,6 +73,18 @@ def test_a_row_with_a_nan_or_infinite_entry_is_infeasible():
         assert not np.any(feasible) and np.isnan(lam_min).all() and np.isnan(lam_max).all()
 
 
+def test_rows_decided_infeasible_warn_nothing():
+    # an infinite entry of v gave inf - inf in -tol - a, and huge v and sigma whose margins
+    # both overflow gave inf / inf; warnings fail every test, so these calls would raise
+    grid, at3 = sf.DirectionGrid(8), np.arange(8) == 3
+    v = np.where(at3, np.inf, 0.0)
+    assert sf.subtangent_feasible(v, sup(Q, grid).values, grid)[0] == np.False_
+    for n in (3, 4):
+        grid, huge = sf.DirectionGrid(n), np.full(n, 1e308)  # every margin is +-inf
+        feasible, lam_min, lam_max = sf.subtangent_feasible(np.array([huge, -huge]), huge, grid)
+        assert not feasible.any() and np.isnan(lam_min).all() and np.isnan(lam_max).all()
+
+
 # -------------------------------------------------------------- existence horizon
 
 def test_horizon_at_fixed_point():

@@ -189,6 +189,20 @@ def test_huge_valid_sets_stay_samples():
     assert sf.classify_curve(curve)[0] is sf.HukuharaClass.BOTH
 
 
+@pytest.mark.parametrize("n", [3, 4, 8])
+def test_residual_of_a_non_finite_row_is_nan(n):
+    # every margin of [inf, 0, 0] is +inf at n = 3, so its residual read 0.0, as if in the cone
+    grid = sf.DirectionGrid(n)
+    finite = sup(Q, grid).values - np.arange(n) % 2  # outside the cone at n = 3 and 8
+    rows = np.array([finite, *(np.where(np.arange(n) == 0, bad, 0.0)
+                               for bad in (math.inf, -math.inf, math.nan))])
+    got = sf.cone_residual(rows, grid)
+    assert got[0] == sf.cone_residual(finite, grid) and np.isnan(got[1:]).all()
+    assert np.isnan(sf.cone_residual(rows[1], grid)) and not sf.is_in_cone(rows[1], grid).any()
+    worst = -sf.cone_margins(finite, grid).min()  # a finite row keeps the bits it had
+    assert np.float64(got[0]).tobytes() == np.float64(0.0 if worst <= 0.0 else worst).tobytes()
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_sample_rejects_a_non_finite_entry(bad):
     # NaN margins pass the cone test, so a NaN vector was a sample; an infinite
