@@ -59,8 +59,12 @@ def extremal_sets(f: SupportDelta) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def semi_inner(f: SupportDelta, g: SupportDelta) -> float:
     """One-sided pairing ||g|| * min{min_{E+} f, min_{E-} -f}, min over empty = inf (an
-    extremal set of g is nonempty); 0 for g == 0 by the full-grid convention."""
+    extremal set of g is nonempty); 0 for g == 0 by the full-grid convention.  A delta of a
+    SetCurve keeps the bits of this pairing with the next delta from the curve's stacked pass."""
     _require_same_grid(f, g)
+    key, inner = getattr(g, "_pairing", (None, None))
+    if key is f.values:
+        return inner
     gnorm, pos, neg = g._extrema
     if gnorm is None:
         return 0.0
@@ -74,14 +78,17 @@ def dual_representatives(g: SupportDelta) -> list[DiscreteMeasure]:
     """Single-atom elements of the duality map of g: +-||g|| delta_i at extrema.
 
     Every returned measure mu has total variation ||g|| and pairs with g to
-    ||g||^2.  The minimum of mu(f) over the list equals semi_inner(f, g).
+    ||g||^2.  The minimum of mu(f) over the list equals semi_inner(f, g).  The measures are
+    built once per delta (g is read-only); each call returns a new list of them.
     """
-    gnorm, pos, neg = g._extrema
-    if gnorm is None:
-        raise ZeroFunction("the zero function has no normalized representatives")
-    reps = [DiscreteMeasure._trusted(((i, gnorm),)) for i in pos.tolist()]
-    reps += [DiscreteMeasure._trusted(((i, -gnorm),)) for i in neg.tolist()]
-    return reps
+    reps = vars(g).get("_representatives")
+    if reps is None:
+        gnorm, pos, neg = g._extrema
+        if gnorm is None:
+            raise ZeroFunction("the zero function has no normalized representatives")
+        atoms = [(i, gnorm) for i in pos.tolist()] + [(i, -gnorm) for i in neg.tolist()]
+        reps = vars(g)["_representatives"] = [DiscreteMeasure._trusted((a,)) for a in atoms]
+    return reps.copy()
 
 
 def hausdorff_realizing_directions(

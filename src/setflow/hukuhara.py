@@ -50,8 +50,8 @@ class SetCurve:
     Row j of quotients is the difference quotient from sample j to j + 1: NonFiniteValue unless
     all are finite, so are the rows, which then pass one stacked cone test at tol (a scalar or
     one per row; default_tol per row when None).  samples and deltas hold the rows, built once by
-    stacked passes: sample j knows if the Hukuhara difference of j + 1 and j exists; each delta,
-    its extremal sets.
+    stacked passes: sample j knows if the Hukuhara difference of j + 1 and j exists; delta j,
+    its extremal sets and semi_inner(delta j + 1, delta j).
     """
 
     grid: DirectionGrid
@@ -90,8 +90,12 @@ class SetCurve:
 
     @cached_property
     def deltas(self) -> tuple[SupportDelta, ...]:
-        sets = _extremal(self.quotients)
-        return tuple(SupportDelta._checked(self.grid, q, e) for q, e in zip(self.quotients, sets))
+        sets, inners = _extremal(self.quotients, paired=True)
+        deltas = tuple(SupportDelta._checked(self.grid, q, e) for q, e in zip(self.quotients, sets))
+        for g, f, inner in zip(deltas, deltas[1:], inners):
+            if not math.isnan(inner):  # semi_inner(f, g), keyed by f's row, not f: no delta chain
+                vars(g)["_pairing"] = (f.values, inner)
+        return deltas
 
     def __len__(self) -> int:
         return len(self.times)
@@ -193,4 +197,5 @@ def second_type_differential(delta: SupportDelta) -> SupportSample | None:
     grid = delta.grid
     if not grid.is_even:
         raise ValueError("second-type differentials need an even grid")
-    return _sample_or_none(grid, np.roll(-delta.values, -(grid.n // 2)))
+    flip, half = -delta.values, grid.n // 2
+    return _sample_or_none(grid, np.concatenate((flip[half:], flip[:half])))

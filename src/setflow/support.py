@@ -60,17 +60,21 @@ class DirectionGrid:
     angles: np.ndarray = field(init=False, repr=False, compare=False)
     directions: np.ndarray = field(init=False, repr=False, compare=False)
     two_cos_delta: float = field(init=False, repr=False, compare=False)
+    _turned: np.ndarray = field(init=False, repr=False, compare=False)  # row i: direction i + 1
 
     def __post_init__(self):
         object.__setattr__(self, "n", operator.index(self.n))  # TypeError unless integral
         if self.n < 3:
             raise ValueError(f"need at least 3 directions, got {self.n}")
         angles = 2.0 * np.pi * np.arange(self.n) / self.n
-        directions = np.column_stack([np.cos(angles), np.sin(angles)])
+        ring = np.empty((self.n + 1, 2))  # the directions, then the first again
+        ring[:-1, 0], ring[:-1, 1] = np.cos(angles), np.sin(angles)
+        ring[-1] = ring[0]
         angles.setflags(write=False)
-        directions.setflags(write=False)
+        ring.setflags(write=False)
         object.__setattr__(self, "angles", angles)
-        object.__setattr__(self, "directions", directions)
+        object.__setattr__(self, "directions", ring[:-1])
+        object.__setattr__(self, "_turned", ring[1:])
         object.__setattr__(self, "two_cos_delta", 2.0 * math.cos(self.delta))
 
     @property
@@ -112,8 +116,10 @@ def _require_same_grid(a, b):
 
 
 def _three_term(s: np.ndarray, grid: DirectionGrid) -> np.ndarray:
-    m = np.empty_like(s)  # s_{i-1} + s_{i+1}, the wrap-around columns apart
-    np.add(s[..., :-2], s[..., 2:], out=m[..., 1:-1])
+    s = np.ascontiguousarray(s)  # one flat pass: s_{i-1} + s_{i+1}, also across rows,
+    m = np.empty_like(s)  # whose sums the wrap-around columns then overwrite
+    flat, out = s.reshape(-1), m.reshape(-1)
+    np.add(flat[:-2], flat[2:], out=out[1:-1])
     np.add(s[..., -1], s[..., 1], out=m[..., 0])
     np.add(s[..., -2], s[..., 0], out=m[..., -1])
     m -= grid.two_cos_delta * s
@@ -254,20 +260,33 @@ class ConvexPolygon:
         return len(self.vertices)
 
 
-def _extremal(vals: np.ndarray):
+def _extremal(vals: np.ndarray, paired: bool = False):
     """One (||row||, E+, E-) per row of a finite (..., n) stack (a vector is one row): the
     indices within default_tol of +||row|| and of -||row||, read-only.  A norm within
-    default_tol of zero is None, with the whole grid twice."""
+    default_tol of zero is None, with the whole grid twice.  If paired, also, from the same
+    masks, the semi-inner product of row j + 1 with row j for each row j but the last, bit for
+    bit, or NaN where its least value is zero: the stacked min may give the other sign."""
     rows = vals.reshape(-1, vals.shape[-1])
     norm = np.abs(rows).max(axis=-1)
     tol = TOL_REL * np.maximum(norm, 1.0)  # default_tol of each row, bit for bit
     lim = np.where(norm > tol, norm - tol, -math.inf)[:, None]  # -lim is -norm + tol, bit for bit
-    mask = np.concatenate([rows >= lim, rows <= -lim])  # a zero row (lim -inf): all twice
-    idx, ends = mask.nonzero()[1], mask.sum(axis=-1).cumsum().tolist()
+    at = np.flatnonzero(np.concatenate([rows >= lim, rows <= -lim]))  # zero rows: all twice
+    row, idx = np.divmod(at, rows.shape[-1])  # mask row k: E+ of row k, then E- of row k - len
+    ends = (counts := np.bincount(row, minlength=2 * len(rows))).cumsum().tolist()
     idx.setflags(write=False)
-    sets = [idx[a:b] for a, b in zip([0] + ends, ends)]  # E+ of each row, then E-
-    return [(x if x > t else None, p, q)
-            for x, t, p, q in zip(norm.tolist(), tol.tolist(), sets, sets[len(rows):])]
+    sets = [idx[a:b] for a, b in zip([0] + ends, ends)]
+    out = [(x if x > t else None, p, q)
+           for x, t, p, q in zip(norm.tolist(), tol.tolist(), sets, sets[len(rows):])]
+    if not paired:
+        return out
+    nxt = rows.reshape(-1).take(at % rows.size + rows.shape[-1], mode="clip")  # row j + 1 at
+    np.negative(nxt, out=nxt, where=at >= rows.size)  # E+ of row j, -(row j + 1) at E-
+    low = np.minimum.reduceat(np.append(nxt, math.inf), [0] + ends[:-1])  # inf: starts an empty last set
+    mpos, mneg = np.where(counts > 0, low, math.inf).reshape(2, -1)[:, :-1]  # inf: empty set
+    least = np.where(mneg < mpos, mneg, mpos)  # min(mpos, mneg) keeps mpos on a tie
+    with np.errstate(over="ignore"):  # as the product of two Python floats: inf, no warning
+        inner = np.where(least == 0.0, math.nan, norm[:-1] * least)
+    return out, np.where(norm[:-1] > tol[:-1], inner, 0.0).tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,10 +380,10 @@ def support_of_polygon(p: ConvexPolygon, grid: DirectionGrid) -> SupportSample:
 def _line_corners(vals: np.ndarray, grid: DirectionGrid) -> np.ndarray:
     """The n points (n, 2) where lines <u_i, x> = vals_i and <u_{i+1}, x> = vals_{i+1}
     meet: for a vector in the cone, boundary points of its set, whose hull it is."""
-    cos, sin = grid.directions.T
-    sn, denom = np.roll(vals, -1), math.sin(grid.delta)
-    x = (vals * np.roll(sin, -1) - sn * sin) / denom
-    y = (sn * cos - vals * np.roll(cos, -1)) / denom
+    (cos, sin), (tcos, tsin) = grid.directions.T, grid._turned.T
+    sn, denom = np.concatenate((vals[1:], vals[:1])), math.sin(grid.delta)
+    x = (vals * tsin - sn * sin) / denom
+    y = (sn * cos - vals * tcos) / denom
     return np.column_stack([x, y])
 
 
@@ -536,10 +555,10 @@ def _excess_candidates(p: ConvexPolygon, q: ConvexPolygon):
     t = np.where(r > 0.0, (np.arctan2(w[:, 1], w[:, 0]) - ang) % (2.0 * math.pi), np.nan)
     inside = t < width  # t: the angle of w past the start; nan for w = 0, which is flat
     rise, fall = (t > 0.0) & (t < math.pi), inside & (t > width - math.pi) | (t > width + math.pi)
-    peak = ~rise & ~np.roll(fall, 1)  # at the start of each arc: no arc rises from it
+    peak = ~rise & ~np.concatenate((fall[-1:], fall[:-1]))  # at each arc's start: none rises
     vals = [(w * u).sum(axis=1), (w * end).sum(axis=1), np.where(inside, r, -math.inf)]
     dirs = [u, end, w / np.where(inside, r, 1.0)[:, None]]
-    peaks = np.concatenate([peak, np.roll(peak, -1), inside])
+    peaks = np.concatenate([peak, peak[1:], peak[:1], inside])
     return np.concatenate(vals), np.concatenate(dirs), np.tile(a, 3), peaks
 
 

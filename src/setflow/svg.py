@@ -90,6 +90,8 @@ def support_profiles(frames, angles, path, title: str = "") -> None:
     x0, y0 = MARGIN + 40, MARGIN + 10
     vmin = min(float(v.min()) for _, v in frames)
     vmax = max(float(v.max()) for _, v in frames)
+    unit = float(np.ldexp(1.0, min(0, 1021 - np.frexp(max(-vmin, vmax))[1])))  # as in filmstrips
+    vmin, vmax = vmin * unit, vmax * unit  # exactly, so no span overflows
     if vmax - vmin < 1e-12:
         vmax = vmin + 1.0
     amax = float(angles[-1])
@@ -103,7 +105,7 @@ def support_profiles(frames, angles, path, title: str = "") -> None:
         )
     xs = x0 + np.asarray(angles, dtype=float) / amax * plot_w
     for i, (t, vals) in enumerate(frames):
-        coords = _points(xs, y0 + plot_h - (vals - vmin) / (vmax - vmin) * plot_h)
+        coords = _points(xs, y0 + plot_h - (vals * unit - vmin) / (vmax - vmin) * plot_h)
         parts.append(
             f'<polyline points="{coords}" fill="none" '
             f'stroke="{_color(i, len(frames))}" stroke-width="1.2"/>'

@@ -2,7 +2,8 @@
 it, every private module-level name is referenced somewhere in the package, and every
 public function, class, method or property is reached by the package or the benchmark,
 or listed with the reason it stays.  And no code skips NaN: the package has one non-finite
-rule, under which a NaN fails its verdict or raises NonFiniteValue."""
+rule, under which a NaN fails its verdict or raises NonFiniteValue.  Nor does it call a numpy
+function that slicing replaces with the same bits at a fraction of the cost."""
 
 import ast
 import re
@@ -23,6 +24,11 @@ UNCALLED_MEMBERS = {
 }
 # numpy functions that skip NaN: none may be called, imported or referenced
 NAN_SKIPPING = ("fmax", "fmin", "nanmax", "nanmin", "nanargmax", "nanargmin")
+# numpy functions that slicing replaces with the same bits, and why none may come back
+SLOW_CALLS = {
+    "roll": "a few microseconds per call at n 64 against slicing: _line_corners took 55 us "
+            "with three rolls and 10 us with one read-only rolled grid array and a concatenate",
+}
 
 
 def imported_names(tree):
@@ -116,13 +122,21 @@ def test_every_public_method_and_property_has_a_caller():
     assert sorted(uncalled) == sorted(UNCALLED_MEMBERS)
 
 
-def test_no_reduction_skips_nan():
-    found = [
+def references(names):
+    """module:line name of every name, attribute or import of one of names in the package."""
+    return [
         f"{module}:{node.lineno} {name}"
         for module, tree in TREES.items()
         for node in ast.walk(tree)
         if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
         and (name := getattr(node, "id", None) or getattr(node, "attr", None) or node.name)
-        in NAN_SKIPPING
+        in names
     ]
-    assert found == []
+
+
+def test_no_reduction_skips_nan():
+    assert references(NAN_SKIPPING) == []
+
+
+def test_no_slow_call():
+    assert references(SLOW_CALLS) == []

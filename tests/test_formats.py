@@ -1,5 +1,6 @@
 import json
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import pytest
 
@@ -119,3 +120,20 @@ def test_profiles_one_polyline_per_frame(tmp_path):
     root = ET.parse(path).getroot()
     lines = root.findall(".//{http://www.w3.org/2000/svg}polyline")
     assert len(lines) == 2
+
+
+def test_profiles_of_a_set_spanning_the_float_range(tmp_path):
+    # values from -1.1e308 to 1.8e308: their span overflowed, and numpy warned
+    grid = sf.DirectionGrid(16)
+    s = sf.support_of_polygon(sf.ConvexPolygon.box((1e308, 1.5e308), (-1e308, -0.5e308)), grid)
+    path = tmp_path / "prof.svg"
+    svg.support_profiles([(0.0, s.values)], grid.angles, path)
+    root = ET.parse(path).getroot()
+    (line,) = root.findall(".//{http://www.w3.org/2000/svg}polyline")
+    ys = [float(p.split(",")[1]) for p in line.get("points").split()]
+    top, height = 34.0, 272.0  # the plot box: y0 and plot_h
+    assert len(ys) == 16 and min(ys) == top and max(ys) == top + height
+    # the zero line sits where 0 falls between the least and the greatest value
+    (zero,) = root.findall(".//{http://www.w3.org/2000/svg}line")
+    lo, hi = Fraction(float(s.values.min())), Fraction(float(s.values.max()))
+    assert abs(float(zero.get("y1")) - (top + height * float(hi / (hi - lo)))) <= 0.05

@@ -9,9 +9,12 @@ that takes default_tol and np.flatnonzero, and the cached sets of a curve's
 shared quotient deltas with fresh copies.  A curve computes the extremal sets
 of its quotients in one stacked pass, held row by row to that reference, and
 whether the Hukuhara difference of each two consecutive samples exists in one
-stacked cone test, held to the per-pair test.  The RK4 step is held to its
-textbook expression.  All comparisons are exact.  The sampled checks evaluate
-a declared affine field once, and any other field at every sampled time.
+stacked cone test, held to the per-pair test.  The same pass keeps the
+semi-inner product of each two consecutive quotients, held to the per-call
+path, and the three-term margins of a stack take one flat pass, held to the
+rows.  The RK4 step is held to its textbook expression.  All comparisons are
+exact.  The sampled checks evaluate a declared affine field once, and any
+other field at every sampled time.
 """
 
 import contextlib
@@ -29,6 +32,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import setflow as sf
 from setflow import cli, dynamics, formats, hukuhara, support
@@ -497,6 +501,13 @@ def test_a_curve_dies_with_its_last_reference(make):
     curve = make()
     assert sf.hukuhara_difference(curve.samples[1], curve.samples[0]) is not curve
     assert len(curve.deltas) == len(curve) - 1
+    # its deltas keep their pairings with the next row's values and their representatives
+    for g, f in zip(curve.deltas, curve.deltas[1:]):
+        sf.semi_inner(f, g)
+        with contextlib.suppress(ZeroFunction):
+            sf.dual_representatives(g)
+        kept = vars(g).get("_pairing")  # none where the least value is zero
+        assert kept is None or (kept[0] is f.values and type(kept[0]) is np.ndarray)
     ref = weakref.ref(curve)
     gc.disable()
     try:
@@ -504,6 +515,159 @@ def test_a_curve_dies_with_its_last_reference(make):
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_a_curve_delta_copies_and_pickles_alone():
+    # a delta keeps its pairing keyed by the next row's values, not the next delta; a deep
+    # copy or a pickle keys it by a copy of that row, so a pairing with it runs the per-call path
+    for curve in curves_and_reversals():
+        d = curve.deltas
+        kept = [(g, f) for g, f in zip(d, d[1:]) if "_pairing" in vars(g)]
+        for g, f in (kept[0], kept[-1]):
+            want = bits(sf.semi_inner(fresh(f), fresh(g)))
+            assert copy.copy(g)._pairing[0] is f.values
+            assert bits(sf.semi_inner(f, copy.copy(g))) == want
+            for g2 in (copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+                key, inner = g2._pairing
+                assert key is not f.values and np.array_equal(bits(key), bits(f.values))
+                assert bits(inner) == bits(g._pairing[1]) == want
+                del vars(g2)["_extrema"]  # the per-call path computes the sets again
+                with mock.patch.object(support, "_extremal", wraps=support._extremal) as spy:
+                    assert bits(sf.semi_inner(f, g2)) == want
+                assert spy.call_count == 1
+
+
+@st.composite
+def paired_curves(draw):
+    """A curve of planted quotients, or a relaxation curve between random boxes.
+
+    Values 0, r0, 0, r1, ... at times 0, 1, 2, ... give the quotients r0, -r0, r1, -r1, ...
+    exactly, so the consecutive pairs are (r_k, -r_{k-1}) and (-r_k, r_k).  The rows are those
+    of extremal_stacks (near-ties within 0 to 2 tolerances of the norm, flat bands, zero rows,
+    norms within the tolerance of zero); in some, every entry on the extremal sets of the row
+    before is +0.0 or -0.0, so the least value of their pairing is a zero of either sign."""
+    if draw(st.booleans()):
+        grid = sf.DirectionGrid(draw(st.sampled_from([8, 64])))
+        a0, q = (sf.ConvexPolygon.box(*np.sort(draw(hnp.arrays(float, (2, 2), elements=coords))))
+                 for _ in range(2))
+        times = np.linspace(0.0, draw(st.floats(0.1, 4.0)), draw(st.integers(3, 40)))
+        return sf.relaxation_curve(a0, q, times, grid)
+    stack = draw(extremal_stacks())
+    rows = stack.reshape(-1, stack.shape[-1])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    for prev, row in zip(rows, rows[1:]):
+        norm = np.abs(prev).max()
+        if rng.random() < 0.5 and norm > default_tol(prev):
+            at = np.abs(prev) >= norm - 2.0 * default_tol(prev)
+            row[at] = rng.choice([0.0, -0.0], size=at.sum())
+    values = np.zeros((2 * len(rows), rows.shape[-1]))
+    values[1::2] = rows
+    return sf.SetCurve(sf.DirectionGrid(rows.shape[-1]), np.arange(len(values)), values,
+                       tol=math.inf)
+
+
+@settings(max_examples=200)
+@given(paired_curves(), st.booleans())
+def test_kept_pairings_give_the_bits_of_the_per_call_path(curve, reverse):
+    curve = hukuhara.time_reverse(curve) if reverse else curve
+    deltas = curve.deltas
+    for g, f in zip(deltas, deltas[1:]):
+        want = sf.semi_inner(fresh(f), fresh(g))
+        kept = vars(g).get("_pairing")
+        assert kept is not None or want == 0.0  # a zero least value takes the per-call path
+        assert kept is None or kept[0] is f.values
+        assert bits(sf.semi_inner(f, g)) == bits(want)
+        # the other order, and a pair two steps apart, are not kept
+        assert bits(sf.semi_inner(g, f)) == bits(sf.semi_inner(fresh(g), fresh(f)))
+    for g, f in zip(deltas, deltas[2:]):
+        assert bits(sf.semi_inner(f, g)) == bits(sf.semi_inner(fresh(f), fresh(g)))
+
+
+def test_a_zero_least_value_takes_the_per_call_path():
+    # the stacked min of +0.0 and -0.0 may differ in sign from the per-call min
+    grid = sf.DirectionGrid(8)
+    g = np.array([2.0, 2.0, 1.0, 0.0, -1.0, 0.5, 0.0, 2.0])
+    for f in ([0.0, -0.0, 1.0, 1.0, 1.0, 1.0, 1.0, -0.0], [-0.0, 0.0, 5.0, 1.0, 1.0, 1.0, 1.0, 0.0]):
+        values = np.zeros((4, 8))
+        values[1], values[3] = -g, np.array(f)  # quotients -g, g, f: the pair (f, g) is last
+        deltas = sf.SetCurve(grid, np.arange(4.0), values, tol=math.inf).deltas
+        assert "_pairing" not in vars(deltas[1]) and "_pairing" in vars(deltas[0])
+        want = sf.semi_inner(fresh(deltas[2]), fresh(deltas[1]))
+        assert want == 0.0 and bits(sf.semi_inner(deltas[2], deltas[1])) == bits(want)
+
+
+def test_representatives_are_built_once_and_returned_in_a_new_list():
+    deltas = banded_curve().deltas
+    g = deltas[3]  # box growth: a band of ties
+    first = sf.dual_representatives(g)
+    atoms = [mu.atoms for mu in first]
+    assert len(atoms) > 1
+    first.clear()
+    again = sf.dual_representatives(g)
+    assert again is not first and [mu.atoms for mu in again] == atoms
+    assert all(a is b for a, b in zip(again, sf.dual_representatives(g)))
+    for _ in range(2):
+        with pytest.raises(ZeroFunction):
+            sf.dual_representatives(deltas[0])
+
+
+# ------------------------------------------------------ flat three-term margins
+
+def reference_three_term(row, two_cos):
+    """s_{i-1} + s_{i+1} - 2 cos(delta) s_i of one row, entry by entry, in Python floats."""
+    v, n = row.tolist(), len(row)
+    return [(v[i - 1] + v[(i + 1) % n]) - two_cos * v[i] for i in range(n)]
+
+
+def reference_margins(row, two_cos):
+    """The three-term margins of a row, each non-finite one taken again as 4 times that of
+    row / 4 (Python floats overflow to inf without an error)."""
+    again = reference_three_term(0.25 * row, two_cos)
+    return [m if math.isfinite(m) else 4.0 * a
+            for m, a in zip(reference_three_term(row, two_cos), again)]
+
+
+@st.composite
+def margin_views(draw):
+    """A stack (n,), (B, n) or (A, B, n), n in {3, 4, 8, 64}, contiguous or a view that is
+    not: transposed, every other row, every other entry, or reversed entries.  Each row is
+    random in [-1, 1] at a scale of 1, 1e300 or 1e308, or near the top of the float range
+    with every entry positive, so that every sum overflows and is taken again from s / 4."""
+    n = draw(st.sampled_from([3, 4, 8, 64]))
+    lead = draw(st.sampled_from([(), (1,), (5,), (2, 3)]))
+    view = draw(st.sampled_from(["contiguous", "transposed", "rows", "entries", "reversed"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if view == "rows" and lead:
+        lead = (2 * lead[0],) + lead[1:]
+    base = rng.uniform(-1.0, 1.0, lead + ((2 * n,) if view == "entries" else (n,)))
+    rows = base.reshape(-1, base.shape[-1])
+    for row in rows:
+        kind = rng.integers(4)
+        row *= (1.0, 1e300, 1e308)[kind] if kind < 3 else 0.0
+        if kind == 3:
+            row += rng.uniform(1.5e308, 1.79e308, len(row))
+    if view == "transposed":
+        return np.ascontiguousarray(base.T).T
+    return {"contiguous": base, "rows": base[::2] if lead else base,
+            "entries": base[..., ::2], "reversed": base[..., ::-1]}[view]
+
+
+@settings(max_examples=200)
+@given(margin_views())
+def test_flat_three_term_matches_the_rows(s):
+    grid = sf.DirectionGrid(s.shape[-1])
+    before = s.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        flat = support._three_term(s, grid)
+    margins = sf.cone_margins(s, grid)
+    assert flat.shape == margins.shape == s.shape
+    assert np.array_equal(bits(s), bits(before))
+    two_cos = grid.two_cos_delta
+    for k, row in enumerate(s.reshape(-1, grid.n)):
+        assert np.array_equal(bits(flat.reshape(-1, grid.n)[k]),
+                              bits(reference_three_term(row, two_cos)))
+        assert np.array_equal(bits(margins.reshape(-1, grid.n)[k]),
+                              bits(reference_margins(row, two_cos)))
 
 
 # ------------------------------------------------------------------ RK4 step
