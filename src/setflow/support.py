@@ -281,7 +281,7 @@ def _extremal(vals: np.ndarray, paired: bool = False):
         return out
     nxt = rows.reshape(-1).take(at % rows.size + rows.shape[-1], mode="clip")  # row j + 1 at
     np.negative(nxt, out=nxt, where=at >= rows.size)  # E+ of row j, -(row j + 1) at E-
-    low = np.minimum.reduceat(np.append(nxt, math.inf), [0] + ends[:-1])  # inf: starts an empty last set
+    low = np.minimum.reduceat(np.append(nxt, math.inf), [0] + ends[:-1])  # inf: an empty last set
     mpos, mneg = np.where(counts > 0, low, math.inf).reshape(2, -1)[:, :-1]  # inf: empty set
     least = np.where(mneg < mpos, mneg, mpos)  # min(mpos, mneg) keeps mpos on a tie
     with np.errstate(over="ignore"):  # as the product of two Python floats: inf, no warning

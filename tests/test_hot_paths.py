@@ -587,7 +587,7 @@ def test_a_zero_least_value_takes_the_per_call_path():
     # the stacked min of +0.0 and -0.0 may differ in sign from the per-call min
     grid = sf.DirectionGrid(8)
     g = np.array([2.0, 2.0, 1.0, 0.0, -1.0, 0.5, 0.0, 2.0])
-    for f in ([0.0, -0.0, 1.0, 1.0, 1.0, 1.0, 1.0, -0.0], [-0.0, 0.0, 5.0, 1.0, 1.0, 1.0, 1.0, 0.0]):
+    for f in ([0.0, -0.0, 1.0, 1.0, 1.0, 1.0, 1.0, -0.0], [-0.0, 0.0, 5.0, 1, 1, 1, 1, 0.0]):
         values = np.zeros((4, 8))
         values[1], values[3] = -g, np.array(f)  # quotients -g, g, f: the pair (f, g) is last
         deltas = sf.SetCurve(grid, np.arange(4.0), values, tol=math.inf).deltas
