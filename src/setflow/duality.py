@@ -78,17 +78,14 @@ def dual_representatives(g: SupportDelta) -> list[DiscreteMeasure]:
     """Single-atom elements of the duality map of g: +-||g|| delta_i at extrema.
 
     Every returned measure mu has total variation ||g|| and pairs with g to
-    ||g||^2.  The minimum of mu(f) over the list equals semi_inner(f, g).  The measures are
-    built once per delta (g is read-only); each call returns a new list of them.
+    ||g||^2.  The minimum of mu(f) over the list equals semi_inner(f, g).  Each call builds
+    the measures anew, from the extremal sets the delta keeps.
     """
-    reps = vars(g).get("_representatives")
-    if reps is None:
-        gnorm, pos, neg = g._extrema
-        if gnorm is None:
-            raise ZeroFunction("the zero function has no normalized representatives")
-        atoms = [(i, gnorm) for i in pos.tolist()] + [(i, -gnorm) for i in neg.tolist()]
-        reps = vars(g)["_representatives"] = [DiscreteMeasure._trusted((a,)) for a in atoms]
-    return reps.copy()
+    gnorm, pos, neg = g._extrema
+    if gnorm is None:
+        raise ZeroFunction("the zero function has no normalized representatives")
+    atoms = [(i, gnorm) for i in pos.tolist()] + [(i, -gnorm) for i in neg.tolist()]
+    return [DiscreteMeasure._trusted((a,)) for a in atoms]
 
 
 def hausdorff_realizing_directions(

@@ -353,6 +353,7 @@ def integrate_stack(
     regularized = np.zeros(shape, dtype=bool)
     states[:, 0], residuals[:, 0] = y, cone_residual(y, grid)
     ends = np.full(len(y), len(times))  # states kept per row; a truncated row steps on unchecked
+    limit = {"never": math.inf, "always": -math.inf}.get(policy)  # None: each state's drift limit
     k, span, start = 1, 1, 1  # first unchecked step, next block's length, start of this run
     with np.errstate(over="ignore", invalid="ignore"):  # NonFiniteValue reports these
         while k < len(times) and (live := ends == len(times)).any():
@@ -363,16 +364,14 @@ def integrate_stack(
             block = states[:, k:stop]  # (B, steps, n): one check for the whole block
             # residuals past the first event are stored again when their steps are redone
             res = residuals[:, k:stop] = cone_residual(block, grid)
-            finite = np.isfinite(block).all(axis=-1)
-            fix = (res > _drift_limit(block) if policy == "on_violation"
-                   else np.full(res.shape, policy == "always"))
-            events = (fix | ~finite)[live].any(axis=0)
+            fix = ~(res <= (_drift_limit(block) if limit is None else limit))  # NaN: an event
+            events = fix[live].any(axis=0)
             e = int(events.argmax())
             if not events[e]:
                 k, span = stop, 2 * span
                 continue
             j = k + e
-            if not finite[live, e].all():
+            if np.isnan(res[live, e]).any():  # a non-finite state
                 raise NonFiniteValue(f"non-finite state at t = {times[j]} under field '{f.name}'")
             y, fix = states[:, j].copy(), fix[:, e] & live
             for i in fix.nonzero()[0]:

@@ -262,29 +262,31 @@ class ConvexPolygon:
 
 def _extremal(vals: np.ndarray, paired: bool = False):
     """One (||row||, E+, E-) per row of a finite (..., n) stack (a vector is one row): the
-    indices within default_tol of +||row|| and of -||row||, read-only.  A norm within
-    default_tol of zero is None, with the whole grid twice.  If paired, also, from the same
-    masks, the semi-inner product of row j + 1 with row j for each row j but the last, bit for
-    bit, or NaN where its least value is zero: the stacked min may give the other sign."""
+    indices within default_tol of +||row|| and of -||row||, read-only.  A norm within default_tol
+    of zero is None, with one shared whole-grid array as both sets.  If paired, also, masked as in
+    osl_rows, the semi-inner product of row j + 1 with row j for each row j but the last, bit for
+    bit, or NaN where its least value is zero: the masked min may give the other sign."""
     rows = vals.reshape(-1, vals.shape[-1])
     norm = np.abs(rows).max(axis=-1)
     tol = TOL_REL * np.maximum(norm, 1.0)  # default_tol of each row, bit for bit
-    lim = np.where(norm > tol, norm - tol, -math.inf)[:, None]  # -lim is -norm + tol, bit for bit
-    at = np.flatnonzero(np.concatenate([rows >= lim, rows <= -lim]))  # zero rows: all twice
-    row, idx = np.divmod(at, rows.shape[-1])  # mask row k: E+ of row k, then E- of row k - len
-    ends = (counts := np.bincount(row, minlength=2 * len(rows))).cumsum().tolist()
+    lim = np.where(norm > tol, norm - tol, math.inf)[:, None]  # -lim is -norm + tol, bit for bit
+    mask = np.concatenate([rows >= lim, rows <= -lim])  # E+ of each row, then E-; zero rows: none
+    row, idx = np.divmod(np.flatnonzero(mask), rows.shape[-1])
+    ends = np.bincount(row, minlength=len(mask)).cumsum().tolist()
+    whole = np.arange(rows.shape[-1])  # both sets of every zero row
     idx.setflags(write=False)
+    whole.setflags(write=False)
     sets = [idx[a:b] for a, b in zip([0] + ends, ends)]
-    out = [(x if x > t else None, p, q)
+    out = [(x, p, q) if x > t else (None, whole, whole)
            for x, t, p, q in zip(norm.tolist(), tol.tolist(), sets, sets[len(rows):])]
     if not paired:
         return out
-    nxt = rows.reshape(-1).take(at % rows.size + rows.shape[-1], mode="clip")  # row j + 1 at
-    np.negative(nxt, out=nxt, where=at >= rows.size)  # E+ of row j, -(row j + 1) at E-
-    low = np.minimum.reduceat(np.append(nxt, math.inf), [0] + ends[:-1])  # inf: an empty last set
-    mpos, mneg = np.where(counts > 0, low, math.inf).reshape(2, -1)[:, :-1]  # inf: empty set
-    least = np.where(mneg < mpos, mneg, mpos)  # min(mpos, mneg) keeps mpos on a tie
-    with np.errstate(over="ignore"):  # as the product of two Python floats: inf, no warning
+    pos, neg = mask[:len(rows) - 1], mask[len(rows):-1]  # the sets of row j, disjoint if nonzero
+    nxt = rows[1:].copy()  # row j + 1 on E+, -(row j + 1) on E-, inf off both
+    np.negative(nxt, out=nxt, where=neg)
+    np.copyto(nxt, math.inf, where=~(pos | neg))
+    least = nxt.min(axis=-1)  # inf for a zero row
+    with np.errstate(over="ignore", invalid="ignore"):  # inf as for Python floats; 0 * inf below
         inner = np.where(least == 0.0, math.nan, norm[:-1] * least)
     return out, np.where(norm[:-1] > tol[:-1], inner, 0.0).tolist()
 

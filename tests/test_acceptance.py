@@ -78,14 +78,17 @@ def test_criterion_04_convergence_order():
     slopes = {}
     for method in ("euler", "rk4"):
         errs = [
-            float(np.max(np.abs(sf.integrate(RELAX, s0, 1.0, h, method=method).final.values - exact)))
+            float(np.max(np.abs(
+                sf.integrate(RELAX, s0, 1.0, h, method=method).final.values - exact
+            )))
             for h in hs
         ]
         slopes[method] = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
     ok = abs(slopes["euler"] - 1.0) <= 0.3 and abs(slopes["rk4"] - 4.0) <= 0.3
     report(
         4,
-        f"observed orders euler {slopes['euler']:.2f} (1.0±0.3), rk4 {slopes['rk4']:.2f} (4.0±0.3)",
+        f"observed orders euler {slopes['euler']:.2f} (1.0±0.3), "
+        f"rk4 {slopes['rk4']:.2f} (4.0±0.3)",
         ok,
     )
 

@@ -253,7 +253,8 @@ EXAMPLE_SHA256 = {
     "curve1_delta_support.svg": "fcfc0c26b5b3bde7bf6a7991e982c3068e7ba72f2374392c8e6e32380e9502b4",
     "curve1_differentials.svg": "594ba9e2c2600fee1b58fea510d8712ef1b4fd35d6d95f15f7e4e4876a448840",
     "curve1_frechet_delta.csv": "983a0facd0db1d3376d8e20f525cb7c41d8a7de2d7c9fdc17d19ccfa795762cc",
-    "curve1_hukuhara_differentials.csv": "983a0facd0db1d3376d8e20f525cb7c41d8a7de2d7c9fdc17d19ccfa795762cc",
+    "curve1_hukuhara_differentials.csv":
+        "983a0facd0db1d3376d8e20f525cb7c41d8a7de2d7c9fdc17d19ccfa795762cc",
     "curve1_sets.svg": "38d2dda264fe1cc7f5583ea8d303258bf59c9d0ca096a6b5dbc0f5dadeaec43b",
     "curve1_support.svg": "4b26881408135c31952b1ab3e69519f2de04fd6e80b044303cc98228b47b5520",
     "curve1_trajectory.csv": "2cae03eea46afee08e96533ba5eb9c5781acba2313433097546271c8f82a9a3f",
@@ -261,7 +262,8 @@ EXAMPLE_SHA256 = {
     "curve2_delta_support.svg": "69a5b06d111af81490fa96c7b77dc5d5d5e2426d83aa101566b84c2df0ce522b",
     "curve2_differentials.svg": "b6b08f83c57327d23223bc0785f43d2f1f990b89de7674e5197f3a26cabcec83",
     "curve2_frechet_delta.csv": "7247b60e2f9fd65e33a9aa76cb0675bc3e999dbbe229552c6cfdcebda1a35577",
-    "curve2_second_type_differentials.csv": "ad5ee4b10a2fd8cfde4b18a4e5b6b06b96a53d2cbedc83ad782fbf132bde9e3f",
+    "curve2_second_type_differentials.csv":
+        "ad5ee4b10a2fd8cfde4b18a4e5b6b06b96a53d2cbedc83ad782fbf132bde9e3f",
     "curve2_sets.svg": "8a07d05d76eeb80b31f12286d61abbd836f3e40402757e7f6672a2125c1e7097",
     "curve2_support.svg": "550828d8d861488fc2c74869d20d5e98cfb48a46a09cc88d6efbeb2d588a4e44",
     "curve2_trajectory.csv": "d1b6c95aeb1d0e1e34632067688edeb7705dd4dafe8a1ce2e1617827ac9d37d7",

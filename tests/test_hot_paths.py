@@ -12,9 +12,10 @@ whether the Hukuhara difference of each two consecutive samples exists in one
 stacked cone test, held to the per-pair test.  The same pass keeps the
 semi-inner product of each two consecutive quotients, held to the per-call
 path, and the three-term margins of a stack take one flat pass, held to the
-rows.  The RK4 step is held to its textbook expression.  All comparisons are
-exact.  The sampled checks evaluate a declared affine field once, and any
-other field at every sampled time.
+rows.  Building a curve's deltas holds nothing per zero quotient and peaks
+at a few stacks of the quotients.  The RK4 step is held to its textbook
+expression.  All comparisons are exact.  The sampled checks evaluate a
+declared affine field once, and any other field at every sampled time.
 """
 
 import contextlib
@@ -25,6 +26,7 @@ import io
 import json
 import math
 import pickle
+import tracemalloc
 import weakref
 from unittest import mock
 
@@ -501,7 +503,7 @@ def test_a_curve_dies_with_its_last_reference(make):
     curve = make()
     assert sf.hukuhara_difference(curve.samples[1], curve.samples[0]) is not curve
     assert len(curve.deltas) == len(curve) - 1
-    # its deltas keep their pairings with the next row's values and their representatives
+    # its deltas keep their pairings with the next row's values; representatives are built too
     for g, f in zip(curve.deltas, curve.deltas[1:]):
         sf.semi_inner(f, g)
         with contextlib.suppress(ZeroFunction):
@@ -596,7 +598,7 @@ def test_a_zero_least_value_takes_the_per_call_path():
         assert want == 0.0 and bits(sf.semi_inner(deltas[2], deltas[1])) == bits(want)
 
 
-def test_representatives_are_built_once_and_returned_in_a_new_list():
+def test_representatives_come_in_a_new_list_on_each_call():
     deltas = banded_curve().deltas
     g = deltas[3]  # box growth: a band of ties
     first = sf.dual_representatives(g)
@@ -605,10 +607,39 @@ def test_representatives_are_built_once_and_returned_in_a_new_list():
     first.clear()
     again = sf.dual_representatives(g)
     assert again is not first and [mu.atoms for mu in again] == atoms
-    assert all(a is b for a, b in zip(again, sf.dual_representatives(g)))
     for _ in range(2):
         with pytest.raises(ZeroFunction):
             sf.dual_representatives(deltas[0])
+
+
+def traced_deltas(curve):
+    """(held, peak) bytes that tracemalloc sees while a curve builds its deltas."""
+    tracemalloc.start()
+    try:
+        deltas = curve.deltas
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return deltas, held, peak
+
+
+def test_curve_deltas_memory_is_bounded():
+    # 400 rows at n 4096: a stack of the quotients is K * n * 8 = 13 MB
+    grid, times = sf.DirectionGrid(4096), np.arange(400) * 0.01
+    box = sf.support_of_polygon(sf.ConvexPolygon.box((0, 2), (0, 1)), grid).values
+    stack = (len(times) - 1) * grid.n * 8
+    # every quotient of a constant curve is zero: no index array per row, one shared grid
+    deltas, held, peak = traced_deltas(sf.SetCurve(grid, times, np.broadcast_to(box, (400, 4096))))
+    assert held < 2**20 and peak < 2 * stack
+    whole = {id(s) for d in deltas for s in d._extrema[1:]}
+    assert len(whole) == 1 and np.array_equal(deltas[0]._extrema[1], np.arange(grid.n))
+    assert not deltas[0]._extrema[1].flags.writeable
+    # relaxing a point to the unit disc: every index of every quotient is extremal
+    disc = sf.relax_to(sf.SupportSample(grid, np.ones(grid.n)))
+    curve = sf.SetCurve(grid, times, sf.exact_flow(disc, np.zeros(grid.n), times))
+    deltas, held, peak = traced_deltas(curve)
+    assert all(len(d._extrema[1]) == grid.n for d in deltas)
+    assert peak < 4 * stack  # measured 3.4: the masks, the next rows and one index per entry
 
 
 # ------------------------------------------------------ flat three-term margins

@@ -719,7 +719,9 @@ def assert_same_report(got, ref, tol):
     assert close(got.hausdorff, ref.hausdorff, tol)
     assert len(got.cases) == len(ref.cases)
     for c, r in zip(got.cases, ref.cases):
-        assert (c.order, c.direction_index, c.satisfied) == (r.order, r.direction_index, r.satisfied)
+        assert (c.order, c.direction_index, c.satisfied) == (
+            r.order, r.direction_index, r.satisfied
+        )
         for name in ("a", "b", "snap_error", "lhs", "bound"):
             assert close(getattr(c, name), getattr(r, name), tol)
 
