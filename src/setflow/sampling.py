@@ -19,17 +19,21 @@ def random_rectangle(rng: np.random.Generator) -> ConvexPolygon:
 def rectangle_pairs(grid: DirectionGrid, T: float, count: int, rng: np.random.Generator):
     """Supports (count, 2, n) of count pairs of random_rectangle boxes, and a time each, from
     the same draws, bit for bit, as random_rectangle, random_rectangle, uniform(0, T) per pair."""
-    (cos, sin), u = grid.directions.T, rng.random((count, 9))
+    (cos, sin), u = grid.columns[:, :-1], rng.random((count, 9))
     c, w = -2.0 + 4.0 * u.take([0, 1, 4, 5], 1), 3.0 * u.take([2, 3, 6, 7], 1) / 2.0  # C order
     lo, hi = (c - w).reshape(count, 2, 2, 1), (c + w).reshape(count, 2, 2, 1)  # pair, box, axis
-    x, y = (np.where(d >= 0, hi[:, :, i], lo[:, :, i]) for i, d in enumerate((cos, sin)))
+    x, y = np.empty((count, 2, grid.n)), np.empty((count, 2, grid.n))
+    for i, (d, corner) in enumerate(((cos, x), (sin, y))):  # hi on each run of d >= 0, else lo
+        cuts = [0, *(np.flatnonzero(np.diff(d >= 0)) + 1).tolist(), grid.n]
+        for a, b in zip(cuts, cuts[1:]):
+            corner[..., a:b] = (hi if d[a] >= 0 else lo)[:, :, i]
     return np.add(np.multiply(x, cos, out=x), np.multiply(y, sin, out=y), out=x), T * u[:, 8]
 
 
 def random_cone_sample(grid: DirectionGrid, rng: np.random.Generator) -> SupportSample:
     """Support sample of (the hull of) 3 to 8 uniform points in [-1.5, 1.5]^2."""
     pts = rng.uniform(-1.5, 1.5, (int(rng.integers(3, 9)), 2))
-    return SupportSample(grid, (grid.directions @ pts.T).max(axis=1))
+    return SupportSample(grid, (pts @ grid.columns[:, :-1]).max(axis=0))
 
 
 def ball_draws(sigma0: SupportSample, r: float, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -45,14 +49,17 @@ def ball_draws(sigma0: SupportSample, r: float, count: int, rng: np.random.Gener
     in the cone and within r of sigma0 by construction: no hull is built, and
     no (count, 8, n) array.
     """
-    cos, sin = sigma0.grid.directions.T
+    (cos, sin), n = sigma0.grid.columns[:, :-1], sigma0.grid.n
     reach = r * rng.uniform(size=count)
-    steps = np.zeros((count, len(cos)))  # 0: the origin of every cloud
-    widen, shrink = steps[0::2], steps[1::2]  # views, written in place
+    steps, widen = np.zeros((count, n)), np.zeros(((count + 1) // 2, n))  # 0: the origin
+    x, y = np.empty_like(widen), np.empty_like(widen)  # p_x cos_i and p_y sin_i, in place
     for p in rng.uniform(-1.0, 1.0, (8, len(widen), 2)):
-        np.maximum(widen, np.outer(p[:, 0], cos) + np.outer(p[:, 1], sin), out=widen)
-    q = _line_corners(sigma0.values, sigma0.grid)[rng.integers(len(cos), size=len(shrink))]
-    shrink += np.outer(q[:, 0], cos) + np.outer(q[:, 1], sin) - sigma0.values
+        np.add(np.multiply(p[:, :1], cos, out=x), np.multiply(p[:, 1:], sin, out=y), out=x)
+        np.maximum(widen, x, out=widen)
+    steps[0::2] = widen
+    del widen, x, y  # the odd rows' temporaries take their place: 2.5 (count, n) at most
+    q = _line_corners(sigma0.values, sigma0.grid)[rng.integers(n, size=count // 2)]
+    steps[1::2] += np.outer(q[:, 0], cos) + np.outer(q[:, 1], sin) - sigma0.values
     norm = np.maximum(steps.max(axis=-1), -steps.min(axis=-1))
     cap = np.maximum(norm, reach * (np.arange(count) % 2))  # lam <= 1 on odd rows
     steps *= np.divide(reach, cap, out=np.zeros(count), where=norm > 0.0)[:, None]

@@ -39,7 +39,7 @@ _ULP_REL = 1e-13
 # line moves out (relative to max(1, |s|_inf, r0)) when rounding leaves the exact
 # intersection of a point or segment empty.
 _FLAT_REL = 1e-12
-_PRODUCT_FLOATS = 1 << 20  # support_of_polygon: most products per block (8 MiB; it holds two)
+_PRODUCT_FLOATS = 1 << 20  # support_of_polygon: most products per block (8 MiB)
 
 
 def _scale(x):
@@ -60,21 +60,21 @@ class DirectionGrid:
     angles: np.ndarray = field(init=False, repr=False, compare=False)
     directions: np.ndarray = field(init=False, repr=False, compare=False)
     two_cos_delta: float = field(init=False, repr=False, compare=False)
-    _turned: np.ndarray = field(init=False, repr=False, compare=False)  # row i: direction i + 1
+    # (2, n + 1) cos and sin rows, each closed by its first entry: [:, 1:] is direction i + 1
+    columns: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n", operator.index(self.n))  # TypeError unless integral
         if self.n < 3:
             raise ValueError(f"need at least 3 directions, got {self.n}")
         angles = 2.0 * np.pi * np.arange(self.n) / self.n
-        ring = np.empty((self.n + 1, 2))  # the directions, then the first again
-        ring[:-1, 0], ring[:-1, 1] = np.cos(angles), np.sin(angles)
-        ring[-1] = ring[0]
-        angles.setflags(write=False)
-        ring.setflags(write=False)
+        cs = np.array([np.cos(angles), np.sin(angles)])
+        ring, directions = np.concatenate([cs, cs[:, :1]], axis=1), cs.T.copy()  # (n, 2), C order
+        for a in (angles, ring, directions):
+            a.setflags(write=False)
         object.__setattr__(self, "angles", angles)
-        object.__setattr__(self, "directions", ring[:-1])
-        object.__setattr__(self, "_turned", ring[1:])
+        object.__setattr__(self, "directions", directions)
+        object.__setattr__(self, "columns", ring)
         object.__setattr__(self, "two_cos_delta", 2.0 * math.cos(self.delta))
 
     @property
@@ -371,18 +371,20 @@ class SupportSample(SupportDelta):
 
 
 def support_of_polygon(p: ConvexPolygon, grid: DirectionGrid) -> SupportSample:
-    """Support values max_v <direction_i, v> over the vertices of p, in blocks of vertices."""
-    u, v, step = grid.directions, p.vertices, max(2, _PRODUCT_FLOATS // grid.n)
-    vals = u @ v[:step].T
+    """Support values max_v <direction_i, v> over the vertices of p, in (vertices, n) blocks."""
+    u, v, step = grid.columns[:, :-1], p.vertices, max(2, _PRODUCT_FLOATS // grid.n)
+    if len(v) == 1:  # (n, 2) @ (2,): the (1, 2) @ (2, n) product takes other bits
+        return SupportSample(grid, grid.directions @ v[0])
+    vals = (v[:step] @ u).max(axis=0)
     for i in range(step, len(v), step):  # the last block overlaps: one vertex takes other bits
-        np.maximum(vals, u @ v[min(i, len(v) - step):i + step].T, out=vals)
-    return SupportSample(grid, vals.max(axis=1))
+        np.maximum(vals, (v[min(i, len(v) - step):i + step] @ u).max(axis=0), out=vals)
+    return SupportSample(grid, vals)
 
 
 def _line_corners(vals: np.ndarray, grid: DirectionGrid) -> np.ndarray:
     """The n points (n, 2) where lines <u_i, x> = vals_i and <u_{i+1}, x> = vals_{i+1}
     meet: for a vector in the cone, boundary points of its set, whose hull it is."""
-    (cos, sin), (tcos, tsin) = grid.directions.T, grid._turned.T
+    (cos, sin), (tcos, tsin) = grid.columns[:, :-1], grid.columns[:, 1:]
     sn, denom = np.concatenate((vals[1:], vals[:1])), math.sin(grid.delta)
     x = (vals * tsin - sn * sin) / denom
     y = (sn * cos - vals * tcos) / denom
@@ -410,7 +412,7 @@ def _deque_pass(
     the intersection empty instead.
     """
     n = grid.n
-    cs, sn = grid.directions.T.tolist()
+    cs, sn = grid.columns[:, :-1].tolist()
     sv = s.tolist()
     lines: deque[int] = deque()
     vx: deque[float] = deque()  # vertex k, (vx[k], vy[k]), joins lines[k] and lines[k + 1]
@@ -512,9 +514,9 @@ def regularize(values, grid: DirectionGrid) -> SupportSample:
     lines, verts = _active_lines(s, grid, m)
     i = np.arange(grid.n)
     k = np.searchsorted(lines, i, side="right") - 1  # -1: past the last line
-    u = grid.directions
-    vals = u[:, 0] * verts[k, 0] + u[:, 1] * verts[k, 1]
-    prev = u[:, 0] * verts[k - 1, 0] + u[:, 1] * verts[k - 1, 1]
+    (cos, sin), (x, y) = grid.columns[:, :-1], verts.T
+    vals = cos * x[k] + sin * y[k]
+    prev = cos * x[k - 1] + sin * y[k - 1]
     return SupportSample(grid, np.where(lines[k] == i, np.maximum(vals, prev), vals))
 
 

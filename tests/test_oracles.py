@@ -803,10 +803,10 @@ def corner_supports(box, grid):
     return [max(x * c + y * s for x, y in corners) for c, s in grid.directions.tolist()]
 
 
-@settings(max_examples=50)
+@settings(max_examples=80)
 @given(
     st.integers(0, 2**32 - 1),
-    st.sampled_from([4, 8, 64, 256]),
+    st.sampled_from([3, 4, 5, 6, 8, 12, 64, 256, 1024]),  # the sign runs wrap differently
     st.floats(1e-3, 10.0),
     st.integers(1, 12),
 )
@@ -826,6 +826,54 @@ def test_rectangle_pairs_replay_the_sequential_draws(seed, n, T, count):
         assert all(same_bits(p.vertices, q.vertices) for p, q in zip(streamed, boxes))
         assert same_bits(stream.uniform(0.0, T), t)
     assert batched.random() == sequential.random()
+
+
+def reference_ball_draws(sigma0, r, count, rng):
+    """ball_draws as it was: outer products of the strided direction columns, widened in
+    place into the even rows of the step stack, and the corners read off the same columns."""
+    grid = sigma0.grid
+    cos, sin = grid.directions.T
+    tcos, tsin = np.roll(grid.directions, -1, axis=0).T
+    vals, sn = sigma0.values, np.roll(sigma0.values, -1)
+    corners = np.column_stack([(vals * tsin - sn * sin) / math.sin(grid.delta),
+                               (sn * cos - vals * tcos) / math.sin(grid.delta)])
+    reach = r * rng.uniform(size=count)
+    steps = np.zeros((count, len(cos)))
+    widen, shrink = steps[0::2], steps[1::2]
+    for p in rng.uniform(-1.0, 1.0, (8, len(widen), 2)):
+        np.maximum(widen, np.outer(p[:, 0], cos) + np.outer(p[:, 1], sin), out=widen)
+    q = corners[rng.integers(len(cos), size=len(shrink))]
+    shrink += np.outer(q[:, 0], cos) + np.outer(q[:, 1], sin) - sigma0.values
+    norm = np.maximum(steps.max(axis=-1), -steps.min(axis=-1))
+    cap = np.maximum(norm, reach * (np.arange(count) % 2))
+    steps *= np.divide(reach, cap, out=np.zeros(count), where=norm > 0.0)[:, None]
+    return np.add(steps, sigma0.values, out=steps)
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([3, 4, 5, 8, 64, 256]),
+    st.sampled_from([1, 2, 3, 99, 100, 101]),
+    st.floats(-6.0, 6.0),
+    st.sampled_from(["box", "polygon", "origin"]),
+)
+def test_ball_draws_have_the_bits_of_the_strided_reference(seed, n, count, log_r, kind):
+    # the origin's support carries signed zeros (-0.0 in the third quadrant), and so do its
+    # corners and its shrinking steps
+    grid, rng = sf.DirectionGrid(n), np.random.default_rng(seed)
+    if kind == "box":
+        lo = rng.uniform(-3.0, 3.0, 2)
+        poly = sf.ConvexPolygon.box(*zip(lo, lo + rng.uniform(0.0, 2.0, 2)))
+    elif kind == "polygon":
+        poly = sf.ConvexPolygon.from_points(rng.uniform(-2.0, 2.0, (int(rng.integers(3, 9)), 2)))
+    else:
+        poly = sf.ConvexPolygon.point((0.0, 0.0))
+    sigma0, r = sf.support_of_polygon(poly, grid), 10.0**log_r
+    got_rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    got = sf.ball_draws(sigma0, r, count, got_rng)
+    assert same_bits(got, reference_ball_draws(sigma0, r, count, ref_rng))
+    assert got_rng.random() == ref_rng.random()  # the same draws, in the same order
 
 
 @settings(max_examples=25)

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import setflow as sf
@@ -38,6 +38,19 @@ def test_grid_basics():
     assert g.antipode(1) == 5
     idx, err = g.nearest_index((0.0, -1.0))
     assert idx == 6 and err < 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4, 64, 4096])
+def test_grid_columns_are_read_only_contiguous_rows_of_the_directions(n):
+    grid = sf.DirectionGrid(n)
+    turned = np.concatenate([grid.directions[1:], grid.directions[:1]])  # row i: direction i + 1
+    rows = (*grid.columns[:, :-1], *grid.columns[:, 1:])
+    wanted = (grid.directions[:, 0], grid.directions[:, 1], turned[:, 0], turned[:, 1])
+    for row, want in zip(rows, wanted):
+        assert row.flags.c_contiguous and not row.flags.writeable
+        assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
+    assert grid.directions.flags.c_contiguous and not grid.directions.flags.writeable
+    assert np.array_equal(grid.directions[:, 0], np.cos(grid.angles))
 
 
 def test_grid_rejects_tiny():
@@ -85,9 +98,14 @@ def test_support_rect_up_direction():
     assert sup(A1).values[16] == pytest.approx(2.0)
 
 
-@settings(max_examples=300)
-@given(st.sampled_from([3, 8, 64, 257]), st.integers(1, 60), st.integers(1, 9),
+@settings(max_examples=400)
+@given(st.sampled_from([3, 8, 64, 257, 1024, 4096]), st.integers(1, 60), st.integers(1, 9),
        st.sampled_from(["round", "cloud", "lattice"]), st.integers(0, 2**32 - 1))
+@example(4096, 1, 1, "round", 0)  # one vertex: the matrix-vector product
+@example(1024, 1, 9, "lattice", 3)
+@example(4096, 3, 2, "round", 1)  # blocks of 2 over 3 vertices: the last one overlaps
+@example(1024, 10, 9, "round", 2)
+@example(4096, 18, 9, "round", 3)  # two whole blocks, no overlap
 def test_blocked_support_values_have_the_bits_of_the_whole_product(n, m, block, kind, seed):
     # blocks of max(2, block) vertices; the last one overlaps rather than hold one vertex
     grid, rng = sf.DirectionGrid(n), np.random.default_rng(seed)
