@@ -17,8 +17,6 @@ from .duality import (
     semi_inner,
 )
 from .dynamics import (
-    OslCase,
-    OslReport,
     RhsField,
     Trajectory,
     constant_field,

@@ -26,7 +26,6 @@ from .support import (
     SupportDelta,
     SupportSample,
     _grid_values,
-    _realizer,
     _require_same_grid,
     _scale,
     cone_margins,
@@ -166,67 +165,6 @@ def existence_horizon(
     return c, (T if c == 0.0 else min(T, r / c))
 
 
-@dataclass(frozen=True)
-class OslCase:
-    """One applicable realizer condition of the one-sided Lipschitz check."""
-
-    order: str  # "forward": dist(A,B) = dist_H; "reverse": dist(B,A) = dist_H
-    a: np.ndarray
-    b: np.ndarray
-    direction_index: int
-    snap_error: float
-    lhs: float
-    bound: float
-    satisfied: bool
-
-
-@dataclass(frozen=True)
-class OslReport:
-    satisfied: bool
-    hausdorff: float
-    cases: tuple[OslCase, ...]
-
-    @property
-    def witness(self) -> OslCase | None:
-        return next((c for c in self.cases if not c.satisfied), None)
-
-
-def osl_check(
-    f: RhsField, a: ConvexPolygon, b: ConvexPolygon, t: float, rate: float
-) -> OslReport | None:
-    """Check the relative-velocity bound at the Hausdorff-realizing direction.
-
-    For each one-sided distance that attains dist_H(A, B), the realizing pair
-    gives a critical direction p (snapped to the nearest grid index, with the
-    snap error recorded), and the scalar inequality
-    f(t, sigma_A)(p) - f(t, sigma_B)(p) <= rate * dist_H is evaluated
-    there (with roles swapped for the reverse order).  The report is
-    satisfied when at least one applicable case holds.  Every comparison is
-    made at default_tol of the vertices of A and B.  None when an order that
-    attains dist_H has no realizing pair (its distance is within tol of zero,
-    as for sets that coincide): the condition says nothing about the pair.
-    """
-    tol = default_tol(np.append(a.vertices, b.vertices))
-    sets = (a, b)
-    realizers = [_realizer(sets[i], sets[1 - i]) for i in (0, 1)]
-    peaks = [dist for dist, _, _ in realizers]
-    dh = max(peaks)
-    orders = [i for i in (0, 1) if peaks[i] >= dh - tol]  # the orders attaining dist_H
-    if any(peaks[i] <= tol for i in orders):
-        return None
-    fvals = [f.eval(t, support_of_polygon(s, f.grid).values) for s in sets]
-    bound = rate * dh
-    cases = []
-    for i in orders:
-        _, far, proj = realizers[i]
-        idx, err = f.grid.nearest_index(far - proj)
-        lhs = float(fvals[i][idx] - fvals[1 - i][idx])
-        pa, pb = (far, proj) if i == 0 else (proj, far)
-        order = ("forward", "reverse")[i]
-        cases.append(OslCase(order, pa, pb, idx, err, lhs, bound, lhs <= bound + tol))
-    return OslReport(any(c.satisfied for c in cases), dh, tuple(cases))
-
-
 def osl_rows(f: RhsField, pairs: np.ndarray, ts: list, rate: float) -> list[tuple]:
     """One-sided Lipschitz check in the Banach space of each pair x, y of a (B, 2, n) stack at its
     time ts[k]: g = x - y, d = f(t, x) - f(t, y), lhs = [d, g]_- / |g|_inf, the least of d on E+
@@ -249,6 +187,13 @@ def osl_rows(f: RhsField, pairs: np.ndarray, ts: list, rate: float) -> list[tupl
     rows = zip(ts, dist.tolist(), index.tolist(), lhs.tolist(), bound.tolist(),
                ((lhs <= bound + slack) & np.isfinite(slack)).tolist())
     return [row for row, kept in zip(rows, (dist > tol).tolist()) if kept]
+
+
+def osl_check(f: RhsField, a: ConvexPolygon, b: ConvexPolygon, t: float, rate: float):
+    """osl_rows of the one pair of supports of a and b at t: its row, or None for sets that
+    coincide within default_tol; kept while bench/tracing.py TARGETS names it."""
+    pair = np.stack([support_of_polygon(s, f.grid).values for s in (a, b)])
+    return next(iter(osl_rows(f, pair[None], [t], rate)), None)
 
 
 @dataclass(frozen=True)

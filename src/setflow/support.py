@@ -585,19 +585,13 @@ def hausdorff_exact(p: ConvexPolygon, q: ConvexPolygon) -> float:
     return max(hausdorff_onesided(p, q), hausdorff_onesided(q, p))
 
 
-def _realizer(p: ConvexPolygon, q: ConvexPolygon) -> tuple[float, np.ndarray, np.ndarray]:
-    """(dist(P, Q), a*, b*): a* is the least vertex index of P on the faces at the
-    candidates within default_tol of the largest, and b* = project_point(a*, Q)."""
-    vals, _, owner, _ = _excess_candidates(p, q)
-    top = float(vals.max())
-    a = p.vertices[owner[vals >= top - default_tol(np.append(p.vertices, q.vertices))].min()]
-    return max(top, 0.0), a.copy(), project_point(a, q)
-
-
 def farthest_realizer(p: ConvexPolygon, q: ConvexPolygon) -> tuple[np.ndarray, np.ndarray]:
-    """Pair (a*, b*) with a* in P farthest from Q and b* its projection (see _realizer).
-    Raises Contained when dist(P, Q) is within default_tol of both vertex sets."""
-    dist, a, b = _realizer(p, q)
-    if dist <= default_tol(np.append(p.vertices, q.vertices)):
+    """Pair (a*, b*): a* is the least vertex index of P on the faces at the candidates within
+    default_tol of dist(P, Q), and b* = project_point(a*, Q).  Raises Contained when dist(P, Q)
+    is within default_tol of both vertex sets."""
+    vals, _, owner, _ = _excess_candidates(p, q)
+    top, tol = float(vals.max()), default_tol(np.append(p.vertices, q.vertices))
+    if top <= tol:
         raise Contained("dist(P, Q) vanishes; no realizing direction")
-    return a, b
+    a = p.vertices[owner[vals >= top - tol].min()]
+    return a.copy(), project_point(a, q)

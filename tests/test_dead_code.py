@@ -20,7 +20,6 @@ TEST_ONLY = ("hausdorff_realizing_directions",)
 # public methods and properties that no module or benchmark reads, and why each stays
 UNCALLED_MEMBERS = {
     "DirectionGrid.antipode": "a paper object: the antipodal direction of an even grid",
-    "OslReport.witness": "goes with the polygon osl_check (ROADMAP item 13)",
     "Trajectory.final": "the README quick start reads it",
 }
 # numpy functions that skip NaN: none may be called, imported or referenced

@@ -200,38 +200,69 @@ def test_relaxation_field_osl_satisfied():
     while checked < 100:
         a = sf.random_rectangle(rng)
         b = sf.random_rectangle(rng)
-        rep = sf.osl_check(RELAX, a, b, 0.0, omega)
-        if rep is None:
+        row = sf.osl_check(RELAX, a, b, 0.0, omega)
+        if row is None:
             continue
         checked += 1
-        assert rep.satisfied
+        assert row[5]
 
 
 def test_translation_invariant_field_on_points():
     f = sf.constant_field(sf.SupportDelta(G64, np.ones(64)))
-    rep = sf.osl_check(
+    row = sf.osl_check(
         f,
         sf.ConvexPolygon.point((2, 0)),
         sf.ConvexPolygon.point((0, 0)),
         0.0,
         0.0,
     )
-    assert rep.satisfied
+    assert row[5]
 
 
 def test_expanding_field_violates_zero_growth():
     f = sf.expansion_field(G64, 1.0)
-    rep = sf.osl_check(f, A1, Q, 0.0, 0.0)
-    assert not rep.satisfied
-    w = rep.witness
-    # the violated inequality gap matches a direct evaluation at the witness index
+    _, _, index, lhs, bound, satisfied = sf.osl_check(f, A1, Q, 0.0, 0.0)
+    assert not satisfied
+    # the violated inequality gap matches a direct evaluation at the witness index, on E+
+    # of g = sigma_A - sigma_B as d, on E- as -d
     sa, sb2 = sup(A1).values, SQ.values
-    if w.order == "forward":
-        expected = sa[w.direction_index] - sb2[w.direction_index]
+    g = sa[index] - sb2[index]
+    expected = g if g > 0 else -g
+    assert lhs == pytest.approx(expected, abs=1e-12)
+    assert lhs > bound
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([8, 64, 256]),
+    st.sampled_from(["relax_to", "expand", "constant"]),
+    st.sampled_from(["box", "polygon", "point"]),
+    st.floats(0.0, 2.0),
+    st.floats(-1.0, 3.0),
+)
+def test_osl_check_is_the_osl_row_of_its_pair(seed, n, kind, shape, t, omega):
+    grid, rng = sf.DirectionGrid(n), np.random.default_rng(seed)
+    if kind == "relax_to":
+        field = sf.relax_to(sup(sf.random_rectangle(rng), grid))
+    elif kind == "expand":
+        field = sf.expansion_field(grid, rng.uniform(-2.0, 3.0))
     else:
-        expected = sb2[w.direction_index] - sa[w.direction_index]
-    assert w.lhs == pytest.approx(expected, abs=1e-12)
-    assert w.lhs > w.bound
+        field = sf.constant_field(sf.SupportDelta(grid, rng.standard_normal(n)))
+    if shape == "box":
+        a, b = sf.random_rectangle(rng), sf.random_rectangle(rng)
+    elif shape == "polygon":
+        a, b = (sf.ConvexPolygon.from_points(rng.uniform(-2.0, 2.0, (int(rng.integers(3, 9)), 2)))
+                for _ in range(2))
+    else:
+        a, b = (sf.ConvexPolygon.point(rng.uniform(-2.0, 2.0, 2)) for _ in range(2))
+    pair = np.array([[sup(a, grid).values, sup(b, grid).values]])
+    [want] = osl_rows(field, pair, [t], omega)
+    got = sf.osl_check(field, a, b, t, omega)
+    assert type(got) is tuple and len(got) == len(want)
+    for x, y in zip(got, want):
+        assert type(x) is type(y)
+        assert np.array_equal(np.float64(x).view(np.uint64), np.float64(y).view(np.uint64))
 
 
 def test_degenerate_pair_rejected():

@@ -1,4 +1,5 @@
-"""Metamorphic properties of the cone test from the exact symmetries of the representation.
+"""Metamorphic properties of the cone test and of the one-sided Lipschitz rows from the exact
+symmetries of the representation.
 
 Support functions form a cone closed under positive scaling, and the direction
 grid is symmetric under a cyclic shift (a rotation by a multiple of delta)
@@ -7,7 +8,8 @@ away from overflow and subnormals, and the shift, the reflection and negation
 only move or flip values, so each property below holds bit for bit.  The
 scaled vectors reach the top of the float range, where margins overflow.
 Verdicts are scale-invariant only above the max(1, |s|_inf) floor of
-default_tol, so the verdict and regularize properties start at |s|_inf >= 1.
+default_tol, so the verdict and regularize properties start at |s|_inf >= 1,
+and the osl_rows scaling property keeps the pairs whose supports and distance reach 1.
 """
 
 import math
@@ -20,6 +22,8 @@ from hypothesis import strategies as st
 
 import setflow as sf
 from setflow import support
+from setflow.dynamics import osl_rows
+from setflow.sampling import rectangle_pairs
 from setflow.support import default_tol
 
 GRID_SIZES = [3, 4, 5, 8, 16, 64, 257]
@@ -143,3 +147,56 @@ def test_regularize_retry_keeps_its_bits_under_power_of_two_scaling():
         pytest.fail("the example no longer takes the retry")
     got = sf.regularize(np.ldexp(s, k), grid).values
     assert np.array_equal(bits(got), bits(np.ldexp(expected, k)))
+
+
+@st.composite
+def osl_stacks(draw):
+    """(kind, grid, pairs, ts, offset, rate, omega): a rectangle_pairs stack x10 and the declared
+    offset of a relax_to (a box x10), expand (0.0) or constant (normal x10) field."""
+    grid = sf.DirectionGrid(draw(st.sampled_from([5, 7, 8, 16, 64, 256])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["relax_to", "expand", "constant"]))
+    pairs, ts = rectangle_pairs(grid, 2.0, 10, rng)
+    pairs *= 10.0
+    offset = {"relax_to": pairs[-1, 0], "expand": 0.0,
+              "constant": 10.0 * rng.standard_normal(grid.n)}[kind]
+    rate, omega = rng.uniform(-2.0, 3.0), rng.uniform(-1.0, 3.0)
+    return kind, grid, pairs[:-1], ts[:-1].tolist(), offset, rate, omega
+
+
+def osl_field(kind, grid, offset, rate):
+    if kind == "relax_to":
+        return sf.relax_to(sf.SupportSample(grid, offset))
+    if kind == "expand":
+        return sf.expansion_field(grid, rate)
+    return sf.constant_field(sf.SupportDelta(grid, offset))
+
+
+@settings(max_examples=50)
+@given(osl_stacks(), st.integers(1, 39))
+def test_osl_rows_scale_by_powers_of_two_bit_for_bit(case, k):
+    kind, grid, pairs, ts, offset, rate, omega = case
+    dist = np.abs(pairs[:, 0] - pairs[:, 1]).max(axis=-1)
+    above = (dist >= 1.0) & (np.abs(pairs).max(axis=(1, 2)) >= 1.0)  # above default_tol's floor
+    pairs, ts = pairs[above], [t for t, keep in zip(ts, above) if keep]
+    rows = osl_rows(osl_field(kind, grid, offset, rate), pairs, ts, omega)
+    scaled = osl_rows(osl_field(kind, grid, np.ldexp(offset, k), rate), np.ldexp(pairs, k), ts,
+                      omega)
+    assert len(scaled) == len(rows)
+    for (t, dist, index, lhs, bound, _), got in zip(rows, scaled):
+        assert (got[0], got[2]) == (t, index)
+        assert np.array_equal(bits([got[1], got[3], got[4]]), bits(np.ldexp([dist, lhs, bound], k)))
+
+
+@settings(max_examples=100)
+@given(osl_stacks(), st.integers(0, 2**16))
+def test_osl_rows_are_invariant_under_a_cyclic_shift(case, r):
+    kind, grid, pairs, ts, offset, rate, omega = case
+    r = r % grid.n
+    rows = osl_rows(osl_field(kind, grid, offset, rate), pairs, ts, omega)
+    shifted = osl_rows(osl_field(kind, grid, np.roll(offset, r), rate),
+                       np.roll(pairs, r, axis=-1), ts, omega)
+    assert len(shifted) == len(rows)
+    for row, got in zip(rows, shifted):
+        same = [0, 1, 3, 4, 5]  # t, distance, lhs, bound, satisfied: the index moves
+        assert np.array_equal(bits([got[i] for i in same]), bits([row[i] for i in same]))
